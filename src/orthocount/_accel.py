@@ -1,7 +1,7 @@
 """Kernel acceleration switch.
 
-Hot kernels are written twice: a numba @njit version and a pure numpy/python
-fallback.  Selection happens once at import time:
+The density counting kernels are written twice: a numba @njit version and a
+pure numpy/python fallback.  Selection happens once at import time:
 
   ORTHOCOUNT_NO_NUMBA=1   force the fallback path (also used when numba is
                           not importable)

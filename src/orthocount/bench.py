@@ -1,11 +1,22 @@
-"""Benchmark the hot kernels against their pure-Python references.
+"""Benchmark the hot kernels; run via `orthocount bench`.
 
-Run via `orthocount bench`.  The `theta_walk_e8` row times the int64 numpy
-frontier kernel `_enum._theta_walk_np` (njit_seconds column) against the
-big-int walker `_enum._theta_walk_py` (fallback_seconds column).  The
-density and series rows time the numba-compiled kernels against their
-fallbacks; when numba is unavailable (or disabled by ORTHOCOUNT_NO_NUMBA)
-their njit_seconds column is empty and the speedup column reads 1.0.
+One row per kernel, with columns
+  njit_seconds      best-of-3 time of the fast kernel: the int64 numpy
+                    frontier walk `_enum._theta_walk_np` (theta_walk_e8),
+                    the numba-compiled naive count (density_count; empty
+                    when numba is unavailable or disabled by
+                    ORTHOCOUNT_NO_NUMBA), and the whole-array series product
+                    A*B (series_convolution);
+  fallback_seconds  one timing of its pure-Python reference: the big-int
+                    walker `_enum._theta_walk_py`, the numpy naive count,
+                    and nothing for series_convolution (its scalar
+                    reference lives in the tests), so the cell is empty;
+  speedup           fallback_seconds / njit_seconds, 1.0 where either is
+                    empty.
+Each row checks its kernel before timing it: the two enumerations must
+agree and A*B must equal B*A exactly (the series fold does not depend on
+term order), else ArithmeticError; the two density counts are asserted
+equal.
 """
 
 import time
@@ -14,7 +25,7 @@ import numpy as np
 
 from ._accel import USE_NUMBA
 from .padic import make_ring
-from .series import SeriesRing, _mul_kernel, _mul_py
+from .series import SeriesRing
 
 
 def _time(fn, *a, repeat=3):
@@ -79,20 +90,10 @@ def bench_series(tmax):
     for t in range(0, tmax, 2):
         A = A.add(sr.monomial(t, rng.randrange(1, ring.modulus)))
         B = B.add(sr.monomial(t + 1 if t + 1 <= tmax else t, rng.randrange(1, ring.modulus)))
-    sig, red = ring.as_matrix_int64()
-
-    def run(kernel):
-        out = sr.zero_series()
-        kernel(out.pval, out.unit, A.pval, A.unit, B.pval, B.unit,
-               red, ring.p, ring.R, ring.modulus, ring.deg, sr.tmax)
-        return out
-
-    o_nb = run(_mul_kernel)
-    o_py = run(_mul_py)
-    assert np.all(o_nb.pval == o_py.pval) and np.all(o_nb.unit == o_py.unit)
-    t_nb = _time(lambda: run(_mul_kernel)) if USE_NUMBA else None
-    t_py = _time(lambda: run(_mul_py), repeat=1)
-    return t_nb, t_py
+    AB, BA = A.mul(B), B.mul(A)
+    if not (np.array_equal(AB.pval, BA.pval) and np.array_equal(AB.unit, BA.unit)):
+        raise ArithmeticError("series product is not commutative")
+    return _time(A.mul, B), None
 
 
 def run_benchmarks(quick=False):
@@ -108,8 +109,8 @@ def run_benchmarks(quick=False):
         else:
             t_nb, t_py = fn(size)
             size_lbl = str(size)
-        speed = (t_py / t_nb) if t_nb else 1.0
+        speed = (t_py / t_nb) if t_nb and t_py else 1.0
         rows.append((name, size_lbl,
                      round(t_nb, 6) if t_nb is not None else None,
-                     round(t_py, 6), round(speed, 2)))
+                     round(t_py, 6) if t_py is not None else None, round(speed, 2)))
     return rows

@@ -43,9 +43,6 @@ class NestedLatticeSequence:
                         raise ValueError("each level must contain the next")
             prev = basis
 
-    def level_lattice(self, k):
-        return self.levels[k][1].as_lattice()
-
     def segments(self, n_cap):
         """(length, basis) pieces covering n = 1..n_cap."""
         out = []

@@ -22,6 +22,9 @@ def main(argv=None):
     except VerificationFailure as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 2
+    except ArithmeticError as e:
+        print(f"arithmetic failure: {e}", file=sys.stderr)
+        return 2
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -109,7 +112,9 @@ def _dispatch(argv):
     b4.add_argument("--ncap", type=int, default=10)
     b4.add_argument("--out", default="-")
 
-    p_bench = sub.add_parser("bench", help="kernel timings against pure-Python references")
+    p_bench = sub.add_parser("bench", help="kernel timings: njit_seconds = fast kernel (numba or numpy; "
+                             "empty without numba), fallback_seconds = its pure-Python "
+                             "reference (empty if none), speedup = their ratio")
     p_bench.add_argument("--out", default="-")
     p_bench.add_argument("--quick", action="store_true")
 

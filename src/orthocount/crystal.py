@@ -5,8 +5,8 @@ products, and first-non-integrality detection for horizontal sections.
 
 Two parallel realizations exist on purpose: a symbolic one over Q (Poly
 coefficients; used to derive the non-ordinary-locus equation and structural
-identities exactly) and the truncated-series engine (numba-backed) used for
-the decay traces.
+identities exactly) and the truncated-series engine (whole-array numpy
+products) used for the decay traces.
 """
 
 import random
@@ -137,12 +137,6 @@ def q_polynomial(n, m):
 def crystal_ring(p, R, n):
     """W(F_{p^{2n}})/p^R with canonical Frobenius."""
     return make_ring(p, R, 2 * n)
-
-
-def default_window(h, p):
-    """Default t-truncation: 2h(p^3 + p^2 + p + 1), sized so three decay
-    steps stay visible."""
-    return 2 * h * (p ** 3 + p ** 2 + p + 1)
 
 
 def synthesize_s0prime(ring, n, seed=0):

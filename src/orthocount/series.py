@@ -3,8 +3,16 @@ whose coefficients are truncated Witt vectors over an unramified extension.
 
 A coefficient is stored as (pval, unit-vector): the value p^pval * u(x) with
 u a basis vector mod p^R, renormalized so u is not divisible by p.  Series
-are dense int64 arrays; the convolution kernel is the package's hottest loop
-and runs under numba with a pure-Python twin selected by ORTHOCOUNT_NO_NUMBA.
+are dense int64 arrays.
+
+Every product and sum goes through one whole-array kernel (`_block_mul`,
+`_fold`): the nonzero terms of both operands are gathered, joined on the
+inner index of the (matrix) product, multiplied in bulk a bounded chunk of
+term pairs at a time, and folded into the target coefficients.  Adding terms
+one at a time with the relative-precision rule below gives, in any order,
+(v_min, sum_i u_i p^(v_i - v_min) mod p^R) with v_min the smallest valuation;
+the fold computes exactly that, so it is bit-identical to the sequential
+accumulation.
 
 Addition of coefficients with far-apart valuations drops the smaller term
 once the gap reaches R; this is the truncation semantics (relative precision
@@ -15,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit
 from .padic import PINF, UnramifiedRing
+
+CHUNK = 1 << 10  # term pairs multiplied and folded at once by _block_mul
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +88,15 @@ class TSeries:
     def coeff(self, texp):
         return int(self.pval[texp]), tuple(int(x) for x in self.unit[texp])
 
-    def min_pval(self):
-        m = int(self.pval.min())
-        return None if m >= PINF else m
-
     def terms(self):
         for t in np.nonzero(self.pval < PINF)[0]:
             yield int(t), int(self.pval[t]), tuple(int(x) for x in self.unit[t])
 
     def add(self, other):
         out = self.copy()
-        _accumulate(out, other)
+        t = np.flatnonzero(other.pval < PINF)
+        _fold(out.pval, out.unit, t, other.pval[t], other.unit[t], self.sr.ring)
+        _renormalize(out.pval, out.unit, self.sr.ring.p)
         return out
 
     def neg(self):
@@ -120,10 +127,7 @@ class TSeries:
         return self.mul(mono)
 
     def mul(self, other):
-        out = self.sr.zero_series()
-        _mul_acc(out, self, other)
-        _renormalize(out)
-        return out
+        return series_block_mul(self.sr, [[self]], [[other]])[0][0]
 
     def sigma_twist(self, k=1):
         """sigma on coefficients and t -> t^p, applied k times."""
@@ -149,175 +153,133 @@ class TSeries:
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# the whole-array kernel
 
-@njit(cache=True)
-def _acc_kernel(cpv, cun, tpos, tv, tun, p, R, mod, d):  # pragma: no cover
-    """Accumulate a single term (tpos, tv, tun) into (cpv, cun)."""
-    if tv >= PINF:
+def _terms(grid):
+    """Nonzero terms of a grid (list of lists) of series as arrays
+    (cell, t, pval, unit), cells numbered row-major."""
+    flat = [s for row in grid for s in row]
+    nz = [np.flatnonzero(s.pval < PINF) for s in flat]
+    t = np.concatenate(nz)
+    cell = np.repeat(np.arange(len(flat)), [i.size for i in nz])
+    pv = np.empty(t.size, dtype=np.int64)
+    un = np.empty((t.size, flat[0].unit.shape[1]), dtype=np.int64)
+    stop = 0
+    for s, i in zip(flat, nz):
+        start, stop = stop, stop + i.size
+        pv[start:stop] = s.pval[i]
+        un[start:stop] = s.unit[i]
+    return cell, t, pv, un
+
+
+def _unit_products(ua, ub, ring):
+    """Row-wise products of unit vectors in the x-power basis, mod p^R.
+
+    make_ring guarantees deg * (p^R)^2 < 2^62, so each of the d products
+    summed into one coefficient, and each reduction dot product, fits int64."""
+    d, mod = ring.deg, ring.modulus
+    tmp = np.zeros((len(ua), 2 * d - 1), dtype=np.int64)
+    for i in range(d):
+        tmp[:, i:i + d] += ua[:, i, None] * ub
+    tmp %= mod
+    if d == 1:
+        return tmp
+    _, red = ring.as_matrix_int64()
+    return (tmp[:, :d] + tmp[:, d:] @ red) % mod
+
+
+def _strip_p(u, v, p):
+    """Divide each row of u (no row zero) by the largest power of p dividing all
+    its entries, adding the exponent to v; both in place."""
+    rows = np.arange(len(u))
+    while rows.size:
+        rows = rows[~(u[rows] % p).any(axis=1)]
+        u[rows] //= p
+        v[rows] += 1
+
+
+def _fold(pv, un, keys, tv, tu, ring):
+    """Add the terms p^tv[i] * tu[i] to the coefficients (pv, un)[keys[i]].
+
+    Each hit coefficient becomes (v_min, sum of u * p^(v - v_min) mod p^R)
+    over its terms and what it already held; a term R or more above v_min
+    adds nothing.  Products are reduced before summing, so a sum of fewer
+    than 2^31 terms stays below 2^62."""
+    if not keys.size:
         return
-    av = cpv[tpos]
-    if av >= PINF:
-        cpv[tpos] = tv
-        for i in range(d):
-            cun[tpos, i] = tun[i]
-        return
-    diff = tv - av
-    if diff >= R:
-        return
-    if diff >= 0:
-        pk = 1
-        for _ in range(diff):
-            pk *= p
-        for i in range(d):
-            cun[tpos, i] = (cun[tpos, i] + tun[i] * pk) % mod
-    else:
-        pk = 1
-        for _ in range(-diff):
-            pk *= p
-        for i in range(d):
-            cun[tpos, i] = (cun[tpos, i] * pk + tun[i]) % mod
-        cpv[tpos] = tv
+    p, R, mod = ring.p, ring.R, ring.modulus
+    order = np.argsort(keys, kind="stable")
+    keys, tv, tu = keys[order], tv[order], tu[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    cells = keys[first]
+    held = pv[cells]
+    vmin = np.minimum(np.minimum.reduceat(tv, first), held)
+    pw = np.array([p ** e for e in range(R)] + [0], dtype=np.int64)
+    gap = np.minimum(tv - np.repeat(vmin, np.diff(np.r_[first, keys.size])), R)
+    total = np.add.reduceat(tu * pw[gap, None] % mod, first, axis=0)
+    total += un[cells] * pw[np.minimum(held - vmin, R), None] % mod
+    un[cells] = total % mod
+    pv[cells] = vmin
 
 
-@njit(cache=True)
-def _mul_kernel(cpv, cun, apv, aun, bpv, bun, red, p, R, mod, d, tmax):  # pragma: no cover
-    tmp = np.zeros(2 * d - 1, np.int64)
-    term = np.zeros(d, np.int64)
-    for t1 in range(tmax + 1):
-        v1 = apv[t1]
-        if v1 >= PINF:
-            continue
-        for t2 in range(tmax + 1 - t1):
-            v2 = bpv[t2]
-            if v2 >= PINF:
-                continue
-            # unit-vector product with reduction
-            for k in range(2 * d - 1):
-                tmp[k] = 0
-            for i in range(d):
-                ai = aun[t1, i]
-                if ai != 0:
-                    for j in range(d):
-                        tmp[i + j] = (tmp[i + j] + ai * bun[t2, j]) % mod
-            for i in range(d):
-                term[i] = tmp[i]
-            for k in range(d - 1):
-                c = tmp[d + k]
-                if c != 0:
-                    for i in range(d):
-                        term[i] = (term[i] + c * red[k, i]) % mod
-            # renormalize the product unit (it may pick up p factors)
-            tv = v1 + v2
-            allzero = True
-            for i in range(d):
-                if term[i] != 0:
-                    allzero = False
-                    break
-            if allzero:
-                continue
-            while True:
-                divisible = True
-                for i in range(d):
-                    if term[i] % p != 0:
-                        divisible = False
-                        break
-                if not divisible:
-                    break
-                for i in range(d):
-                    term[i] //= p
-                tv += 1
-            _acc_kernel(cpv, cun, t1 + t2, tv, term, p, R, mod, d)
+def _renormalize(pv, un, p):
+    """Strip powers of p from every nonzero coefficient into its valuation;
+    a coefficient whose unit cancelled to zero becomes zero."""
+    nz = np.flatnonzero(pv < PINF)
+    live = un[nz].any(axis=1)
+    pv[nz[~live]] = PINF
+    nz = nz[live]
+    u, v = un[nz], pv[nz]
+    _strip_p(u, v, p)
+    un[nz], pv[nz] = u, v
 
 
-def _acc_py(cpv, cun, tpos, tv, tun, p, R, mod, d):
-    if tv >= PINF:
-        return
-    av = cpv[tpos]
-    if av >= PINF:
-        cpv[tpos] = tv
-        cun[tpos] = tun
-        return
-    diff = int(tv - av)
-    if diff >= R:
-        return
-    if diff >= 0:
-        pk = p ** diff
-        cun[tpos] = (cun[tpos] + np.asarray(tun) * pk) % mod
-    else:
-        pk = p ** (-diff)
-        cun[tpos] = (cun[tpos] * pk + np.asarray(tun)) % mod
-        cpv[tpos] = tv
+def _block_mul(sr, A, B, chunk=CHUNK):
+    """Product of grids of series A (n x k) and B (k x m) as a pval block of
+    shape (n, m, T+1) and a unit block of shape (n, m, T+1, d).
 
-
-def _mul_py(cpv, cun, apv, aun, bpv, bun, red, p, R, mod, d, tmax):
-    anz = np.nonzero(apv < PINF)[0]
-    bnz = np.nonzero(bpv < PINF)[0]
-    for t1 in anz:
-        for t2 in bnz:
-            t = int(t1) + int(t2)
-            if t > tmax:
-                break
-            tmp = [0] * (2 * d - 1)
-            for i in range(d):
-                ai = int(aun[t1, i])
-                if ai:
-                    for j in range(d):
-                        tmp[i + j] = (tmp[i + j] + ai * int(bun[t2, j])) % mod
-            term = tmp[:d]
-            for k in range(d - 1):
-                c = tmp[d + k]
-                if c:
-                    for i in range(d):
-                        term[i] = (term[i] + c * int(red[k, i])) % mod
-            if not any(term):
-                continue
-            tv = int(apv[t1]) + int(bpv[t2])
-            while all(x % p == 0 for x in term):
-                term = [x // p for x in term]
-                tv += 1
-            _acc_py(cpv, cun, t, tv, np.array(term, dtype=np.int64), p, R, mod, d)
-
-
-def _mul_acc(out, A, B):
-    sr = out.sr
+    Term pairs are enumerated from the nonzero terms of A, chunk pairs at
+    a time, against the terms of B with the same inner index and a t-degree
+    that keeps the sum within T_max."""
     ring = sr.ring
-    sig, red = ring.as_matrix_int64()
-    if ring.deg == 1:
-        red = np.zeros((0, 1), dtype=np.int64)
-    if USE_NUMBA:
-        _mul_kernel(out.pval, out.unit, A.pval, A.unit, B.pval, B.unit,
-                    red, ring.p, ring.R, ring.modulus, ring.deg, sr.tmax)
-    else:
-        _mul_py(out.pval, out.unit, A.pval, A.unit, B.pval, B.unit,
-                red, ring.p, ring.R, ring.modulus, ring.deg, sr.tmax)
+    n, k, m = len(A), len(B), len(B[0])
+    T1 = sr.tmax + 1
+    pv = np.full(n * m * T1, PINF, dtype=np.int64)
+    un = np.zeros((n * m * T1, ring.deg), dtype=np.int64)
+    acell, at, av, au = _terms(A)
+    bcell, bt, bv, bu = _terms(B)
+    bkey = bcell // m * T1 + bt  # (inner index, t): B's terms are joined in this order
+    border = np.argsort(bkey, kind="stable")
+    bkey = bkey[border]
+    ai, al = acell // k, acell % k
+    lo = np.searchsorted(bkey, al * T1)
+    cnt = np.searchsorted(bkey, al * T1 + sr.tmax - at, side="right") - lo
+    ends = np.cumsum(cnt)
+    start = 0
+    while start < cnt.size:
+        base = ends[start] - cnt[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + chunk, side="right")))
+        c = cnt[start:stop]
+        npairs = int(ends[stop - 1] - base)
+        ia = np.repeat(np.arange(start, stop), c)
+        ib = border[np.repeat(lo[start:stop] - (ends[start:stop] - c - base), c)
+                    + np.arange(npairs)]
+        start = stop
+        tu = _unit_products(au[ia], bu[ib], ring)
+        keep = tu.any(axis=1)
+        ia, ib, tu = ia[keep], ib[keep], tu[keep]
+        tv = av[ia] + bv[ib]
+        _strip_p(tu, tv, ring.p)
+        keys = (ai[ia] * m + bcell[ib] % m) * T1 + at[ia] + bt[ib]
+        _fold(pv, un, keys, tv, tu, ring)
+    _renormalize(pv, un, ring.p)
+    return pv.reshape(n, m, T1), un.reshape(n, m, T1, ring.deg)
 
 
-def _accumulate(out, other):
-    sr = out.sr
-    ring = sr.ring
-    for t in np.nonzero(other.pval < PINF)[0]:
-        if USE_NUMBA:
-            _acc_kernel(out.pval, out.unit, int(t), int(other.pval[t]),
-                        other.unit[t], ring.p, ring.R, ring.modulus, ring.deg)
-        else:
-            _acc_py(out.pval, out.unit, int(t), int(other.pval[t]),
-                    other.unit[t], ring.p, ring.R, ring.modulus, ring.deg)
-    _renormalize(out)
-
-
-def _renormalize(s):
-    ring = s.sr.ring
-    p = ring.p
-    for t in np.nonzero(s.pval < PINF)[0]:
-        u = s.unit[t]
-        if not u.any():
-            s.pval[t] = PINF
-            continue
-        while not (u % p).any():
-            u //= p
-            s.pval[t] += 1
-        s.unit[t] = u
+def _grid(sr, pv, un):
+    """Series views into the blocks returned by _block_mul."""
+    return [[TSeries(sr, pv[i, j], un[i, j]) for j in range(pv.shape[1])]
+            for i in range(pv.shape[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +303,6 @@ class TSeriesMatrix:
             M.entries[i][i] = sr.monomial(0, 1)
         return M
 
-    @staticmethod
-    def from_constant(sr, mat, pshifts=None):
-        """Constant-in-t matrix from ring elements (or ints); pshifts adds
-        a p-power valuation shift per entry."""
-        dim = len(mat)
-        M = TSeriesMatrix.zero(sr, dim)
-        for i in range(dim):
-            for j in range(dim):
-                c = mat[i][j]
-                if isinstance(c, int) and c == 0:
-                    continue
-                shift = pshifts[i][j] if pshifts else 0
-                M.entries[i][j] = sr.monomial(0, c, pshift=shift)
-        return M
-
     def copy(self):
         return TSeriesMatrix(self.sr, [[e.copy() for e in row] for row in self.entries])
 
@@ -368,14 +315,7 @@ class TSeriesMatrix:
                                        for r1, r2 in zip(self.entries, other.entries)])
 
     def mul(self, other):
-        out = TSeriesMatrix.zero(self.sr, self.dim)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                acc = out.entries[i][j]
-                for k in range(self.dim):
-                    _mul_acc(acc, self.entries[i][k], other.entries[k][j])
-                _renormalize(acc)
-        return out
+        return TSeriesMatrix(self.sr, series_block_mul(self.sr, self.entries, other.entries))
 
     def sigma_twist(self, k=1):
         return TSeriesMatrix(self.sr, [[e.sigma_twist(k) for e in row]
@@ -383,14 +323,8 @@ class TSeriesMatrix:
 
     def mul_vector(self, vec):
         """vec: list of TSeries; returns list of TSeries."""
-        out = []
-        for i in range(self.dim):
-            acc = self.sr.zero_series()
-            for k in range(self.dim):
-                _mul_acc(acc, self.entries[i][k], vec[k])
-            _renormalize(acc)
-            out.append(acc)
-        return out
+        return [row[0] for row in series_block_mul(self.sr, self.entries,
+                                                   [[v] for v in vec])]
 
     def pshift(self, k):
         return TSeriesMatrix(self.sr, [[e.pshift(k) for e in row] for row in self.entries])
@@ -408,16 +342,9 @@ class TSeriesMatrix:
 
 
 def series_block_mul(sr, A, B):
-    """Product of rectangular blocks (lists of lists of TSeries)."""
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[sr.zero_series() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = out[i][j]
-            for l in range(k):
-                _mul_acc(acc, A[i][l], B[l][j])
-            _renormalize(acc)
-    return out
+    """Product of rectangular blocks (lists of lists of TSeries); the
+    entries are views into one pval and one unit block."""
+    return _grid(sr, *_block_mul(sr, A, B))
 
 
 def series_block_sigma(block_, k=1):

@@ -170,23 +170,30 @@ def ssp_min_valuation(kind, r, prof, xs_val=None):
 # ---------------------------------------------------------------------------
 # decay schedules
 
+def _geometric(p, r):
+    """1 + p + ... + p^r, and 0 for r = -1."""
+    return (p ** (r + 1) - 1) // (p - 1)
+
+
+def _h_at(h, p, r):
+    """h_r = floor(h (p^r + ... + p + 1 + 1/p)) for integer h."""
+    return h * _geometric(p, r) + h // p
+
+
+def _hprime_at(h, p, r, a):
+    """h'_r = floor(h (p^r + ... + 1) + a/p) for r >= -1, a a Fraction."""
+    return int(h * _geometric(p, r) + a / p)
+
+
 def schedule_h(h, p, r_max):
     """[h_0, ..., h_{r_max}] with h_r = floor(h (p^r + ... + p + 1 + 1/p))."""
-    out = []
-    for r in range(r_max + 1):
-        s = sum(Fraction(p) ** k for k in range(r + 1)) + Fraction(1, p)
-        out.append(int(h * s))  # int() floors positive Fractions
-    return out
+    return [_h_at(h, p, r) for r in range(r_max + 1)]
 
 
 def schedule_hprime(h, p, r_max, a=None):
     """[h'_{-1}, h'_0, ..., h'_{r_max}], h'_r = floor(h(p^r+...+1) + a/p)."""
     a = Fraction(h, 2) if a is None else Fraction(a)
-    out = [int(a / p)]
-    for r in range(r_max + 1):
-        s = h * sum(Fraction(p) ** k for k in range(r + 1)) + a / p
-        out.append(int(s))
-    return out
+    return [_hprime_at(h, p, r, a) for r in range(-1, r_max + 1)]
 
 
 def schedules(h, p, r_max, a=None):
@@ -205,45 +212,41 @@ class DecaySchedule:
             if e2 < e1:
                 raise ValueError("exponents must be nondecreasing")
 
-    def exponent_at(self, n):
-        for lo, hi, e in self.windows:
-            if lo <= n <= hi:
-                return e
-        return None  # uncovered
-
 
 def predicted_index(n, case, h, p, a=None, r_cap=64):
     """Lower-bound exponent e with |L_1/L_n| >= p^e from the decay theorems,
     or None where the theorems leave n uncovered (below the first window, or
-    inside a genuine inter-window gap when a p^r is fractional)."""
+    inside a genuine inter-window gap when a p^r is fractional).
+
+    The schedules are walked level by level in closed form up to the first
+    window that decides n; r_cap bounds the levels tried."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if case == "generic":
-        hr = schedule_h(h, p, r_cap)
-        if n <= hr[0]:
+        if n <= _h_at(h, p, 0):
             return None
         for r in range(r_cap - 1):
-            if hr[r] + 1 <= n <= hr[r + 1]:
+            if n <= _h_at(h, p, r + 1):
                 return 2 + 2 * r
         raise ValueError("increase r_cap")
     a = Fraction(h, 2) if a is None else Fraction(a)
-    hp = schedule_hprime(h, p, r_cap, a)  # hp[r+1] = h'_r
     if case == "ssp-case1":
         for r in range(r_cap - 1):
-            if n < hp[r] + a * p ** r + 1:
+            if n < _hprime_at(h, p, r - 1, a) + a * p ** r + 1:
                 return None
-            if n <= hp[r + 1]:
+            hp_r = _hprime_at(h, p, r, a)
+            if n <= hp_r:
                 return 1 + 2 * r
-            if n <= hp[r + 1] + a * p ** (r + 1):
+            if n <= hp_r + a * p ** (r + 1):
                 return 2 + 2 * r
         raise ValueError("increase r_cap")
     if case == "ssp-case2":
-        if n < hp[0] + a + 1:
+        if n < _hprime_at(h, p, -1, a) + a + 1:
             return None
-        if n <= hp[1]:
+        if n <= _hprime_at(h, p, 0, a):
             return 1
         for r in range(r_cap - 2):
-            if hp[r + 1] + 1 <= n <= hp[r + 2]:
+            if n <= _hprime_at(h, p, r + 1, a):
                 return 3 + 2 * r
         raise ValueError("increase r_cap")
     raise ValueError(f"unknown case {case!r}")

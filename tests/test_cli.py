@@ -196,6 +196,18 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert len(lines) >= 4
 
+    def test_exit_code_2_on_arithmetic_failure(self, tmp_path, capsys):
+        # the 3-adic Jordan scale 3^8 is beyond the blockwise working
+        # precision, so local_density raises ArithmeticError
+        path = tmp_path / "deep.json"
+        gram = [[2 if i == j else 0 for j in range(5)] for i in range(5)]
+        gram[4][4] = 2 * 3 ** 8
+        path.write_text(json.dumps({"rank": 5, "gram": gram, "positive_definite": True}))
+        assert main(["eis", "--in", str(path), "--b", "3",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "arithmetic failure: working precision exhausted in block reduction\n"
+
     def test_exit_code_2_on_verification_failure(self, lattice_file, tmp_path,
                                                  monkeypatch):
         # exit code 2 is reserved for mathematical-assertion failures; force

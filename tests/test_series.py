@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from orthocount.padic import PINF, make_ring
-from orthocount.series import SeriesRing, TSeriesMatrix
+from orthocount.series import (SeriesRing, TSeriesMatrix, _block_mul, _grid,
+                               series_block_mul)
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +199,219 @@ class TestMatrix:
                 for j in range(2):
                     assert _series_close(L.entries[i][j], R.entries[i][j],
                                          ring52.R - 3)
+
+
+# ---------------------------------------------------------------------------
+# scalar reference: the term-at-a-time accumulator, in exact Python integers
+
+def _ref_acc(cell, tv, tu, ring):
+    """Add p^tv * tu into cell = [v, u]: an empty cell takes the term, a term
+    R or more above the cell's valuation is dropped, otherwise the two are
+    aligned at the smaller valuation and summed mod p^R."""
+    p, R, mod = ring.p, ring.R, ring.modulus
+    if cell[0] >= PINF:
+        cell[0], cell[1] = tv, list(tu)
+        return
+    diff = tv - cell[0]
+    if diff >= R:
+        return
+    if diff >= 0:
+        cell[1] = [(c + x * p ** diff) % mod for c, x in zip(cell[1], tu)]
+    else:
+        cell[1] = [(c * p ** -diff + x) % mod for c, x in zip(cell[1], tu)]
+        cell[0] = tv
+
+
+def _ref_cells(s):
+    return [[int(v), [int(x) for x in u]] for v, u in zip(s.pval, s.unit)]
+
+
+def _ref_series(sr, cells):
+    """Renormalize the cells and return them as a TSeries."""
+    p = sr.ring.p
+    out = sr.zero_series()
+    for t, (v, u) in enumerate(cells):
+        if v >= PINF or not any(u):
+            continue
+        while all(x % p == 0 for x in u):
+            u = [x // p for x in u]
+            v += 1
+        out.pval[t], out.unit[t] = v, u
+    return out
+
+
+def _ref_mul_into(cells, a, b, ring, tmax):
+    for t1, v1, u1 in a.terms():
+        for t2, v2, u2 in b.terms():
+            if t1 + t2 > tmax:
+                break
+            term = list(ring.mul(u1, u2))
+            if not any(term):
+                continue
+            tv = v1 + v2
+            while all(x % ring.p == 0 for x in term):
+                term = [x // ring.p for x in term]
+                tv += 1
+            _ref_acc(cells[t1 + t2], tv, term, ring)
+
+
+def ref_add(a, b):
+    cells = _ref_cells(a)
+    for t, v, u in b.terms():
+        _ref_acc(cells[t], v, u, a.sr.ring)
+    return _ref_series(a.sr, cells)
+
+
+def ref_block_mul(sr, A, B):
+    out = []
+    for row in A:
+        out.append([])
+        for j in range(len(B[0])):
+            cells = _ref_cells(sr.zero_series())
+            for a, Brow in zip(row, B):
+                _ref_mul_into(cells, a, Brow[j], sr.ring, sr.tmax)
+            out[-1].append(_ref_series(sr, cells))
+    return out
+
+
+def random_series(sr, rng, density=0.5, vals=(-3, 3), pfactor=0):
+    """Random series; each unit is multiplied by up to p^pfactor, so with
+    pfactor > 0 the stored units need not be normalized."""
+    ring = sr.ring
+    s = sr.zero_series()
+    for t in range(sr.tmax + 1):
+        if rng.random() >= density:
+            continue
+        u = [rng.randrange(ring.modulus) for _ in range(ring.deg)]
+        u[rng.randrange(ring.deg)] = rng.randrange(1, ring.p)  # not divisible by p
+        k = rng.randint(0, pfactor)
+        s.pval[t] = rng.randint(*vals)
+        s.unit[t] = [x * ring.p ** k % ring.modulus for x in u]
+    return s
+
+
+def random_grid(sr, rng, rows, cols, **kw):
+    return [[random_series(sr, rng, density=rng.choice([0.0, 0.2, 0.6]), **kw)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+RINGS = [(5, 6, 1), (3, 8, 2), (5, 3, 4), (3, 4, 6)]
+
+
+@pytest.fixture(scope="module", params=RINGS, ids=lambda r: "p%d_R%d_deg%d" % r)
+def sring(request):
+    return SeriesRing(make_ring(*request.param), 12)
+
+
+def _grids_equal(X, Y):
+    return all(_series_equal(a, b) for rx, ry in zip(X, Y) for a, b in zip(rx, ry))
+
+
+class TestWholeArrayKernel:
+    def test_mul_matches_reference(self, sring):
+        rng = random.Random(101)
+        for _ in range(15):
+            a = random_series(sring, rng, density=rng.random())
+            b = random_series(sring, rng, density=rng.random())
+            assert _series_equal(a.mul(b), ref_block_mul(sring, [[a]], [[b]])[0][0])
+
+    def test_mul_commutes_exactly(self, sring):
+        rng = random.Random(102)
+        for _ in range(15):
+            a = random_series(sring, rng, vals=(-9, 9), pfactor=2)
+            b = random_series(sring, rng, vals=(-9, 9), pfactor=2)
+            assert _series_equal(a.mul(b), b.mul(a))
+
+    def test_add_into_held_terms(self, sring):
+        # every coefficient of the target is already set: the fold aligns
+        # new terms with what the cell holds, above and below its valuation
+        rng = random.Random(103)
+        for _ in range(15):
+            a = random_series(sring, rng, density=1.0, vals=(-6, 6))
+            b = random_series(sring, rng, density=rng.random(), vals=(-6, 6))
+            assert _series_equal(a.add(b), ref_add(a, b))
+
+    def test_exact_cancellation(self, sring):
+        rng = random.Random(104)
+        for _ in range(5):
+            a = random_series(sring, rng)
+            b = random_series(sring, rng)
+            assert a.sub(a).is_zero()
+            assert a.mul(b).sub(b.mul(a)).is_zero()
+            # a row times a column whose products cancel pairwise
+            c = series_block_mul(sring, [[a, a]], [[b], [b.neg()]])[0][0]
+            assert c.is_zero()
+            assert _series_equal(c, ref_block_mul(sring, [[a, a]], [[b], [b.neg()]])[0][0])
+
+    def test_partial_cancellation_strips_p(self, sring):
+        # a + (p - 1) a = p a: the sum keeps the valuation only after
+        # renormalization moves the factor p into pval
+        ring = sring.ring
+        rng = random.Random(105)
+        a = random_series(sring, rng, density=1.0)
+        b = a.scale(ring.p - 1)
+        got = a.add(b)
+        assert _series_equal(got, ref_add(a, b))
+        nz = a.pval < PINF
+        assert np.all(got.pval[nz] >= a.pval[nz] + 1)
+
+    def test_gap_drops_and_negative_shifts(self, sring):
+        # valuations spread far beyond R, many negative: gaps >= R drop
+        rng = random.Random(106)
+        R = sring.ring.R
+        for _ in range(10):
+            a = random_series(sring, rng, vals=(-3 * R, 3 * R))
+            b = random_series(sring, rng, vals=(-3 * R, 3 * R))
+            assert _series_equal(a.add(b), ref_add(a, b))
+            assert _series_equal(a.mul(b), ref_block_mul(sring, [[a]], [[b]])[0][0])
+
+    def test_unnormalized_units_strip_p(self, sring):
+        # units carrying factors of p make the products divisible by p
+        rng = random.Random(107)
+        for _ in range(10):
+            a = random_series(sring, rng, pfactor=2)
+            b = random_series(sring, rng, pfactor=2)
+            assert _series_equal(a.mul(b), ref_block_mul(sring, [[a]], [[b]])[0][0])
+
+    def test_small_chunks(self, sring):
+        rng = random.Random(108)
+        A = random_grid(sring, rng, 2, 3, vals=(-6, 6))
+        B = random_grid(sring, rng, 3, 2, vals=(-6, 6))
+        ref = ref_block_mul(sring, A, B)
+        for chunk in (1, 2, 7, 64):
+            assert _grids_equal(_grid(sring, *_block_mul(sring, A, B, chunk=chunk)), ref)
+
+    def test_matrix_products_match_reference(self, sring):
+        rng = random.Random(109)
+        for dim in (1, 2, 3):
+            A = TSeriesMatrix(sring, random_grid(sring, rng, dim, dim, vals=(-4, 4)))
+            B = TSeriesMatrix(sring, random_grid(sring, rng, dim, dim, vals=(-4, 4)))
+            assert _grids_equal(A.mul(B).entries, ref_block_mul(sring, A.entries, B.entries))
+            vec = [random_series(sring, rng) for _ in range(dim)]
+            got = A.mul_vector(vec)
+            ref = ref_block_mul(sring, A.entries, [[v] for v in vec])
+            assert _grids_equal([[s] for s in got], ref)
+
+    def test_rectangular_blocks_match_reference(self, sring):
+        rng = random.Random(110)
+        for n, k, m in ((1, 3, 2), (3, 1, 2), (2, 2, 1)):
+            A = random_grid(sring, rng, n, k)
+            B = random_grid(sring, rng, k, m)
+            got = series_block_mul(sring, A, B)
+            assert [len(row) for row in got] == [m] * n
+            assert _grids_equal(got, ref_block_mul(sring, A, B))
+
+    def test_far_lower_term_is_exact(self):
+        # aligning a held unit with a term 20 valuations below it multiplies
+        # the unit by 5^20; that product must not wrap around in int64
+        ring = make_ring(5, 8, 1)
+        sr = SeriesRing(ring, 2)
+        a = sr.monomial(0, ring.modulus - 1)
+        b = sr.monomial(0, 1, pshift=-20)
+        assert a.add(b).coeff(0) == b.add(a).coeff(0) == (-20, (1,))
+
+    def test_empty_operands(self, sring):
+        z = sring.zero_series()
+        a = random_series(sring, random.Random(111), density=1.0)
+        assert a.mul(z).is_zero() and z.mul(a).is_zero()
+        assert _series_equal(a.add(z), a) and _series_equal(z.add(a), a)

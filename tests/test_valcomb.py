@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -209,3 +211,80 @@ def test_profile_validation():
         ValuationProfile(n=2, p=5, a=(1, 0, 1))
     with pytest.raises(ValueError):
         SuperspecialProfile(p=5, h=2, hprime=4, a=1)
+
+
+# ---------------------------------------------------------------------------
+# reference: the schedules as Fraction geometric sums to r_cap levels (cached
+# here only to keep the grid below fast)
+
+@lru_cache(maxsize=None)
+def _ref_schedule_h(h, p, r_max):
+    return [int(h * (sum(Fraction(p) ** k for k in range(r + 1)) + Fraction(1, p)))
+            for r in range(r_max + 1)]
+
+
+@lru_cache(maxsize=None)
+def _ref_schedule_hprime(h, p, r_max, a):
+    return [int(a / p)] + [int(h * sum(Fraction(p) ** k for k in range(r + 1)) + a / p)
+                           for r in range(r_max + 1)]
+
+
+def _ref_predicted_index(n, case, h, p, a=None, r_cap=64):
+    if case == "generic":
+        hr = _ref_schedule_h(h, p, r_cap)
+        if n <= hr[0]:
+            return None
+        for r in range(r_cap - 1):
+            if hr[r] + 1 <= n <= hr[r + 1]:
+                return 2 + 2 * r
+        raise ValueError("increase r_cap")
+    a = Fraction(h, 2) if a is None else Fraction(a)
+    hp = _ref_schedule_hprime(h, p, r_cap, a)
+    if case == "ssp-case1":
+        for r in range(r_cap - 1):
+            if n < hp[r] + a * p ** r + 1:
+                return None
+            if n <= hp[r + 1]:
+                return 1 + 2 * r
+            if n <= hp[r + 1] + a * p ** (r + 1):
+                return 2 + 2 * r
+        raise ValueError("increase r_cap")
+    if n < hp[0] + a + 1:
+        return None
+    if n <= hp[1]:
+        return 1
+    for r in range(r_cap - 2):
+        if hp[r + 1] + 1 <= n <= hp[r + 2]:
+            return 3 + 2 * r
+    raise ValueError("increase r_cap")
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except ValueError as e:
+        return str(e)
+
+
+class TestClosedFormSchedules:
+    def test_schedules_match_fraction_sums(self):
+        for p in (2, 3, 5, 7, 11):
+            for h in range(1, 13):
+                assert schedule_h(h, p, 12) == _ref_schedule_h(h, p, 12)
+                for a2 in range(1, h + 1):
+                    a = Fraction(a2, 2)
+                    assert schedule_hprime(h, p, 12, a) == _ref_schedule_hprime(h, p, 12, a)
+                assert schedule_hprime(h, p, 12) == _ref_schedule_hprime(h, p, 12, Fraction(h, 2))
+
+    def test_predicted_index_matches_fraction_reference(self):
+        # every n up to past the third window, plus far-out n that exhaust a
+        # small r_cap; the error outcomes must agree too
+        for p in (3, 5, 7):
+            for h in (1, 2, 4, 7):
+                for a in (None, Fraction(1, 2), 1, h):
+                    for case in ("generic", "ssp-case1", "ssp-case2"):
+                        for r_cap in (3, 8):
+                            for n in list(range(1, 3 * h * p ** 2)) + [10 ** 4, 10 ** 9]:
+                                assert _outcome(predicted_index, n, case, h, p, a=a, r_cap=r_cap) \
+                                    == _outcome(_ref_predicted_index, n, case, h, p, a=a,
+                                                r_cap=r_cap), (n, case, h, p, a, r_cap)
