@@ -4,6 +4,7 @@ combinatorics of decay schedules, each paired with brute-force oracles."""
 
 __version__ = "0.1.0"
 
+from .arith import InvariantError  # noqa: F401
 from .budget import (  # noqa: F401
     CurveBudget,
     NestedLatticeSequence,

@@ -13,6 +13,14 @@ from functools import lru_cache
 import numpy as np
 
 
+class InvariantError(ArithmeticError):
+    """A mathematical invariant that the code relies on does not hold.
+
+    Raised by explicit checks instead of bare asserts, so that it also fires
+    under `python -O`; the CLI maps it, like every ArithmeticError, to exit
+    code 2."""
+
+
 def is_prime(n):
     if n < 2:
         return False

@@ -1,29 +1,29 @@
 """Benchmark the hot kernels; run via `orthocount bench`.
 
 One row per kernel, with columns
-  njit_seconds      best-of-3 time of the fast kernel: the int64 numpy
-                    frontier walk `_enum._theta_walk_np` (theta_walk_e8),
-                    the numba-compiled naive count (density_count; empty
-                    when numba is unavailable or disabled by
-                    ORTHOCOUNT_NO_NUMBA), and the whole-array series product
-                    A*B (series_convolution);
-  fallback_seconds  one timing of its pure-Python reference: the big-int
-                    walker `_enum._theta_walk_py`, the numpy naive count,
-                    and nothing for series_convolution (its scalar
-                    reference lives in the tests), so the cell is empty;
-  speedup           fallback_seconds / njit_seconds, 1.0 where either is
-                    empty.
-Each row checks its kernel before timing it: the two enumerations must
-agree and A*B must equal B*A exactly (the series fold does not depend on
-term order), else ArithmeticError; the two density counts are asserted
-equal.
+  seconds            best-of-3 time of the kernel that runs: the int64
+                     numpy frontier walk `_enum._theta_walk_np`
+                     (theta_walk_e8), the numpy naive count
+                     `density._count_naive_np` (density_count) and the
+                     whole-array series product A*B (series_convolution);
+  reference_seconds  one timing of its pure-Python reference where the
+                     package keeps one: the big-int walker
+                     `_enum._theta_walk_py`; empty for density_count
+                     (checked against the blockwise count instead) and
+                     series_convolution (its scalar reference lives in the
+                     tests);
+  speedup            reference_seconds / seconds, 1.0 where either is
+                     empty.
+Each row checks its kernel against an independent route before timing it,
+else ArithmeticError: the two enumerations must agree, the naive count must
+equal the blockwise count `density.count_blockwise`, and A*B must equal B*A
+exactly (the series fold does not depend on term order).
 """
 
 import time
 
 import numpy as np
 
-from ._accel import USE_NUMBA
 from .padic import make_ring
 from .series import SeriesRing
 
@@ -65,19 +65,18 @@ def bench_theta(bound):
 
 
 def bench_density(ell, rank, depth):
-    from .density import _count_naive_nb, _count_naive_np
+    from .density import _count_naive_np, count_blockwise
+    from .lattice import QuadLattice
     mod = ell ** depth
     gram = [[2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(rank)]
             for i in range(rank)]
-    qd = np.array([gram[i][i] // 2 for i in range(rank)], dtype=np.int64)
+    qd = np.array([gram[i][i] // 2 for i in range(rank)], dtype=np.int64) % mod
     G = np.array(gram, dtype=np.int64) % mod
     total = mod ** rank
-    a_nb = _count_naive_nb(qd % mod, G, mod, 1, total)
-    a_py = _count_naive_np(qd % mod, G, mod, 1, total)
-    assert a_nb == a_py
-    t_nb = _time(lambda: _count_naive_nb(qd % mod, G, mod, 1, total)) if USE_NUMBA else None
-    t_py = _time(lambda: _count_naive_np(qd % mod, G, mod, 1, total), repeat=1)
-    return t_nb, t_py
+    if _count_naive_np(qd, G, mod, 1, total) != count_blockwise(
+            QuadLattice.from_rows(gram), ell, 1, depth):
+        raise ArithmeticError("naive and blockwise density counts disagree")
+    return _time(_count_naive_np, qd, G, mod, 1, total), None
 
 
 def bench_series(tmax):
@@ -104,13 +103,12 @@ def run_benchmarks(quick=False):
         ("series_convolution", bench_series, 200 if quick else 500),
     ]:
         if isinstance(size, tuple):
-            t_nb, t_py = fn(*size)
+            t, t_ref = fn(*size)
             size_lbl = "x".join(map(str, size))
         else:
-            t_nb, t_py = fn(size)
+            t, t_ref = fn(size)
             size_lbl = str(size)
-        speed = (t_py / t_nb) if t_nb and t_py else 1.0
-        rows.append((name, size_lbl,
-                     round(t_nb, 6) if t_nb is not None else None,
-                     round(t_py, 6) if t_py is not None else None, round(speed, 2)))
+        speed = t_ref / t if t_ref else 1.0
+        rows.append((name, size_lbl, round(t, 6),
+                     round(t_ref, 6) if t_ref is not None else None, round(speed, 2)))
     return rows

@@ -112,9 +112,9 @@ def _dispatch(argv):
     b4.add_argument("--ncap", type=int, default=10)
     b4.add_argument("--out", default="-")
 
-    p_bench = sub.add_parser("bench", help="kernel timings: njit_seconds = fast kernel (numba or numpy; "
-                             "empty without numba), fallback_seconds = its pure-Python "
-                             "reference (empty if none), speedup = their ratio")
+    p_bench = sub.add_parser("bench", help="kernel timings: seconds = the kernel that runs, "
+                             "reference_seconds = its pure-Python reference (empty if "
+                             "none), speedup = their ratio")
     p_bench.add_argument("--out", default="-")
     p_bench.add_argument("--quick", action="store_true")
 
@@ -457,7 +457,7 @@ def _cmd_budget(args):
 def _cmd_bench(args):
     from .bench import run_benchmarks
     rows = run_benchmarks(quick=args.quick)
-    emit_table(rows, ["kernel", "size", "njit_seconds", "fallback_seconds", "speedup"],
+    emit_table(rows, ["kernel", "size", "seconds", "reference_seconds", "speedup"],
                args.out, manifest={"cmd": "bench", "quick": args.quick})
     return 0
 

@@ -22,11 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._accel import USE_NUMBA, njit
-from .arith import is_prime
+from .arith import InvariantError, is_prime
 from .lattice import p_diagonalize
 
 NAIVE_GUARD = 10 ** 8
+CHUNK = 1 << 16  # histogram cells filled at once by _block_hist
 
 
 def _check_prime(ell):
@@ -36,26 +36,6 @@ def _check_prime(ell):
 
 # ---------------------------------------------------------------------------
 # naive counter
-
-@njit(cache=True)
-def _count_naive_nb(qdiag, gram, mod, m, total):  # pragma: no cover
-    r = qdiag.shape[0]
-    v = np.zeros(r, np.int64)
-    count = 0
-    for flat in range(total):
-        x = flat
-        for i in range(r):
-            v[i] = x % mod
-            x //= mod
-        q = 0
-        for i in range(r):
-            q = (q + qdiag[i] * ((v[i] * v[i]) % mod)) % mod
-            for j in range(i + 1, r):
-                q = (q + gram[i, j] * ((v[i] * v[j]) % mod)) % mod
-        if q == m:
-            count += 1
-    return count
-
 
 def _count_naive_np(qdiag, gram, mod, m, total):
     r = len(qdiag)
@@ -95,14 +75,11 @@ def local_density_naive(ell, L, m, a):
             "use local_density_blockwise")
     mod = ell ** a
     qdiag = [L.gram[i][i] // 2 for i in range(L.rank)]
-    # reduce everything mod ell^a up front so the int64 kernels are safe
+    # reduce everything mod ell^a up front so the int64 kernel is safe
     qd = np.array([x % mod for x in qdiag], dtype=np.int64)
     G = np.array([[L.gram[i][j] % mod for j in range(L.rank)] for i in range(L.rank)],
                  dtype=np.int64)
-    if USE_NUMBA:
-        n = _count_naive_nb(qd, G, mod, m % mod, total)
-    else:
-        n = _count_naive_np(qd, G, mod, m % mod, total)
+    n = _count_naive_np(qd, G, mod, m % mod, total)
     return Fraction(n, ell ** (a * (L.rank - 1)))
 
 
@@ -156,7 +133,8 @@ def block_diagonalize(L, ell, work_exp):
             for r_ in idx:
                 if r_ == k:
                     continue
-                assert _v_ell(G[r_][k], ell, work_exp) >= pv
+                if _v_ell(G[r_][k], ell, work_exp) < pv:
+                    raise InvariantError("1x1 pivot does not divide its column")
                 mult = (G[r_][k] // ell ** pv) * uinv % M
                 for c_ in idx:
                     G[r_][c_] = (G[r_][c_] - mult * G[k][c_]) % M
@@ -168,11 +146,13 @@ def block_diagonalize(L, ell, work_exp):
         else:
             # ell = 2, off-diagonal minimum: keep the 2x2 block
             i, j = imin, jmin
-            assert i != j
+            if i == j:
+                raise InvariantError("2x2 pivot on the diagonal")
             a, b, c = G[i][i], G[i][j], G[j][j]
             det = (a * c - b * b) % M
             dv = _v_ell(det, ell, work_exp)
-            assert dv == 2 * vmin
+            if dv != 2 * vmin:
+                raise InvariantError("2x2 pivot block is not ell^v times a unimodular block")
             dinv = pow(det // ell ** dv, -1, M)
             for r_ in idx:
                 if r_ in (i, j):
@@ -180,7 +160,8 @@ def block_diagonalize(L, ell, work_exp):
                 gi, gj = G[r_][i], G[r_][j]
                 x = gi * c - gj * b
                 y = -gi * b + gj * a
-                assert _v_ell(x, ell, work_exp * 3) >= dv and _v_ell(y, ell, work_exp * 3) >= dv
+                if _v_ell(x, ell, work_exp * 3) < dv or _v_ell(y, ell, work_exp * 3) < dv:
+                    raise InvariantError("2x2 pivot block does not divide its columns")
                 x = (x // ell ** dv) * dinv % M
                 y = (y // ell ** dv) * dinv % M
                 for c_ in idx:
@@ -194,51 +175,39 @@ def block_diagonalize(L, ell, work_exp):
     return blocks
 
 
-@njit(cache=True)
-def _block_hist_1_nb(qcoef, mod):  # pragma: no cover
-    hist = np.zeros(mod, np.int64)
-    for x in range(mod):
-        hist[(qcoef * ((x * x) % mod)) % mod] += 1
-    return hist
-
-
-@njit(cache=True)
-def _block_hist_2_nb(qa, b, qc, mod):  # pragma: no cover
-    hist = np.zeros(mod, np.int64)
-    for x in range(mod):
-        base = (qa * ((x * x) % mod)) % mod
-        lin = (b * x) % mod
-        for y in range(mod):
-            hist[(base + lin * y + qc * ((y * y) % mod)) % mod] += 1
-    return hist
-
-
 def _block_hist(kind, data, ell, a):
+    """Histogram of Q over (Z/ell^a)^k for one block, as an int64 array.
+
+    hist[r] = #{x : Q(x) = r mod ell^a} for a 1x1 block ("1", g), Q = g x^2/2,
+    or a 2x2 block ("2", (a, b, c)), Q = (a x^2 + 2 b x y + c y^2)/2.  Each
+    value is formed from residues below mod, so every intermediate stays
+    below mod^2 + 2 mod and int64 is exact for any histogram that fits in
+    memory; the 2x2 grid is filled CHUNK cells (at least one row) at a time.
+    """
     mod = ell ** a
+    x = np.arange(mod, dtype=np.int64)
+    sq = x * x % mod
     if kind == "1":
         # Q-coefficient of the 1x1 block: data/2 mod ell^a (data stays even
         # at ell = 2; at odd ell divide by the unit 2)
         if ell == 2:
-            assert data % 2 == 0
+            if data % 2:
+                raise InvariantError("odd 1x1 block at ell = 2")
             qcoef = (data % (2 * mod)) // 2
         else:
             qcoef = data * pow(2, -1, mod) % mod
-        if USE_NUMBA and mod * mod < (1 << 60):
-            return [int(x) for x in _block_hist_1_nb(qcoef % mod, mod)]
-        hist = [0] * mod
-        for xv in range(mod):
-            hist[(qcoef * xv * xv) % mod] += 1
-        return hist
+        return np.bincount(qcoef * sq % mod, minlength=mod)
     aa, bb, cc = data
     qa, qc = (aa % (2 * mod)) // 2, (cc % (2 * mod)) // 2
-    if USE_NUMBA and mod * mod * 3 < (1 << 60):
-        return [int(x) for x in _block_hist_2_nb(qa % mod, bb % mod, qc % mod, mod)]
-    hist = [0] * mod
-    for xv in range(mod):
-        base = (qa * xv * xv) % mod
-        lin = (bb * xv) % mod
-        for yv in range(mod):
-            hist[(base + lin * yv + qc * yv * yv) % mod] += 1
+    base = qa * sq % mod
+    lin = bb % mod * x % mod
+    qy = qc * sq % mod
+    hist = np.zeros(mod, dtype=np.int64)
+    rows = max(1, CHUNK // mod)
+    for start in range(0, mod, rows):
+        sl = slice(start, start + rows)
+        q = (lin[sl, None] * x + (base[sl, None] + qy)) % mod
+        hist += np.bincount(q.ravel(), minlength=mod)
     return hist
 
 
@@ -260,7 +229,7 @@ def _blockwise_factors(L, ell, a):
     blocks = block_diagonalize(L, ell, a + 6)
     factors = []
     for kind, data in blocks:
-        hist = np.array(_block_hist(kind, data, ell, a), dtype=np.int64)
+        hist = _block_hist(kind, data, ell, a)
         factors.append((hist, mod if kind == "1" else mod * mod))
     factors.sort(key=lambda t: t[1])
     merged = []
@@ -375,7 +344,8 @@ def _fp_diag_count_gram(gram, c, p):
                 count += 1
         return count
     units2, zeros = _diagonalize_fp(gram, p)
-    assert zeros == 0, "complement of a hyperbolic plane must stay nondegenerate"
+    if zeros:
+        raise InvariantError("complement of a hyperbolic plane must stay nondegenerate")
     return _fp_diag_count(units2, c, p)
 
 
@@ -387,7 +357,7 @@ def _find_isotropic(units, p):
             continue
         if sum(u * x * x for u, x in zip(units, v)) % p == 0:
             return list(v) + [0] * (k - len(v))
-    raise AssertionError("no isotropic vector found; form should be isotropic")
+    raise InvariantError("no isotropic vector found; form should be isotropic")
 
 
 def _split_off_hyperbolic(units, iso, p):
@@ -511,7 +481,6 @@ def local_density_recursive(p, L, m):
         return Fraction(0)
     n = _fp_diag_count(units, m % p, p)
     delta = Fraction(n, p ** (k - 1))
-    assert delta <= 2
-    if k >= 3:
-        assert delta <= 1 + Fraction(1, p)
+    if delta > 2 or (k >= 3 and delta > 1 + Fraction(1, p)):
+        raise InvariantError(f"density {delta} at p={p} exceeds its bound for unit rank {k}")
     return delta

@@ -31,8 +31,7 @@ def _report(num, desc, ok, elapsed, limit=None):
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
     """Run each hot kernel once on a tiny input so runtime budgets measure
-    the algorithms, not first-call costs (imports, and numba compilation
-    where numba is installed)."""
+    the algorithms, not first-call costs (imports and first-use caches)."""
     from orthocount.density import local_density, local_density_naive
     from orthocount.lattice import theta_table
     small = QuadLattice.from_rows([[2, 0], [0, 2]], positive_definite=True)

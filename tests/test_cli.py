@@ -195,6 +195,7 @@ class TestCli:
         assert main(["bench", "--quick", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) >= 4
+        assert lines[1] == "kernel,size,seconds,reference_seconds,speedup"
 
     def test_exit_code_2_on_arithmetic_failure(self, tmp_path, capsys):
         # the 3-adic Jordan scale 3^8 is beyond the blockwise working

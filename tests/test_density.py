@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import orthocount
+from orthocount import density
 from orthocount.density import (
-
+    _block_hist,
     local_density,
     local_density_blockwise,
     local_density_naive,
@@ -71,6 +77,98 @@ class TestBlockwise:
         # depth 11 at ell=2 and rank 8 is far beyond the naive guard
         d = local_density_blockwise(2, e8, 16, 11)
         assert d == local_density_blockwise(2, e8, 16, 12)
+
+
+def block_hist_reference(kind, data, ell, a):
+    """The per-point loops the numpy kernel replaced, in exact Python ints."""
+    mod = ell ** a
+    hist = [0] * mod
+    if kind == "1":
+        if ell == 2:
+            qcoef = (data % (2 * mod)) // 2
+        else:
+            qcoef = data * pow(2, -1, mod) % mod
+        for xv in range(mod):
+            hist[(qcoef * xv * xv) % mod] += 1
+        return hist
+    aa, bb, cc = data
+    qa, qc = (aa % (2 * mod)) // 2, (cc % (2 * mod)) // 2
+    for xv in range(mod):
+        base = (qa * xv * xv) % mod
+        lin = (bb * xv) % mod
+        for yv in range(mod):
+            hist[(base + lin * yv + qc * yv * yv) % mod] += 1
+    return hist
+
+
+# ell -> largest depth checked: moduli up to 2^8, 3^5, 5^3 and 7^2
+HIST_DEPTHS = {2: 8, 3: 5, 5: 3, 7: 2}
+
+
+def hist_coefficients(ell, a):
+    """Even gram entries 2q with q = 0, a unit, ell-divisible, or large."""
+    mod = ell ** a
+    return sorted({0, 2, 2 * (ell - 1), 2 * ell, 2 * ell ** (a - 1) * (ell - 1),
+                   2 * mod, 2 * (mod + 1), -2 * (ell + 1), 2 * 3 ** 40 + 2 * ell})
+
+
+class TestBlockHistograms:
+    @pytest.mark.parametrize("ell", sorted(HIST_DEPTHS))
+    def test_1x1_matches_reference(self, ell):
+        for a in range(1, HIST_DEPTHS[ell] + 1):
+            for g in hist_coefficients(ell, a):
+                got = _block_hist("1", g, ell, a)
+                assert got.dtype == np.int64
+                assert got.tolist() == block_hist_reference("1", g, ell, a), (ell, a, g)
+
+    @pytest.mark.parametrize("ell", sorted(HIST_DEPTHS))
+    def test_2x2_matches_reference(self, ell):
+        for a in range(1, HIST_DEPTHS[ell] + 1):
+            coeffs = hist_coefficients(ell, a)
+            # diagonal coefficient pairs, with the off-diagonal entry 0, a
+            # unit, ell-divisible or negative
+            for k, (g1, g2) in enumerate(zip(coeffs, coeffs[::-1])):
+                for b in (0, 1, ell, -ell - 2, ell ** a + 1 + k):
+                    got = _block_hist("2", (g1, b, g2), ell, a)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == block_hist_reference("2", (g1, b, g2), ell, a), \
+                        (ell, a, g1, b, g2)
+
+    @pytest.mark.parametrize("ell,a", [(2, 1), (3, 1), (2, 3), (5, 2), (3, 3), (2, 6)])
+    def test_chunk_sizes(self, monkeypatch, ell, a):
+        # one-row chunks (CHUNK 1, and CHUNK below mod), several rows per
+        # chunk with a short last chunk (7 at small mod, 3 mod + 1)
+        mod = ell ** a
+        cases = [(2, 1, 2), (2 * ell + 2, ell, 2 * ell), (0, 3, 2), (2 * mod + 4, -1, 2)]
+        for chunk in (1, 7, mod - 1, 3 * mod + 1):
+            monkeypatch.setattr(density, "CHUNK", chunk)
+            for data in cases:
+                assert _block_hist("2", data, ell, a).tolist() == \
+                    block_hist_reference("2", data, ell, a), (chunk, data)
+
+    def test_1x1_exact_where_unreduced_products_overflow(self):
+        # at mod 3^14, qcoef * x^2 passes 2^63 unless x^2 is reduced first;
+        # Q = -x^2 takes each unit r = 2 mod 3 twice and r = 1 mod 3 never
+        mod = 3 ** 14
+        h = _block_hist("1", -2, 3, 14)
+        assert h.sum() == mod
+        assert (h[2::3] == 2).all() and not h[1::3].any()
+
+    def test_invariant_fires_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(orthocount.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("from orthocount.arith import InvariantError\n"
+                "from orthocount.density import _block_hist\n"
+                "assert False, 'asserts are live'\n"
+                "try:\n"
+                "    _block_hist('1', 3, 2, 3)\n"
+                "except InvariantError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
 
 
 class TestStabilization:
