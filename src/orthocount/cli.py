@@ -271,16 +271,20 @@ def _cmd_crystal(args):
     coords = load_curve_profile(prof)
     sr = coords.sring
     p = sr.ring.p
-    minv_needed = 1
+    if coords.case == "superspecial":
+        F = superspecial_F(coords)
+    else:
+        s0, s0inv = synthesize_s0prime(sr.ring, coords.n, seed=prof.get("seed", 1))
+        F = frobenius_F(coords, s0, s0inv)
+    # the fewest factors N with v_t(F^(N)) = p^N v_t(F) > T_max; an F with a
+    # constant t-term (v_t(F) = 0) is refused by f_infinity_partial
+    minv, N = F.min_t_valuation(), 1
+    while minv and minv * p ** N <= sr.tmax:
+        N += 1
+    finf = f_infinity_partial(F, N)
     rows = []
     ok = True
     if coords.case == "superspecial":
-        F = superspecial_F(coords)
-        N = 1
-        minv = F.min_t_valuation() or 1
-        while minv * p ** N <= sr.tmax:
-            N += 1
-        finf = f_infinity_partial(F, N)
         _, sinv = ssp_s0prime(sr.ring)
         basis = integral_basis_matrix(sr, sinv, 1, 2 * coords.m)
         h = coords.q_series().t_valuation()
@@ -306,14 +310,6 @@ def _cmd_crystal(args):
                    args.out, manifest={"cmd": "crystal", "profile": args.profile,
                                        "rmax": args.rmax, "w": args.w})
     else:
-        ring = sr.ring
-        s0, s0inv = synthesize_s0prime(ring, coords.n, seed=prof.get("seed", 1))
-        F = frobenius_F(coords, s0, s0inv)
-        N = 1
-        minv = F.min_t_valuation() or 1
-        while minv * p ** N <= sr.tmax:
-            N += 1
-        finf = f_infinity_partial(F, N)
         vprof = coords.valuation_profile()
         for r in range(1, args.rmax + 1):
             nu_r, _ = min_set(r, vprof)

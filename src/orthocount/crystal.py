@@ -5,8 +5,10 @@ products, and first-non-integrality detection for horizontal sections.
 
 Two parallel realizations exist on purpose: a symbolic one over Q (Poly
 coefficients; used to derive the non-ordinary-locus equation and structural
-identities exactly) and the truncated-series engine (whole-array numpy
-products) used for the decay traces.
+identities exactly) and the truncated-series engine used for the decay
+traces.  A series matrix there is two arrays, a pval block (rows, cols, T+1)
+and a unit block (rows, cols, T+1, d): builders write entries with
+M[i, j] = s, and the probes read the pval block directly.
 """
 
 import random
@@ -15,9 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import InvariantError
 from .padic import PINF, make_ring
 from .poly import Poly, mat_mul_poly
-from .series import SeriesRing, TSeries, TSeriesMatrix
+from .series import SeriesRing, TSeriesMatrix
 from .valcomb import ValuationProfile
 
 
@@ -117,7 +120,7 @@ def nonordinary_equation(n, m, p=5):
     # everything else must land in Fil^0 + p: rows 1..n-1 vanish mod p
     for i in range(n - 1):
         if col[i].reduce_mod(p):
-            raise AssertionError("unexpected gr_{-1} leakage")
+            raise InvariantError("unexpected gr_{-1} leakage")
     return eq
 
 
@@ -342,7 +345,7 @@ def build_B0(sring, n, b_coeffs=None):
     M = TSeriesMatrix.zero(sring, dim)
 
     def setc(i, j, coeff, pshift=0):
-        M.entries[i - 1][j - 1] = sring.monomial(0, coeff, pshift=pshift)
+        M[i - 1, j - 1] = sring.monomial(0, coeff, pshift=pshift)
 
     for i in range(1, n):
         setc(i + 1, i, 1)
@@ -375,19 +378,19 @@ def build_unipotents(coords):
         M = TSeriesMatrix.identity(sring, dim)
         last = 2 * n - 1
         for i in range(n - 1):
-            M.entries[i][last] = S[ys[i]].neg().pshift(shift)
+            M[i, last] = S[ys[i]].neg().pshift(shift)
         for i in range(n - 1):
-            M.entries[n - 1][i] = S[xs[i]].copy()
-            M.entries[n - 1][n + i] = S[ys[i]].pshift(shift)
-        M.entries[n - 1][last] = Q.pshift(shift)
+            M[n - 1, i] = S[xs[i]]
+            M[n - 1, n + i] = S[ys[i]].pshift(shift)
+        M[n - 1, last] = Q.pshift(shift)
         for j in range(m):
-            M.entries[n - 1][2 * n + j] = S[xps[j]].pshift(shift)
-            M.entries[n - 1][2 * n + m + j] = S[yps[j]].pshift(shift)
+            M[n - 1, 2 * n + j] = S[xps[j]].pshift(shift)
+            M[n - 1, 2 * n + m + j] = S[yps[j]].pshift(shift)
         for i in range(n - 1):
-            M.entries[n + i][last] = S[xs[i]].neg()
+            M[n + i, last] = S[xs[i]].neg()
         for j in range(m):
-            M.entries[2 * n + j][last] = S[yps[j]].neg()
-            M.entries[2 * n + m + j][last] = S[xps[j]].neg()
+            M[2 * n + j, last] = S[yps[j]].neg()
+            M[2 * n + m + j, last] = S[xps[j]].neg()
         return M
 
     return build(False), build(True)
@@ -395,14 +398,10 @@ def build_unipotents(coords):
 
 def embed_s0(sring, s0, extra):
     """blockdiag(S'_0, I_{extra}) as a constant series matrix."""
-    dim = len(s0) + extra
-    M = TSeriesMatrix.zero(sring, dim)
-    for i in range(len(s0)):
-        for j in range(len(s0)):
-            if s0[i][j] != sring.ring.zero():
-                M.entries[i][j] = sring.monomial(0, s0[i][j])
-    for k in range(extra):
-        M.entries[len(s0) + k][len(s0) + k] = sring.monomial(0, 1)
+    M = TSeriesMatrix.identity(sring, len(s0) + extra)
+    for i, row in enumerate(s0):
+        for j, c in enumerate(row):
+            M[i, j] = sring.monomial(0, c)  # a zero c gives the zero series
     return M
 
 
@@ -422,20 +421,17 @@ def build_Ki(coords, s0, s0inv):
         raise ValueError("generic case only")
     n, sring = coords.n, coords.sring
     dim = 2 * n
+    left, right = embed_s0(sring, s0, 0), embed_s0(sring, s0inv, 0)
     out = []
     for i in range(1, n + 2):
         A = TSeriesMatrix.zero(sring, dim)
         Yi = coords.y_series(i)
         if i < n:
-            A.entries[n - 1][n + i - 1] = Yi.pshift(-1)
-            A.entries[i - 1][2 * n - 1] = Yi.neg().pshift(-1)
+            A[n - 1, n + i - 1] = Yi.pshift(-1)
+            A[i - 1, 2 * n - 1] = Yi.neg().pshift(-1)
         else:
-            A.entries[n - 1][2 * n - 1] = Yi.pshift(-1)
-        left = embed_s0(sring, s0, 0)
-        right = embed_s0(sring, s0inv, 0)
-        if i == n + 1:
-            right = right.sigma_twist()
-        out.append(left.mul(A).mul(right))
+            A[n - 1, 2 * n - 1] = Yi.pshift(-1)
+        out.append(left.mul(A).mul(right.sigma_twist() if i == n + 1 else right))
     return out
 
 
@@ -443,13 +439,17 @@ def f_infinity_partial(F, N, tmax_guard=True):
     """prod_{i=0}^{N-1} (I + F^(i)), exact within the truncation window.
 
     Requires (when tmax_guard) that the dropped factors are invisible:
-    v_t(F^(N)) = p^N v_t(F) must exceed T_max.
+    v_t(F^(N)) = p^N v_t(F) must exceed T_max, so F must have no constant
+    t-term.
     """
     sring = F.sr
     p = sring.ring.p
     minv = F.min_t_valuation()
     if minv is None:
         return TSeriesMatrix.identity(sring, F.dim)
+    if tmax_guard and minv == 0:
+        raise ValueError("F has a constant t-term, so prod (I + F^(i)) does not "
+                         "converge t-adically; the curve series must vanish at t = 0")
     if tmax_guard and minv * p ** N <= sring.tmax:
         raise ValueError(
             f"N = {N} too small: v_t(F^(N)) = {minv * p ** N} <= T_max = {sring.tmax}; "
@@ -466,15 +466,10 @@ def f_infinity_partial(F, N, tmax_guard=True):
 def min_tval_at_pval(M, r, rows=None, cols=None):
     """Minimal t-exponent carrying a coefficient of p-valuation <= -r in the
     chosen sub-block, or None."""
-    best = None
-    for i in rows if rows is not None else range(M.dim):
-        for j in cols if cols is not None else range(M.dim):
-            s = M.entries[i][j]
-            hit = np.nonzero((s.pval <= -r) & (s.pval > -PINF))[0]
-            if hit.size:
-                t = int(hit[0])
-                best = t if best is None else min(best, t)
-    return best
+    pv = M.pval[np.ix_(range(M.dim) if rows is None else rows,
+                       range(M.pval.shape[1]) if cols is None else cols)]
+    hit = np.flatnonzero(((pv <= -r) & (pv > -PINF)).any(axis=(0, 1)))
+    return int(hit[0]) if hit.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -521,23 +516,23 @@ def superspecial_F(coords, ring=None):
     dim = 2 + 2 * m
     F = TSeriesMatrix.zero(sring, dim)
     # top-left 2x2: Q/2p, -lam Q/2p ; Q/(2p lam), -Q/2p
-    F.entries[0][0] = Q.scale(inv2).pshift(-1)
-    F.entries[0][1] = Q.scale(ring.mul(lam, inv2)).neg().pshift(-1)
-    F.entries[1][0] = Q.scale(inv2lam).pshift(-1)
-    F.entries[1][1] = Q.scale(inv2).neg().pshift(-1)
+    F[0, 0] = Q.scale(inv2).pshift(-1)
+    F[0, 1] = Q.scale(ring.mul(lam, inv2)).neg().pshift(-1)
+    F[1, 0] = Q.scale(inv2lam).pshift(-1)
+    F[1, 1] = Q.scale(inv2).neg().pshift(-1)
     # top-right: x_i/2p ... y_i/2p over row 1; /lam on row 2
     for i in range(1, m + 1):
         x = coords.series[f"x{i}"]
         y = coords.series[f"y{i}"]
-        F.entries[0][1 + i] = x.scale(inv2).pshift(-1)
-        F.entries[0][1 + m + i] = y.scale(inv2).pshift(-1)
-        F.entries[1][1 + i] = x.scale(inv2lam).pshift(-1)
-        F.entries[1][1 + m + i] = y.scale(inv2lam).pshift(-1)
+        F[0, 1 + i] = x.scale(inv2).pshift(-1)
+        F[0, 1 + m + i] = y.scale(inv2).pshift(-1)
+        F[1, 1 + i] = x.scale(inv2lam).pshift(-1)
+        F[1, 1 + m + i] = y.scale(inv2lam).pshift(-1)
         # bottom-left: rows e'_i: -y_i, lam y_i ; rows f'_i: -x_i, lam x_i
-        F.entries[1 + i][0] = y.neg()
-        F.entries[1 + i][1] = y.scale(lam)
-        F.entries[1 + m + i][0] = x.neg()
-        F.entries[1 + m + i][1] = x.scale(lam)
+        F[1 + i, 0] = y.neg()
+        F[1 + i, 1] = y.scale(lam)
+        F[1 + m + i, 0] = x.neg()
+        F[1 + m + i, 1] = x.scale(lam)
     return F
 
 
@@ -559,8 +554,8 @@ def integral_basis_matrix(sring, s0inv, n, extra):
     """D * blockdiag(S'_0^{-1}, I): coordinates in the honest integral basis
     {v_i, w_i, e', f'}; the first n rows absorb the extra p from pv_i = p v_i."""
     M = embed_s0(sring, s0inv, extra)
-    for i in range(n):
-        M.entries[i] = [e.pshift(1) for e in M.entries[i]]
+    top = M.pval[:n]
+    top[top < PINF] += 1
     return M
 
 
@@ -580,26 +575,15 @@ def first_nonintegral_order(finf, w, r, basis_mat, components=None):
     analysis tracks a single distinguished f'-coordinate; unrestricted
     detection can fire earlier, which only strengthens the decay claim)."""
     sring = finf.sr
-    vec = []
-    for i in range(finf.dim):
-        s = sring.zero_series()
-        if w[i]:
-            s = sring.monomial(0, w[i], pshift=r)
-        vec.append(s)
-    img = finf.mul_vector(vec)
-    z = basis_mat.mul_vector(img)
-    best = None
-    comp = None
-    watch = range(len(z)) if components is None else components
-    for i in watch:
-        s = z[i]
-        hit = np.nonzero((s.pval < 0) & (s.pval > -PINF))[0]
-        if hit.size:
-            t = int(hit[0])
-            if best is None or t < best:
-                best, comp = t, i
-    if best is None:
+    vec = [sring.monomial(0, w[i], pshift=r) for i in range(finf.dim)]
+    z = basis_mat.mul_vector(finf.mul_vector(vec))
+    watch = list(range(len(z)) if components is None else components)
+    bad = np.array([z[i].pval < 0 for i in watch])
+    hit = np.flatnonzero(bad.any(axis=0))
+    if not hit.size:
         return DecayProbe(None, None, None, "integral-within-window")
+    best = int(hit[0])
+    comp = watch[int(np.argmax(bad[:, best]))]  # the first watched hit at t = best
     p = sring.ring.p
     return DecayProbe(best, comp, -(-best // p), "detected")
 
@@ -670,7 +654,8 @@ def moore_checks(n, p, trials=50, seed=0):
         dim = 0
         while p ** dim < count:
             dim += 1
-        assert p ** dim == count, "kernel size must be a p-power"
+        if p ** dim != count:
+            raise InvariantError("kernel size must be a p-power")
         dims.append(dim)
 
     # (iii) Moore determinant for independent z_1..z_{n+1}

@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .arith import InvariantError
+
 PINF = 1 << 62  # sentinel p-valuation for the zero coefficient
 
 
@@ -197,7 +199,8 @@ class UnramifiedRing:
             ax = self.mul(a, x)
             two_minus = self.sub(self.from_int(2), ax)
             x = self.mul(x, two_minus)
-        assert self.mul(a, x) == self.one()
+        if self.mul(a, x) != self.one():
+            raise InvariantError("Newton iteration did not invert the unit")
         return x
 
     def teichmuller_unit(self, k):
@@ -239,7 +242,8 @@ def _teichmuller_cache(ring):
         y = ring.gen()
         for _ in range(ring.R + 1):
             y = ring.pow(y, q)
-        assert ring.pow(y, q - 1) == ring.one()
+        if ring.pow(y, q - 1) != ring.one():
+            raise InvariantError("Teichmuller iteration failed")
         _TAU_CACHE[key] = y
     return _TAU_CACHE[key]
 
@@ -281,7 +285,8 @@ def make_ring(p, R, deg, minpoly_modp=None, seed=0):
     y = ring0.gen()
     for _ in range(R + 1):
         y = ring0.pow(y, q)
-    assert ring0.pow(y, q - 1) == ring0.one(), "Teichmuller iteration failed"
+    if ring0.pow(y, q - 1) != ring0.one():
+        raise InvariantError("Teichmuller iteration failed")
     tau = y
     # basis-change T: columns are tau^k in x-basis; sigma_x = T P T^{-1}
     taup = ring0.pow(tau, p)
@@ -309,12 +314,15 @@ def make_ring(p, R, deg, minpoly_modp=None, seed=0):
     ring = UnramifiedRing(p, R, deg, f, sigma_mat, tuple(red))
     # sanity: sigma is a ring map lifting Frobenius, sigma^deg = id
     g = ring.gen()
-    assert ring.sigma(ring.mul(g, g)) == ring.mul(ring.sigma(g), ring.sigma(g))
-    assert ring.sub(ring.sigma(g), ring.pow(g, p))[0] % p == 0
+    if ring.sigma(ring.mul(g, g)) != ring.mul(ring.sigma(g), ring.sigma(g)):
+        raise InvariantError("sigma must be multiplicative")
+    if any(c % p for c in ring.sub(ring.sigma(g), ring.pow(g, p))):
+        raise InvariantError("sigma must lift the p-power Frobenius")
     acc = g
     for _ in range(deg):
         acc = ring.sigma(acc)
-    assert acc == g, "sigma^deg must be the identity"
+    if acc != g:
+        raise InvariantError("sigma^deg must be the identity")
     return ring
 
 
@@ -337,5 +345,6 @@ def _invert_mod_prime_power(A, p, R):
     # verify
     AB = [[sum(A[i][k] * B[k][j] for k in range(n)) % mod for j in range(n)]
           for i in range(n)]
-    assert all(AB[i][j] == int(i == j) for i in range(n) for j in range(n))
+    if any(AB[i][j] != int(i == j) for i in range(n) for j in range(n)):
+        raise InvariantError("Newton lifting did not invert the matrix")
     return B

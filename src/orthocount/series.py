@@ -3,7 +3,9 @@ whose coefficients are truncated Witt vectors over an unramified extension.
 
 A coefficient is stored as (pval, unit-vector): the value p^pval * u(x) with
 u a basis vector mod p^R, renormalized so u is not divisible by p.  Series
-are dense int64 arrays.
+are two dense int64 blocks, pval (..., T+1) and unit (..., T+1, d): a
+`TSeries` has no leading axes, a `TSeriesMatrix` two (rows, cols).  The
+elementwise operations are written once, on blocks of any leading shape.
 
 Every product and sum goes through one whole-array kernel (`_block_mul`,
 `_fold`): the nonzero terms of both operands are gathered, joined on the
@@ -20,6 +22,7 @@ R everywhere).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,16 +31,20 @@ from .padic import PINF, UnramifiedRing
 CHUNK = 1 << 10  # term pairs multiplied and folded at once by _block_mul
 
 
+def _zeros(sr, shape):
+    """pval and unit blocks of zero series with the given leading shape."""
+    T1 = sr.tmax + 1
+    return (np.full(shape + (T1,), PINF, dtype=np.int64),
+            np.zeros(shape + (T1, sr.ring.deg), dtype=np.int64))
+
+
 @dataclass(frozen=True, eq=False)
 class SeriesRing:
     ring: UnramifiedRing
     tmax: int
 
     def zero_series(self):
-        d = self.ring.deg
-        pv = np.full(self.tmax + 1, PINF, dtype=np.int64)
-        un = np.zeros((self.tmax + 1, d), dtype=np.int64)
-        return TSeries(self, pv, un)
+        return TSeries(self, *_zeros(self, ()))
 
     def from_terms(self, terms):
         """terms: iterable of (t_exp, coeff) with coeff a ring element tuple
@@ -67,7 +74,9 @@ class SeriesRing:
         return s
 
 
-class TSeries:
+class _SeriesBlocks:
+    """A pval block (..., T+1) and a unit block (..., T+1, d) over one series
+    ring; every operation below acts on all the series of the blocks."""
     __slots__ = ("sr", "pval", "unit")
 
     def __init__(self, sr, pval, unit):
@@ -76,27 +85,25 @@ class TSeries:
         self.unit = unit
 
     def copy(self):
-        return TSeries(self.sr, self.pval.copy(), self.unit.copy())
+        return type(self)(self.sr, self.pval.copy(), self.unit.copy())
 
     def is_zero(self):
         return bool(np.all(self.pval >= PINF))
 
     def t_valuation(self):
-        nz = np.nonzero(self.pval < PINF)[0]
+        """The smallest t with a nonzero coefficient in any series, or None."""
+        live = (self.pval < PINF).reshape(-1, self.pval.shape[-1]).any(axis=0)
+        nz = np.flatnonzero(live)
         return int(nz[0]) if nz.size else None
 
-    def coeff(self, texp):
-        return int(self.pval[texp]), tuple(int(x) for x in self.unit[texp])
-
-    def terms(self):
-        for t in np.nonzero(self.pval < PINF)[0]:
-            yield int(t), int(self.pval[t]), tuple(int(x) for x in self.unit[t])
-
     def add(self, other):
+        ring = self.sr.ring
         out = self.copy()
-        t = np.flatnonzero(other.pval < PINF)
-        _fold(out.pval, out.unit, t, other.pval[t], other.unit[t], self.sr.ring)
-        _renormalize(out.pval, out.unit, self.sr.ring.p)
+        pv, un = out.pval.reshape(-1), out.unit.reshape(-1, ring.deg)
+        opv, oun = other.pval.reshape(-1), other.unit.reshape(-1, ring.deg)
+        keys = np.flatnonzero(opv < PINF)
+        _fold(pv, un, keys, opv[keys], oun[keys], ring)
+        _renormalize(pv, un, ring.p)
         return out
 
     def neg(self):
@@ -116,6 +123,33 @@ class TSeries:
         out.pval[nz] += k
         return out
 
+    def _twist(self, k):
+        """The coefficient of t^s moves to t^(s p^k) (dropped beyond T_max) and
+        its unit u becomes S^k u mod p^R, S the matrix of sigma; make_ring's
+        guard deg * (p^R)^2 < 2^62 keeps each product in int64."""
+        ring, T1 = self.sr.ring, self.sr.tmax + 1
+        step = min(ring.p ** k, T1)
+        src = (T1 - 1) // step + 1  # the t with t * p^k <= T_max
+        pv, un = _zeros(self.sr, self.pval.shape[:-1])
+        pv[..., ::step] = self.pval[..., :src]
+        u = self.unit[..., :src, :]
+        sig, _ = ring.as_matrix_int64()
+        for _ in range(k % ring.deg):  # sigma^deg is the identity
+            u = u @ sig.T % ring.modulus
+        un[..., ::step, :] = u
+        return type(self)(self.sr, pv, un)
+
+
+class TSeries(_SeriesBlocks):
+    __slots__ = ()
+
+    def coeff(self, texp):
+        return int(self.pval[texp]), tuple(int(x) for x in self.unit[texp])
+
+    def terms(self):
+        for t in np.nonzero(self.pval < PINF)[0]:
+            yield int(t), int(self.pval[t]), tuple(int(x) for x in self.unit[t])
+
     def scale(self, coeff):
         """Multiply by a ring element."""
         if isinstance(coeff, int):
@@ -127,23 +161,13 @@ class TSeries:
         return self.mul(mono)
 
     def mul(self, other):
-        return series_block_mul(self.sr, [[self]], [[other]])[0][0]
+        pv, un = _block_mul(self.sr, self.pval[None, None], self.unit[None, None],
+                            other.pval[None, None], other.unit[None, None])
+        return TSeries(self.sr, pv[0, 0], un[0, 0])
 
     def sigma_twist(self, k=1):
         """sigma on coefficients and t -> t^p, applied k times."""
-        sr = self.sr
-        ring = sr.ring
-        out = self
-        for _ in range(k):
-            new = sr.zero_series()
-            for t in np.nonzero(out.pval < PINF)[0]:
-                t2 = int(t) * ring.p
-                if t2 > sr.tmax:
-                    continue
-                new.pval[t2] = out.pval[t]
-                new.unit[t2] = ring.sigma(tuple(int(x) for x in out.unit[t]))
-            out = new
-        return out
+        return self._twist(k)
 
     def __repr__(self):
         parts = []
@@ -155,21 +179,13 @@ class TSeries:
 # ---------------------------------------------------------------------------
 # the whole-array kernel
 
-def _terms(grid):
-    """Nonzero terms of a grid (list of lists) of series as arrays
-    (cell, t, pval, unit), cells numbered row-major."""
-    flat = [s for row in grid for s in row]
-    nz = [np.flatnonzero(s.pval < PINF) for s in flat]
-    t = np.concatenate(nz)
-    cell = np.repeat(np.arange(len(flat)), [i.size for i in nz])
-    pv = np.empty(t.size, dtype=np.int64)
-    un = np.empty((t.size, flat[0].unit.shape[1]), dtype=np.int64)
-    stop = 0
-    for s, i in zip(flat, nz):
-        start, stop = stop, stop + i.size
-        pv[start:stop] = s.pval[i]
-        un[start:stop] = s.unit[i]
-    return cell, t, pv, un
+def _terms(pv, un):
+    """Nonzero terms of a (rows, cols, T+1) block as arrays (cell, t, pval,
+    unit), cells numbered row-major."""
+    T1 = pv.shape[-1]
+    pv, un = pv.reshape(-1, T1), un.reshape(-1, T1, un.shape[-1])
+    cell, t = np.nonzero(pv < PINF)
+    return cell, t, pv[cell, t], un[cell, t]
 
 
 def _unit_products(ua, ub, ring):
@@ -234,20 +250,23 @@ def _renormalize(pv, un, p):
     un[nz], pv[nz] = u, v
 
 
-def _block_mul(sr, A, B, chunk=CHUNK):
-    """Product of grids of series A (n x k) and B (k x m) as a pval block of
-    shape (n, m, T+1) and a unit block of shape (n, m, T+1, d).
+def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK):
+    """Product of the series matrices (apv, aun) (n x k) and (bpv, bun)
+    (k x m), given as pval and unit blocks, as a pval block of shape
+    (n, m, T+1) and a unit block of shape (n, m, T+1, d).
 
     Term pairs are enumerated from the nonzero terms of A, chunk pairs at
     a time, against the terms of B with the same inner index and a t-degree
     that keeps the sum within T_max."""
     ring = sr.ring
-    n, k, m = len(A), len(B), len(B[0])
+    (n, k), m = apv.shape[:2], bpv.shape[1]
+    if bpv.shape[0] != k:
+        raise ValueError(f"cannot multiply {n} x {k} by {bpv.shape[0]} x {m} series matrices")
     T1 = sr.tmax + 1
     pv = np.full(n * m * T1, PINF, dtype=np.int64)
     un = np.zeros((n * m * T1, ring.deg), dtype=np.int64)
-    acell, at, av, au = _terms(A)
-    bcell, bt, bv, bu = _terms(B)
+    acell, at, av, au = _terms(apv, aun)
+    bcell, bt, bv, bu = _terms(bpv, bun)
     bkey = bcell // m * T1 + bt  # (inner index, t): B's terms are joined in this order
     border = np.argsort(bkey, kind="stable")
     bkey = bkey[border]
@@ -276,76 +295,63 @@ def _block_mul(sr, A, B, chunk=CHUNK):
     return pv.reshape(n, m, T1), un.reshape(n, m, T1, ring.deg)
 
 
-def _grid(sr, pv, un):
-    """Series views into the blocks returned by _block_mul."""
-    return [[TSeries(sr, pv[i, j], un[i, j]) for j in range(pv.shape[1])]
-            for i in range(pv.shape[0])]
-
-
 # ---------------------------------------------------------------------------
 # matrices of series
 
-class TSeriesMatrix:
-    def __init__(self, sr, entries):
-        self.sr = sr
-        self.entries = entries  # list of lists of TSeries
-        self.dim = len(entries)
+class TSeriesMatrix(_SeriesBlocks):
+    """A rows x cols matrix of series: pval block (rows, cols, T+1), unit
+    block (rows, cols, T+1, d).  Write an entry with M[i, j] = s (a copy);
+    `entries` holds read-only rows of series views into the blocks."""
+
+    @property
+    def dim(self):
+        return self.pval.shape[0]
 
     @staticmethod
     def zero(sr, dim):
-        return TSeriesMatrix(sr, [[sr.zero_series() for _ in range(dim)]
-                                  for _ in range(dim)])
+        return TSeriesMatrix(sr, *_zeros(sr, (dim, dim)))
 
     @staticmethod
     def identity(sr, dim):
         M = TSeriesMatrix.zero(sr, dim)
-        for i in range(dim):
-            M.entries[i][i] = sr.monomial(0, 1)
+        diag = np.arange(dim)
+        M.pval[diag, diag, 0] = 0
+        M.unit[diag, diag, 0] = sr.ring.one()
         return M
 
-    def copy(self):
-        return TSeriesMatrix(self.sr, [[e.copy() for e in row] for row in self.entries])
+    @staticmethod
+    def of(sr, grid):
+        """The matrix whose entries are copies of a list of rows of series."""
+        return TSeriesMatrix(sr, np.array([[s.pval for s in row] for row in grid]),
+                             np.array([[s.unit for s in row] for row in grid]))
 
-    def add(self, other):
-        return TSeriesMatrix(self.sr, [[a.add(b) for a, b in zip(r1, r2)]
-                                       for r1, r2 in zip(self.entries, other.entries)])
+    @cached_property
+    def entries(self):
+        """Tuple of rows of TSeries views into the blocks; they see later writes."""
+        return tuple(tuple(TSeries(self.sr, pv, un) for pv, un in zip(prow, urow))
+                     for prow, urow in zip(self.pval, self.unit))
 
-    def sub(self, other):
-        return TSeriesMatrix(self.sr, [[a.sub(b) for a, b in zip(r1, r2)]
-                                       for r1, r2 in zip(self.entries, other.entries)])
+    def __setitem__(self, ij, s):
+        self.pval[ij] = s.pval
+        self.unit[ij] = s.unit
+
+    min_t_valuation = _SeriesBlocks.t_valuation
 
     def mul(self, other):
-        return TSeriesMatrix(self.sr, series_block_mul(self.sr, self.entries, other.entries))
+        return TSeriesMatrix(self.sr, *_block_mul(self.sr, self.pval, self.unit,
+                                                  other.pval, other.unit))
 
     def sigma_twist(self, k=1):
-        return TSeriesMatrix(self.sr, [[e.sigma_twist(k) for e in row]
-                                       for row in self.entries])
+        """sigma on coefficients and t -> t^p, applied k times to every entry."""
+        return self._twist(k)
 
     def mul_vector(self, vec):
         """vec: list of TSeries; returns list of TSeries."""
-        return [row[0] for row in series_block_mul(self.sr, self.entries,
-                                                   [[v] for v in vec])]
-
-    def pshift(self, k):
-        return TSeriesMatrix(self.sr, [[e.pshift(k) for e in row] for row in self.entries])
-
-    def is_zero(self):
-        return all(e.is_zero() for row in self.entries for e in row)
-
-    def min_t_valuation(self):
-        vals = [e.t_valuation() for row in self.entries for e in row]
-        vals = [v for v in vals if v is not None]
-        return min(vals) if vals else None
+        v = TSeriesMatrix.of(self.sr, [[s] for s in vec])
+        pv, un = _block_mul(self.sr, self.pval, self.unit, v.pval, v.unit)
+        return [TSeries(self.sr, a, b) for a, b in zip(pv[:, 0], un[:, 0])]
 
     def block(self, rows, cols):
-        return [[self.entries[i][j].copy() for j in cols] for i in rows]
-
-
-def series_block_mul(sr, A, B):
-    """Product of rectangular blocks (lists of lists of TSeries); the
-    entries are views into one pval and one unit block."""
-    return _grid(sr, *_block_mul(sr, A, B))
-
-
-def series_block_sigma(block_, k=1):
-    return [[e.sigma_twist(k) for e in row] for row in block_]
+        """The sub-matrix on the given rows and columns (a copy)."""
+        ix = np.ix_(rows, cols)
+        return TSeriesMatrix(self.sr, self.pval[ix], self.unit[ix])

@@ -190,6 +190,26 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert all(line.endswith("true") for line in lines[2:])
 
+    def test_crystal_constant_t_term(self, tmp_path, capsys):
+        # x1 = 1 + ... puts a t^0 term into F, so no N makes F_inf converge
+        profiles = [
+            {"p": 5, "case": "superspecial", "n": 1, "m": 2,
+             "series": {"x1": [[0, 1, 0]], "y1": [[1, 1, 0]],
+                        "x2": [[3, 1, 0]], "y2": [[2, 1, 0]]},
+             "T_max": 40, "R_max": 8},
+            {"p": 5, "case": "generic", "n": 2, "m": 1,
+             "series": {"x1": [[0, 1, 0]], "y1": [[1, 1, 0]],
+                        "xp1": [[2, 2, 0]], "yp1": [[1, 3, 0]]},
+             "T_max": 40, "R_max": 8, "seed": 5},
+        ]
+        path = tmp_path / "curve.json"
+        for prof in profiles:
+            path.write_text(json.dumps(prof))
+            assert main(["crystal", "--profile", str(path), "--rmax", "1",
+                         "--out", str(tmp_path / "c.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: F has a constant t-term"), err
+
     def test_bench_quick(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert main(["bench", "--quick", "--out", str(out)]) == 0

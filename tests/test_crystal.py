@@ -34,7 +34,7 @@ from orthocount.crystal import (
 )
 from orthocount.padic import PINF
 from orthocount.poly import Poly, mat_mul_poly, mat_transpose_poly
-from orthocount.series import SeriesRing, TSeriesMatrix, series_block_mul, series_block_sigma
+from orthocount.series import SeriesRing, TSeriesMatrix
 from orthocount.valcomb import SuperspecialProfile, ssp_min_valuation
 
 
@@ -239,12 +239,13 @@ class TestSuperspecialF:
         M, N = mn_matrices(ring)
         for alpha, beta in [(1, 0), (2, 0), (1, 1), (3, 0), (2, 1), (0, 1), (0, 2), (3, 1)]:
             # build the product prod F_t^(i) prod F_r^(alpha+2j-1) F_l^(alpha+2j)
-            prod = [[sr.monomial(0, int(i == j)) for j in range(2)] for i in range(2)]
+            prod = TSeriesMatrix.of(sr, [[sr.monomial(0, int(i == j)) for j in range(2)]
+                                         for i in range(2)])
             for i in range(1, alpha + 1):
-                prod = series_block_mul(sr, prod, series_block_sigma(Ft, i))
+                prod = prod.mul(Ft.sigma_twist(i))
             for j in range(1, beta + 1):
-                prod = series_block_mul(sr, prod, series_block_sigma(Fr, alpha + 2 * j - 1))
-                prod = series_block_mul(sr, prod, series_block_sigma(Fl, alpha + 2 * j))
+                prod = prod.mul(Fr.sigma_twist(alpha + 2 * j - 1))
+                prod = prod.mul(Fl.sigma_twist(alpha + 2 * j))
             # closed form
             scal = sr.monomial(0, 1, pshift=-(alpha + beta))
             for i in range(1, alpha + 1):
@@ -256,7 +257,7 @@ class TestSuperspecialF:
             for i in range(2):
                 for j in range(2):
                     expect = scal.scale(const[i][j])
-                    got = prod[i][j]
+                    got = prod.entries[i][j]
                     diff = got.sub(expect)
                     base = np.minimum(got.pval, expect.pval)
                     ok = np.all((diff.pval >= base + ring.R - 3) | (diff.pval >= PINF))
@@ -300,6 +301,16 @@ class TestFInfinity:
             for j in range(4):
                 assert np.all(out.entries[i][j].pval == I.entries[i][j].pval)
 
+    def test_constant_t_term_is_refused(self):
+        # x1 = 1 gives F a t^0 term: v_t(F^(N)) stays 0 for every N
+        sr = SeriesRing(superspecial_ring(5, 6), 40)
+        coords = monomial_substitution(sr, "superspecial", 1, 1, {"x1": 0, "y1": 1})
+        F = superspecial_F(coords)
+        assert F.min_t_valuation() == 0
+        for N in (1, 3, 10):
+            with pytest.raises(ValueError, match="constant t-term"):
+                f_infinity_partial(F, N)
+
     def test_guard(self):
         coords = _ssp_coords(tmax=380)
         F = superspecial_F(coords)
@@ -316,6 +327,40 @@ class TestFInfinity:
             for j in range(F.dim):
                 assert np.all(A.entries[i][j].pval == B.entries[i][j].pval)
                 assert np.all(A.entries[i][j].unit == B.entries[i][j].unit)
+
+
+class TestProbes:
+    def test_min_tval_at_pval_takes_the_smallest_t_in_the_block(self):
+        sr = SeriesRing(superspecial_ring(5, 6), 20)
+        M = TSeriesMatrix.zero(sr, 3)
+        M[0, 1] = sr.monomial(5, 1, pshift=-2)
+        M[2, 2] = sr.monomial(3, 1, pshift=-1)
+        M[1, 0] = sr.monomial(1, 1)
+        assert min_tval_at_pval(M, 1) == 3
+        assert min_tval_at_pval(M, 2) == 5
+        assert min_tval_at_pval(M, 3) is None
+        assert min_tval_at_pval(M, 0) == 1
+        assert min_tval_at_pval(M, 1, rows=[0, 1], cols=[0, 1]) == 5
+        assert min_tval_at_pval(M, 1, rows=[1], cols=[0, 2]) is None
+
+    def test_integral_basis_matrix_shifts_the_first_n_rows(self):
+        ring = crystal_ring(5, 6, 2)
+        sr = SeriesRing(ring, 10)
+        _, s0inv = synthesize_s0prime(ring, 2, seed=3)
+        E = embed_s0(sr, s0inv, 2)
+        M = integral_basis_matrix(sr, s0inv, 2, 2)
+        assert np.array_equal(M.pval[:2], E.pshift(1).pval[:2])
+        assert np.array_equal(M.pval[2:], E.pval[2:])
+        assert np.array_equal(M.unit, E.unit)
+
+    def test_first_nonintegral_component_is_the_first_watched(self):
+        sr = SeriesRing(superspecial_ring(5, 6), 20)
+        I = TSeriesMatrix.identity(sr, 4)
+        w = [0, 1, 0, 1]
+        probe = first_nonintegral_order(I, w, -1, I)
+        assert (probe.nu, probe.component, probe.status) == (0, 1, "detected")
+        assert first_nonintegral_order(I, w, -1, I, components=[3, 1]).component == 3
+        assert first_nonintegral_order(I, w, 0, I).status == "integral-within-window"
 
 
 class TestDecayTrace:

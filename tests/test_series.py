@@ -1,11 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import orthocount
 from orthocount.padic import PINF, make_ring
-from orthocount.series import (SeriesRing, TSeriesMatrix, _block_mul, _grid,
-                               series_block_mul)
+from orthocount.series import SeriesRing, TSeriesMatrix, _block_mul
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +66,25 @@ class TestRing:
         assert ring52.val(ring52.zero()) == PINF
         assert ring52.val(ring52.from_int(50)) == 2
         assert ring52.val((5, 1)) == 0
+
+    def test_make_ring_invariant_fires_under_python_O(self):
+        # with sigma patched to the identity, make_ring's check that sigma
+        # lifts the p-power Frobenius must still raise under python -O
+        src = os.path.dirname(os.path.dirname(orthocount.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("from orthocount.arith import InvariantError\n"
+                "from orthocount.padic import UnramifiedRing, make_ring\n"
+                "assert False, 'asserts are live'\n"
+                "UnramifiedRing.sigma = lambda self, a, k=1: a\n"
+                "try:\n"
+                "    make_ring(7, 3, 3)\n"
+                "except InvariantError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
 
 
 class TestSeries:
@@ -170,8 +192,8 @@ class TestMatrix:
         sr = SeriesRing(ring52, 8)
         I = TSeriesMatrix.identity(sr, 3)
         M = TSeriesMatrix.zero(sr, 3)
-        M.entries[0][2] = sr.from_terms([(1, 7)])
-        M.entries[1][1] = sr.from_terms([(0, 2), (2, 3)])
+        M[0, 2] = sr.from_terms([(1, 7)])
+        M[1, 1] = sr.from_terms([(0, 2), (2, 3)])
         P = I.mul(M)
         for i in range(3):
             for j in range(3):
@@ -187,7 +209,7 @@ class TestMatrix:
             M = TSeriesMatrix.zero(sr, 2)
             for i in range(2):
                 for j in range(2):
-                    M.entries[i][j] = sr.from_terms(
+                    M[i, j] = sr.from_terms(
                         [(rng.randrange(3), rng.randrange(1, ring52.modulus))])
             return M
 
@@ -290,7 +312,7 @@ def random_series(sr, rng, density=0.5, vals=(-3, 3), pfactor=0):
     return s
 
 
-def random_grid(sr, rng, rows, cols, **kw):
+def random_rows(sr, rng, rows, cols, **kw):
     return [[random_series(sr, rng, density=rng.choice([0.0, 0.2, 0.6]), **kw)
              for _ in range(cols)] for _ in range(rows)]
 
@@ -339,7 +361,8 @@ class TestWholeArrayKernel:
             assert a.sub(a).is_zero()
             assert a.mul(b).sub(b.mul(a)).is_zero()
             # a row times a column whose products cancel pairwise
-            c = series_block_mul(sring, [[a, a]], [[b], [b.neg()]])[0][0]
+            c = TSeriesMatrix.of(sring, [[a, a]]).mul(
+                TSeriesMatrix.of(sring, [[b], [b.neg()]])).entries[0][0]
             assert c.is_zero()
             assert _series_equal(c, ref_block_mul(sring, [[a, a]], [[b], [b.neg()]])[0][0])
 
@@ -375,17 +398,19 @@ class TestWholeArrayKernel:
 
     def test_small_chunks(self, sring):
         rng = random.Random(108)
-        A = random_grid(sring, rng, 2, 3, vals=(-6, 6))
-        B = random_grid(sring, rng, 3, 2, vals=(-6, 6))
+        A = random_rows(sring, rng, 2, 3, vals=(-6, 6))
+        B = random_rows(sring, rng, 3, 2, vals=(-6, 6))
         ref = ref_block_mul(sring, A, B)
         for chunk in (1, 2, 7, 64):
-            assert _grids_equal(_grid(sring, *_block_mul(sring, A, B, chunk=chunk)), ref)
+            MA, MB = TSeriesMatrix.of(sring, A), TSeriesMatrix.of(sring, B)
+            pv, un = _block_mul(sring, MA.pval, MA.unit, MB.pval, MB.unit, chunk=chunk)
+            assert _grids_equal(TSeriesMatrix(sring, pv, un).entries, ref)
 
     def test_matrix_products_match_reference(self, sring):
         rng = random.Random(109)
         for dim in (1, 2, 3):
-            A = TSeriesMatrix(sring, random_grid(sring, rng, dim, dim, vals=(-4, 4)))
-            B = TSeriesMatrix(sring, random_grid(sring, rng, dim, dim, vals=(-4, 4)))
+            A = TSeriesMatrix.of(sring, random_rows(sring, rng, dim, dim, vals=(-4, 4)))
+            B = TSeriesMatrix.of(sring, random_rows(sring, rng, dim, dim, vals=(-4, 4)))
             assert _grids_equal(A.mul(B).entries, ref_block_mul(sring, A.entries, B.entries))
             vec = [random_series(sring, rng) for _ in range(dim)]
             got = A.mul_vector(vec)
@@ -395,9 +420,9 @@ class TestWholeArrayKernel:
     def test_rectangular_blocks_match_reference(self, sring):
         rng = random.Random(110)
         for n, k, m in ((1, 3, 2), (3, 1, 2), (2, 2, 1)):
-            A = random_grid(sring, rng, n, k)
-            B = random_grid(sring, rng, k, m)
-            got = series_block_mul(sring, A, B)
+            A = random_rows(sring, rng, n, k)
+            B = random_rows(sring, rng, k, m)
+            got = TSeriesMatrix.of(sring, A).mul(TSeriesMatrix.of(sring, B)).entries
             assert [len(row) for row in got] == [m] * n
             assert _grids_equal(got, ref_block_mul(sring, A, B))
 
@@ -415,3 +440,114 @@ class TestWholeArrayKernel:
         a = random_series(sring, random.Random(111), density=1.0)
         assert a.mul(z).is_zero() and z.mul(a).is_zero()
         assert _series_equal(a.add(z), a) and _series_equal(z.add(a), a)
+
+
+# ---------------------------------------------------------------------------
+# the block layout: elementwise operations on matrices, twists, entry writes
+
+def ref_neg(s):
+    out = s.copy()
+    for t, v, u in s.terms():
+        out.unit[t] = [(-x) % s.sr.ring.modulus for x in u]
+    return out
+
+
+def ref_pshift(s, k):
+    out = s.copy()
+    for t, v, u in s.terms():
+        out.pval[t] = v + k
+    return out
+
+
+def ref_sigma_twist(s, k):
+    """The per-term twist: t -> t p and ring.sigma on each unit, k times."""
+    sr, ring = s.sr, s.sr.ring
+    for _ in range(k):
+        new = sr.zero_series()
+        for t, v, u in s.terms():
+            if t * ring.p <= sr.tmax:
+                new.pval[t * ring.p], new.unit[t * ring.p] = v, ring.sigma(u)
+        s = new
+    return s
+
+
+def _entrywise(M, ref):
+    return [[ref(s) for s in row] for row in M.entries]
+
+
+class TestBlockLayout:
+    def test_elementwise_ops_match_reference(self, sring):
+        rng = random.Random(201)
+        for _ in range(4):
+            A, B = (TSeriesMatrix.of(sring, random_rows(sring, rng, 3, 2, vals=(-9, 9)))
+                    for _ in range(2))
+            pairs = list(zip([s for row in A.entries for s in row],
+                             [s for row in B.entries for s in row]))
+            got = [s for row in A.add(B).entries for s in row]
+            assert all(_series_equal(g, ref_add(a, b)) for g, (a, b) in zip(got, pairs))
+            got = [s for row in A.sub(B).entries for s in row]
+            assert all(_series_equal(g, ref_add(a, ref_neg(b)))
+                       for g, (a, b) in zip(got, pairs))
+            assert _grids_equal(A.neg().entries, _entrywise(A, ref_neg))
+            for k in (-4, 0, 3):
+                assert _grids_equal(A.pshift(k).entries,
+                                    _entrywise(A, lambda s: ref_pshift(s, k)))
+            assert A.sub(A).is_zero() and not A.is_zero()
+
+    def test_sigma_twist_matches_per_term_loop(self, sring):
+        sr = SeriesRing(sring.ring, 60)
+        rng = random.Random(202)
+        A = TSeriesMatrix.of(sr, random_rows(sr, rng, 2, 3, vals=(-5, 5)))
+        for k in (1, 2, 3):
+            assert _grids_equal(A.sigma_twist(k).entries,
+                                _entrywise(A, lambda s: ref_sigma_twist(s, k)))
+            s = A.entries[1][2]
+            assert _series_equal(s.sigma_twist(k), ref_sigma_twist(s, k))
+
+    def test_min_t_valuation_over_all_entries(self, sring):
+        M = TSeriesMatrix.zero(sring, 3)
+        assert M.min_t_valuation() is None
+        M[2, 1] = sring.monomial(7, 1)
+        M[0, 2] = sring.monomial(4, 1)
+        assert M.min_t_valuation() == 4
+
+    def test_setitem_copies_and_entries_are_views(self, sring):
+        rng = random.Random(203)
+        M = TSeriesMatrix.zero(sring, 2)
+        E = M.entries
+        s = random_series(sring, rng, density=1.0)
+        kept = s.copy()
+        M[0, 1] = s
+        s.pval[:] = 5
+        s.unit[:] = 1
+        assert _series_equal(M.entries[0][1], kept)
+        assert E is M.entries and _series_equal(E[0][1], kept)
+        with pytest.raises(TypeError):
+            M.entries[0][0] = kept
+        assert M.entries[0][0].is_zero()
+
+    def test_of_copies(self, sring):
+        s = random_series(sring, random.Random(204), density=1.0)
+        M = TSeriesMatrix.of(sring, [[s]])
+        s.pval[:] = PINF
+        assert not M.is_zero()
+
+    def test_identity(self, sring):
+        I = TSeriesMatrix.identity(sring, 3)
+        one, zero = sring.monomial(0, 1), sring.zero_series()
+        assert _grids_equal(I.entries, [[one if i == j else zero for j in range(3)]
+                                        for i in range(3)])
+
+    def test_rectangular_block_products(self, sring):
+        rng = random.Random(205)
+        rows = random_rows(sring, rng, 4, 4)
+        F = TSeriesMatrix.of(sring, rows)
+        A = F.block([0, 2], [1, 2, 3])
+        B = F.block(range(1, 4), [0, 3])
+        assert A.pval.shape[:2] == (2, 3) and B.pval.shape[:2] == (3, 2)
+        assert _grids_equal(A.entries, [[rows[i][j] for j in (1, 2, 3)] for i in (0, 2)])
+        ref = ref_block_mul(sring, A.entries, B.entries)
+        assert _grids_equal(A.mul(B).entries, ref)
+        assert _grids_equal(B.mul(A).entries, ref_block_mul(sring, B.entries, A.entries))
+        with pytest.raises(ValueError):
+            A.mul(A)
