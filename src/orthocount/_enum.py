@@ -3,6 +3,10 @@
 The pruning data comes from an exact rational completion of squares
 Q(v) = sum_i c_i (v_i + sum_{j>i} L_ij v_j)^2, rescaled to a single integer
 plan so the hot loop is integer-only -- no floating point in any bound.
+That plan does not depend on the bound, so it is built once per Gram matrix
+and cached; each bound then only needs the int64 certificate, whose
+coordinate boxes |v_j| <= sqrt(2*bound*(G^-1)_jj) read the diagonal of the
+inverse off integer minors (Cramer's rule).
 When the exact worst-case intermediate fits in int64, counting runs the numpy
 frontier kernel `_theta_walk_np`, one level at a time over whole arrays of
 partial vectors; otherwise the Python big-int walker `_theta_walk_py` performs
@@ -14,25 +18,24 @@ positive and counts are doubled afterwards.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 import numpy as np
 
-from .intmat import invert_rational
+from .intmat import det_bareiss
 
 INT64_SAFE = 1 << 62
 CHUNK = 1 << 16  # frontier rows walked at once by _theta_walk_np
 
 
-def cholesky_plan(gram, bound):
-    """Integer pruning plan for enumerating Q(v) <= bound.
+@lru_cache(maxsize=512)  # bounded: a long run meets many distinct Gram matrices
+def _ldl_plan(gram):
+    """Bound-free plan of a Gram matrix given as a tuple of tuples.
 
-    Level i (processed from i = r-1 down to 0) uses
-        w_i  = lds[i]*v_i + sum_{j>i} lns[i][j]*v_j,
-        test   mults[i] * w_i^2 <= T,
-        descend with T - mults[i]*w_i^2,
-    starting from T = bound*scale; the accumulated sum of terms is
-    Q(v)*scale.  `safe` certifies every intermediate fits in int64.
+    Returns (mults, lds, lns, scale, minors, det) as tuples and ints, where
+    minors[j] is the determinant of gram with row and column j removed, so
+    that (gram^-1)_jj = minors[j] / det.
     """
     r = len(gram)
     A = [[Fraction(gram[i][j], 2) for j in range(r)] for i in range(r)]
@@ -48,14 +51,30 @@ def cholesky_plan(gram, bound):
             for k in range(j, r):
                 A[j][k] -= A[i][j] * A[i][k] / c[i]
                 A[k][j] = A[j][k]
-    lds = [lcm(1, *(f.denominator for f in L[i][i + 1:])) for i in range(r)]
+    lds = tuple(lcm(1, *(f.denominator for f in L[i][i + 1:])) for i in range(r))
     scale = lcm(1, *((c[i] / lds[i] ** 2).denominator for i in range(r)))
-    mults = [int(c[i] * scale) // lds[i] ** 2 for i in range(r)]
-    lns = [[int(L[i][j] * lds[i]) for j in range(r)] for i in range(r)]
+    mults = tuple(int(c[i] * scale) // lds[i] ** 2 for i in range(r))
+    lns = tuple(tuple(int(L[i][j] * lds[i]) for j in range(r)) for i in range(r))
+    minors = tuple(det_bareiss([[gram[a][b] for b in range(r) if b != j]
+                                for a in range(r) if a != j]) for j in range(r))
+    return mults, lds, lns, scale, minors, det_bareiss(gram)
 
-    # exact worst-case magnitude certification for the int64 kernel
-    Ginv = invert_rational(gram)
-    vmax = [isqrt(int(2 * bound * Ginv[j][j])) + 1 for j in range(r)]
+
+def cholesky_plan(gram, bound):
+    """Integer pruning plan for enumerating Q(v) <= bound.
+
+    Level i (processed from i = r-1 down to 0) uses
+        w_i  = lds[i]*v_i + sum_{j>i} lns[i][j]*v_j,
+        test   mults[i] * w_i^2 <= T,
+        descend with T - mults[i]*w_i^2,
+    starting from T = bound*scale; the accumulated sum of terms is
+    Q(v)*scale.  All but `safe` comes from the cached plan of the Gram
+    matrix; `safe` certifies every intermediate fits in int64, from the
+    coordinate boxes vmax_j = isqrt(2*bound*(G^-1)_jj) + 1.
+    """
+    mults, lds, lns, scale, minors, det = _ldl_plan(tuple(map(tuple, gram)))
+    r = len(mults)
+    vmax = [isqrt(2 * bound * m // det) + 1 for m in minors]
     safe = 2 * bound * scale + 1 < INT64_SAFE
     for i in range(r):
         wb = lds[i] * vmax[i] + sum(abs(lns[i][j]) * vmax[j] for j in range(i + 1, r))

@@ -112,12 +112,6 @@ def _dispatch(argv):
     b4.add_argument("--ncap", type=int, default=10)
     b4.add_argument("--out", default="-")
 
-    p_bench = sub.add_parser("bench", help="kernel timings: seconds = the kernel that runs, "
-                             "reference_seconds = its pure-Python reference (empty if "
-                             "none), speedup = their ratio")
-    p_bench.add_argument("--out", default="-")
-    p_bench.add_argument("--quick", action="store_true")
-
     args = ap.parse_args(argv)
     return {
         "lattice": _cmd_lattice,
@@ -126,7 +120,6 @@ def _dispatch(argv):
         "crystal": _cmd_crystal,
         "valcomb": _cmd_valcomb,
         "budget": _cmd_budget,
-        "bench": _cmd_bench,
     }[args.cmd](args)
 
 
@@ -448,14 +441,6 @@ def _cmd_budget(args):
                              "mmax": args.mmax, "ncap": args.ncap})
         return 0
     raise ValueError(f"unknown budget mode {args.mode}")
-
-
-def _cmd_bench(args):
-    from .bench import run_benchmarks
-    rows = run_benchmarks(quick=args.quick)
-    emit_table(rows, ["kernel", "size", "seconds", "reference_seconds", "speedup"],
-               args.out, manifest={"cmd": "bench", "quick": args.quick})
-    return 0
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import InvariantError
+from .intmat import fp_row_reduce
 from .padic import PINF, make_ring
 from .poly import Poly, mat_mul_poly
 from .series import SeriesRing, TSeriesMatrix
@@ -664,7 +665,7 @@ def moore_checks(n, p, trials=50, seed=0):
         zs = []
         while len(zs) < n + 1:
             v = [rng.randrange(p) for _ in range(2 * n)]
-            if any(v) and _fp_independent(zs + [v], p):
+            if any(v) and len(fp_row_reduce(zs + [v], p)[1]) == len(zs) + 1:
                 zs.append(v)
         betas = []
         for z in zs:
@@ -674,7 +675,7 @@ def moore_checks(n, p, trials=50, seed=0):
             betas.append(acc)
         M = [[ring.sigma(b, i) for b in betas] for i in range(n + 1)]
         det = _ring_det(ring, M)
-        indep = _fq_fp_independent(ring, betas, p)
+        indep = len(fp_row_reduce(betas, p)[1]) == len(betas)
         if (det != ring.zero()) != indep:
             dets_ok = False
         if indep and det == ring.zero():
@@ -688,31 +689,6 @@ def _int_to_elt(ring, a):
         coords.append(a % ring.p)
         a //= ring.p
     return tuple(coords)
-
-
-def _fp_independent(vecs, p):
-    arr = [list(v) for v in vecs]
-    rank = 0
-    cols = len(arr[0])
-    rows = [r[:] for r in arr]
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == len(vecs)
-
-
-def _fq_fp_independent(ring, elts, p):
-    mat = [list(e) for e in elts]
-    return _fp_independent(mat, p)
 
 
 def _ring_det(ring, M):

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import InvariantError, is_prime
+from .intmat import fp_row_reduce
 from .lattice import p_diagonalize
 
 NAIVE_GUARD = 10 ** 8
@@ -396,7 +397,7 @@ def _split_off_hyperbolic(units, iso, p):
     mat = []
     for w in basis:
         cand = mat + [w]
-        if _fp_rank(cand, p) > len(mat):
+        if len(fp_row_reduce(cand, p)[1]) > len(mat):
             mat.append(w)
             indep.append(w)
         if len(indep) == k - 2:
@@ -406,25 +407,6 @@ def _split_off_hyperbolic(units, iso, p):
     # back to quadratic-form coefficients: Q(v) = bil(v,v)/2
     inv2 = pow(2, -1, p)
     return [[g * inv2 % p for g in row] for row in gram]
-
-
-def _fp_rank(rows, p):
-    A = [row[:] for row in rows]
-    r = 0
-    cols = len(A[0]) if A else 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(A)) if A[i][c] % p), None)
-        if piv is None:
-            continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = pow(A[r][c], -1, p)
-        A[r] = [x * inv % p for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c] % p:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
-        r += 1
-    return r
 
 
 def _diagonalize_fp(gram, p):

@@ -1,5 +1,5 @@
 """Exact integer matrix algebra: Bareiss determinants, Hermite and Smith normal
-forms, integer kernels and rational inverses.
+forms, integer kernels and row reduction over F_p.
 
 Everything here works on lists of lists of Python ints, so there is no
 overflow anywhere; matrix sizes in this package are tiny (rank <= ~10).
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 
 def copy_mat(M):
-    return [row[:] for row in M]
+    return [list(row) for row in M]
 
 
 def identity(n):
@@ -18,9 +18,9 @@ def identity(n):
 
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
+    if len(A[0]) != k:
+        raise ValueError(f"cannot multiply a {n}x{len(A[0])} matrix by a {k}x{m} one")
     return [[sum(A[i][l] * B[l][j] for l in range(k)) for j in range(m)] for i in range(n)]
-
 
 
 def transpose(A):
@@ -28,12 +28,16 @@ def transpose(A):
 
 
 def det_bareiss(M):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    The last pivot is the determinant; a 0x0 matrix has none and gets the
+    empty product 1.
+    """
     A = copy_mat(M)
     n = len(A)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if A[k][k] == 0:
             for i in range(k + 1, n):
                 if A[i][k] != 0:
@@ -47,7 +51,7 @@ def det_bareiss(M):
                 A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
             A[i][k] = 0
         prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+    return sign * prev
 
 
 def leading_principal_minors(M):
@@ -174,25 +178,6 @@ def smith_normal_form(M):
     return divisors
 
 
-def invert_rational(M):
-    """Exact inverse over Q as a matrix of Fractions."""
-    n = len(M)
-    A = [[Fraction(M[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if A[i][k] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        A[k], A[piv] = A[piv], A[k]
-        pv = A[k][k]
-        A[k] = [x / pv for x in A[k]]
-        for i in range(n):
-            if i != k and A[i][k] != 0:
-                f = A[i][k]
-                A[i] = [x - f * y for x, y in zip(A[i], A[k])]
-    return [row[n:] for row in A]
-
-
 def solve_integer(M, v):
     """One integer solution x of M x = v, or None."""
     H, U = hnf_columns(M)
@@ -216,3 +201,29 @@ def solve_integer(M, v):
     for i in range(cols):
         y[i] = sum(U[i][j] * int(x[j]) for j in range(cols))
     return y
+
+
+def fp_row_reduce(M, p):
+    """Reduced row echelon form of M over F_p, p prime.
+
+    Returns (rows, pivots): the reduced rows (entries in 0..p-1, zero rows
+    last) and the pivot column of each nonzero row, so the rank over F_p is
+    len(pivots).
+    """
+    A = [[x % p for x in row] for row in M]
+    cols = len(A[0]) if A else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], -1, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots

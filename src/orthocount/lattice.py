@@ -10,8 +10,10 @@ from fractions import Fraction
 from math import isqrt
 
 from ._enum import short_vectors, theta_counts
+from .arith import InvariantError
 from .intmat import (
     det_bareiss,
+    fp_row_reduce,
     hnf_columns,
     kernel_basis,
     leading_principal_minors,
@@ -30,6 +32,8 @@ class QuadLattice:
 
     def __post_init__(self):
         g = self.gram
+        if self.rank < 1:
+            raise ValueError("a lattice needs rank >= 1")
         if len(g) != self.rank or any(len(row) != self.rank for row in g):
             raise ValueError("gram has wrong shape")
         for i in range(self.rank):
@@ -110,7 +114,8 @@ def det_and_disc_group(L):
     order = 1
     for x in smith_normal_form(L.gram_rows()):
         order *= x
-    assert order == abs(d)
+    if order != abs(d):
+        raise InvariantError(f"|L^v/L| = {order} from the Smith form, but |det| = {abs(d)}")
     return d, order
 
 
@@ -225,7 +230,8 @@ def p_diagonalize(L, p, precision):
             for c in idx:
                 A[c][i] = (A[c][i] + A[c][j]) % mod
             k = i
-            assert val(A[k][k]) == vmin
+            if val(A[k][k]) != vmin:
+                raise InvariantError("Q(e_i + e_j) lost the minimal valuation")
         piv = A[k][k]
         pv = val(piv)
         unit = piv // p ** pv
@@ -286,28 +292,12 @@ def is_maximal_at(L, ell):
 
 def _fp_kernel(M, p):
     """Basis of the kernel of M over F_p (M given as rows)."""
-    rows = len(M)
-    cols = len(M[0])
-    A = [row[:] for row in M]
-    pivots = []
-    rr = 0
-    for c in range(cols):
-        piv = next((i for i in range(rr, rows) if A[i][c] % p != 0), None)
-        if piv is None:
-            continue
-        A[rr], A[piv] = A[piv], A[rr]
-        inv = pow(A[rr][c], -1, p)
-        A[rr] = [x * inv % p for x in A[rr]]
-        for i in range(rows):
-            if i != rr and A[i][c] % p != 0:
-                f = A[i][c]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[rr])]
-        pivots.append(c)
-        rr += 1
-    free = [c for c in range(cols) if c not in pivots]
+    A, pivots = fp_row_reduce(M, p)
     basis = []
-    for f in free:
-        v = [0] * cols
+    for f in range(len(M[0])):
+        if f in pivots:
+            continue
+        v = [0] * len(M[0])
         v[f] = 1
         for i, c in enumerate(pivots):
             v[c] = (-A[i][f]) % p
@@ -342,7 +332,8 @@ def intersect_and_index(A, B):
     stacked = [[MA[i][j] for j in range(r)] + [-MB[i][j] for j in range(r)]
                for i in range(r)]
     ker = kernel_basis(stacked)
-    assert len(ker) == r
+    if len(ker) != r:
+        raise InvariantError(f"A cap B has rank {len(ker)}, expected {r}")
     # intersection vectors: A @ x-part of each kernel generator
     gens = []
     for k in ker:
@@ -355,7 +346,8 @@ def intersect_and_index(A, B):
     inter = SublatticeBasis.from_cols(A.ambient, cols)
     idx = Fraction(abs(det_bareiss([list(row) for row in cols])),
                    abs(det_bareiss(MA)))
-    assert idx.denominator == 1
+    if idx.denominator != 1:
+        raise InvariantError(f"index [A : A cap B] = {idx} is not an integer")
     return inter, int(idx)
 
 

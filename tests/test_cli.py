@@ -210,12 +210,11 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: F has a constant t-term"), err
 
-    def test_bench_quick(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) >= 4
-        assert lines[1] == "kernel,size,seconds,reference_seconds,speedup"
+    def test_lattice_rank_zero(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"rank": 0, "gram": []}))
+        assert main(["lattice", "--in", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: a lattice needs rank >= 1\n"
 
     def test_exit_code_2_on_arithmetic_failure(self, tmp_path, capsys):
         # the 3-adic Jordan scale 3^8 is beyond the blockwise working

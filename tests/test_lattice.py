@@ -1,8 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+import orthocount
+from orthocount.arith import InvariantError
 from orthocount.intmat import mat_mul, transpose
 from orthocount.lattice import (
     QuadLattice,
@@ -56,6 +63,63 @@ class TestInvariants:
     def test_rejects_singular(self):
         with pytest.raises(ValueError):
             QuadLattice.from_rows([[2, 2], [2, 2]])
+
+    def test_rejects_rank_zero(self):
+        with pytest.raises(ValueError, match="rank >= 1"):
+            QuadLattice.from_rows([])
+        with pytest.raises(ValueError, match="rank >= 1"):
+            QuadLattice(0, ())
+
+
+class TestTypedFailures:
+    """Each broken invariant raises InvariantError, also under python -O."""
+
+    def test_det_and_disc_group(self, monkeypatch):
+        import orthocount.lattice as lattice
+        monkeypatch.setattr(lattice, "smith_normal_form", lambda M: [1, 2])
+        with pytest.raises(InvariantError, match="from the Smith form"):
+            det_and_disc_group(X2Y2)
+
+    def test_p_diagonalize(self):
+        # an antisymmetric "gram" (QuadLattice refuses it): no diagonal entry
+        # has the minimal valuation, and Q(e_0 + e_1) = 0 does not either
+        from types import SimpleNamespace
+        L = SimpleNamespace(rank=2, gram_rows=lambda: [[0, 1], [-1, 0]])
+        with pytest.raises(InvariantError, match="minimal valuation"):
+            p_diagonalize(L, 3, 2)
+
+    def test_intersection_rank(self, monkeypatch):
+        import orthocount.lattice as lattice
+        monkeypatch.setattr(lattice, "kernel_basis", lambda M: [[1, 0, 1, 0]])
+        A = identity_basis(X2Y2)
+        with pytest.raises(InvariantError, match="A cap B has rank 1, expected 2"):
+            intersect_and_index(A, A)
+
+    def test_intersection_index(self, monkeypatch):
+        import orthocount.lattice as lattice
+        # an "intersection" of index 1 in the ambient inside A of index 5
+        monkeypatch.setattr(lattice, "hnf_columns", lambda M: ([[1, 0], [0, 1]], None))
+        A = SublatticeBasis.from_cols(X2Y2, [[5, 0], [0, 1]])
+        with pytest.raises(InvariantError, match="1/5 is not an integer"):
+            intersect_and_index(A, A)
+
+    def test_fires_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(orthocount.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("import orthocount.lattice as lattice\n"
+                "from orthocount.arith import InvariantError\n"
+                "assert False, 'asserts are live'\n"
+                "lattice.smith_normal_form = lambda M: [1, 2]\n"
+                "L = lattice.QuadLattice.from_rows([[2, 0], [0, 2]])\n"
+                "try:\n"
+                "    lattice.det_and_disc_group(L)\n"
+                "except InvariantError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
 
 
 class TestRepCount:
@@ -111,6 +175,50 @@ class TestRepCount:
                 assert total == 2 * len(vecs) + 1
 
 
+def kernel_cases(rng):
+    """40 seeded (gram, bound) pairs of ranks 1..8 whose plans are int64-safe."""
+    for _ in range(40):
+        rank = rng.randint(1, 8)
+        # spread 2 at rank >= 6 mostly gives plans beyond int64
+        G = random_posdef_gram(rng, rank, spread=2 if rank <= 5 else 1)
+        yield G, rng.randint(0, 24 if rank <= 5 else 12)
+
+
+UNSAFE_GRAM = [[2, 1, 0], [1, 2 * 10 ** 9, 7], [0, 7, 4]]
+
+
+def fraction_inverse(M):
+    """Exact inverse over Q by Gauss-Jordan on Fractions (test reference)."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if A[i][k] != 0)
+        A[k], A[piv] = A[piv], A[k]
+        A[k] = [x / A[k][k] for x in A[k]]
+        for i in range(n):
+            if i != k and A[i][k] != 0:
+                A[i] = [x - A[i][k] * y for x, y in zip(A[i], A[k])]
+    return [row[n:] for row in A]
+
+
+def reference_vmax(gram, bound):
+    inv = fraction_inverse(gram)
+    return [isqrt(int(2 * bound * inv[j][j])) + 1 for j in range(len(gram))]
+
+
+def reference_safe(plan, gram, bound):
+    """The int64 certificate of a plan, with its boxes from a Fraction inverse."""
+    from orthocount._enum import INT64_SAFE
+    mults, lds, lns, scale = plan[:4]
+    vmax = reference_vmax(gram, bound)
+    r = len(gram)
+    wbs = [lds[i] * vmax[i] + sum(abs(lns[i][j]) * vmax[j] for j in range(i + 1, r))
+           for i in range(r)]
+    return (2 * bound * scale + 1 < INT64_SAFE
+            and all(m * wb * wb < INT64_SAFE for m, wb in zip(mults, wbs)))
+
+
 def walk_counts_py(gram, bound):
     from orthocount._enum import _theta_walk_py, cholesky_plan
     mults, lds, lns, scale, _ = cholesky_plan(gram, bound)
@@ -133,11 +241,7 @@ class TestEnumerationKernels:
 
     def test_int64_kernel_matches_bigint_walker(self, rng):
         from orthocount._enum import _theta_walk_np, cholesky_plan
-        for _ in range(40):
-            rank = rng.randint(1, 8)
-            # spread 2 at rank >= 6 mostly gives plans beyond int64
-            G = random_posdef_gram(rng, rank, spread=2 if rank <= 5 else 1)
-            bound = rng.randint(0, 24 if rank <= 5 else 12)
+        for G, bound in kernel_cases(rng):
             mults, lds, lns, scale, safe = cholesky_plan(G, bound)
             assert safe
             expect = walk_counts_py(G, bound)
@@ -159,7 +263,7 @@ class TestEnumerationKernels:
     def test_unsafe_plan_takes_bigint_walker(self, monkeypatch):
         import orthocount._enum as enum
         from orthocount._enum import cholesky_plan
-        G = [[2, 1, 0], [1, 2 * 10 ** 9, 7], [0, 7, 4]]
+        G = UNSAFE_GRAM
         bound = 12
         assert cholesky_plan(G, bound)[4] is False
         calls = []
@@ -177,6 +281,74 @@ class TestEnumerationKernels:
         L = QuadLattice.from_rows(G, positive_definite=True)
         assert theta_table(L, bound) == brute_counts(L, bound, 14)
         assert len(calls) == 1
+
+
+class TestPlan:
+    @staticmethod
+    def check_plan(G, bound, rng):
+        from orthocount._enum import _ldl_plan, cholesky_plan
+        plan = cholesky_plan(G, bound)
+        mults, lds, lns, scale, safe = plan
+        r = len(G)
+        assert all(type(part) is tuple for part in (mults, lds, lns) + lns)
+        assert safe is reference_safe(plan, G, bound)
+        # the completed squares reproduce Q(v) * scale exactly
+        for _ in range(20):
+            v = [rng.randint(-9, 9) for _ in range(r)]
+            ws = [lds[i] * v[i] + sum(lns[i][j] * v[j] for j in range(i + 1, r))
+                  for i in range(r)]
+            q = sum(G[i][j] * v[i] * v[j] for i in range(r) for j in range(r)) // 2
+            assert sum(m * w * w for m, w in zip(mults, ws)) == q * scale
+        # Cramer's diagonal is the diagonal of the inverse
+        *_, minors, det = _ldl_plan(tuple(map(tuple, G)))
+        inv = fraction_inverse(G)
+        assert [Fraction(m, det) for m in minors] == [inv[j][j] for j in range(r)]
+
+    def test_matches_reference_on_kernel_cases(self, rng):
+        for G, bound in kernel_cases(rng):
+            for b in (0, 1, bound, 3 * bound + 7, 100):
+                self.check_plan(G, b, rng)
+
+    def test_rank_one_and_unsafe(self, rng):
+        from orthocount._enum import cholesky_plan
+        for b in (0, 1, 5, 12, 100):
+            self.check_plan([[6]], b, rng)
+            self.check_plan(UNSAFE_GRAM, b, rng)
+        assert cholesky_plan([[6]], 7) == ((3,), (1,), ((0,),), 1, True)
+        assert cholesky_plan(UNSAFE_GRAM, 12)[4] is False
+        # Q(v) = 2^60 v^2: the box |v| <= isqrt(bound // 2^60) + 1 reaches 2
+        # at bound = 2^60, and then 2^60 * 2^2 no longer fits below 2^62
+        big = [[2 ** 61]]
+        for b in (2 ** 60 - 1, 2 ** 60):
+            self.check_plan(big, b, rng)
+        assert cholesky_plan(big, 2 ** 60 - 1)[4] is True
+        assert cholesky_plan(big, 2 ** 60)[4] is False
+
+    def test_short_vectors_within_boxes(self, rng):
+        from orthocount._enum import short_vectors
+        grams = [G for G, _ in itertools.islice(kernel_cases(rng), 12)] + [UNSAFE_GRAM]
+        for G in grams:
+            for bound in (1, 6, 15):
+                vmax = reference_vmax(G, bound)
+                for v in short_vectors(G, bound):
+                    assert all(abs(x) <= m for x, m in zip(v, vmax))
+
+    @pytest.mark.parametrize("gram, builds", [
+        ([[20, 3], [3, 30]], 1),  # one block; the minima try bounds 1..16
+        # blocks A2, A2 and [40]: two distinct blocks, plus the whole gram
+        # that successive_minima enumerates on
+        ([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 1, 0], [0, 0, 1, 2, 0],
+          [0, 0, 0, 0, 40]], 3),
+    ])
+    def test_one_ldl_per_gram(self, gram, builds):
+        from orthocount._enum import _ldl_plan
+        L = QuadLattice.from_rows(gram, positive_definite=True)
+        _ldl_plan.cache_clear()
+        theta_table(L, 8)
+        mu_sq, _ = successive_minima(L)
+        info = _ldl_plan.cache_info()
+        assert info.misses == builds
+        assert info.hits >= 2 and max(mu_sq) > 8
 
 
 class TestSuccessiveMinima:
