@@ -170,7 +170,8 @@ def zeta_even_over_pi(s):
         raise ValueError("closed form only at even s >= 2")
     B = bernoulli(s)
     val = (-1) ** (s // 2 + 1) * B * Fraction(2) ** (s - 1) / math.factorial(s)
-    assert val > 0
+    if val <= 0:
+        raise InvariantError(f"zeta({s})/pi^{s} = {val} is not positive")
     return val
 
 
@@ -189,9 +190,11 @@ def fundamental_discriminant(D):
     else:
         d0 = 4 * s
     g2 = D // d0
-    assert g2 > 0
+    if g2 <= 0:
+        raise InvariantError(f"D = {D} and D0 = {d0} differ in sign")
     g = math.isqrt(g2)
-    assert g * g == g2, (D, d0)
+    if g * g != g2:
+        raise InvariantError(f"D / D0 = {D} / {d0} is not a square")
     return d0, g
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-from .arith import is_prime
+from .arith import InvariantError, is_prime
 from .lattice import (
     QuadLattice,
     SublatticeBasis,
@@ -142,30 +142,33 @@ class CurveBudget:
         return total, target, self.is_complete() and total == target
 
 
+# the ceiling each decay case's constant stays under for every prime p >= 5
+SSMAIN_CEILINGS = {"nonss": Fraction(11, 12), "ssp1": Fraction(61, 62),
+                   "ssp2": Fraction(17, 20)}
+
+
 def ssmain_bound(p, b, case):
     """Exact geometric-series constants alpha with
     sum_n q_{L'_n}(m)/g_P(m) <= alpha * h/(p-1), per decay case."""
     if p < 5 or not is_prime(p):
         raise ValueError("p must be a prime >= 5")
+    if case not in SSMAIN_CEILINGS:
+        raise ValueError(f"unknown case {case}")
     p = Fraction(p)
+    if case == "ssp1" and b < 4:
+        # the rank-3 route reuses the non-superspecial constant
+        case = "nonss"
     if case == "nonss":
         val = 2 * (p * p - p + 1) / (p * (p * p - 1))
-        ceiling = Fraction(11, 12)
     elif case == "ssp1":
-        if b < 4:
-            # the rank-3 route reuses the non-superspecial constant
-            val = 2 * (p * p - p + 1) / (p * (p * p - 1))
-            ceiling = Fraction(11, 12)
-        else:
-            val = (p + 1) ** 2 / (2 * (p * p + p + 1)) \
-                + (2 * p / (p * p + p + 1)) * (1 / (1 - 1 / p))
-            ceiling = Fraction(61, 62)
-    elif case == "ssp2":
-        val = (1 + 1 / p) / 2 + 1 / (p + 1) + (2 / (p + 1)) * (1 / (p - 1))
-        ceiling = Fraction(17, 20)
+        val = (p + 1) ** 2 / (2 * (p * p + p + 1)) \
+            + (2 * p / (p * p + p + 1)) * (1 / (1 - 1 / p))
     else:
-        raise ValueError(f"unknown case {case}")
-    assert val <= ceiling, (case, p, val)
+        val = (1 + 1 / p) / 2 + 1 / (p + 1) + (2 / (p + 1)) * (1 / (p - 1))
+    ceiling = SSMAIN_CEILINGS[case]
+    if val > ceiling:
+        raise InvariantError(f"ssmain constant {val} of case {case} at p = {p} "
+                             f"exceeds its ceiling {ceiling}")
     return val, ceiling
 
 
@@ -297,7 +300,7 @@ def certify_membership(curve, j):
     for k in range(1, nj1 + 1):
         # membership in span{e + (mu mod p^k) f, p^k f}: needs mu_j = mu mod p^k
         if (mu_j - _mu_mod(p, curve.n_seq, k)) % p ** k != 0:
-            raise AssertionError(f"membership fails at level exponent {k}")
+            raise InvariantError(f"membership fails at level exponent {k}")
     return curve.m_values[j], nj1
 
 

@@ -3,7 +3,10 @@
 Three routes, kept deliberately independent:
 
   local_density_naive      brute-force count of Q(v) = m mod ell^a over all
-                           of (Z/ell^a)^rank (guarded at 10^8 points)
+                           of (Z/ell^a)^rank (guarded at 10^8 points): every
+                           prefix of rank-1 coordinates is enumerated, and the
+                           last coordinate is counted through a table of its
+                           values per linear coefficient
   local_density_blockwise  the same count via an ell-adic block
                            diagonalization and a convolution over Z/ell^a;
                            scales to any depth, used to reach stabilization
@@ -28,6 +31,7 @@ from .lattice import p_diagonalize
 
 NAIVE_GUARD = 10 ** 8
 CHUNK = 1 << 16  # histogram cells filled at once by _block_hist
+NAIVE_CHUNK = 1 << 18  # prefixes, or (b, x) cells, per step of _count_naive_np
 
 
 def _check_prime(ell):
@@ -38,32 +42,67 @@ def _check_prime(ell):
 # ---------------------------------------------------------------------------
 # naive counter
 
-def _count_naive_np(qdiag, gram, mod, m, total):
-    r = len(qdiag)
+def _count_naive_np(qd, G, mod, m):
+    """#{v in (Z/mod)^r : Q(v) = m}, counted over every point.
+
+    qd (the diagonal Q-coefficients) and G are int64 arrays reduced mod
+    `mod`.  With x the last coordinate and v' the first r-1 (the prefix),
+    Q(v) = q + b x + qd[r-1] x^2, where q = Q(v') and b = sum_i G[i, r-1] v'_i.
+    Every prefix is enumerated, NAIVE_CHUNK at a time, and grouped by the
+    pair (b, m - q); each x is then tested once per distinct b against the
+    targets of that b, again NAIVE_CHUNK cells at a time, so that
+    #{x : qd[r-1] x^2 + b x = m - q} is a count over every x.  Every
+    intermediate stays below 2 mod^2, so int64 is exact.
+    """
+    k = len(qd) - 1
+    prefixes = mod ** k
     count = 0
-    chunk = 1 << 18
-    qdiag = np.asarray(qdiag, dtype=np.int64)
-    G = np.asarray(gram, dtype=np.int64)
-    for start in range(0, total, chunk):
-        stop = min(total, start + chunk)
-        flat = np.arange(start, stop, dtype=np.int64)
-        V = np.empty((stop - start, r), dtype=np.int64)
-        x = flat
-        for i in range(r):
+    for start in range(0, prefixes, NAIVE_CHUNK):
+        x = np.arange(start, min(prefixes, start + NAIVE_CHUNK), dtype=np.int64)
+        V = np.empty((len(x), k), dtype=np.int64)
+        for i in range(k):
             V[:, i] = x % mod
             x = x // mod
-        q = np.zeros(stop - start, dtype=np.int64)
-        for i in range(r):
-            q = (q + qdiag[i] * ((V[:, i] * V[:, i]) % mod)) % mod
-            for j in range(i + 1, r):
-                q = (q + G[i, j] * ((V[:, i] * V[:, j]) % mod)) % mod
-        count += int(np.count_nonzero(q == m % mod))
+        q = np.zeros(len(x), dtype=np.int64)
+        b = np.zeros(len(x), dtype=np.int64)
+        for i in range(k):
+            q = (q + qd[i] * (V[:, i] * V[:, i] % mod)) % mod
+            for j in range(i + 1, k):
+                q = (q + G[i, j] * (V[:, i] * V[:, j] % mod)) % mod
+            b = (b + G[i, k] * V[:, i]) % mod
+        keys, mult = np.unique(b * mod + (m - q) % mod, return_counts=True)
+        count += _count_last(qd[k], keys, mult, mod)
+    return count
+
+
+def _count_last(qx, keys, mult, mod):
+    """sum of mult[i] #{x in Z/mod : qx x^2 + b x = t} over keys[i] = b mod + t.
+
+    keys is sorted and distinct; the (b, x) grid covers only the b that
+    occur, a block of rows by a chunk of x at a time.
+    """
+    bs = np.unique(keys // mod)
+    cols = min(mod, NAIVE_CHUNK)
+    rows = max(1, NAIVE_CHUNK // cols)
+    count = 0
+    for c0 in range(0, mod, cols):
+        x = np.arange(c0, min(mod, c0 + cols), dtype=np.int64)
+        y = qx * (x * x % mod) % mod
+        for r0 in range(0, len(bs), rows):
+            b = bs[r0:r0 + rows, None]
+            key = (b * mod + (y + b * x) % mod).ravel()
+            pos = np.searchsorted(keys, key)
+            # a key past the last target is clipped onto it and cannot match
+            count += int(mult[pos[keys.take(pos, mode="clip") == key]].sum())
     return count
 
 
 def local_density_naive(ell, L, m, a):
     """ell^{a(1-rank)} #{v in (Z/ell^a)^rank : Q(v) = m}, exact.
 
+    A brute-force count over every point: the first rank-1 coordinates are
+    enumerated and the last one is counted through a table of its values
+    for each linear coefficient that occurs.
     Guarded: ell^(a*rank) must stay at or below 10^8 points.
     """
     _check_prime(ell)
@@ -75,12 +114,11 @@ def local_density_naive(ell, L, m, a):
             f"naive enumeration of {total} points exceeds the 10^8 guard; "
             "use local_density_blockwise")
     mod = ell ** a
-    qdiag = [L.gram[i][i] // 2 for i in range(L.rank)]
     # reduce everything mod ell^a up front so the int64 kernel is safe
-    qd = np.array([x % mod for x in qdiag], dtype=np.int64)
+    qd = np.array([L.gram[i][i] // 2 % mod for i in range(L.rank)], dtype=np.int64)
     G = np.array([[L.gram[i][j] % mod for j in range(L.rank)] for i in range(L.rank)],
                  dtype=np.int64)
-    n = _count_naive_np(qd, G, mod, m % mod, total)
+    n = _count_naive_np(qd, G, mod, m % mod)
     return Fraction(n, ell ** (a * (L.rank - 1)))
 
 

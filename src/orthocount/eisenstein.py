@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .arith import (
+    InvariantError,
     chi_d,
     dirichlet_L,
     divisors,
@@ -74,7 +75,8 @@ class MFValue:
     def _mul_sqrt(self, q):
         """Multiply by sqrt(q) for positive rational q, folding out squares."""
         q = Fraction(q)
-        assert q > 0
+        if q <= 0:
+            raise InvariantError(f"sqrt({q}) of a non-positive rational")
         sn, fn = squarefree_part(q.numerator)
         sd, fd = squarefree_part(q.denominator)
         arg = self.sqrt_arg * Fraction(sn, sd)
@@ -338,15 +340,13 @@ def densm_ratio(ctx, Lprime_n, m):
     denom = 1 - Fraction(1, p ** ((b + 2) // 2))
     superspecial = disc_val == 2
     if superspecial:
-        bound = (1 + Fraction(1, p)) / (p * denom)
+        bound_sq = ((1 + Fraction(1, p)) / (p * denom)) ** 2
     else:
-        bound_sqrtless = Fraction(2) / denom
-        bound_sq = bound_sqrtless ** 2 / Fraction(p ** disc_val)
-        out = DensmRatio(ratio_sq, bound_sq, False, disc_val)
-        assert out.holds, (ratio_sq, bound_sq)
-        return out
-    out = DensmRatio(ratio_sq, bound ** 2, True, disc_val)
-    assert out.holds, (ratio_sq, bound ** 2)
+        bound_sq = (Fraction(2) / denom) ** 2 / Fraction(p ** disc_val)
+    out = DensmRatio(ratio_sq, bound_sq, superspecial, disc_val)
+    if not out.holds:
+        raise InvariantError(f"squared density ratio {out.ratio_sq} exceeds its bound "
+                             f"{out.bound_sq} (superspecial: {out.superspecial_branch})")
     return out
 
 

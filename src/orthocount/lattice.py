@@ -7,7 +7,7 @@ entry must be even (Q is Z-valued).  All arithmetic is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from ._enum import short_vectors, theta_counts
 from .arith import InvariantError
@@ -149,21 +149,17 @@ def successive_minima(L):
         raise ValueError("successive minima need a positive definite lattice")
     r = L.rank
     mu_sq = []
-    indep = []
     bound = 1
     while len(mu_sq) < r:
         vecs = short_vectors(L.gram_rows(), bound)
-        vecs.sort(key=L.q_value)
-        indep = []
+        qs = [L.q_value(v) for v in vecs]
+        echelon = []
         mu_sq = []
-        for v in vecs:
-            if _extends_independent(indep, v):
-                indep.append(v)
-                mu_sq.append(L.q_value(v))
+        for i in sorted(range(len(vecs)), key=qs.__getitem__):
+            if _extend_echelon(echelon, vecs[i]):
+                mu_sq.append(qs[i])
                 if len(mu_sq) == r:
                     break
-        if len(mu_sq) == r:
-            break
         bound *= 2
     a_sq = []
     acc = 1
@@ -173,10 +169,25 @@ def successive_minima(L):
     return mu_sq, a_sq
 
 
-def _extends_independent(vecs, v):
-    M = [list(col) for col in zip(*(vecs + [v]))] if vecs else [[x] for x in v]
-    # rank check via kernel: independent iff kernel is trivial
-    return not kernel_basis(M)
+def _extend_echelon(echelon, v):
+    """Add v to `echelon` and return True iff v is independent of it over Q.
+
+    echelon holds (pivot, row) pairs of integer rows, each zero at the pivots
+    of the rows before it.  v is reduced against each row by fraction-free
+    elimination, f*v - g*row with f = row[pivot], g = v[pivot], so it ends
+    zero at every pivot, and is zero iff it lies in their span.
+    """
+    w = list(v)
+    for c, row in echelon:
+        if w[c]:
+            f, g = row[c], w[c]
+            w = [f * x - g * y for x, y in zip(w, row)]
+    c = next((i for i, x in enumerate(w) if x), None)
+    if c is None:
+        return False
+    d = gcd(*w)
+    echelon.append((c, [x // d for x in w]))
+    return True
 
 
 def p_diagonalize(L, p, precision):

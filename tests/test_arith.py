@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orthocount.arith as arith
 from orthocount.arith import (
+    InvariantError,
     bernoulli,
     chi_d,
     dirichlet_L,
@@ -187,3 +189,23 @@ class TestLValues:
         q5 = lvalue_closed_form(2, 5)[0]
         assert d == 5 and q45 == q5 * (1 - Fraction(chi_d(5, 3), 9))
         assert dirichlet_L(2, 45, 1e-10) == pytest.approx(float(q45) * math.pi ** 2 / math.sqrt(5), abs=1e-9)
+
+
+class TestTypedFailures:
+    """Each broken invariant raises InvariantError."""
+
+    def test_zeta_even_positive(self, monkeypatch):
+        monkeypatch.setattr(arith, "bernoulli", lambda n: Fraction(0))
+        with pytest.raises(InvariantError, match="is not positive"):
+            zeta_even_over_pi(4)
+
+    def test_fundamental_discriminant_sign(self, monkeypatch):
+        # a negative "squarefree part" of |D| makes D0 < 0 < D
+        monkeypatch.setattr(arith, "squarefree_part", lambda n: (-5, 1))
+        with pytest.raises(InvariantError, match="differ in sign"):
+            fundamental_discriminant(5)
+
+    def test_fundamental_discriminant_square(self, monkeypatch):
+        monkeypatch.setattr(arith, "squarefree_part", lambda n: (1, 1))
+        with pytest.raises(InvariantError, match="is not a square"):
+            fundamental_discriminant(5)

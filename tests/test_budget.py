@@ -1,8 +1,14 @@
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from orthocount.arith import is_prime
+import orthocount
+import orthocount.budget as budget
+from orthocount.arith import InvariantError, is_prime
 from orthocount.budget import (
     CurveBudget,
     NestedLatticeSequence,
@@ -152,6 +158,30 @@ class TestSsmain:
             v7, _ = ssmain_bound(7, 6, case)
             assert v7 < ceil
 
+    def test_ceiling_is_checked(self, monkeypatch):
+        monkeypatch.setitem(budget.SSMAIN_CEILINGS, "ssp2", Fraction(1, 2))
+        with pytest.raises(InvariantError, match="exceeds its ceiling 1/2"):
+            ssmain_bound(5, 6, "ssp2")
+        assert ssmain_bound(5, 6, "nonss")[1] == Fraction(11, 12)
+
+    def test_ceiling_fires_under_python_O(self):
+        src = os.path.dirname(os.path.dirname(orthocount.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = ("from fractions import Fraction\n"
+                "import orthocount.budget as budget\n"
+                "from orthocount.arith import InvariantError\n"
+                "assert False, 'asserts are live'\n"
+                "budget.SSMAIN_CEILINGS['nonss'] = Fraction(0)\n"
+                "try:\n"
+                "    budget.ssmain_bound(5, 6, 'nonss')\n"
+                "except InvariantError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
             ssmain_bound(3, 6, "nonss")
@@ -189,6 +219,14 @@ class TestFormalCurve:
         assert (m0, e0) == (2, 1)
         m1, e1 = certify_membership(curve, 1)
         assert (m1, e1) == (37, 25)
+
+    def test_membership_failure_is_typed(self):
+        curve = formal_curve_sequence(5, 1, 1, 1, j_max=1)
+        broken = dataclasses.replace(curve, mu_partial=[curve.mu_partial[0],
+                                                        curve.mu_partial[1] + 5])
+        assert certify_membership(broken, 0) == (2, 1)
+        with pytest.raises(InvariantError, match="level exponent 2"):
+            certify_membership(broken, 1)
 
     def test_exponential_growth_shape(self):
         # log m_j ~ 2 n_j log p while the intersection exponent is n_{j+1} = p^{2 n_j}

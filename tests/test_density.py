@@ -11,6 +11,7 @@ import orthocount
 from orthocount import density
 from orthocount.density import (
     _block_hist,
+    _count_naive_np,
     local_density,
     local_density_blockwise,
     local_density_naive,
@@ -50,6 +51,99 @@ class TestNaive:
     def test_rejects_nonprime(self):
         with pytest.raises(ValueError):
             local_density_naive(6, HYP, 1, 1)
+
+
+def ref_count_naive(qdiag, gram, mod, m, total):
+    """The flat-index kernel the last-coordinate table replaced: decode every
+    point of (Z/mod)^r from its index and evaluate all of Q on it."""
+    r = len(qdiag)
+    count = 0
+    chunk = 1 << 18
+    qdiag = np.asarray(qdiag, dtype=np.int64)
+    G = np.asarray(gram, dtype=np.int64)
+    for start in range(0, total, chunk):
+        stop = min(total, start + chunk)
+        flat = np.arange(start, stop, dtype=np.int64)
+        V = np.empty((stop - start, r), dtype=np.int64)
+        x = flat
+        for i in range(r):
+            V[:, i] = x % mod
+            x = x // mod
+        q = np.zeros(stop - start, dtype=np.int64)
+        for i in range(r):
+            q = (q + qdiag[i] * ((V[:, i] * V[:, i]) % mod)) % mod
+            for j in range(i + 1, r):
+                q = (q + G[i, j] * ((V[:, i] * V[:, j]) % mod)) % mod
+        count += int(np.count_nonzero(q == m % mod))
+    return count
+
+
+def naive_arrays(gram, mod):
+    """(qd, G) reduced mod `mod`, as local_density_naive hands them over."""
+    r = len(gram)
+    qd = np.array([gram[i][i] // 2 % mod for i in range(r)], dtype=np.int64)
+    G = np.array([[gram[i][j] % mod for j in range(r)] for i in range(r)], dtype=np.int64)
+    return qd, G
+
+
+def assert_naive_matches_reference(gram, ell, a, m):
+    mod = ell ** a
+    qd, G = naive_arrays(gram, mod)
+    got = _count_naive_np(qd, G, mod, m % mod)
+    assert got == ref_count_naive(qd, G, mod, m, mod ** len(gram)), (ell, a, gram, m)
+
+
+def naive_cases(rng, cap):
+    """Seeded (ell, a, gram, m) over ell in {2, 3, 5, 7}, ranks 1-6 and
+    depths 1-3, with at most `cap` points each."""
+    cases = []
+    for ell in (2, 3, 5, 7):
+        for rank in range(1, 7):
+            for a in range(1, 4):
+                if ell ** (a * rank) > cap:
+                    continue
+                for _ in range(2):
+                    L = random_p_lattice(rng, ell, rank)
+                    cases.append((ell, a, L.gram, rng.randint(0, 3 * ell ** a)))
+    return cases
+
+
+class TestNaiveKernel:
+    def test_matches_reference_seeded(self, rng):
+        cases = naive_cases(rng, 3 * 10 ** 5)
+        assert {c[0] for c in cases} == {2, 3, 5, 7}
+        assert {len(c[2]) for c in cases} == set(range(1, 7))
+        assert {c[1] for c in cases} == {1, 2, 3}
+        for ell, a, gram, m in cases:
+            assert_naive_matches_reference(gram, ell, a, m)
+
+    def test_rank1_largest_modulus(self):
+        # empty prefix; the x table is walked in chunks of a 2^20 modulus
+        for g in (6, -10, 2 * 2 ** 20 + 2):
+            for m in (0, 3, 2 ** 20 - 1):
+                assert_naive_matches_reference([[g]], 2, 20, m)
+
+    def test_last_column_vanishes(self):
+        # every off-diagonal entry of the last column is = 0 mod ell^a, so
+        # b = 0 for every prefix and one row of the table serves them all
+        for ell, a in ((2, 3), (3, 2), (5, 1), (7, 2)):
+            mod = ell ** a
+            gram = [[4, 1, mod], [1, 6, -2 * mod], [mod, -2 * mod, 2 * mod * mod + 2]]
+            for m in range(0, 2 * ell + 1):
+                assert_naive_matches_reference(gram, ell, a, m)
+
+    def test_target_zero_mod_modulus(self, rng):
+        for ell, a, gram, _ in naive_cases(rng, 10 ** 5):
+            for m in (0, ell ** a, 5 * ell ** a):
+                assert_naive_matches_reference(gram, ell, a, m)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 7, 48, 50])
+    def test_chunk_bounds(self, monkeypatch, rng, chunk):
+        # prefix chunks and (b, x) cells cut at every size: one item, below
+        # the modulus, not dividing it, and just under and over it
+        monkeypatch.setattr(density, "NAIVE_CHUNK", chunk)
+        for ell, a, gram, m in naive_cases(rng, 3000):
+            assert_naive_matches_reference(gram, ell, a, m)
 
 
 class TestBlockwise:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import orthocount.eisenstein as eisenstein
+from orthocount.arith import InvariantError
 from orthocount.eisenstein import (
     CuspPart,
     EisensteinContext,
@@ -230,6 +232,26 @@ class TestDensmRatio:
             densm_ratio(ctx, e8, 14)
 
 
+    def test_self_dual_bound_is_checked(self, e8, monkeypatch):
+        ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
+        monkeypatch.setattr(eisenstein, "local_density", lambda p, L, m: Fraction(3))
+        with pytest.raises(InvariantError, match="superspecial: False"):
+            densm_ratio(ctx, e8, 3)
+
+    def test_superspecial_bound_is_checked(self, monkeypatch):
+        p = 5
+        rows = [[0] * 8 for _ in range(8)]
+        for i in range(6):
+            rows[i][i] = 2
+        rows[6][6] = 2 * p
+        rows[7][7] = 2 * 2 * p
+        L = QuadLattice.from_rows(rows, positive_definite=True)
+        ctx = EisensteinContext(b=6, p=5, detL=1, discOrder=1)
+        monkeypatch.setattr(eisenstein, "local_density", lambda p, L, m: Fraction(3))
+        with pytest.raises(InvariantError, match="superspecial: True"):
+            densm_ratio(ctx, L, 1)
+
+
 class TestRepresentableSurrogate:
     def test_e8_all_units_representable(self, e8):
         from orthocount.eisenstein import representable_surrogate
@@ -257,6 +279,11 @@ class TestMFValue:
     def test_sqrt_folding(self):
         v = MFValue(1, Fraction(1))._mul_sqrt(8)._mul_sqrt(2)
         assert v.rat == 4 and v.sqrt_arg == 1
+
+    def test_sqrt_of_non_positive_raises(self):
+        for q in (0, -3, Fraction(-1, 2)):
+            with pytest.raises(InvariantError, match="non-positive"):
+                MFValue(1, Fraction(1))._mul_sqrt(q)
 
     def test_not_exact_raises(self):
         v = MFValue(1, Fraction(1), pi_half=2)

@@ -10,10 +10,11 @@ import pytest
 
 import orthocount
 from orthocount.arith import InvariantError
-from orthocount.intmat import mat_mul, transpose
+from orthocount.intmat import kernel_basis, mat_mul, transpose
 from orthocount.lattice import (
     QuadLattice,
     SublatticeBasis,
+    _extend_echelon,
     det_and_disc_group,
     identity_basis,
     intersect_and_index,
@@ -388,6 +389,62 @@ class TestSuccessiveMinima:
             _, a_sq = successive_minima(L)
             det, _ = det_and_disc_group(L)
             assert a_sq[-1] <= Fraction(4, 3) ** (rank * (rank - 1) // 2) * det
+
+
+    def test_echelon_matches_kernel_rank(self, rng):
+        # v extends the set iff the integer kernel of [vecs | v] is trivial;
+        # the draws mix fresh vectors with zero, multiples and sums of
+        # earlier ones
+        for _ in range(200):
+            dim = rng.randint(1, 6)
+            vecs, echelon = [], []
+            for _ in range(rng.randint(1, dim + 3)):
+                kind = rng.random()
+                if vecs and kind < 0.3:
+                    v = [rng.randint(-3, 3) * x + rng.randint(-2, 2) * y
+                         for x, y in zip(rng.choice(vecs), rng.choice(vecs))]
+                elif kind < 0.35:
+                    v = [0] * dim
+                else:
+                    v = [rng.randint(-4, 4) for _ in range(dim)]
+                M = [list(col) for col in zip(*(vecs + [v]))]
+                expect = not kernel_basis(M)
+                assert _extend_echelon(echelon, v) == expect, (vecs, v)
+                if expect:
+                    vecs.append(v)
+                assert len(echelon) == len(vecs)
+            pivots = [c for c, _ in echelon]
+            assert len(set(pivots)) == len(pivots)
+            for k, (_, row) in enumerate(echelon):
+                assert all(row[c] == 0 for c in pivots[:k])
+
+    def test_matches_hnf_reference(self, rng):
+        for _ in range(30):
+            rank = rng.randint(1, 5)
+            L = QuadLattice.from_rows(random_posdef_gram(rng, rank, spread=2),
+                                      positive_definite=True)
+            assert successive_minima(L) == ref_successive_minima(L)
+
+
+def ref_successive_minima(L):
+    """The greedy minima with a full integer kernel per candidate (the
+    rank test that the echelon replaced)."""
+    from orthocount._enum import short_vectors
+    bound = 1
+    while True:
+        vecs = sorted(short_vectors(L.gram_rows(), bound), key=L.q_value)
+        indep, mu_sq = [], []
+        for v in vecs:
+            if not kernel_basis([list(col) for col in zip(*(indep + [v]))]):
+                indep.append(v)
+                mu_sq.append(L.q_value(v))
+        if len(mu_sq) == L.rank:
+            a_sq, acc = [], 1
+            for m in mu_sq:
+                acc *= m
+                a_sq.append(acc)
+            return mu_sq, a_sq
+        bound *= 2
 
 
 class TestPDiagonalize:
