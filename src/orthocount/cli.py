@@ -325,6 +325,10 @@ def _cmd_valcomb(args):
 
     from .valcomb import (SuperspecialProfile, ValuationProfile, min_set,
                           schedules, ssp_min_valuation, verify_minval)
+    if args.mode in ("min-set", "verify-minval"):
+        for flag in ("rmax", "nmax"):
+            if getattr(args, flag, 1) < 1:
+                raise ValueError(f"--{flag} must be >= 1")
     if args.mode == "min-set":
         a = tuple(int(x) for x in args.a.split(","))
         prof = ValuationProfile(n=args.n, p=args.p, a=a)

@@ -1,15 +1,22 @@
 """t-adic valuation combinatorics: weights and minimal valuations of index
 tuples, the superspecial candidate sets, and the decay/index schedules.
 
-Everything here is exact integer/Fraction arithmetic; the minimum searches
-are exhaustive by design (they are the oracle for the structural lemmas).
+Everything here is exact integer/Fraction arithmetic.  The minimum search is
+exhaustive by design (it is the oracle for the structural lemmas): every
+index tuple gets its exact valuation, computed in whole arrays from the
+tables of the two halves of the tuple.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from .arith import is_prime
+
 MIN_SET_GUARD = 10 ** 7
+CHUNK = 2 ** 16  # cells of the nu(I||J) grid formed at once by min_set
 
 
 @dataclass(frozen=True)
@@ -22,6 +29,8 @@ class ValuationProfile:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if not is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
         if len(self.a) != self.n + 1:
             raise ValueError("need exactly n+1 valuations")
         if any(x < 1 for x in self.a):
@@ -36,6 +45,8 @@ class SuperspecialProfile:
     a: int
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"p must be prime, got {self.p}")
         if not (2 * self.a <= self.h and (self.p + 1) * self.a <= self.hprime):
             raise ValueError("need 2a <= h and (p+1)a <= h'")
 
@@ -56,22 +67,62 @@ def nu(I, prof):
     return total
 
 
+def _check_guard(r, prof):
+    size = (prof.n + 1) ** r
+    if size > MIN_SET_GUARD:
+        raise ValueError(f"index space too large to enumerate: (n+1)^r = "
+                         f"{prof.n + 1}^{r} = {size} exceeds MIN_SET_GUARD = "
+                         f"{MIN_SET_GUARD}")
+
+
+def _tables(k, prof, dtype):
+    """nu and weight of every k-tuple, in C order (the order of
+    itertools.product), built one leading index at a time from
+    nu(i, J) = a_i + p^i nu(J)."""
+    idx = np.arange(1, prof.n + 2)
+    a = np.array(prof.a, dtype)
+    vals, wts = np.zeros(1, dtype), np.zeros(1, np.int64)
+    if k:
+        vals, wts = a, idx
+    if k > 1:
+        pw = np.array([prof.p ** i for i in idx.tolist()], dtype)
+        for _ in range(k - 1):
+            vals = (a[:, None] + pw[:, None] * vals[None, :]).ravel()
+            wts = (idx[:, None] + wts[None, :]).ravel()
+    return vals, wts
+
+
 def min_set(r, prof):
-    """(nu_r, sorted argmin tuples) by exhaustive search over (n+1)^r tuples."""
+    """(nu_r, sorted argmin tuples) by exhaustive search over (n+1)^r tuples.
+
+    Every tuple is split as I||J with |I| = r // 2 (so r = 1 is the bare
+    table of J), and gets nu(I||J) = nu(I) + p^weight(I) nu(J) from the
+    tables of both halves, CHUNK cells of the grid (at least one row of I)
+    at a time.  C order of the grid is the sorted order of the tuples.  The
+    values are Python ints in object arrays unless the exact bound
+    max(a) (1 + p^(n+1) + ... + p^((n+1)(r-1))) on every value, power and
+    partial sum fits int64.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if (prof.n + 1) ** r > MIN_SET_GUARD:
-        raise ValueError("index space too large to enumerate")
-    best = None
-    argmin = []
-    for I in itertools.product(range(1, prof.n + 2), repeat=r):
-        v = nu(I, prof)
-        if best is None or v < best:
-            best = v
-            argmin = [I]
-        elif v == best:
-            argmin.append(I)
-    return best, sorted(argmin)
+    _check_guard(r, prof)
+    n1, p = prof.n + 1, prof.p
+    bound = max(prof.a) * sum(p ** (n1 * j) for j in range(r))
+    dtype = np.int64 if bound < 2 ** 63 else object
+    v_i, w_i = _tables(r // 2, prof, dtype)
+    v_j, _ = _tables(r - r // 2, prof, dtype)
+    scale = np.array([p ** w for w in range(int(w_i.max()) + 1)], dtype)[w_i]
+    step = max(1, CHUNK // len(v_j))
+    best, flat = None, []
+    for lo in range(0, len(v_i), step):
+        block = (v_i[lo:lo + step, None] + scale[lo:lo + step, None] * v_j[None, :]).ravel()
+        low = block.min()
+        if best is None or low < best:
+            best, flat = low, []
+        if low == best:
+            flat.append(np.flatnonzero(block == best) + lo * len(v_j))
+    digits = np.unravel_index(np.concatenate(flat), (n1,) * r)
+    return int(best), [tuple(I) for I in (np.stack(digits, axis=1) + 1).tolist()]
 
 
 @dataclass
@@ -93,6 +144,9 @@ def verify_minval(prof, r_max):
     (5) unique maximal- and minimal-weight members (with distinct weights
     whenever the set has more than one element).
     """
+    if r_max < 1:
+        raise ValueError("r_max must be >= 1")
+    _check_guard(r_max, prof)
     viol = []
     sets = {}
     checked = 0

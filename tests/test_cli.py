@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,33 @@ class TestCli:
                      "--rmax", "1", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[2].startswith("1,0,11,")
+
+    @pytest.mark.parametrize("argv", [
+        ["min-set", "--n", "1", "--a", "3,1", "--rmax", "0"],
+        ["verify-minval", "--rmax", "0"],
+        ["verify-minval", "--rmax", "-2"],
+        ["verify-minval", "--nmax", "0"],
+        ["min-set", "--n", "1", "--p", "4", "--a", "3,1"],
+        ["min-set", "--n", "1", "--p", "1", "--a", "3,1"],
+        ["verify-minval", "--nmax", "4", "--rmax", "11", "--trials", "1"],
+    ])
+    def test_valcomb_refusals(self, argv, capsys):
+        assert main(["valcomb"] + argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_valcomb_readme_bytes(self, capsys):
+        # the bytes the tuple-at-a-time search printed for the README examples
+        assert main(["valcomb", "min-set", "--n", "2", "--a", "10,3,1", "--rmax", "4"]) == 0
+        assert capsys.readouterr().out.encode() == (
+            b"# a=10,3,1 cmd=valcomb.min-set n=2 p=5 rmax=4\n"
+            b"r,nu_r,argmins\n1,1,3\n2,15,13\n3,85,113\n4,435,1113\n")
+        assert main(["valcomb", "verify-minval", "--trials", "200", "--seed", "7"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 3973
+        assert hashlib.sha256(out).hexdigest() == \
+            "5d885d57a235f43f15b91c8eee37c27da17a65639ffae4b69333d0a344d5068a"
 
     def test_budget_ssmain(self, tmp_path):
         out = tmp_path / "b.csv"

@@ -1,10 +1,14 @@
+import itertools
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
+from orthocount import valcomb
 from orthocount.valcomb import (
+    MIN_SET_GUARD,
     DecaySchedule,
     SuperspecialProfile,
     ValuationProfile,
@@ -75,6 +79,115 @@ class TestMinSet:
         prof = ValuationProfile(n=4, p=5, a=(1, 1, 1, 1, 1))
         with pytest.raises(ValueError):
             min_set(11, prof)
+
+
+# ---------------------------------------------------------------------------
+# reference: the tuple-at-a-time search that min_set replaced, kept verbatim
+
+def ref_min_set(r, prof):
+    """(nu_r, sorted argmin tuples) by exhaustive search over (n+1)^r tuples."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    if (prof.n + 1) ** r > MIN_SET_GUARD:
+        raise ValueError("index space too large to enumerate")
+    best = None
+    argmin = []
+    for I in itertools.product(range(1, prof.n + 2), repeat=r):
+        v = nu(I, prof)
+        if best is None or v < best:
+            best = v
+            argmin = [I]
+        elif v == best:
+            argmin.append(I)
+    return best, sorted(argmin)
+
+
+@lru_cache(maxsize=None)
+def _cached_ref_min_set(r, prof):
+    # shared by the CHUNK parametrisations below
+    return ref_min_set(r, prof)
+
+
+def dp_min_set(r, prof):
+    """nu_r and its argmin from nu(i, J) = a_i + p^i nu(J): as p^i > 0, (i, J)
+    is minimal iff J is minimal of length r - 1 and i minimizes
+    a_i + p^i nu_{r-1}."""
+    best, argmin = 0, [()]
+    for _ in range(r):
+        vals = {i: prof.a[i - 1] + prof.p ** i * best for i in range(1, prof.n + 2)}
+        best = min(vals.values())
+        argmin = sorted((i,) + J for i, v in vals.items() if v == best for J in argmin)
+    return best, argmin
+
+
+def _sweep_profiles():
+    rng = random.Random(20261018)
+    profs = []
+    for p in (2, 3, 5, 7, 11):
+        for n in range(1, 5):
+            profs.append(ValuationProfile(n, p, (rng.randint(1, 10 ** 6),) * (n + 1)))
+            for a_max in (3, 10 ** 6):
+                profs.append(ValuationProfile(
+                    n, p, tuple(rng.randint(1, a_max) for _ in range(n + 1))))
+    return profs
+
+
+SWEEP = _sweep_profiles()
+# p = 2, r = 4: the tuples split into 9 prefix rows of 9 cells, and the two
+# minimizers (2,3,3,3) and (3,3,3,3) sit in rows 5 and 8
+LATE_TIES = ValuationProfile(2, 2, (10 ** 6, 293, 1))
+
+
+class TestMinSetAgainstReference:
+    @pytest.mark.parametrize("chunk", [valcomb.CHUNK, 1, 7, 18])
+    def test_sweep(self, chunk, monkeypatch):
+        monkeypatch.setattr(valcomb, "CHUNK", chunk)
+        for prof in SWEEP:
+            for r in range(1, 7):
+                assert min_set(r, prof) == _cached_ref_min_set(r, prof), (prof, r, chunk)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 18])
+    def test_minimum_in_later_blocks(self, chunk, monkeypatch):
+        # 18 cells are two rows, so the last block is one row; with every
+        # chunk the minimum first shows in a later block and ties span two
+        monkeypatch.setattr(valcomb, "CHUNK", chunk)
+        v, argmin = ref_min_set(4, LATE_TIES)
+        step = max(1, chunk // 9)
+        blocks = [((I[0] - 1) * 3 + I[1] - 1) // step for I in argmin]
+        assert blocks[0] > 0 and len(set(blocks)) == 2
+        assert min_set(4, LATE_TIES) == (v, argmin) == dp_min_set(4, LATE_TIES)
+
+    def test_guard_edge(self):
+        prof = ValuationProfile(4, 7, (12, 11, 9, 5, 1))
+        assert (prof.n + 1) ** 10 <= MIN_SET_GUARD
+        t0 = time.perf_counter()
+        v, argmin = min_set(10, prof)
+        elapsed = time.perf_counter() - t0
+        assert (v, argmin) == dp_min_set(10, prof)
+        assert all(nu(I, prof) == v for I in argmin)
+        assert elapsed < 5, elapsed
+
+
+class TestRefusals:
+    def test_prime_p_only(self):
+        for p in (-3, 0, 1, 4, 9):
+            with pytest.raises(ValueError, match="prime"):
+                ValuationProfile(n=1, p=p, a=(3, 1))
+            with pytest.raises(ValueError, match="prime"):
+                SuperspecialProfile(p=p, h=2, hprime=13, a=1)
+
+    def test_verify_minval_r_max(self):
+        prof = ValuationProfile(n=1, p=5, a=(10, 1))
+        for r_max in (0, -1):
+            with pytest.raises(ValueError, match="r_max"):
+                verify_minval(prof, r_max)
+
+    def test_verify_minval_guard_up_front(self):
+        prof = ValuationProfile(4, 7, (12, 11, 9, 5, 1))
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"5\^11 = 48828125 exceeds MIN_SET_GUARD = 10000000"):
+            verify_minval(prof, 11)
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestMinvalProperties:
