@@ -198,20 +198,31 @@ def fundamental_discriminant(D):
     return d0, g
 
 
+@lru_cache(maxsize=1024)
 def gen_bernoulli(n, D0):
-    """Generalized Bernoulli number B_{n, chi_{D0}} for fundamental D0, exact."""
-    f = abs(D0) if D0 != 1 else 1
-    # B_{n,chi} = f^{n-1} sum_{a=1..f} chi(a) B_n(a/f)
-    total = Fraction(0)
+    """Generalized Bernoulli number B_{n, chi_{D0}} for fundamental D0, exact.
+
+    With f = |D0| and B_n(x) = sum_k C(n, k) B_k x^(n-k),
+      B_{n,chi} = f^(n-1) sum_{a=1..f} chi(a) B_n(a/f)
+                = sum_{k=0..n} C(n, k) B_k f^(k-1) S_(n-k),
+    where S_j = sum_{a=1..f} chi(a) a^j is an exact integer (Washington,
+    Introduction to Cyclotomic Fields, Prop. 4.1).  D0 = 1 is the trivial
+    character mod 1, so the result is B_n(1).
+    """
+    f = abs(D0)
+    sums = [0] * (n + 1)
     for a in range(1, f + 1):
-        c = chi_d(D0, a) if D0 != 1 else (1 if f == 1 else 0)
+        c = chi_d(D0, a)
         if c == 0:
             continue
-        x = Fraction(a, f)
-        poly = sum(Fraction(math.comb(n, k)) * bernoulli(k) * x ** (n - k)
-                   for k in range(n + 1))
-        total += c * poly
-    return Fraction(f) ** (n - 1) * total
+        term = c
+        for j in range(n + 1):
+            sums[j] += term
+            term *= a
+    # f * B_{n,chi} = sum_k C(n, k) f^k S_(n-k) B_k, integer weights
+    total = sum(math.comb(n, k) * f ** k * sums[n - k] * bernoulli(k)
+                for k in range(n + 1))
+    return Fraction(total, f)
 
 
 def lvalue_closed_form(s, D):
@@ -235,11 +246,13 @@ def lvalue_closed_form(s, D):
     else:
         f = abs(D0)
         B = gen_bernoulli(s, D0)
-        # L(s, chi) = (-1)^{1 + s(s-...)} ... use the standard evaluation:
-        # for chi primitive mod f with chi(-1) = (-1)^s,
-        #   L(s, chi) = (-1)^{1 + floor(s/2)}? -- fixed instead by positivity:
-        # |L| = (2 pi / f)^s * sqrt(f) * |B_{s,chi}| / (2 * s!) and L(s) > 0
-        # for s >= 1 (Euler product / positivity of partial sums at real s>1).
+        # For chi primitive mod f with chi(-1) = (-1)^s, the functional
+        # equation turns L(1 - s, chi) = -B_{s,chi}/s (Washington, Thm. 4.2)
+        # into
+        #   |L(s, chi)| = (2 pi / f)^s * sqrt(f) * |B_{s,chi}| / (2 * s!),
+        # since a real character has Gauss sum sqrt(f) (even) or i sqrt(f)
+        # (odd).  The sign is fixed by L(s, chi) > 0 at real s >= 1 (the
+        # Euler product for s > 1, the class number formula at s = 1).
         q = Fraction(2) ** s * abs(B) / (2 * math.factorial(s) * Fraction(f) ** s)
         d = f
         # L = q * pi^s * sqrt(f) / f = q * pi^s / sqrt(f) after folding

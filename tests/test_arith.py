@@ -14,6 +14,7 @@ from orthocount.arith import (
     divisors,
     factorize,
     fundamental_discriminant,
+    gen_bernoulli,
     kronecker,
     lvalue_closed_form,
     moebius,
@@ -121,6 +122,82 @@ class TestBernoulli:
         assert zeta_even_over_pi(2) == Fraction(1, 6)
         assert zeta_even_over_pi(4) == Fraction(1, 90)
         assert zeta_even_over_pi(6) == Fraction(1, 945)
+
+
+def ref_gen_bernoulli(n, D0):
+    """B_{n,chi} as f^(n-1) sum_a chi(a) B_n(a/f), one Fraction polynomial
+    per a: the former implementation, kept as the oracle."""
+    f = abs(D0) if D0 != 1 else 1
+    # B_{n,chi} = f^{n-1} sum_{a=1..f} chi(a) B_n(a/f)
+    total = Fraction(0)
+    for a in range(1, f + 1):
+        c = chi_d(D0, a) if D0 != 1 else (1 if f == 1 else 0)
+        if c == 0:
+            continue
+        x = Fraction(a, f)
+        poly = sum(Fraction(math.comb(n, k)) * bernoulli(k) * x ** (n - k)
+                   for k in range(n + 1))
+        total += c * poly
+    return Fraction(f) ** (n - 1) * total
+
+
+def class_number(D):
+    """h(D) for D < 0 by counting reduced forms (a, b, c), b^2 - 4ac = D."""
+    h = 0
+    a = 1
+    while 3 * a * a <= -D:
+        for b in range(-a + 1, a + 1):
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a or (c == a and b < 0):
+                continue
+            if math.gcd(math.gcd(a, b), c) == 1:
+                h += 1
+        a += 1
+    return h
+
+
+def fundamental_discriminants(bound):
+    return [D for D in range(-bound, bound + 1)
+            if D != 0 and D % 4 in (0, 1) and fundamental_discriminant(D) == (D, 1)]
+
+
+class TestGenBernoulli:
+    def test_matches_fraction_polynomial_reference(self):
+        ds = fundamental_discriminants(60)
+        assert 1 in ds and -59 in ds and 60 in ds
+        for D0 in ds:
+            for n in range(7):
+                got = gen_bernoulli(n, D0)
+                assert isinstance(got, Fraction)
+                assert got == ref_gen_bernoulli(n, D0), (n, D0)
+
+    def test_class_number_formula(self):
+        # h(D) = -(w/2) B_{1,chi_D} for D < 0, w the number of units
+        expected = {-3: Fraction(-1, 3), -4: Fraction(-1, 2), -7: -1, -8: -1,
+                    -15: -2, -23: -3, -39: -4, -47: -5, -71: -7}
+        for D, b1 in expected.items():
+            assert gen_bernoulli(1, D) == b1, D
+        for D in fundamental_discriminants(300):
+            if D < 0:
+                w = {-3: 6, -4: 4}.get(D, 2)
+                assert -Fraction(w, 2) * gen_bernoulli(1, D) == class_number(D), D
+
+    def test_fixed_values(self):
+        assert gen_bernoulli(2, 5) == Fraction(4, 5)
+        assert gen_bernoulli(3, -4) == Fraction(3, 2)
+        # trivial character mod 1: B_{n,1} = B_n(1)
+        assert gen_bernoulli(1, 1) == Fraction(1, 2)
+        for n in range(13):
+            assert gen_bernoulli(n, 1) == sum(math.comb(n, k) * bernoulli(k)
+                                              for k in range(n + 1)), n
+
+    def test_cache_repeat(self):
+        first = gen_bernoulli(5, -31)
+        hits = gen_bernoulli.cache_info().hits
+        assert gen_bernoulli(5, -31) == first == ref_gen_bernoulli(5, -31)
+        assert gen_bernoulli.cache_info().hits == hits + 1
 
 
 class TestFundamentalDiscriminant:

@@ -85,13 +85,15 @@ class TestThetaCoeff:
 
     def test_e7_odd_b_numeric(self):
         # rank 7: b = 5, det 2; the genus again has one class, so the odd-b
-        # formula must reproduce rep counts (floats here: L has no closed form)
+        # formula must reproduce rep counts exactly: chi_D is odd and s = 3
+        # is odd, so L(3, chi_D) has a closed form through B_{3,chi}
         L = QuadLattice.from_rows(E7_GRAM, positive_definite=True)
         ctx = EisensteinContext.from_lattice(L, b=5, p=7)
         table = theta_table(L, 8)
         for m in range(1, 9):
             q = eis_coeff_theta(ctx, L, m)
-            assert q.approx(1e-10) == pytest.approx(table[m], rel=1e-8), m
+            assert q.is_exact, m
+            assert q.exact_fraction() == table[m], m
 
     def test_rejects_wrong_rank(self, e8):
         ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
