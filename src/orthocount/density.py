@@ -10,7 +10,14 @@ Three routes, kept deliberately independent:
   local_density_blockwise  the same count via an ell-adic block
                            diagonalization and a convolution over Z/ell^a;
                            scales to any depth, used to reach stabilization
-                           at ell = 2
+                           at ell = 2.  A 2x2 block is counted in O(ell^a):
+                           pairs with x a unit (y = x t, Q = x^2 f(t)), with
+                           ell | x and y a unit (x = y t, Q = y^2 g(t)), and
+                           with ell dividing both (ell^2 times the count two
+                           depths down); the units spread each value of f
+                           and g evenly over its coset modulo the unit
+                           squares (mod 8 at ell = 2, the quadratic residue
+                           class at odd ell)
   local_density_recursive  odd p, p not dividing m: diagonalize, drop the
                            p-divisible variables, and resolve the unit part
                            with the hyperbolic-splitting recursion
@@ -30,7 +37,6 @@ from .intmat import fp_row_reduce
 from .lattice import p_diagonalize
 
 NAIVE_GUARD = 10 ** 8
-CHUNK = 1 << 16  # histogram cells filled at once by _block_hist
 NAIVE_CHUNK = 1 << 18  # prefixes, or (b, x) cells, per step of _count_naive_np
 
 
@@ -156,7 +162,7 @@ def block_diagonalize(L, ell, work_exp):
         # whenever some diagonal reaches the minimum, and one always can be
         # produced by e_i <- e_i + e_j; at ell = 2 that move fails and the
         # 2x2 block is kept whole.
-        diag = [i for i in idx if _v_ell(G[i][i], ell, work_exp) <= (vmin if ell > 2 else vmin)]
+        diag = [i for i in idx if _v_ell(G[i][i], ell, work_exp) <= vmin]
         if not diag and ell > 2:
             i, j = imin, jmin
             for c in idx:
@@ -218,14 +224,15 @@ def _block_hist(kind, data, ell, a):
     """Histogram of Q over (Z/ell^a)^k for one block, as an int64 array.
 
     hist[r] = #{x : Q(x) = r mod ell^a} for a 1x1 block ("1", g), Q = g x^2/2,
-    or a 2x2 block ("2", (a, b, c)), Q = (a x^2 + 2 b x y + c y^2)/2.  Each
-    value is formed from residues below mod, so every intermediate stays
-    below mod^2 + 2 mod and int64 is exact for any histogram that fits in
-    memory; the 2x2 grid is filled CHUNK cells (at least one row) at a time.
+    or a 2x2 block ("2", (a, b, c)), Q = (a x^2 + 2 b x y + c y^2)/2.  The
+    2x2 count (_binary_hist) splits the pairs three ways: x a unit, ell | x
+    with y a unit, each counted from one binary polynomial in t = y/x or x/y
+    and spread evenly over the cosets of the unit squares, and both divisible
+    by ell, which is ell^2 times the count two depths down.  Each value is
+    formed from residues below mod, so every intermediate stays below
+    mod^2 + 2 mod and int64 is exact for any histogram that fits in memory.
     """
     mod = ell ** a
-    x = np.arange(mod, dtype=np.int64)
-    sq = x * x % mod
     if kind == "1":
         # Q-coefficient of the 1x1 block: data/2 mod ell^a (data stays even
         # at ell = 2; at odd ell divide by the unit 2)
@@ -235,18 +242,61 @@ def _block_hist(kind, data, ell, a):
             qcoef = (data % (2 * mod)) // 2
         else:
             qcoef = data * pow(2, -1, mod) % mod
-        return np.bincount(qcoef * sq % mod, minlength=mod)
+        x = np.arange(mod, dtype=np.int64)
+        return np.bincount(qcoef * (x * x % mod) % mod, minlength=mod)
     aa, bb, cc = data
-    qa, qc = (aa % (2 * mod)) // 2, (cc % (2 * mod)) // 2
-    base = qa * sq % mod
-    lin = bb % mod * x % mod
-    qy = qc * sq % mod
-    hist = np.zeros(mod, dtype=np.int64)
-    rows = max(1, CHUNK // mod)
-    for start in range(0, mod, rows):
-        sl = slice(start, start + rows)
-        q = (lin[sl, None] * x + (base[sl, None] + qy)) % mod
-        hist += np.bincount(q.ravel(), minlength=mod)
+    return _binary_hist((aa % (2 * mod)) // 2, bb, (cc % (2 * mod)) // 2, ell, a)
+
+
+def _binary_hist(qa, qb, qc, ell, a):
+    """#{(x, y) in (Z/ell^a)^2 : qa x^2 + qb x y + qc y^2 = r}, for every r.
+
+    The pairs split three ways, and only the last one recurses:
+      x a unit:            y = x t turns Q into x^2 f(t), f = qa + qb t + qc t^2;
+      ell | x, y a unit:   x = y t with ell | t turns Q into y^2 g(t),
+                           g = qc + qb t + qa t^2;
+      ell divides both:    Q(ell x', ell y') = ell^2 Q(x', y'), so
+                           hist_a[ell^2 s] += ell^2 hist_(a-2)[s].
+    Let H be the histogram of f over every t plus that of g over ell | t.
+    As the unit x runs over (Z/ell^a)*, x^2 f(t) with f(t) = ell^k w runs
+    evenly over ell^k times the coset of w modulo the unit squares mod
+    ell^(a-k).  So hist[0] gets phi(ell^a) H[0], and r = ell^k w with w a
+    unit mod ell^(a-k) gets phi(ell^a)/|c| times the sum of H[ell^k w'] over
+    the coset c of w: the class of w mod 2^min(a-k, 3) at ell = 2, and its
+    quadratic residue class mod ell at odd ell.  Depths a <= 1 are counted
+    on the ell^2 grid.  The cost is O(ell^a), and every intermediate stays
+    below mod^2 + 2 mod.
+    """
+    mod = ell ** a
+    qa, qb, qc = qa % mod, qb % mod, qc % mod
+    if a <= 1:
+        x = np.arange(mod, dtype=np.int64)
+        sq = x * x % mod
+        q = (qa * sq % mod)[:, None] + (qb * x % mod)[:, None] * x + qc * sq % mod
+        return np.bincount((q % mod).ravel(), minlength=mod)
+    t = np.arange(mod, dtype=np.int64)
+    f = (qa + qb * t % mod + qc * (t * t % mod)) % mod
+    t = t[: mod // ell] * ell
+    g = (qc + qb * t % mod + qa * (t * t % mod)) % mod
+    H = np.bincount(f, minlength=mod) + np.bincount(g, minlength=mod)
+    phi = mod - mod // ell
+    if ell > 2:
+        residue = np.zeros(ell, dtype=bool)
+        residue[np.arange(1, ell) ** 2 % ell] = True
+    hist = np.empty(mod, dtype=np.int64)
+    for k in range(a):
+        # hist[::ell^k] holds r = ell^k w for every w mod ell^(a-k); the w
+        # that ell divides are overwritten at k + 1, and r = 0 after the loop
+        step, size = ell ** k, mod // ell ** k
+        c = min(size, 8) if ell == 2 else ell
+        S = H[::step].reshape(-1, c).sum(axis=0)
+        if ell > 2:
+            S = np.where(residue, S[residue].sum(), S[1:][~residue[1:]].sum())
+        # a coset holds phi(size)/phi(c) units at ell = 2, phi(size)/2 at odd ell
+        coset = (size - size // ell) // (c // 2 if ell == 2 else 2)
+        hist[::step] = np.tile(phi // coset * S, size // c)
+    hist[0] = phi * H[0]
+    hist[:: ell * ell] += ell * ell * _binary_hist(qa, qb, qc, ell, a - 2)
     return hist
 
 

@@ -12,6 +12,7 @@ theta check exact rather than float-tolerant.
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import (
     InvariantError,
@@ -234,6 +235,11 @@ def eis_coeff_global(ctx, local_densities, m):
     return _coeff_common(ctx.b, m, ctx.detL, ctx.discOrder, dens, sign=-1)
 
 
+@lru_cache(maxsize=64)  # bounded: one entry per lattice, reused for every m
+def _det_and_disc(L):
+    return det_and_disc_group(L)
+
+
 def eis_coeff_theta(ctx, Lprime, m):
     """Coefficient q_{L'}(m) of the Eisenstein part of theta(L').
 
@@ -247,7 +253,7 @@ def eis_coeff_theta(ctx, Lprime, m):
         raise ValueError("L' must be positive definite")
     if Lprime.rank != ctx.b + 2:
         raise ValueError(f"L' must have rank b+2 = {ctx.b + 2}")
-    det_p, disc_p = det_and_disc_group(Lprime)
+    det_p, disc_p = _det_and_disc(Lprime)
     # off p, the determinant valuations must match the ambient's
     for ell in ctx.badPrimes:
         va = _val(abs(ctx.detL), ell)

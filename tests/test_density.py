@@ -12,6 +12,7 @@ from orthocount import density
 from orthocount.density import (
     _block_hist,
     _count_naive_np,
+    block_diagonalize,
     local_density,
     local_density_blockwise,
     local_density_naive,
@@ -20,7 +21,7 @@ from orthocount.density import (
 )
 from orthocount.lattice import QuadLattice
 
-from conftest import random_posdef_gram
+from conftest import E8_GRAM, random_posdef_gram
 
 HYP = QuadLattice.from_rows([[0, 1], [1, 0]])
 
@@ -161,11 +162,39 @@ class TestBlockwise:
                 (p, L.gram, m, a)
 
     def test_e8_delta2_closed_form(self, e8):
-        # delta_2(E8, m) = (15/16) * sigma_{-3}(2-part of m)
-        for m in (1, 2, 3, 4, 8, 16, 20):
+        # delta_2(E8, m) = (15/16) * sigma_{-3}(2-part of m); m = 64 and 256
+        # stabilize at depths 9 and 11 and are checked at 10 and 12
+        for m in (1, 2, 3, 4, 8, 16, 20, 64, 256):
             v2 = (m & -m).bit_length() - 1
             expect = Fraction(15, 16) * sum(Fraction(1, 8 ** k) for k in range(v2 + 1))
             assert local_density(2, e8, m) == expect
+
+    def test_bigint_prefold_e8_cubed(self, monkeypatch):
+        # E8+E8+E8 has twelve 2x2 blocks at ell = 2, each counting 4^a pairs, so
+        # at depths 8 and 9 the int64 merge stops after three blocks and the
+        # big-int pre-fold has to take four partial products down to two.
+        # An even unimodular lattice of rank 2k has
+        # delta_2(m) = (1 - 2^-k) sum_{j <= v_2(m)} 2^(j(1-k)).
+        n = len(E8_GRAM)
+        G = [[E8_GRAM[i % n][j % n] if i // n == j // n else 0 for j in range(3 * n)]
+             for i in range(3 * n)]
+        L = QuadLattice.from_rows(G, positive_definite=True)
+        k, m = 12, 32
+        expect = (1 - Fraction(1, 2 ** k)) * sum(Fraction(1, 2 ** (j * (k - 1)))
+                                                 for j in range(6))
+        convolutions = []
+        real = density._cyclic_convolve_i64
+        monkeypatch.setattr(density, "_cyclic_convolve_i64",
+                            lambda x, y, mod: convolutions.append(mod) or real(x, y, mod))
+        for a in (8, 9):
+            density._blockwise_factors.cache_clear()
+            convolutions.clear()
+            assert local_density_blockwise(2, L, m, a) == expect
+            # every int64 product after the first starts from one block
+            # histogram without a convolution
+            blocks = block_diagonalize(L, 2, a + 6)
+            assert [kind for kind, _ in blocks] == ["2"] * 12
+            assert len(blocks) - len(convolutions) + 1 > 2
 
     def test_deep_depth_reachable(self, e8):
         # depth 11 at ell=2 and rank 8 is far beyond the naive guard
@@ -195,8 +224,45 @@ def block_hist_reference(kind, data, ell, a):
     return hist
 
 
+def block_hist_grid(data, ell, a):
+    """The numpy grid the unit-substitution count replaced: Q on every cell
+    of the ell^a x ell^a grid of a 2x2 block, a bounded chunk of rows at a
+    time."""
+    mod = ell ** a
+    aa, bb, cc = data
+    qa, qc = (aa % (2 * mod)) // 2, (cc % (2 * mod)) // 2
+    x = np.arange(mod, dtype=np.int64)
+    sq = x * x % mod
+    base = qa * sq % mod
+    lin = bb % mod * x % mod
+    qy = qc * sq % mod
+    hist = np.zeros(mod, dtype=np.int64)
+    rows = max(1, (1 << 16) // mod)
+    for start in range(0, mod, rows):
+        sl = slice(start, start + rows)
+        q = (lin[sl, None] * x + (base[sl, None] + qy)) % mod
+        hist += np.bincount(q.ravel(), minlength=mod)
+    return hist
+
+
 # ell -> largest depth checked: moduli up to 2^8, 3^5, 5^3 and 7^2
 HIST_DEPTHS = {2: 8, 3: 5, 5: 3, 7: 2}
+# deeper moduli, checked against the numpy grid: 2^10, 3^6, 5^4 and 7^3
+GRID_DEPTHS = {2: 10, 3: 6, 5: 4, 7: 3}
+
+
+def random_block(rng, ell, a):
+    """A 2x2 gram block (a, b, c) with even diagonal entries, each entry a
+    residue, ell-divisible, negative, above 2^63 or zero, and b = 0 mod ell^a
+    a third of the time."""
+    mod = ell ** a
+
+    def entry():
+        return rng.choice([rng.randrange(mod), ell * rng.randrange(1, mod + 1),
+                           -rng.randrange(1, 3 * mod), rng.randrange(2 ** 63, 2 ** 70), 0])
+
+    bb = mod * rng.randint(-3, 3) if rng.random() < 1 / 3 else entry()
+    return 2 * entry(), bb, 2 * entry()
 
 
 def hist_coefficients(ell, a):
@@ -229,16 +295,41 @@ class TestBlockHistograms:
                         (ell, a, g1, b, g2)
 
     @pytest.mark.parametrize("ell,a", [(2, 1), (3, 1), (2, 3), (5, 2), (3, 3), (2, 6)])
-    def test_chunk_sizes(self, monkeypatch, ell, a):
-        # one-row chunks (CHUNK 1, and CHUNK below mod), several rows per
-        # chunk with a short last chunk (7 at small mod, 3 mod + 1)
+    def test_chunk_sizes(self, ell, a):
+        # small fixed blocks at the base-case depth and a few depths above it
         mod = ell ** a
         cases = [(2, 1, 2), (2 * ell + 2, ell, 2 * ell), (0, 3, 2), (2 * mod + 4, -1, 2)]
-        for chunk in (1, 7, mod - 1, 3 * mod + 1):
-            monkeypatch.setattr(density, "CHUNK", chunk)
-            for data in cases:
-                assert _block_hist("2", data, ell, a).tolist() == \
-                    block_hist_reference("2", data, ell, a), (chunk, data)
+        for data in cases:
+            assert _block_hist("2", data, ell, a).tolist() == \
+                block_hist_reference("2", data, ell, a), data
+
+    @pytest.mark.parametrize("ell", sorted(HIST_DEPTHS))
+    def test_2x2_random_blocks(self, rng, ell):
+        # depths 1 and 2 sit at the grid base case and one step above it
+        for a in range(1, GRID_DEPTHS[ell] + 1):
+            for _ in range(8 if a <= 2 else 4):
+                data = random_block(rng, ell, a)
+                got = _block_hist("2", data, ell, a)
+                assert got.dtype == np.int64
+                if a <= HIST_DEPTHS[ell]:
+                    expect = block_hist_reference("2", data, ell, a)
+                else:
+                    expect = block_hist_grid(data, ell, a).tolist()
+                assert got.tolist() == expect, (ell, a, data)
+
+    @pytest.mark.parametrize("ell,depth", [(2, 16), (3, 9)])
+    def test_2x2_fold_identity(self, rng, ell, depth):
+        # a pair mod ell^a lifts to ell^2 pairs mod ell^(a+1) with the same
+        # Q mod ell^a: ell^2 hist_a[r] = sum over r' = r mod ell^a of hist_(a+1)[r']
+        for _ in range(3):
+            data = random_block(rng, ell, depth)
+            hist = _block_hist("2", data, ell, 1)
+            for a in range(1, depth):
+                deeper = _block_hist("2", data, ell, a + 1)
+                assert deeper.sum() == ell ** (2 * a + 2)
+                assert (deeper.reshape(ell, -1).sum(axis=0) == ell * ell * hist).all(), \
+                    (ell, a, data)
+                hist = deeper
 
     def test_1x1_exact_where_unreduced_products_overflow(self):
         # at mod 3^14, qcoef * x^2 passes 2^63 unless x^2 is reduced first;

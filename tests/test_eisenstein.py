@@ -95,6 +95,22 @@ class TestThetaCoeff:
             assert q.is_exact, m
             assert q.exact_fraction() == table[m], m
 
+    def test_determinant_read_once_per_lattice(self, monkeypatch):
+        # det and discriminant group of L' come from one Smith form per
+        # lattice; the valuation check against the ambient runs on every call
+        calls = []
+        real = eisenstein.det_and_disc_group
+        monkeypatch.setattr(eisenstein, "det_and_disc_group",
+                            lambda L: calls.append(L) or real(L))
+        eisenstein._det_and_disc.cache_clear()
+        L = QuadLattice.from_rows(D8_GRAM, positive_definite=True)
+        for m in range(1, 6):
+            eis_coeff_theta(EisensteinContext(b=6, p=7, detL=4, discOrder=4), L, m)
+        assert calls == [L]
+        with pytest.raises(ValueError, match="disagrees"):
+            eis_coeff_theta(EisensteinContext(b=6, p=7, detL=1, discOrder=1), L, 1)
+        assert calls == [L]
+
     def test_rejects_wrong_rank(self, e8):
         ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
         with pytest.raises(ValueError):
