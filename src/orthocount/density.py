@@ -8,9 +8,10 @@ Three routes, kept deliberately independent:
                            last coordinate is counted through a table of its
                            values per linear coefficient
   local_density_blockwise  the same count via an ell-adic block
-                           diagonalization and a convolution over Z/ell^a;
-                           scales to any depth, used to reach stabilization
-                           at ell = 2.  A 2x2 block is counted in O(ell^a):
+                           diagonalization, merging the block histograms by
+                           an exact contraction over the O(a) orbits of the
+                           unit squares; scales to any depth, used to reach
+                           stabilization at ell = 2.  A 2x2 block costs O(ell^a):
                            pairs with x a unit (y = x t, Q = x^2 f(t)), with
                            ell | x and y a unit (x = y t, Q = y^2 g(t)), and
                            with ell dividing both (ell^2 times the count two
@@ -196,6 +197,8 @@ def block_diagonalize(L, ell, work_exp):
             a, b, c = G[i][i], G[i][j], G[j][j]
             det = (a * c - b * b) % M
             dv = _v_ell(det, ell, work_exp)
+            if dv >= work_exp:
+                raise ArithmeticError("working precision exhausted in block reduction")
             if dv != 2 * vmin:
                 raise InvariantError("2x2 pivot block is not ell^v times a unimodular block")
             dinv = pow(det // ell ** dv, -1, M)
@@ -300,62 +303,67 @@ def _binary_hist(qa, qb, qc, ell, a):
     return hist
 
 
-def _cyclic_convolve_i64(x, y, mod):
-    full = np.convolve(x, y)
-    out = full[:mod].copy()
-    out[: full.shape[0] - mod] += full[mod:]
-    return out
+@lru_cache(maxsize=64)
+def _orbits(ell, a):
+    """Orbits of Z/ell^a under multiplication by the unit squares (cached).
+
+    r = ell^k w, w a unit mod ell^(a-k), has the orbit ell^k times the coset
+    of w modulo the unit squares: the class of w mod 2^min(a-k, 3) at ell = 2,
+    the quadratic residue class of w at odd ell; 0 is an orbit alone.
+    Returns (labels, reps, o1, o2, cnt, starts): the orbit label of every
+    residue, one representative per orbit, and the nonzero entries
+    cnt = T[o3, o1, o2] = #{x in o1 : z - x in o2}, z the representative of
+    o3, ordered by o3 with the entries of o3 from starts[o3] on.  T does not
+    depend on z within o3: x -> u^2 x maps the x counted for z onto those
+    counted for u^2 z.
+    """
+    mod = ell ** a
+    r = np.arange(mod, dtype=np.int64)
+    v = sum(r % ell ** k == 0 for k in range(1, a + 1))  # v_ell(r), and a at r = 0
+    w = r // ell ** v
+    if ell == 2:
+        cls = w % 2 ** np.minimum(a - v, 3) // 2
+    else:
+        nonresidue = np.ones(ell, dtype=np.int64)
+        nonresidue[np.arange(ell) ** 2 % ell] = 0
+        cls = nonresidue[w % ell]
+    _, reps, labels = np.unique(4 * v + cls, return_index=True, return_inverse=True)
+    n, twice = len(reps), np.tile(labels, 2)
+    # twice[z + mod - x] is the label of z - x, for x = 0 .. mod - 1
+    T = np.array([np.bincount(labels * n + twice[z + mod: z: -1], minlength=n * n)
+                  for z in reps])
+    o3, pair = np.nonzero(T)
+    return (labels, reps, pair // n, pair % n, T[o3, pair].astype(object),
+            np.searchsorted(o3, np.arange(n)))
 
 
 @lru_cache(maxsize=256)
 def _blockwise_factors(L, ell, a):
-    """Partially merged per-block count histograms at depth a (cached).
+    """#{v in (Z/ell^a)^rank : Q(v) = r} for r in each orbit of _orbits (cached).
 
-    Factors are merged by int64 cyclic convolution while the exact entry
-    bound (product of factor sums) allows; leftovers stay as big-int lists.
+    Q(u x) = u^2 Q(x), so each block histogram is constant on the orbits, and
+    so is the count for a sum of blocks: adding a block with histogram h is
+    the exact contraction new[o3] = sum of T[o3, o1, o2] merged[o1] h[o2],
+    in Python ints.  A block histogram that is not constant on the orbits
+    raises InvariantError.  The vector is returned read-only.
     """
-    mod = ell ** a
-    blocks = block_diagonalize(L, ell, a + 6)
-    factors = []
-    for kind, data in blocks:
+    labels, reps, o1, o2, cnt, starts = _orbits(ell, a)
+    merged = np.zeros(len(reps), dtype=object)
+    merged[labels[0]] = 1
+    for kind, data in block_diagonalize(L, ell, a + 6):
         hist = _block_hist(kind, data, ell, a)
-        factors.append((hist, mod if kind == "1" else mod * mod))
-    factors.sort(key=lambda t: t[1])
-    merged = []
-    cur, cur_sum = np.zeros(mod, dtype=np.int64), 1
-    cur[0] = 1
-    for hist, s in factors:
-        if cur_sum * s < (1 << 62):
-            cur = _cyclic_convolve_i64(cur, hist, mod)
-            cur_sum *= s
-        else:
-            merged.append(tuple(int(v) for v in cur))
-            cur, cur_sum = hist, s
-    merged.append(tuple(int(v) for v in cur))
-    # pre-fold down to at most two factors with exact big-int convolution
-    while len(merged) > 2:
-        b = list(merged.pop())
-        aa = list(merged.pop())
-        new = [0] * mod
-        for u, cu in enumerate(aa):
-            if cu:
-                for w, cw in enumerate(b):
-                    if cw:
-                        new[(u + w) % mod] += cu * cw
-        merged.append(tuple(new))
-    return tuple(merged)
+        h = hist[reps]
+        if (hist != h[labels]).any():
+            raise InvariantError("block histogram is not constant on the unit-square orbits")
+        merged = np.add.reduceat(merged[o1] * h[o2] * cnt, starts)
+    merged.flags.writeable = False
+    return merged
 
 
 def count_blockwise(L, ell, m, a):
     """#{v in (Z/ell^a)^rank : Q(v) = m}, via block reduction (any depth)."""
     _check_prime(ell)
-    mod = ell ** a
-    merged = _blockwise_factors(L, ell, a)
-    target = m % mod
-    if len(merged) == 1:
-        return merged[0][target]
-    aa, b = merged
-    return sum(aa[u] * b[(target - u) % mod] for u in range(mod) if aa[u])
+    return _blockwise_factors(L, ell, a)[_orbits(ell, a)[0][m % ell ** a]]
 
 
 def local_density_blockwise(ell, L, m, a):

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,9 @@ from orthocount import density
 from orthocount.density import (
     _block_hist,
     _count_naive_np,
+    _orbits,
     block_diagonalize,
+    count_blockwise,
     local_density,
     local_density_blockwise,
     local_density_naive,
@@ -24,6 +27,11 @@ from orthocount.lattice import QuadLattice
 from conftest import E8_GRAM, random_posdef_gram
 
 HYP = QuadLattice.from_rows([[0, 1], [1, 0]])
+# at ell = 2 and depth 8 a 2x2 pivot of this gram has a determinant that
+# vanishes modulo 2^(8 + 6), the working precision of the block reduction
+PRECISION_GRAM = [[88, -64, 56, 32, 4, -16], [-64, 88, -48, -48, -28, 28],
+                  [56, -48, 80, 32, -12, -4], [32, -48, 32, 96, 8, -8],
+                  [4, -28, -12, 8, 30, -22], [-16, 28, -4, -8, -22, 20]]
 
 
 def random_p_lattice(rng, p, rank):
@@ -169,11 +177,10 @@ class TestBlockwise:
             expect = Fraction(15, 16) * sum(Fraction(1, 8 ** k) for k in range(v2 + 1))
             assert local_density(2, e8, m) == expect
 
-    def test_bigint_prefold_e8_cubed(self, monkeypatch):
-        # E8+E8+E8 has twelve 2x2 blocks at ell = 2, each counting 4^a pairs, so
-        # at depths 8 and 9 the int64 merge stops after three blocks and the
-        # big-int pre-fold has to take four partial products down to two.
-        # An even unimodular lattice of rank 2k has
+    def test_e8_cubed_deep_closed_form(self):
+        # E8+E8+E8 has twelve 2x2 blocks at ell = 2, each counting 4^a pairs,
+        # so every count is far past int64 (2^(23 a) times the density).  An
+        # even unimodular lattice of rank 2k has
         # delta_2(m) = (1 - 2^-k) sum_{j <= v_2(m)} 2^(j(1-k)).
         n = len(E8_GRAM)
         G = [[E8_GRAM[i % n][j % n] if i // n == j // n else 0 for j in range(3 * n)]
@@ -182,24 +189,146 @@ class TestBlockwise:
         k, m = 12, 32
         expect = (1 - Fraction(1, 2 ** k)) * sum(Fraction(1, 2 ** (j * (k - 1)))
                                                  for j in range(6))
-        convolutions = []
-        real = density._cyclic_convolve_i64
-        monkeypatch.setattr(density, "_cyclic_convolve_i64",
-                            lambda x, y, mod: convolutions.append(mod) or real(x, y, mod))
-        for a in (8, 9):
+        for a in (8, 9, 16):
+            density._orbits.cache_clear()
             density._blockwise_factors.cache_clear()
-            convolutions.clear()
             assert local_density_blockwise(2, L, m, a) == expect
-            # every int64 product after the first starts from one block
-            # histogram without a convolution
-            blocks = block_diagonalize(L, 2, a + 6)
-            assert [kind for kind, _ in blocks] == ["2"] * 12
-            assert len(blocks) - len(convolutions) + 1 > 2
+            assert [kind for kind, _ in block_diagonalize(L, 2, a + 6)] == ["2"] * 12
+            count = count_blockwise(L, 2, m, a)
+            assert type(count) is int and count > 2 ** 63
+        # at depths 8 and 9 the reference merge pre-folds four int64 partial
+        # products down to two; the orbit merge agrees at every target
+        for a in (8, 9):
+            assert merge_matches_reference(L, 2, a)
+
+    def test_precision_exhausted_at_2x2_pivot(self):
+        L = QuadLattice.from_rows(PRECISION_GRAM)
+        for call in (lambda: count_blockwise(L, 2, 0, 8), lambda: local_density(2, L, 8)):
+            with pytest.raises(ArithmeticError) as err:
+                call()
+            assert err.type is ArithmeticError
+            assert str(err.value) == "working precision exhausted in block reduction"
 
     def test_deep_depth_reachable(self, e8):
         # depth 11 at ell=2 and rank 8 is far beyond the naive guard
         d = local_density_blockwise(2, e8, 16, 11)
         assert d == local_density_blockwise(2, e8, 16, 12)
+
+
+def ref_cyclic_convolve_i64(x, y, mod):
+    full = np.convolve(x, y)
+    out = full[:mod].copy()
+    out[: full.shape[0] - mod] += full[mod:]
+    return out
+
+
+def ref_blockwise_counts(L, ell, a):
+    """The block merge the orbit contraction replaced, as the count for
+    every target mod ell^a: int64 cyclic convolution while the product of
+    the factor sums stays below 2^62, a big-int pre-fold down to two
+    factors, and the sum over u of aa[u] b[target - u] for all targets."""
+    mod = ell ** a
+    blocks = block_diagonalize(L, ell, a + 6)
+    factors = []
+    for kind, data in blocks:
+        hist = _block_hist(kind, data, ell, a)
+        factors.append((hist, mod if kind == "1" else mod * mod))
+    factors.sort(key=lambda t: t[1])
+    merged = []
+    cur, cur_sum = np.zeros(mod, dtype=np.int64), 1
+    cur[0] = 1
+    for hist, s in factors:
+        if cur_sum * s < (1 << 62):
+            cur = ref_cyclic_convolve_i64(cur, hist, mod)
+            cur_sum *= s
+        else:
+            merged.append(tuple(int(v) for v in cur))
+            cur, cur_sum = hist, s
+    merged.append(tuple(int(v) for v in cur))
+    # pre-fold down to at most two factors with exact big-int convolution
+    while len(merged) > 2:
+        b = list(merged.pop())
+        aa = list(merged.pop())
+        new = [0] * mod
+        for u, cu in enumerate(aa):
+            if cu:
+                for w, cw in enumerate(b):
+                    if cw:
+                        new[(u + w) % mod] += cu * cw
+        merged.append(tuple(new))
+    if len(merged) == 1:
+        return list(merged[0])
+    aa, b = merged
+    # np.roll(b, u)[target] = b[(target - u) % mod]
+    b = np.array(b, dtype=object)
+    return sum(aa[u] * np.roll(b, u) for u in range(mod) if aa[u]).tolist()
+
+
+# ell -> largest depth of the merge check: moduli up to 2^11, 3^7, 5^5, 7^4
+MERGE_DEPTHS = {2: 11, 3: 7, 5: 5, 7: 4}
+
+
+def merge_lattice(rng, ell, rank, a):
+    """A random lattice, with ell-divisible blocks 40% of the time; a fifth
+    of those are scaled so far that the block reduction at depth a runs out
+    of its working precision ell^(a+6)."""
+    G = random_posdef_gram(rng, rank, spread=2)
+    if rng.random() < 0.4:
+        e = (a + 7) // 2 if rng.random() < 0.2 else 1
+        D = [ell ** e if i < rng.randint(1, rank) else 1 for i in range(rank)]
+        G = [[G[i][j] * D[i] * D[j] for j in range(rank)] for i in range(rank)]
+    return QuadLattice.from_rows(G, positive_definite=True)
+
+
+def merge_matches_reference(L, ell, a):
+    """Assert that count_blockwise equals ref_blockwise_counts at every
+    target, or raises the same ArithmeticError; True if it answered."""
+    try:
+        expect = ref_blockwise_counts(L, ell, a)
+    except ArithmeticError as err:
+        with pytest.raises(ArithmeticError, match=re.escape(str(err))):
+            count_blockwise(L, ell, 0, a)
+        return False
+    assert [count_blockwise(L, ell, m, a) for m in range(ell ** a)] == expect, \
+        (ell, a, L.gram)
+    return True
+
+
+class TestOrbitMerge:
+    @pytest.mark.parametrize("ell", sorted(MERGE_DEPTHS))
+    def test_matches_reference_merge(self, rng, ell):
+        answered = [merge_matches_reference(merge_lattice(rng, ell, rank, a), ell, a)
+                    for rank in range(1, 7) for a in range(1, MERGE_DEPTHS[ell] + 1)]
+        assert any(answered) and not all(answered)
+
+    def test_matches_reference_merge_at_precision_limit(self):
+        # the block reduction runs out of precision up to depth 8, the last
+        # time at a 2x2 pivot, and answers from depth 9 on
+        L = QuadLattice.from_rows(PRECISION_GRAM)
+        assert [merge_matches_reference(L, 2, a) for a in range(7, 12)] == \
+            [False, False, True, True, True]
+
+    @pytest.mark.parametrize("ell,depth", [(2, 9), (3, 5), (5, 3), (7, 3)])
+    def test_orbits_brute_force(self, ell, depth):
+        for a in range(1, depth + 1):
+            mod = ell ** a
+            labels, reps, o1, o2, cnt, starts = _orbits(ell, a)
+            lab = labels.tolist()
+            members = {}
+            for r in range(mod):
+                members.setdefault(lab[r], set()).add(r)
+            squares = {u * u % mod for u in range(mod) if u % ell}
+            for r in range(mod):
+                assert members[lab[r]] == {s * r % mod for s in squares}, (ell, a, r)
+            n = len(reps)
+            assert [lab[z] for z in reps] == list(range(n)) == sorted(members)
+            T = np.zeros((n, n, n), dtype=np.int64)
+            T[np.repeat(np.arange(n), np.diff(starts, append=len(cnt))), o1, o2] = cnt
+            for z in range(mod):
+                direct = np.zeros((n, n), dtype=np.int64)
+                for x in range(mod):
+                    direct[lab[x], lab[(z - x) % mod]] += 1
+                assert (direct == T[lab[z]]).all(), (ell, a, z)
 
 
 def block_hist_reference(kind, data, ell, a):
@@ -340,20 +469,39 @@ class TestBlockHistograms:
         assert (h[2::3] == 2).all() and not h[1::3].any()
 
     def test_invariant_fires_under_python_O(self):
-        src = os.path.dirname(os.path.dirname(orthocount.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        code = ("from orthocount.arith import InvariantError\n"
-                "from orthocount.density import _block_hist\n"
-                "assert False, 'asserts are live'\n"
-                "try:\n"
-                "    _block_hist('1', 3, 2, 3)\n"
-                "except InvariantError:\n"
-                "    raise SystemExit(0)\n"
-                "raise SystemExit(1)\n")
-        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                           capture_output=True, text=True, timeout=60)
-        assert r.returncode == 0, r.stderr
+        assert_invariant_fires_under_python_O("_block_hist('1', 3, 2, 3)\n")
+
+    def test_orbit_constancy_fires_under_python_O(self):
+        # one extra x with x^2 = 1 mod 25 leaves Q = 4, in the same orbit, behind
+        assert_invariant_fires_under_python_O(
+            "real = density._block_hist\n"
+            "def skewed(kind, data, ell, a):\n"
+            "    hist = real(kind, data, ell, a).copy()\n"
+            "    hist[1] += 1\n"
+            "    return hist\n"
+            "density._block_hist = skewed\n"
+            "density.count_blockwise(QuadLattice.from_rows([[2]]), 5, 1, 2)\n")
+
+
+def assert_invariant_fires_under_python_O(call):
+    """Run `call` under python -O, where asserts are stripped, and require
+    it to raise InvariantError."""
+    src = os.path.dirname(os.path.dirname(orthocount.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    body = "".join("    " + line + "\n" for line in call.splitlines())
+    code = ("from orthocount import density\n"
+            "from orthocount.arith import InvariantError\n"
+            "from orthocount.density import _block_hist\n"
+            "from orthocount.lattice import QuadLattice\n"
+            "assert False, 'asserts are live'\n"
+            "try:\n" + body +
+            "except InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
 
 
 class TestStabilization:
