@@ -36,6 +36,17 @@ def is_prime(n):
     return True
 
 
+def valuation(n, p, zero):
+    """v_p(n), the exponent of p in n, for n != 0; `zero` for n = 0."""
+    if n == 0:
+        return zero
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def factorize(n):
     """Sorted list of (prime, exponent) for n >= 1."""
     if n < 1:

@@ -8,17 +8,14 @@ Three routes, kept deliberately independent:
                            last coordinate is counted through a table of its
                            values per linear coefficient
   local_density_blockwise  the same count via an ell-adic block
-                           diagonalization, merging the block histograms by
-                           an exact contraction over the O(a) orbits of the
-                           unit squares; scales to any depth, used to reach
-                           stabilization at ell = 2.  A 2x2 block costs O(ell^a):
-                           pairs with x a unit (y = x t, Q = x^2 f(t)), with
-                           ell | x and y a unit (x = y t, Q = y^2 g(t)), and
-                           with ell dividing both (ell^2 times the count two
-                           depths down); the units spread each value of f
-                           and g evenly over its coset modulo the unit
-                           squares (mod 8 at ell = 2, the quadratic residue
-                           class at odd ell)
+                           diagonalization; scales to any depth, used to
+                           reach stabilization at ell = 2.  Every block is
+                           counted directly on the O(a) orbits of Z/ell^a
+                           under the unit squares, from a weighted list of
+                           its Q-values (for a 2x2 block, O(ell^a) of them
+                           through y = x t and x = y t), and the blocks are
+                           merged by an exact contraction over those orbits;
+                           _orbits is the only code that knows them
   local_density_recursive  odd p, p not dividing m: diagonalize, drop the
                            p-divisible variables, and resolve the unit part
                            with the hyperbolic-splitting recursion
@@ -33,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import InvariantError, is_prime
+from .arith import InvariantError, is_prime, valuation
 from .intmat import fp_row_reduce
 from .lattice import p_diagonalize
 
@@ -132,16 +129,6 @@ def local_density_naive(ell, L, m, a):
 # ---------------------------------------------------------------------------
 # blockwise counter
 
-def _v_ell(x, ell, cap):
-    if x == 0:
-        return cap
-    v = 0
-    while x % ell == 0:
-        x //= ell
-        v += 1
-    return v
-
-
 def block_diagonalize(L, ell, work_exp):
     """Blocks of a form congruent to gram over Z_ell modulo ell^work_exp.
 
@@ -155,7 +142,7 @@ def block_diagonalize(L, ell, work_exp):
     idx = list(range(n))
     blocks = []
     while idx:
-        vmin, imin, jmin = min((_v_ell(G[i][j], ell, work_exp), i, j)
+        vmin, imin, jmin = min((valuation(G[i][j], ell, work_exp), i, j)
                                for i in idx for j in idx)
         if vmin >= work_exp:
             raise ArithmeticError("working precision exhausted in block reduction")
@@ -163,7 +150,7 @@ def block_diagonalize(L, ell, work_exp):
         # whenever some diagonal reaches the minimum, and one always can be
         # produced by e_i <- e_i + e_j; at ell = 2 that move fails and the
         # 2x2 block is kept whole.
-        diag = [i for i in idx if _v_ell(G[i][i], ell, work_exp) <= vmin]
+        diag = [i for i in idx if valuation(G[i][i], ell, work_exp) <= vmin]
         if not diag and ell > 2:
             i, j = imin, jmin
             for c in idx:
@@ -174,12 +161,12 @@ def block_diagonalize(L, ell, work_exp):
         if diag:
             k = diag[0]
             piv = G[k][k]
-            pv = _v_ell(piv, ell, work_exp)
+            pv = valuation(piv, ell, work_exp)
             uinv = pow(piv // ell ** pv, -1, M)
             for r_ in idx:
                 if r_ == k:
                     continue
-                if _v_ell(G[r_][k], ell, work_exp) < pv:
+                if valuation(G[r_][k], ell, work_exp) < pv:
                     raise InvariantError("1x1 pivot does not divide its column")
                 mult = (G[r_][k] // ell ** pv) * uinv % M
                 for c_ in idx:
@@ -196,7 +183,7 @@ def block_diagonalize(L, ell, work_exp):
                 raise InvariantError("2x2 pivot on the diagonal")
             a, b, c = G[i][i], G[i][j], G[j][j]
             det = (a * c - b * b) % M
-            dv = _v_ell(det, ell, work_exp)
+            dv = valuation(det, ell, work_exp)
             if dv >= work_exp:
                 raise ArithmeticError("working precision exhausted in block reduction")
             if dv != 2 * vmin:
@@ -208,7 +195,7 @@ def block_diagonalize(L, ell, work_exp):
                 gi, gj = G[r_][i], G[r_][j]
                 x = gi * c - gj * b
                 y = -gi * b + gj * a
-                if _v_ell(x, ell, work_exp * 3) < dv or _v_ell(y, ell, work_exp * 3) < dv:
+                if valuation(x, ell, work_exp * 3) < dv or valuation(y, ell, work_exp * 3) < dv:
                     raise InvariantError("2x2 pivot block does not divide its columns")
                 x = (x // ell ** dv) * dinv % M
                 y = (y // ell ** dv) * dinv % M
@@ -223,17 +210,82 @@ def block_diagonalize(L, ell, work_exp):
     return blocks
 
 
-def _block_hist(kind, data, ell, a):
-    """Histogram of Q over (Z/ell^a)^k for one block, as an int64 array.
+@lru_cache(maxsize=64)
+def _orbits(ell, a):
+    """Orbits of Z/ell^a under multiplication by the unit squares (cached).
 
-    hist[r] = #{x : Q(x) = r mod ell^a} for a 1x1 block ("1", g), Q = g x^2/2,
-    or a 2x2 block ("2", (a, b, c)), Q = (a x^2 + 2 b x y + c y^2)/2.  The
-    2x2 count (_binary_hist) splits the pairs three ways: x a unit, ell | x
-    with y a unit, each counted from one binary polynomial in t = y/x or x/y
-    and spread evenly over the cosets of the unit squares, and both divisible
-    by ell, which is ell^2 times the count two depths down.  Each value is
-    formed from residues below mod, so every intermediate stays below
-    mod^2 + 2 mod and int64 is exact for any histogram that fits in memory.
+    r = ell^k w, w a unit mod ell^(a-k), has the orbit ell^k times the coset
+    of w modulo the unit squares: the class of w mod 2^min(a-k, 3) at ell = 2,
+    the quadratic residue class of w at odd ell; 0 is an orbit alone.
+    Returns (labels, reps, sizes), read-only: the orbit label of every
+    residue, and one representative and the size of each orbit.
+    """
+    mod = ell ** a
+    r = np.arange(mod, dtype=np.int64)
+    v = np.zeros(mod, dtype=np.int64)  # v_ell(r), and a at r = 0
+    for k in range(1, a + 1):
+        v[:: ell ** k] += 1
+    w = r // ell ** v
+    if ell == 2:
+        key = w % 2 ** np.minimum(a - v, 3) // 2
+    else:
+        nonresidue = np.ones(ell, dtype=np.int64)
+        nonresidue[np.arange(ell) ** 2 % ell] = 0
+        key = nonresidue[w % ell]
+    del w  # lowers the peak memory at deep moduli
+    # orbits are labelled in the order of the key 4 v + class of w
+    key += 4 * v
+    count = np.bincount(key)
+    labels = (np.cumsum(count > 0) - 1)[key]
+    reps = np.full(np.count_nonzero(count), mod)
+    np.minimum.at(reps, labels, r)
+    orbits = labels, reps, count[count > 0]
+    for arr in orbits:
+        arr.flags.writeable = False
+    return orbits
+
+
+@lru_cache(maxsize=64)
+def _orbit_tensor(ell, a):
+    """Structure tensor of the orbits of _orbits(ell, a) (cached).
+
+    Returns (o1, o2, cnt, starts): the nonzero entries
+    cnt = T[o3, o1, o2] = #{x in o1 : z - x in o2}, z the representative of
+    o3, ordered by o3 with the entries of o3 from starts[o3] on.  T does not
+    depend on z within o3: x -> u^2 x maps the x counted for z onto those
+    counted for u^2 z.
+    """
+    labels, reps, _ = _orbits(ell, a)
+    mod, n = len(labels), len(reps)
+    twice = np.concatenate((labels, labels))
+    # twice[z + mod - x] is the label of z - x, for x = 0 .. mod - 1
+    T = np.array([np.bincount(labels * n + twice[z + mod: z: -1], minlength=n * n)
+                  for z in reps])
+    o3, pair = np.nonzero(T)
+    return (pair // n, pair % n, T[o3, pair].astype(object),
+            np.searchsorted(o3, np.arange(n)))
+
+
+def _block_values(kind, data, ell, a):
+    """(weight, values) pairs of one block, for the orbits of _orbits(ell, a):
+    #{x in (Z/ell^a)^k : Q(x) in an orbit} is the sum over the pairs of
+    weight times the number of values in that orbit.
+
+    A 1x1 block ("1", g) has Q = g x^2/2, each x once.  A 2x2 block
+    ("2", (a, b, c)) has Q = qa x^2 + b x y + qc y^2, qa = a/2, qc = c/2; its
+    pairs at depth d split three ways:
+      x a unit:            y = x t turns Q into x^2 f(t), f = qa + b t + qc t^2;
+      ell | x, y a unit:   x = y t with ell | t turns Q into y^2 g(t),
+                           g = qc + b t + qa t^2;
+      ell divides both:    Q(ell x', ell y') = ell^2 Q(x', y'), with ell^2
+                           pairs per (x', y') mod ell^(d-2).
+    As the unit x runs over (Z/ell^d)*, x^2 f(t) covers the orbit of f(t)
+    evenly, so f over every t and g over ell | t carry the weight
+    phi(ell^d).  Unrolling the third case gives the depths d = a, a-2, ...,
+    whose values ell^(a-d) f and ell^(a-d) g carry ell^(a-d) phi(ell^d):
+    the orbit of ell^(a-d) w mod ell^a is ell^(a-d) times that of w mod
+    ell^d.  The ell^(a+d) pairs left once d <= 0 have Q = 0.  Every
+    intermediate stays below sub^2 + sub, sub = ell^d, so int64 is exact.
     """
     mod = ell ** a
     if kind == "1":
@@ -246,115 +298,55 @@ def _block_hist(kind, data, ell, a):
         else:
             qcoef = data * pow(2, -1, mod) % mod
         x = np.arange(mod, dtype=np.int64)
-        return np.bincount(qcoef * (x * x % mod) % mod, minlength=mod)
+        yield 1, qcoef * (x * x % mod) % mod
+        return
     aa, bb, cc = data
-    return _binary_hist((aa % (2 * mod)) // 2, bb, (cc % (2 * mod)) // 2, ell, a)
+    qa, qb, qc = (aa % (2 * mod)) // 2, bb % mod, (cc % (2 * mod)) // 2
+    d = a
+    while d > 0:
+        sub = ell ** d
+        t = np.arange(sub, dtype=np.int64)
+        u = t[: sub // ell] * ell
+        f = ((qc % sub * t + qb % sub) % sub * t + qa) % sub
+        g = ((qa % sub * u + qb % sub) % sub * u + qc) % sub
+        yield mod // sub * (sub - sub // ell), mod // sub * np.concatenate([f, g])
+        d -= 2
+    yield ell ** (a + d), [0]
 
 
-def _binary_hist(qa, qb, qc, ell, a):
-    """#{(x, y) in (Z/ell^a)^2 : qa x^2 + qb x y + qc y^2 = r}, for every r.
+def _block_counts(kind, data, ell, a):
+    """#{x : Q(x) = r} for r in each orbit of _orbits(ell, a), one block.
 
-    The pairs split three ways, and only the last one recurses:
-      x a unit:            y = x t turns Q into x^2 f(t), f = qa + qb t + qc t^2;
-      ell | x, y a unit:   x = y t with ell | t turns Q into y^2 g(t),
-                           g = qc + qb t + qa t^2;
-      ell divides both:    Q(ell x', ell y') = ell^2 Q(x', y'), so
-                           hist_a[ell^2 s] += ell^2 hist_(a-2)[s].
-    Let H be the histogram of f over every t plus that of g over ell | t.
-    As the unit x runs over (Z/ell^a)*, x^2 f(t) with f(t) = ell^k w runs
-    evenly over ell^k times the coset of w modulo the unit squares mod
-    ell^(a-k).  So hist[0] gets phi(ell^a) H[0], and r = ell^k w with w a
-    unit mod ell^(a-k) gets phi(ell^a)/|c| times the sum of H[ell^k w'] over
-    the coset c of w: the class of w mod 2^min(a-k, 3) at ell = 2, and its
-    quadratic residue class mod ell at odd ell.  Depths a <= 1 are counted
-    on the ell^2 grid.  The cost is O(ell^a), and every intermediate stays
-    below mod^2 + 2 mod.
+    The count is constant on each orbit, since Q(u x) = u^2 Q(x), so it is
+    the weighted count of the block's values in the orbit over its size.  A
+    sum that the size does not divide raises InvariantError.
     """
-    mod = ell ** a
-    qa, qb, qc = qa % mod, qb % mod, qc % mod
-    if a <= 1:
-        x = np.arange(mod, dtype=np.int64)
-        sq = x * x % mod
-        q = (qa * sq % mod)[:, None] + (qb * x % mod)[:, None] * x + qc * sq % mod
-        return np.bincount((q % mod).ravel(), minlength=mod)
-    t = np.arange(mod, dtype=np.int64)
-    f = (qa + qb * t % mod + qc * (t * t % mod)) % mod
-    t = t[: mod // ell] * ell
-    g = (qc + qb * t % mod + qa * (t * t % mod)) % mod
-    H = np.bincount(f, minlength=mod) + np.bincount(g, minlength=mod)
-    phi = mod - mod // ell
-    if ell > 2:
-        residue = np.zeros(ell, dtype=bool)
-        residue[np.arange(1, ell) ** 2 % ell] = True
-    hist = np.empty(mod, dtype=np.int64)
-    for k in range(a):
-        # hist[::ell^k] holds r = ell^k w for every w mod ell^(a-k); the w
-        # that ell divides are overwritten at k + 1, and r = 0 after the loop
-        step, size = ell ** k, mod // ell ** k
-        c = min(size, 8) if ell == 2 else ell
-        S = H[::step].reshape(-1, c).sum(axis=0)
-        if ell > 2:
-            S = np.where(residue, S[residue].sum(), S[1:][~residue[1:]].sum())
-        # a coset holds phi(size)/phi(c) units at ell = 2, phi(size)/2 at odd ell
-        coset = (size - size // ell) // (c // 2 if ell == 2 else 2)
-        hist[::step] = np.tile(phi // coset * S, size // c)
-    hist[0] = phi * H[0]
-    hist[:: ell * ell] += ell * ell * _binary_hist(qa, qb, qc, ell, a - 2)
-    return hist
-
-
-@lru_cache(maxsize=64)
-def _orbits(ell, a):
-    """Orbits of Z/ell^a under multiplication by the unit squares (cached).
-
-    r = ell^k w, w a unit mod ell^(a-k), has the orbit ell^k times the coset
-    of w modulo the unit squares: the class of w mod 2^min(a-k, 3) at ell = 2,
-    the quadratic residue class of w at odd ell; 0 is an orbit alone.
-    Returns (labels, reps, o1, o2, cnt, starts): the orbit label of every
-    residue, one representative per orbit, and the nonzero entries
-    cnt = T[o3, o1, o2] = #{x in o1 : z - x in o2}, z the representative of
-    o3, ordered by o3 with the entries of o3 from starts[o3] on.  T does not
-    depend on z within o3: x -> u^2 x maps the x counted for z onto those
-    counted for u^2 z.
-    """
-    mod = ell ** a
-    r = np.arange(mod, dtype=np.int64)
-    v = sum(r % ell ** k == 0 for k in range(1, a + 1))  # v_ell(r), and a at r = 0
-    w = r // ell ** v
-    if ell == 2:
-        cls = w % 2 ** np.minimum(a - v, 3) // 2
-    else:
-        nonresidue = np.ones(ell, dtype=np.int64)
-        nonresidue[np.arange(ell) ** 2 % ell] = 0
-        cls = nonresidue[w % ell]
-    _, reps, labels = np.unique(4 * v + cls, return_index=True, return_inverse=True)
-    n, twice = len(reps), np.tile(labels, 2)
-    # twice[z + mod - x] is the label of z - x, for x = 0 .. mod - 1
-    T = np.array([np.bincount(labels * n + twice[z + mod: z: -1], minlength=n * n)
-                  for z in reps])
-    o3, pair = np.nonzero(T)
-    return (labels, reps, pair // n, pair % n, T[o3, pair].astype(object),
-            np.searchsorted(o3, np.arange(n)))
+    labels, _, sizes = _orbits(ell, a)
+    total = np.zeros(len(sizes), dtype=np.int64)
+    for weight, values in _block_values(kind, data, ell, a):
+        total += weight * np.bincount(labels[values], minlength=len(sizes))
+    counts, rest = np.divmod(total, sizes)
+    if rest.any():
+        raise InvariantError("block count is not constant on the unit-square orbits")
+    return counts
 
 
 @lru_cache(maxsize=256)
 def _blockwise_factors(L, ell, a):
     """#{v in (Z/ell^a)^rank : Q(v) = r} for r in each orbit of _orbits (cached).
 
-    Q(u x) = u^2 Q(x), so each block histogram is constant on the orbits, and
-    so is the count for a sum of blocks: adding a block with histogram h is
-    the exact contraction new[o3] = sum of T[o3, o1, o2] merged[o1] h[o2],
-    in Python ints.  A block histogram that is not constant on the orbits
-    raises InvariantError.  The vector is returned read-only.
+    Each block count is constant on the orbits (_block_counts), and so is
+    the count for a sum of blocks: adding a block with counts h is the exact
+    contraction new[o3] = sum of T[o3, o1, o2] merged[o1] h[o2] over the
+    structure tensor of _orbit_tensor, in Python ints.  No block is
+    tabulated over Z/ell^a.  The vector is returned read-only.
     """
-    labels, reps, o1, o2, cnt, starts = _orbits(ell, a)
-    merged = np.zeros(len(reps), dtype=object)
+    labels, _, sizes = _orbits(ell, a)
+    o1, o2, cnt, starts = _orbit_tensor(ell, a)
+    merged = np.zeros(len(sizes), dtype=object)
     merged[labels[0]] = 1
     for kind, data in block_diagonalize(L, ell, a + 6):
-        hist = _block_hist(kind, data, ell, a)
-        h = hist[reps]
-        if (hist != h[labels]).any():
-            raise InvariantError("block histogram is not constant on the unit-square orbits")
+        h = _block_counts(kind, data, ell, a)
         merged = np.add.reduceat(merged[o1] * h[o2] * cnt, starts)
     merged.flags.writeable = False
     return merged
@@ -375,12 +367,7 @@ def stable_depth(ell, m):
 
     local_density re-verifies by comparing against depth+1, so this is a
     starting point, not a trusted bound."""
-    v = 0
-    mm = abs(m)
-    while mm and mm % ell == 0:
-        mm //= ell
-        v += 1
-    return v + (3 if ell == 2 else 1)
+    return valuation(m, ell, 0) + (3 if ell == 2 else 1)
 
 
 def local_density(ell, L, m, check=True):

@@ -20,10 +20,12 @@ from .arith import (
     dirichlet_L,
     divisors,
     factorize,
+    is_prime,
     lvalue_closed_form,
     moebius,
     sigma_s_chi,
     squarefree_part,
+    valuation,
 )
 from .density import local_density
 from .lattice import det_and_disc_group, p_diagonalize, theta_table
@@ -125,7 +127,7 @@ class EisensteinContext:
     def __post_init__(self):
         if self.b < 3:
             raise ValueError("b must be >= 3")
-        if self.p < 5 or self.p % 2 == 0:
+        if self.p < 5 or not is_prime(self.p):
             raise ValueError("p must be an odd prime >= 5")
         if self.detL == 0:
             raise ValueError("detL must be nonzero")
@@ -256,22 +258,12 @@ def eis_coeff_theta(ctx, Lprime, m):
     det_p, disc_p = _det_and_disc(Lprime)
     # off p, the determinant valuations must match the ambient's
     for ell in ctx.badPrimes:
-        va = _val(abs(ctx.detL), ell)
-        vp = _val(abs(det_p), ell)
-        if va != vp:
+        if valuation(ctx.detL, ell, 0) != valuation(det_p, ell, 0):
             raise ValueError(f"L' disagrees with the ambient at ell={ell}")
     dens = {ell: local_density(ell, Lprime, m) for ell in ctx.badPrimes}
-    if _val(abs(det_p), ctx.p) > 0:
+    if valuation(det_p, ctx.p, 0) > 0:
         dens[ctx.p] = local_density(ctx.p, Lprime, m)
     return _coeff_common(ctx.b, m, ctx.detL, disc_p, dens, sign=+1)
-
-
-def _val(n, p):
-    v = 0
-    while n % p == 0 and n:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass

@@ -7,10 +7,10 @@ entry must be even (Q is Z-valued).  All arithmetic is exact.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from ._enum import short_vectors, theta_counts
-from .arith import InvariantError
+from .arith import InvariantError, is_prime, valuation
 from .intmat import (
     det_bareiss,
     fp_row_reduce,
@@ -198,38 +198,23 @@ def p_diagonalize(L, p, precision):
     """
     if p == 2:
         raise ValueError("p = 2 is out of scope (dyadic Jordan forms not supported)")
-    if p < 3 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+    if not is_prime(p):
         raise ValueError("p must be an odd prime")
     G = L.gram_rows()
-    det = det_bareiss(G)
-    vdet = 0
-    while det % p == 0:
-        det //= p
-        vdet += 1
-    work = precision + vdet + 2
+    work = precision + valuation(det_bareiss(G), p, 0) + 2
     mod = p ** work
     # diagonalize QM = G/2 (2 is invertible mod p^work)
     inv2 = pow(2, -1, mod)
     A = [[G[i][j] * inv2 % mod for j in range(L.rank)] for i in range(L.rank)]
     idx = list(range(L.rank))
     out = []
-
-    def val(x):
-        if x == 0:
-            return work
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
     while idx:
         vmin, imin, jmin = min(
-            (val(A[i][j]), i, j) for i in idx for j in idx
+            (valuation(A[i][j], p, work), i, j) for i in idx for j in idx
         )
         if vmin >= work:
             raise ArithmeticError("precision exhausted during p-adic diagonalization")
-        diag = [i for i in idx if val(A[i][i]) == vmin]
+        diag = [i for i in idx if valuation(A[i][i], p, work) == vmin]
         if diag:
             k = diag[0]
         else:
@@ -241,16 +226,16 @@ def p_diagonalize(L, p, precision):
             for c in idx:
                 A[c][i] = (A[c][i] + A[c][j]) % mod
             k = i
-            if val(A[k][k]) != vmin:
+            if valuation(A[k][k], p, work) != vmin:
                 raise InvariantError("Q(e_i + e_j) lost the minimal valuation")
         piv = A[k][k]
-        pv = val(piv)
+        pv = valuation(piv, p, work)
         unit = piv // p ** pv
         uinv = pow(unit, -1, mod)
         for i in idx:
             if i == k:
                 continue
-            # A[i][k] / piv, exact p-adically since val(A[i][k]) >= pv
+            # A[i][k] / piv, exact p-adically since v_p(A[i][k]) >= pv
             mult = (A[i][k] // p ** pv) * uinv % mod
             for j in idx:
                 A[i][j] = (A[i][j] - mult * A[k][j]) % mod

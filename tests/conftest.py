@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import orthocount
 from orthocount.lattice import QuadLattice
 
 
@@ -54,3 +58,25 @@ def random_unimodular(rng, rank, steps=12):
 @pytest.fixture
 def rng():
     return random.Random(20250810)
+
+
+def assert_fires_under_python_O(setup, call):
+    """Run `setup` and then `call` in a fresh `python -O`, where asserts are
+    stripped, and require `call` to raise InvariantError.
+
+    `setup` holds the imports, an `assert False, 'asserts are live'` guard
+    (so that a run with live asserts fails) and the patch; the orthocount
+    that the tests import comes first on the path.
+    """
+    src = os.path.dirname(os.path.dirname(orthocount.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    body = "".join("    " + line + "\n" for line in call.splitlines())
+    code = ("from orthocount.arith import InvariantError\n" + setup +
+            "try:\n" + body +
+            "except InvariantError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr

@@ -20,6 +20,7 @@ from orthocount.arith import (
     moebius,
     sigma_s_chi,
     squarefree_part,
+    valuation,
     zeta_even_over_pi,
 )
 
@@ -40,6 +41,20 @@ def jacobi_oracle(D, a):
             s = {0: 0, 1: 1, p - 1: -1}[s]
         out *= s ** e
     return out
+
+
+class TestValuation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-10 ** 30, 10 ** 30).filter(bool), st.integers(0, 40),
+           st.sampled_from([2, 3, 5, 7, 11]))
+    def test_exact_power(self, u, k, p):
+        n = u * p ** k
+        v = valuation(n, p, -1)
+        assert v >= k and n % p ** v == 0 and n % p ** (v + 1) != 0
+
+    def test_zero_maps_to_argument(self):
+        assert [valuation(0, 3, z) for z in (0, 8)] == [0, 8]
+        assert valuation(-2 * 3 ** 40, 3, 0) == 40
 
 
 class TestKronecker:

@@ -1,12 +1,8 @@
 import dataclasses
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import orthocount
 import orthocount.budget as budget
 from orthocount.arith import InvariantError, is_prime
 from orthocount.budget import (
@@ -24,6 +20,8 @@ from orthocount.budget import (
     truncation_cap,
 )
 from orthocount.lattice import QuadLattice, SublatticeBasis, identity_basis, rep_count
+
+from conftest import assert_fires_under_python_O
 
 X2Y2 = QuadLattice.from_rows([[2, 0], [0, 2]], positive_definite=True)
 
@@ -165,22 +163,12 @@ class TestSsmain:
         assert ssmain_bound(5, 6, "nonss")[1] == Fraction(11, 12)
 
     def test_ceiling_fires_under_python_O(self):
-        src = os.path.dirname(os.path.dirname(orthocount.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        code = ("from fractions import Fraction\n"
-                "import orthocount.budget as budget\n"
-                "from orthocount.arith import InvariantError\n"
-                "assert False, 'asserts are live'\n"
-                "budget.SSMAIN_CEILINGS['nonss'] = Fraction(0)\n"
-                "try:\n"
-                "    budget.ssmain_bound(5, 6, 'nonss')\n"
-                "except InvariantError:\n"
-                "    raise SystemExit(0)\n"
-                "raise SystemExit(1)\n")
-        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                           capture_output=True, text=True, timeout=60)
-        assert r.returncode == 0, r.stderr
+        assert_fires_under_python_O(
+            "from fractions import Fraction\n"
+            "import orthocount.budget as budget\n"
+            "assert False, 'asserts are live'\n"
+            "budget.SSMAIN_CEILINGS['nonss'] = Fraction(0)\n",
+            "budget.ssmain_bound(5, 6, 'nonss')\n")
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):

@@ -244,6 +244,13 @@ class TestCli:
         assert main(["lattice", "--in", str(path), "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == "error: a lattice needs rank >= 1\n"
 
+    @pytest.mark.parametrize("p", ["9", "15", "25"])
+    def test_eis_rejects_composite_p(self, p, capsys):
+        assert main(["eis", "--e8-check", "--p", p, "--mmax", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: p must be an odd prime >= 5\n"
+
     def test_exit_code_2_on_arithmetic_failure(self, tmp_path, capsys):
         # the 3-adic Jordan scale 3^8 is beyond the blockwise working
         # precision, so local_density raises ArithmeticError

@@ -1,18 +1,15 @@
-import os
 import random
 import re
-import subprocess
-import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-import orthocount
 from orthocount import density
 from orthocount.density import (
-    _block_hist,
+    _block_counts,
     _count_naive_np,
+    _orbit_tensor,
     _orbits,
     block_diagonalize,
     count_blockwise,
@@ -24,7 +21,7 @@ from orthocount.density import (
 )
 from orthocount.lattice import QuadLattice
 
-from conftest import E8_GRAM, random_posdef_gram
+from conftest import E8_GRAM, assert_fires_under_python_O, random_posdef_gram
 
 HYP = QuadLattice.from_rows([[0, 1], [1, 0]])
 # at ell = 2 and depth 8 a 2x2 pivot of this gram has a determinant that
@@ -191,6 +188,7 @@ class TestBlockwise:
                                                  for j in range(6))
         for a in (8, 9, 16):
             density._orbits.cache_clear()
+            density._orbit_tensor.cache_clear()
             density._blockwise_factors.cache_clear()
             assert local_density_blockwise(2, L, m, a) == expect
             assert [kind for kind, _ in block_diagonalize(L, 2, a + 6)] == ["2"] * 12
@@ -231,7 +229,7 @@ def ref_blockwise_counts(L, ell, a):
     blocks = block_diagonalize(L, ell, a + 6)
     factors = []
     for kind, data in blocks:
-        hist = _block_hist(kind, data, ell, a)
+        hist = block_hist(kind, data, ell, a)
         factors.append((hist, mod if kind == "1" else mod * mod))
     factors.sort(key=lambda t: t[1])
     merged = []
@@ -312,7 +310,8 @@ class TestOrbitMerge:
     def test_orbits_brute_force(self, ell, depth):
         for a in range(1, depth + 1):
             mod = ell ** a
-            labels, reps, o1, o2, cnt, starts = _orbits(ell, a)
+            labels, reps, sizes = _orbits(ell, a)
+            o1, o2, cnt, starts = _orbit_tensor(ell, a)
             lab = labels.tolist()
             members = {}
             for r in range(mod):
@@ -322,6 +321,7 @@ class TestOrbitMerge:
                 assert members[lab[r]] == {s * r % mod for s in squares}, (ell, a, r)
             n = len(reps)
             assert [lab[z] for z in reps] == list(range(n)) == sorted(members)
+            assert sizes.tolist() == [len(members[o]) for o in range(n)]
             T = np.zeros((n, n, n), dtype=np.int64)
             T[np.repeat(np.arange(n), np.diff(starts, append=len(cnt))), o1, o2] = cnt
             for z in range(mod):
@@ -329,6 +329,15 @@ class TestOrbitMerge:
                 for x in range(mod):
                     direct[lab[x], lab[(z - x) % mod]] += 1
                 assert (direct == T[lab[z]]).all(), (ell, a, z)
+
+
+def block_hist(kind, data, ell, a):
+    """The histogram of one block over Z/ell^a, expanded from its count on
+    each unit-square orbit as h[labels]."""
+    labels, _, sizes = _orbits(ell, a)
+    h = _block_counts(kind, data, ell, a)
+    assert h.shape == sizes.shape
+    return h[labels]
 
 
 def block_hist_reference(kind, data, ell, a):
@@ -406,7 +415,7 @@ class TestBlockHistograms:
     def test_1x1_matches_reference(self, ell):
         for a in range(1, HIST_DEPTHS[ell] + 1):
             for g in hist_coefficients(ell, a):
-                got = _block_hist("1", g, ell, a)
+                got = block_hist("1", g, ell, a)
                 assert got.dtype == np.int64
                 assert got.tolist() == block_hist_reference("1", g, ell, a), (ell, a, g)
 
@@ -418,7 +427,7 @@ class TestBlockHistograms:
             # unit, ell-divisible or negative
             for k, (g1, g2) in enumerate(zip(coeffs, coeffs[::-1])):
                 for b in (0, 1, ell, -ell - 2, ell ** a + 1 + k):
-                    got = _block_hist("2", (g1, b, g2), ell, a)
+                    got = block_hist("2", (g1, b, g2), ell, a)
                     assert got.dtype == np.int64
                     assert got.tolist() == block_hist_reference("2", (g1, b, g2), ell, a), \
                         (ell, a, g1, b, g2)
@@ -429,7 +438,7 @@ class TestBlockHistograms:
         mod = ell ** a
         cases = [(2, 1, 2), (2 * ell + 2, ell, 2 * ell), (0, 3, 2), (2 * mod + 4, -1, 2)]
         for data in cases:
-            assert _block_hist("2", data, ell, a).tolist() == \
+            assert block_hist("2", data, ell, a).tolist() == \
                 block_hist_reference("2", data, ell, a), data
 
     @pytest.mark.parametrize("ell", sorted(HIST_DEPTHS))
@@ -438,7 +447,7 @@ class TestBlockHistograms:
         for a in range(1, GRID_DEPTHS[ell] + 1):
             for _ in range(8 if a <= 2 else 4):
                 data = random_block(rng, ell, a)
-                got = _block_hist("2", data, ell, a)
+                got = block_hist("2", data, ell, a)
                 assert got.dtype == np.int64
                 if a <= HIST_DEPTHS[ell]:
                     expect = block_hist_reference("2", data, ell, a)
@@ -452,9 +461,9 @@ class TestBlockHistograms:
         # Q mod ell^a: ell^2 hist_a[r] = sum over r' = r mod ell^a of hist_(a+1)[r']
         for _ in range(3):
             data = random_block(rng, ell, depth)
-            hist = _block_hist("2", data, ell, 1)
+            hist = block_hist("2", data, ell, 1)
             for a in range(1, depth):
-                deeper = _block_hist("2", data, ell, a + 1)
+                deeper = block_hist("2", data, ell, a + 1)
                 assert deeper.sum() == ell ** (2 * a + 2)
                 assert (deeper.reshape(ell, -1).sum(axis=0) == ell * ell * hist).all(), \
                     (ell, a, data)
@@ -462,46 +471,36 @@ class TestBlockHistograms:
 
     def test_1x1_exact_where_unreduced_products_overflow(self):
         # at mod 3^14, qcoef * x^2 passes 2^63 unless x^2 is reduced first;
-        # Q = -x^2 takes each unit r = 2 mod 3 twice and r = 1 mod 3 never
+        # Q = -x^2 takes each unit r = 2 mod 3 twice and r = 1 mod 3 never.
+        # Counting a block builds the orbit labels but never the structure
+        # tensor, which takes seconds and hundreds of MB at 3^14.
         mod = 3 ** 14
-        h = _block_hist("1", -2, 3, 14)
+        density._orbit_tensor.cache_clear()
+        h = block_hist("1", -2, 3, 14)
         assert h.sum() == mod
         assert (h[2::3] == 2).all() and not h[1::3].any()
+        assert density._orbit_tensor.cache_info().currsize == 0
+        density._orbits.cache_clear()
 
     def test_invariant_fires_under_python_O(self):
-        assert_invariant_fires_under_python_O("_block_hist('1', 3, 2, 3)\n")
+        assert_fires_under_python_O(
+            "from orthocount.density import _block_counts\n"
+            "assert False, 'asserts are live'\n",
+            "_block_counts('1', 3, 2, 3)\n")
 
     def test_orbit_constancy_fires_under_python_O(self):
-        # one extra x with x^2 = 1 mod 25 leaves Q = 4, in the same orbit, behind
-        assert_invariant_fires_under_python_O(
-            "real = density._block_hist\n"
-            "def skewed(kind, data, ell, a):\n"
-            "    hist = real(kind, data, ell, a).copy()\n"
-            "    hist[1] += 1\n"
-            "    return hist\n"
-            "density._block_hist = skewed\n"
-            "density.count_blockwise(QuadLattice.from_rows([[2]]), 5, 1, 2)\n")
-
-
-def assert_invariant_fires_under_python_O(call):
-    """Run `call` under python -O, where asserts are stripped, and require
-    it to raise InvariantError."""
-    src = os.path.dirname(os.path.dirname(orthocount.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    body = "".join("    " + line + "\n" for line in call.splitlines())
-    code = ("from orthocount import density\n"
-            "from orthocount.arith import InvariantError\n"
-            "from orthocount.density import _block_hist\n"
+        # one extra value 1 mod 25 lands in an orbit of 10 residues, so the
+        # weighted count of that orbit is no longer a multiple of its size
+        assert_fires_under_python_O(
+            "from orthocount import density\n"
             "from orthocount.lattice import QuadLattice\n"
             "assert False, 'asserts are live'\n"
-            "try:\n" + body +
-            "except InvariantError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n")
-    r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                       capture_output=True, text=True, timeout=60)
-    assert r.returncode == 0, r.stderr
+            "real = density._block_values\n"
+            "def skewed(kind, data, ell, a):\n"
+            "    yield from real(kind, data, ell, a)\n"
+            "    yield 1, [1]\n"
+            "density._block_values = skewed\n",
+            "density.count_blockwise(QuadLattice.from_rows([[2]]), 5, 1, 2)\n")
 
 
 class TestStabilization:

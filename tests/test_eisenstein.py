@@ -58,6 +58,11 @@ class TestContext:
         with pytest.raises(ValueError):
             EisensteinContext(b=6, p=7, detL=4, discOrder=8)
 
+    @pytest.mark.parametrize("p", [9, 15, 25, 49])
+    def test_rejects_odd_composite_p(self, p):
+        with pytest.raises(ValueError, match="p must be an odd prime >= 5"):
+            EisensteinContext(b=6, p=p, detL=4, discOrder=4)
+
 
 class TestSplit:
     def test_split(self):

@@ -1,14 +1,10 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 
-import orthocount
 from orthocount.arith import InvariantError
 from orthocount.intmat import kernel_basis, mat_mul, transpose
 from orthocount.lattice import (
@@ -27,7 +23,8 @@ from orthocount.lattice import (
     theta_table,
 )
 
-from conftest import E8_GRAM, random_posdef_gram, random_unimodular
+from conftest import (E8_GRAM, assert_fires_under_python_O, random_posdef_gram,
+                      random_unimodular)
 
 
 X2Y2 = QuadLattice.from_rows([[2, 0], [0, 2]], positive_definite=True)
@@ -105,22 +102,12 @@ class TestTypedFailures:
             intersect_and_index(A, A)
 
     def test_fires_under_python_O(self):
-        src = os.path.dirname(os.path.dirname(orthocount.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        code = ("import orthocount.lattice as lattice\n"
-                "from orthocount.arith import InvariantError\n"
-                "assert False, 'asserts are live'\n"
-                "lattice.smith_normal_form = lambda M: [1, 2]\n"
-                "L = lattice.QuadLattice.from_rows([[2, 0], [0, 2]])\n"
-                "try:\n"
-                "    lattice.det_and_disc_group(L)\n"
-                "except InvariantError:\n"
-                "    raise SystemExit(0)\n"
-                "raise SystemExit(1)\n")
-        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                           capture_output=True, text=True, timeout=60)
-        assert r.returncode == 0, r.stderr
+        assert_fires_under_python_O(
+            "import orthocount.lattice as lattice\n"
+            "assert False, 'asserts are live'\n"
+            "lattice.smith_normal_form = lambda M: [1, 2]\n"
+            "L = lattice.QuadLattice.from_rows([[2, 0], [0, 2]])\n",
+            "lattice.det_and_disc_group(L)\n")
 
 
 class TestRepCount:
@@ -476,6 +463,11 @@ class TestPDiagonalize:
     def test_rejects_p2(self):
         with pytest.raises(ValueError):
             p_diagonalize(X2Y2, 2, 3)
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 9, 15, 49])
+    def test_rejects_non_prime_p(self, p):
+        with pytest.raises(ValueError, match="p must be an odd prime"):
+            p_diagonalize(X2Y2, p, 3)
 
     def test_valuation_multiset_invariance(self, rng):
         for _ in range(100):

@@ -1,14 +1,12 @@
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import orthocount
 from orthocount.padic import PINF, make_ring
 from orthocount.series import SeriesRing, TSeriesMatrix, _block_mul
+
+from conftest import assert_fires_under_python_O
 
 
 @pytest.fixture(scope="module")
@@ -70,21 +68,11 @@ class TestRing:
     def test_make_ring_invariant_fires_under_python_O(self):
         # with sigma patched to the identity, make_ring's check that sigma
         # lifts the p-power Frobenius must still raise under python -O
-        src = os.path.dirname(os.path.dirname(orthocount.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        code = ("from orthocount.arith import InvariantError\n"
-                "from orthocount.padic import UnramifiedRing, make_ring\n"
-                "assert False, 'asserts are live'\n"
-                "UnramifiedRing.sigma = lambda self, a, k=1: a\n"
-                "try:\n"
-                "    make_ring(7, 3, 3)\n"
-                "except InvariantError:\n"
-                "    raise SystemExit(0)\n"
-                "raise SystemExit(1)\n")
-        r = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                           capture_output=True, text=True, timeout=60)
-        assert r.returncode == 0, r.stderr
+        assert_fires_under_python_O(
+            "from orthocount.padic import UnramifiedRing, make_ring\n"
+            "assert False, 'asserts are live'\n"
+            "UnramifiedRing.sigma = lambda self, a, k=1: a\n",
+            "make_ring(7, 3, 3)\n")
 
 
 class TestSeries:
