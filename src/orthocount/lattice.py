@@ -5,6 +5,7 @@ A lattice is stored through the Gram matrix of its *bilinear* form
 entry must be even (Q is Z-valued).  All arithmetic is exact.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -276,7 +277,7 @@ def is_maximal_at(L, ell):
     null = _fp_kernel(Gmod, ell)
     # x = y / ell for y in kernel of G mod ell; Q(x) = Q(y)/ell^2
     # step exists iff Q(y) = 0 mod ell^2... plus x not in L: y not in ell Z^r.
-    for coeffs in _fp_vectors(len(null), ell):
+    for coeffs in itertools.product(range(ell), repeat=len(null)):
         if not any(coeffs):
             continue
         y = [sum(c * null[t][i] for t, c in enumerate(coeffs)) for i in range(r)]
@@ -299,23 +300,6 @@ def _fp_kernel(M, p):
             v[c] = (-A[i][f]) % p
         basis.append(v)
     return basis
-
-
-def _fp_vectors(k, p):
-    v = [0] * k
-    while True:
-        yield v[:]
-        i = 0
-        while i < k:
-            v[i] += 1
-            if v[i] < p:
-                break
-            v[i] = 0
-            i += 1
-        else:
-            return
-        if k == 0:
-            return
 
 
 def intersect_and_index(A, B):

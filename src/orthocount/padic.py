@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import InvariantError
+from .intmat import fp_row_reduce
 
 PINF = 1 << 62  # sentinel p-valuation for the zero coefficient
 
@@ -190,10 +191,10 @@ class UnramifiedRing:
         for j in range(d):
             e = tuple(int(i == j) for i in range(d))
             cols.append(self.mul(a, e))
-        A = [[cols[j][i] % p for j in range(d)] for i in range(d)]
-        rhs = [1] + [0] * (d - 1)
-        x = _solve_fp(A, rhs, p)
-        x = tuple(x)
+        # row-reduce [A | e_0]; A is invertible, so the last column solves A x = e_0
+        rows, _ = fp_row_reduce(
+            [[cols[j][i] for j in range(d)] + [int(i == 0)] for i in range(d)], p)
+        x = tuple(row[d] for row in rows)
         # Newton: x <- x(2 - a x), doubling precision each step
         for _ in range(self.R.bit_length() + 1):
             ax = self.mul(a, x)
@@ -215,21 +216,6 @@ class UnramifiedRing:
         red = np.array(self.red_rows, dtype=np.int64) if self.deg > 1 else \
             np.zeros((0, 1), dtype=np.int64)
         return sig, red
-
-
-def _solve_fp(A, rhs, p):
-    n = len(A)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if M[i][c] % p)
-        M[c], M[piv] = M[piv], M[c]
-        inv = pow(M[c][c], -1, p)
-        M[c] = [x * inv % p for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] % p:
-                f = M[i][c]
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[c])]
-    return [M[i][n] for i in range(n)]
 
 
 _TAU_CACHE = {}
@@ -327,14 +313,15 @@ def make_ring(p, R, deg, minpoly_modp=None, seed=0):
 
 
 def _invert_mod_prime_power(A, p, R):
-    """Inverse of an integer matrix mod p^R (must be invertible mod p)."""
+    """Inverse of an integer matrix mod p^R; InvariantError if it is singular mod p."""
     n = len(A)
     mod = p ** R
-    X = [[x % p for x in row] for row in A]
-    # columns of the mod-p inverse
-    inv_cols = [_solve_fp([row[:] for row in X], [int(i == j) for i in range(n)], p)
-                for j in range(n)]
-    B = [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+    # the mod-p inverse: row-reduce [A | I] once
+    rows, pivots = fp_row_reduce([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(A)], p)
+    if pivots != list(range(n)):
+        raise InvariantError("matrix is singular mod p")
+    B = [row[n:] for row in rows]
     # Newton lifting: B <- B(2I - AB) mod p^R
     for _ in range(R.bit_length() + 1):
         AB = [[sum(A[i][k] * B[k][j] for k in range(n)) % mod for j in range(n)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ from orthocount.density import (
     _count_naive_np,
     _orbit_tensor,
     _orbits,
+    _unit_form_count,
     block_diagonalize,
     count_blockwise,
     local_density,
@@ -19,7 +21,7 @@ from orthocount.density import (
     local_density_recursive,
     stable_depth,
 )
-from orthocount.lattice import QuadLattice
+from orthocount.lattice import QuadLattice, p_diagonalize
 
 from conftest import E8_GRAM, assert_fires_under_python_O, random_posdef_gram
 
@@ -559,8 +561,9 @@ class TestRecursive:
             dnaive = local_density_naive(p, L, m, 1)
             assert drec == dnaive, (p, L.gram, m)
             assert drec <= 2
-            unit_rank = sum(1 for i in range(rank)
-                            if any(L.gram[i][j] % p for j in range(rank)))
+            unit_rank = sum(1 for _, v in p_diagonalize(L, p, 2) if v == 0)
+            if unit_rank >= 3:
+                assert drec <= 1 + Fraction(1, p), (p, L.gram, m)
             cases += 1
 
     def test_unimodular_rank8(self, e8):
@@ -577,12 +580,50 @@ class TestRecursive:
             m = rng.randint(1, 30)
             if m % p == 0:
                 continue
-            from orthocount.lattice import p_diagonalize
             unit_rank = sum(1 for _, v in p_diagonalize(L, p, 2) if v == 0)
             d = local_density_recursive(p, L, m)
             assert d <= 2
             if unit_rank >= 3:
                 assert d <= 1 + Fraction(1, p)
+
+    @pytest.mark.parametrize("count, gram", [
+        # a density of 3, over the bound of 2
+        ("3 * p ** (len(units) - 1)", [[2, 1], [1, 2]]),
+        # a density of 1 + 2/p at unit rank 3, over the bound of 1 + 1/p
+        ("(p + 2) * p ** (len(units) - 2)", [[2, 0, 0], [0, 2, 0], [0, 0, 2]]),
+    ])
+    def test_bound_fires_under_python_O(self, count, gram):
+        assert_fires_under_python_O(
+            "from orthocount import density\n"
+            "from orthocount.lattice import QuadLattice\n"
+            "assert False, 'asserts are live'\n"
+            f"density._unit_form_count = lambda units, c, p: {count}\n",
+            f"density.local_density_recursive(5, QuadLattice.from_rows({gram}), 1)\n")
+
+
+def brute_unit_counts(U, p):
+    """counts[i, c] = #{x in F_p^k : sum U[i, j] x_j^2 = c}, over every x,
+    for each row of the (n, k) array U."""
+    n, k = U.shape
+    x = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64)
+    # the reshape keeps k = 0 as one point, the empty vector
+    q = (x * x).reshape(p ** k, k) @ U.T % p
+    return np.bincount((q + p * np.arange(n)).ravel(), minlength=n * p).reshape(n, p)
+
+
+class TestUnitFormCount:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    @pytest.mark.parametrize("k", range(6))
+    def test_matches_brute_force(self, p, k):
+        if p ** k <= 5000:
+            units = list(itertools.product(range(1, p), repeat=k))
+        else:
+            rng = random.Random(100 * p + k)
+            units = [[rng.randrange(1, p) for _ in range(k)] for _ in range(20)]
+        counts = brute_unit_counts(np.array(units, dtype=np.int64).reshape(len(units), k), p)
+        for u, row in zip(units, counts):
+            for c in range(1, p):
+                assert _unit_form_count(list(u), c, p) == row[c], (u, c)
 
 
 def test_stable_depth_values():

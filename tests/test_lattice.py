@@ -505,6 +505,25 @@ class TestMaximality:
         ])
         assert not is_maximal_at(L2, p)
 
+    @staticmethod
+    def _nonzero_torsion_q(L, ell):
+        # the ell-torsion here is all of (1/ell) Z^2 / Z^2: Q(y) for y != 0 mod ell
+        return [L.q_value(list(y)) for y in itertools.product(range(ell), repeat=2) if any(y)]
+
+    def test_two_dimensional_torsion_not_maximal(self):
+        # Q(y) = 3 (y1^2 - y1 y2 + y2^2), and y = (1, 2) gives Q(y) = 9
+        L = QuadLattice.from_rows([[6, -3], [-3, 6]])
+        assert L.q_value([1, 2]) == 9
+        assert 0 in [q % 9 for q in self._nonzero_torsion_q(L, 3)]
+        assert not is_maximal_at(L, 3)
+
+    def test_two_dimensional_torsion_maximal(self):
+        # Q(y) = 3 (y1^2 + y2^2), and y1^2 = -y2^2 mod 3 has no nonzero
+        # solution because -1 is not a square mod 3
+        L = QuadLattice.from_rows([[6, 0], [0, 6]])
+        assert 0 not in [q % 9 for q in self._nonzero_torsion_q(L, 3)]
+        assert is_maximal_at(L, 3)
+
     def test_quotient_search_matches_rescaling(self):
         # gram*ell^2 always has the obvious overlattice (the unscaled lattice)
         L = QuadLattice.from_rows([[2 * 49, 7 * 2], [7 * 2, 4 * 49]])
