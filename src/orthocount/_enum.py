@@ -7,11 +7,13 @@ That plan does not depend on the bound, so it is built once per Gram matrix
 and cached; each bound then only needs the int64 certificate, whose
 coordinate boxes |v_j| <= sqrt(2*bound*(G^-1)_jj) read the diagonal of the
 inverse off integer minors (Cramer's rule).
-When the exact worst-case intermediate fits in int64, counting runs the numpy
-frontier kernel `_theta_walk_np`, one level at a time over whole arrays of
-partial vectors; otherwise the Python big-int walker `_theta_walk_py` performs
-the same traversal one node at a time.  `short_vectors` always uses the
-big-int walker, which also collects the vectors.
+One walk, `_walk`, serves every caller: it goes one level at a time over
+whole arrays of partial vectors and yields the leaves with their exact Q.
+Its arrays are int64 when the certificate holds and Python ints
+(dtype=object) when it does not; the code is the same.  `theta_counts`
+bincounts the leaves' Q, `short_vectors` keeps the vectors in order of Q.
+A walk whose ellipsoid holds more than about WORK_GUARD points is refused
+before it starts.
 
 Vectors are visited up to sign: the outermost nonzero coordinate is forced
 positive and counts are doubled afterwards.
@@ -19,14 +21,15 @@ positive and counts are doubled afterwards.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import exp, isqrt, lcm, lgamma, log, pi
 
 import numpy as np
 
 from .intmat import det_bareiss
 
 INT64_SAFE = 1 << 62
-CHUNK = 1 << 16  # frontier rows walked at once by _theta_walk_np
+CHUNK = 1 << 16  # frontier rows walked at once by _walk
+WORK_GUARD = 10 ** 8  # estimated lattice points; more is refused
 
 
 @lru_cache(maxsize=512)  # bounded: a long run meets many distinct Gram matrices
@@ -83,94 +86,106 @@ def cholesky_plan(gram, bound):
     return mults, lds, lns, scale, safe
 
 
-def _theta_walk_py(mults, lds, lns, scale, bound, counts, collect=None):
-    """Exact big-int traversal; counts[Q(v)] += 1 per nonzero vector (up to sign)."""
-    r = len(mults)
-    v = [0] * r
-    base = [0] * r
-
-    def descend(i, t, qs, started):
-        if i < 0:
-            if started:
-                counts[qs // scale] += 1
-                if collect is not None:
-                    collect.append(v[:])
-            return
-        m, ld, b = mults[i], lds[i], base[i]
-        B = isqrt(t // m)
-        lo = -((B + b) // ld)
-        hi = (B - b) // ld
-        if not started and lo < 0:
-            lo = 0
-        for x in range(lo, hi + 1):
-            w = ld * x + b
-            term = m * w * w
-            if term > t:
-                continue
-            v[i] = x
-            for k in range(i):
-                base[k] += lns[k][i] * x
-            descend(i - 1, t - term, qs + term, started or x != 0)
-            for k in range(i):
-                base[k] -= lns[k][i] * x
-        v[i] = 0
-
-    descend(r - 1, bound * scale, 0, False)
-
-
 def _isqrt(a):
     """Exact floor(sqrt(a)) for an int64 array with 0 <= a < 2^62.
 
-    The float64 estimate is within 2^-20 of sqrt(a) <= 2^31, so its
-    truncation is off by at most one either way; one step each corrects it.
+    Below 2^50 the correctly rounded float64 sqrt of a stays more than half
+    an ulp below the next integer, so its truncation is exact.  Above, the
+    estimate is within 2^-20 of sqrt(a) <= 2^31, so its truncation is off by
+    at most one either way; one step each corrects it.
     """
-    s = np.sqrt(a.astype(np.float64)).astype(np.int64)
-    s -= s * s > a
-    s += (s + 1) * (s + 1) <= a
+    s = np.sqrt(a).astype(np.int64)
+    if len(a) and a.max() >= 1 << 50:
+        s -= s * s > a
+        s += (s + 1) * (s + 1) <= a
     return s
 
 
-def _theta_walk_np(mults, lds, lns, scale, bound, chunk=CHUNK):
-    """counts[Q(v)] per nonzero vector (up to sign), on an int64-safe plan.
+_isqrt_object = np.frompyfunc(isqrt, 1, 1)
 
-    The walk of `_theta_walk_py`, one level at a time over a frontier of
-    partial vectors (Fincke & Pohst 1985).  A row holds the budget t left
-    for the lower levels, the accumulated Q*scale, whether a coordinate is
-    nonzero yet, and the shifts base[k] of the levels k below.  Each row
-    expands to every x with |lds[i]*x + base[i]| <= isqrt(t // mults[i]),
-    which keeps each term within its budget; children are walked at most
-    `chunk` at a time, so memory stays flat in the size of the frontier.
-    Returns an int64 array of length bound + 1.
+
+def _check_work(r, bound, det):
+    """Refuse a walk whose ellipsoid {Q(v) <= bound} holds more than about
+    WORK_GUARD lattice points, estimated as V_r * (2*bound)^(r/2) / sqrt(det).
+
+    The float estimate decides refusal only, never a result.
     """
-    lns = np.array(lns, dtype=np.int64)
-    counts = np.zeros(bound + 1, dtype=np.int64)
+    if bound <= 0:
+        return
+    log_est = r / 2 * log(2 * pi * bound) - lgamma(r / 2 + 1) - log(det) / 2
+    if log_est > log(WORK_GUARD):
+        raise ValueError(
+            f"enumeration to bound {bound} would visit about {exp(min(log_est, 700)):.3g} "
+            f"lattice points, more than the {WORK_GUARD:.3g} guard")
 
-    def walk(i, t, q, started, base):
-        m, ld, b = mults[i], lds[i], base[:, i]
-        B = _isqrt(t // m)
+
+def _walk(gram, bound, chunk=CHUNK):
+    """Every v with Q(v) <= bound, one per +-pair (the zero vector once).
+
+    The walk goes one level at a time, from r-1 down to 0, over a frontier
+    of partial vectors (Fincke & Pohst 1985).  A row holds the budget
+    t = (bound - Q so far)*scale left for the lower levels and the shifts
+    base[k] of the levels k below.  Each row expands to every x with
+    |lds[i]*x + base[i]| <= isqrt(t // mults[i]), which keeps each term
+    within its budget.  Row 0 of the first chunk is always the zero prefix,
+    and it alone keeps x >= 0.  Children are walked at most `chunk` at a
+    time, so memory stays flat in the size of the frontier.  The arrays are
+    int64 when `cholesky_plan` certifies the plan safe and Python ints
+    (dtype=object) otherwise.
+
+    Yields (q, path) per chunk of leaves, in lexicographic order of
+    (v[r-1], ..., v[0]): q the int64 array of Q-values, and path the
+    (parent, x) arrays of levels r-1, ..., 0, from which `_coordinates`
+    reads the vectors.
+    """
+    mults, lds, lns, scale, safe = cholesky_plan(gram, bound)
+    r = len(mults)
+    _check_work(r, bound, _ldl_plan(tuple(map(tuple, gram)))[5])
+    top = bound * scale
+    dtype, root = (np.int64, _isqrt) if safe else (object, _isqrt_object)
+    lns = np.array(lns, dtype=dtype)
+
+    def walk(i, t, base, x, path, zero):
+        """Set coordinate i to x in the rows (t, base), then walk the levels below."""
+        w = lds[i] * x + base[:, i]
+        t = t - mults[i] * w * w
+        if i == 0:
+            yield ((top - t) // scale).astype(np.int64), path
+            return
+        base = base[:, :i] + x[:, None] * lns[:i, i]
+        i -= 1
+        ld, b = lds[i], base[:, i]
+        B = root(t // mults[i])
         lo = -((B + b) // ld)
-        hi = (B - b) // ld
-        lo = np.where(started, lo, np.maximum(lo, 0))
-        n = np.maximum(hi - lo + 1, 0)
-        parent = np.repeat(np.arange(len(t)), n)
+        if zero:
+            lo[0] = 0
+        hi1 = (B - b) // ld + 1
+        n = (hi1 - lo).astype(np.int64)
+        parent = np.arange(len(n)).repeat(n)
         # x runs lo..hi within each parent's block of children
-        x = np.arange(len(parent)) - np.repeat(np.cumsum(n) - n - lo, n)
+        x = np.arange(len(parent)) - (n.cumsum() - hi1).repeat(n)
         for s in range(0, len(parent), chunk):
             p, xs = parent[s:s + chunk], x[s:s + chunk]
-            w = ld * xs + b[p]
-            term = m * w * w
-            qs = q[p] + term
-            st = started[p] | (xs != 0)
-            if i == 0:
-                counts[:] += np.bincount(qs[st] // scale, minlength=bound + 1)
-            else:
-                walk(i - 1, t[p] - term, qs, st,
-                     base[p, :i] + xs[:, None] * lns[:i, i])
+            yield from walk(i, t[p], base[p], xs, path + ((p, xs),), zero and s == 0)
 
-    r = len(mults)
-    walk(r - 1, np.array([bound * scale], dtype=np.int64), np.zeros(1, np.int64),
-         np.zeros(1, dtype=bool), np.zeros((1, r), dtype=np.int64))
-    return counts
+    # the root is the zero prefix; its children are x = 0..hi at level r-1
+    x = np.arange(isqrt(top // mults[-1]) // lds[-1] + 1, dtype=dtype)
+    for s in range(0, len(x), chunk):
+        xs = x[s:s + chunk]
+        yield from walk(r - 1, np.full(len(xs), top, dtype=dtype),
+                        np.zeros((len(xs), r), dtype=dtype), xs, ((None, xs),), s == 0)
+
+
+def _coordinates(path):
+    """The leaves' vectors, read back up their (parent, x) path."""
+    (rows, x), *above = reversed(path)
+    v = np.empty((len(x), len(path)), dtype=x.dtype)
+    v[:, 0] = x
+    for i, (parent, x) in enumerate(above, 1):
+        v[:, i] = x[rows]
+        if parent is not None:
+            rows = parent[rows]
+    return v
 
 
 def block_components(gram):
@@ -194,43 +209,30 @@ def block_components(gram):
     return comps
 
 
-def _theta_one_block(gram, bound):
-    mults, lds, lns, scale, safe = cholesky_plan(gram, bound)
-    if safe:
-        counts = _theta_walk_np(mults, lds, lns, scale, bound).tolist()
-    else:
-        counts = [0] * (bound + 1)
-        _theta_walk_py(mults, lds, lns, scale, bound, counts)
-    counts = [2 * x for x in counts]
-    counts[0] += 1
-    return counts
+def _block_counts(gram, bound):
+    counts = np.zeros(bound + 1, dtype=np.int64)
+    for q, _ in _walk(gram, bound):
+        counts += np.bincount(q, minlength=bound + 1)
+    counts *= 2
+    counts[0] -= 1
+    return counts.astype(object)
 
 
 def theta_counts(gram, bound):
     """[#{v : Q(v)=q} for q = 0..bound], split over orthogonal blocks."""
     if bound < 0:
         return []
-    total = None
+    total = np.ones(1, dtype=object)
     for comp in block_components(gram):
         sub = [[gram[i][j] for j in comp] for i in comp]
-        cnt = _theta_one_block(sub, bound)
-        if total is None:
-            total = cnt
-        else:
-            new = [0] * (bound + 1)
-            for a, ca in enumerate(total):
-                if ca:
-                    for b in range(bound + 1 - a):
-                        if cnt[b]:
-                            new[a + b] += ca * cnt[b]
-            total = new
-    return total
+        total = np.convolve(total, _block_counts(sub, bound))[:bound + 1]
+    return total.tolist()
 
 
 def short_vectors(gram, bound):
-    """All v with 0 < Q(v) <= bound, one per +-pair (exact Python walker)."""
-    mults, lds, lns, scale, _ = cholesky_plan(gram, bound)
-    counts = [0] * (bound + 1)
-    out = []
-    _theta_walk_py(mults, lds, lns, scale, bound, counts, collect=out)
-    return out
+    """All v with 0 < Q(v) <= bound, one per +-pair, in order of Q."""
+    qs, paths = zip(*_walk(gram, bound))
+    q = np.concatenate(qs)
+    v = np.concatenate([_coordinates(path) for path in paths])
+    # the zero vector is the only one with Q = 0, so it sorts first
+    return v[np.argsort(q, kind="stable")[1:]].tolist()

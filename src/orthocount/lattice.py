@@ -145,23 +145,27 @@ def successive_minima(L):
 
     mu_sq[i-1] = mu_i^2 is the smallest y such that i linearly independent
     vectors of Q-value <= y exist; a_sq[i-1] = (mu_1 ... mu_i)^2.
+    The greedy pick runs over short vectors in order of Q.  Their bound
+    starts at min_i Q(e_i) and doubles up to max_i Q(e_i), where the basis
+    itself gives r independent vectors, so the last walk always completes.
     """
     if not L.positive_definite:
         raise ValueError("successive minima need a positive definite lattice")
     r = L.rank
-    mu_sq = []
-    bound = 1
-    while len(mu_sq) < r:
-        vecs = short_vectors(L.gram_rows(), bound)
-        qs = [L.q_value(v) for v in vecs]
-        echelon = []
-        mu_sq = []
-        for i in sorted(range(len(vecs)), key=qs.__getitem__):
-            if _extend_echelon(echelon, vecs[i]):
-                mu_sq.append(qs[i])
-                if len(mu_sq) == r:
+    G = L.gram_rows()
+    diag = [G[i][i] // 2 for i in range(r)]
+    bound = min(diag)
+    while True:
+        echelon, picked = [], []
+        for v in short_vectors(G, bound):
+            if _extend_echelon(echelon, v):
+                picked.append(v)
+                if len(picked) == r:
                     break
-        bound *= 2
+        if len(picked) == r:
+            break
+        bound = min(2 * bound, max(diag))
+    mu_sq = [L.q_value(v) for v in picked]
     a_sq = []
     acc = 1
     for m in mu_sq:

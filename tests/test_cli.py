@@ -244,6 +244,17 @@ class TestCli:
         assert main(["lattice", "--in", str(path), "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == "error: a lattice needs rank >= 1\n"
 
+    def test_lattice_refuses_huge_enumeration(self, tmp_path, capsys):
+        # E8 to 100 is about 6.5e9 points: refused up front, not run for hours
+        from conftest import E8_GRAM
+        path = tmp_path / "e8.json"
+        path.write_text(json.dumps({"rank": 8, "gram": E8_GRAM, "positive_definite": True}))
+        assert main(["lattice", "--in", str(path), "--mmax", "100",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: enumeration to bound 100 would visit about 6.49e+09 ")
+        assert err.endswith(" guard\n")
+
     @pytest.mark.parametrize("p", ["9", "15", "25"])
     def test_eis_rejects_composite_p(self, p, capsys):
         assert main(["eis", "--e8-check", "--p", p, "--mmax", "2"]) == 1

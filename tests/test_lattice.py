@@ -207,12 +207,82 @@ def reference_safe(plan, gram, bound):
             and all(m * wb * wb < INT64_SAFE for m, wb in zip(mults, wbs)))
 
 
-def walk_counts_py(gram, bound):
-    from orthocount._enum import _theta_walk_py, cholesky_plan
+def ref_theta_walk(mults, lds, lns, scale, bound, counts, collect=None):
+    """Node-at-a-time big-int Fincke-Pohst walk of an integer plan (test
+    oracle): counts[Q(v)] += 1 per nonzero vector up to sign, the outermost
+    nonzero coordinate positive, and each such v appended to `collect`."""
+    r = len(mults)
+    v = [0] * r
+    base = [0] * r
+
+    def descend(i, t, qs, started):
+        if i < 0:
+            if started:
+                counts[qs // scale] += 1
+                if collect is not None:
+                    collect.append(v[:])
+            return
+        m, ld, b = mults[i], lds[i], base[i]
+        B = isqrt(t // m)
+        lo = -((B + b) // ld)
+        hi = (B - b) // ld
+        if not started and lo < 0:
+            lo = 0
+        for x in range(lo, hi + 1):
+            w = ld * x + b
+            term = m * w * w
+            if term > t:
+                continue
+            v[i] = x
+            for k in range(i):
+                base[k] += lns[k][i] * x
+            descend(i - 1, t - term, qs + term, started or x != 0)
+            for k in range(i):
+                base[k] -= lns[k][i] * x
+        v[i] = 0
+
+    descend(r - 1, bound * scale, 0, False)
+
+
+def ref_leaves(gram, bound):
+    """(counts, vectors) of the oracle walk, one per +-pair."""
+    from orthocount._enum import cholesky_plan
     mults, lds, lns, scale, _ = cholesky_plan(gram, bound)
+    counts, vecs = [0] * (bound + 1), []
+    ref_theta_walk(mults, lds, lns, scale, bound, counts, vecs)
+    return counts, vecs
+
+
+def walk_counts_py(gram, bound):
+    return ref_leaves(gram, bound)[0]
+
+
+def walk_leaves(gram, bound, chunk):
+    """(counts, vectors) of the package's one walk at a given chunk size,
+    without the zero vector, which it visits first."""
+    from orthocount._enum import _coordinates, _walk
+    qs, vecs = [], []
+    for q, path in _walk(gram, bound, chunk=chunk):
+        qs += q.tolist()
+        vecs += _coordinates(path).tolist()
+    assert qs[0] == 0 and not any(vecs[0])
     counts = [0] * (bound + 1)
-    _theta_walk_py(mults, lds, lns, scale, bound, counts)
-    return counts
+    for x in qs[1:]:
+        counts[x] += 1
+    return counts, vecs[1:]
+
+
+def unsafe_grams(rng):
+    """UNSAFE_GRAM and seeded rank-7/8 spread-2 grams, each with a bound at
+    which its plan is beyond int64."""
+    from orthocount._enum import cholesky_plan
+    yield UNSAFE_GRAM, 12
+    for rank in (7, 7, 8, 8):
+        while True:
+            G, bound = random_posdef_gram(rng, rank, spread=2), rng.randint(12, 20)
+            if not cholesky_plan(G, bound)[4]:
+                yield G, bound
+                break
 
 
 class TestEnumerationKernels:
@@ -222,53 +292,82 @@ class TestEnumerationKernels:
         import numpy as np
 
         from orthocount._enum import _isqrt
-        ns = [0, 1, 2, 3, (1 << 31) - 1] + [rng.randrange(1 << 31) for _ in range(2000)]
+        ns = [0, 1, 2, 3, (1 << 25) - 1, 1 << 25, (1 << 31) - 1]
+        ns += [rng.randrange(1 << 31) for _ in range(2000)]
         a = [max(0, n * n + d) for n in ns for d in (-1, 0, 1)]
         a = [x for x in a if x < 1 << 62]
         assert _isqrt(np.array(a, dtype=np.int64)).tolist() == [math.isqrt(x) for x in a]
+        # below 2^50 the truncated float sqrt is taken as it is
+        small = [x for x in a if x < 1 << 50]
+        assert _isqrt(np.array(small, dtype=np.int64)).tolist() == [math.isqrt(x) for x in small]
 
     def test_int64_kernel_matches_bigint_walker(self, rng):
-        from orthocount._enum import _theta_walk_np, cholesky_plan
+        from orthocount._enum import cholesky_plan
         for G, bound in kernel_cases(rng):
-            mults, lds, lns, scale, safe = cholesky_plan(G, bound)
-            assert safe
-            expect = walk_counts_py(G, bound)
+            assert cholesky_plan(G, bound)[4]
+            expect = ref_leaves(G, bound)
             # chunk=2 and chunk=64 split the frontiers across many chunks
             for chunk in (2, 64, 1 << 16):
-                got = _theta_walk_np(mults, lds, lns, scale, bound, chunk=chunk)
-                assert got.tolist() == expect
+                assert walk_leaves(G, bound, chunk) == expect
 
     def test_int64_kernel_matches_bigint_walker_e8(self):
-        from orthocount._enum import _theta_walk_np, cholesky_plan
-        bound = 6
-        mults, lds, lns, scale, safe = cholesky_plan(E8_GRAM, bound)
-        assert safe
-        expect = walk_counts_py(E8_GRAM, bound)
-        for chunk in (1000, 1 << 16):
-            got = _theta_walk_np(mults, lds, lns, scale, bound, chunk=chunk)
-            assert got.tolist() == expect
-
-    def test_unsafe_plan_takes_bigint_walker(self, monkeypatch):
-        import orthocount._enum as enum
         from orthocount._enum import cholesky_plan
-        G = UNSAFE_GRAM
-        bound = 12
-        assert cholesky_plan(G, bound)[4] is False
-        calls = []
-        walk_py = enum._theta_walk_py
+        bound = 6
+        assert cholesky_plan(E8_GRAM, bound)[4]
+        expect = ref_leaves(E8_GRAM, bound)
+        for chunk in (1000, 1 << 16):
+            assert walk_leaves(E8_GRAM, bound, chunk) == expect
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return walk_py(*args, **kwargs)
+    def test_unsafe_plans_match_bigint_walker(self, rng):
+        # the same walk over Python ints, where the int64 certificate fails
+        from orthocount._enum import CHUNK, short_vectors, theta_counts
+        for G, bound in unsafe_grams(rng):
+            expect = ref_leaves(G, bound)
+            for chunk in (2, 64, CHUNK):
+                assert walk_leaves(G, bound, chunk) == expect
+            counts, vecs = expect
+            assert theta_counts(G, bound) == [1] + [2 * c for c in counts[1:]]
+            assert sorted(short_vectors(G, bound)) == sorted(vecs)
+        L = QuadLattice.from_rows(UNSAFE_GRAM, positive_definite=True)
+        assert theta_table(L, 12) == brute_counts(L, 12, 14)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("int64 kernel called on an unsafe plan")
+    def test_work_guard(self, e8):
+        from math import gamma, pi
 
-        monkeypatch.setattr(enum, "_theta_walk_py", spy)
-        monkeypatch.setattr(enum, "_theta_walk_np", refuse)
-        L = QuadLattice.from_rows(G, positive_definite=True)
-        assert theta_table(L, bound) == brute_counts(L, bound, 14)
-        assert len(calls) == 1
+        from orthocount._enum import WORK_GUARD, short_vectors
+        # the ellipsoid estimate of E8 to 20, the deepest table the package
+        # checks (theta_e8, e8_check), is below the guard; to 100 it is not
+        assert pi ** 4 / gamma(5) * 40 ** 4 < WORK_GUARD < pi ** 4 / gamma(5) * 200 ** 4
+        with pytest.raises(ValueError, match="guard"):
+            theta_table(e8, 100)
+        with pytest.raises(ValueError, match="guard"):
+            short_vectors(E8_GRAM, 100)
+
+
+class TestOrthogonalBlocks:
+    def test_direct_sums_against_box(self, rng):
+        from orthocount._enum import block_components
+        for ranks in ((2, 2), (1, 1, 2), (2, 1), (1, 2, 1), (1, 1, 1)):
+            blocks = [random_posdef_gram(rng, k, spread=2) for k in ranks]
+            rank = sum(ranks)
+            G = [[0] * rank for _ in range(rank)]
+            k = 0
+            for B in blocks:
+                for i, row in enumerate(B):
+                    G[k + i][k:k + len(B)] = row
+                k += len(B)
+            perm = list(range(rank))
+            rng.shuffle(perm)
+            G = [[G[i][j] for j in perm] for i in perm]
+            assert len(block_components(G)) >= len(ranks)
+            L = QuadLattice.from_rows(G, positive_definite=True)
+            bound = 10
+            expect = [0] * (bound + 1)
+            boxes = [range(-m, m + 1) for m in reference_vmax(G, bound)]
+            for v in itertools.product(*boxes):
+                if L.q_value(v) <= bound:
+                    expect[L.q_value(v)] += 1
+            assert theta_table(L, bound) == expect
 
 
 class TestPlan:
@@ -318,11 +417,16 @@ class TestPlan:
         for G in grams:
             for bound in (1, 6, 15):
                 vmax = reference_vmax(G, bound)
-                for v in short_vectors(G, bound):
+                vecs = short_vectors(G, bound)
+                for v in vecs:
                     assert all(abs(x) <= m for x, m in zip(v, vmax))
+                # the oracle's vectors, stably sorted by Q
+                counts, expect = ref_leaves(G, bound)
+                L = QuadLattice.from_rows(G, positive_definite=True)
+                assert vecs == sorted(expect, key=L.q_value)
 
     @pytest.mark.parametrize("gram, builds", [
-        ([[20, 3], [3, 30]], 1),  # one block; the minima try bounds 1..16
+        ([[20, 3], [3, 30]], 1),  # one block; the minima try bounds 10, 15
         # blocks A2, A2 and [40]: two distinct blocks, plus the whole gram
         # that successive_minima enumerates on
         ([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 1, 0], [0, 0, 1, 2, 0],
@@ -404,6 +508,24 @@ class TestSuccessiveMinima:
             assert len(set(pivots)) == len(pivots)
             for k, (_, row) in enumerate(echelon):
                 assert all(row[c] == 0 for c in pivots[:k])
+
+    def test_bound_starts_at_smallest_basis_norm(self, monkeypatch):
+        # x^2 + y^2 in the basis e1, e2 + 1000 e1: Q(e2) = 10^6 + 1, so one
+        # walk at max_i Q(e_i) would collect about 1.6 million vectors,
+        # while the walk at min_i Q(e_i) = 1 already finds both minima
+        import orthocount.lattice as lattice
+        from orthocount._enum import short_vectors
+        seen = []
+
+        def spy(gram, bound):
+            vecs = short_vectors(gram, bound)
+            seen.append(len(vecs))
+            return vecs
+
+        monkeypatch.setattr(lattice, "short_vectors", spy)
+        L = QuadLattice.from_rows([[2, 2000], [2000, 2000002]], positive_definite=True)
+        assert successive_minima(L) == ([1, 1], [1, 1])
+        assert len(seen) == 1 and seen[0] <= 4
 
     def test_matches_hnf_reference(self, rng):
         for _ in range(30):
