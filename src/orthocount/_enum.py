@@ -107,9 +107,7 @@ _isqrt_object = np.frompyfunc(isqrt, 1, 1)
 def _check_work(r, bound, det):
     """Refuse a walk whose ellipsoid {Q(v) <= bound} holds more than about
     WORK_GUARD lattice points, estimated as V_r * (2*bound)^(r/2) / sqrt(det).
-
-    The float estimate decides refusal only, never a result.
-    """
+    The float estimate decides refusal only, never a result."""
     if bound <= 0:
         return
     log_est = r / 2 * log(2 * pi * bound) - lgamma(r / 2 + 1) - log(det) / 2
@@ -209,23 +207,18 @@ def block_components(gram):
     return comps
 
 
-def _block_counts(gram, bound):
-    counts = np.zeros(bound + 1, dtype=np.int64)
-    for q, _ in _walk(gram, bound):
-        counts += np.bincount(q, minlength=bound + 1)
-    counts *= 2
-    counts[0] -= 1
-    return counts.astype(object)
-
-
 def theta_counts(gram, bound):
-    """[#{v : Q(v)=q} for q = 0..bound], split over orthogonal blocks."""
+    """[#{v : Q(v)=q} for q = 0..bound], split over orthogonal blocks whose
+    tables are merged by exact convolution over Python ints."""
     if bound < 0:
         return []
     total = np.ones(1, dtype=object)
     for comp in block_components(gram):
-        sub = [[gram[i][j] for j in comp] for i in comp]
-        total = np.convolve(total, _block_counts(sub, bound))[:bound + 1]
+        counts = np.zeros(bound + 1, dtype=np.int64)
+        for q, _ in _walk([[gram[i][j] for j in comp] for i in comp], bound):
+            counts += np.bincount(q, minlength=bound + 1)
+        counts[1:] *= 2  # the walk visits each v != 0 up to sign, and 0 once
+        total = np.convolve(total, counts.astype(object))[:bound + 1]
     return total.tolist()
 
 

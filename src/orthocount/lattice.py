@@ -152,26 +152,18 @@ def successive_minima(L):
     if not L.positive_definite:
         raise ValueError("successive minima need a positive definite lattice")
     r = L.rank
-    G = L.gram_rows()
-    diag = [G[i][i] // 2 for i in range(r)]
-    bound = min(diag)
-    while True:
+    diag = [L.gram[i][i] // 2 for i in range(r)]
+    bound, picked = min(diag), []
+    while len(picked) < r:
         echelon, picked = [], []
-        for v in short_vectors(G, bound):
+        for v in short_vectors(L.gram_rows(), bound):
             if _extend_echelon(echelon, v):
                 picked.append(v)
                 if len(picked) == r:
                     break
-        if len(picked) == r:
-            break
         bound = min(2 * bound, max(diag))
     mu_sq = [L.q_value(v) for v in picked]
-    a_sq = []
-    acc = 1
-    for m in mu_sq:
-        acc *= m
-        a_sq.append(acc)
-    return mu_sq, a_sq
+    return mu_sq, list(itertools.accumulate(mu_sq, lambda x, y: x * y))
 
 
 def _extend_echelon(echelon, v):
