@@ -95,7 +95,7 @@ def _isqrt(a):
     at most one either way; one step each corrects it.
     """
     s = np.sqrt(a).astype(np.int64)
-    if len(a) and a.max() >= 1 << 50:
+    if a.max() >= 1 << 50:
         s -= s * s > a
         s += (s + 1) * (s + 1) <= a
     return s
@@ -133,8 +133,9 @@ def _walk(gram, bound, chunk=CHUNK):
 
     Yields (q, path) per chunk of leaves, in lexicographic order of
     (v[r-1], ..., v[0]): q the int64 array of Q-values, and path the
-    (parent, x) arrays of levels r-1, ..., 0, from which `_coordinates`
-    reads the vectors.
+    (parent, x) arrays of levels r-1, ..., 0 (parent rows index the level
+    above; level r-1 hangs off the root, so its parent is None), from which
+    `_coordinates` reads the vectors.
     """
     mults, lds, lns, scale, safe = cholesky_plan(gram, bound)
     r = len(mults)

@@ -253,10 +253,6 @@ def ref_leaves(gram, bound):
     return counts, vecs
 
 
-def walk_counts_py(gram, bound):
-    return ref_leaves(gram, bound)[0]
-
-
 def walk_leaves(gram, bound, chunk):
     """(counts, vectors) of the package's one walk at a given chunk size,
     without the zero vector, which it visits first."""
@@ -509,10 +505,15 @@ class TestSuccessiveMinima:
             for k, (_, row) in enumerate(echelon):
                 assert all(row[c] == 0 for c in pivots[:k])
 
-    def test_bound_starts_at_smallest_basis_norm(self, monkeypatch):
-        # x^2 + y^2 in the basis e1, e2 + 1000 e1: Q(e2) = 10^6 + 1, so one
-        # walk at max_i Q(e_i) would collect about 1.6 million vectors,
-        # while the walk at min_i Q(e_i) = 1 already finds both minima
+    @pytest.mark.parametrize("gram, expect", [
+        ([[2, 2000], [2000, 2000002]], ([1, 1], [1, 1])),
+        ([[4, 4000], [4000, 4000004]], ([2, 2], [2, 4])),
+    ])
+    def test_bound_starts_at_smallest_basis_norm(self, monkeypatch, gram, expect):
+        # c(x^2 + y^2) in the basis e1, e2 + 1000 e1: Q(e2) = c(10^6 + 1), so
+        # one walk at max_i Q(e_i) would collect over a million vectors,
+        # while the walk at min_i Q(e_i) = c already finds both minima (and
+        # walks from bound 1 would take more than one call at c = 2)
         import orthocount.lattice as lattice
         from orthocount._enum import short_vectors
         seen = []
@@ -523,8 +524,8 @@ class TestSuccessiveMinima:
             return vecs
 
         monkeypatch.setattr(lattice, "short_vectors", spy)
-        L = QuadLattice.from_rows([[2, 2000], [2000, 2000002]], positive_definite=True)
-        assert successive_minima(L) == ([1, 1], [1, 1])
+        L = QuadLattice.from_rows(gram, positive_definite=True)
+        assert successive_minima(L) == expect
         assert len(seen) == 1 and seen[0] <= 4
 
     def test_matches_hnf_reference(self, rng):
