@@ -331,8 +331,8 @@ class TestEnumerationKernels:
         from math import gamma, pi
 
         from orthocount._enum import WORK_GUARD, short_vectors
-        # the ellipsoid estimate of E8 to 20, the deepest table the package
-        # checks (theta_e8, e8_check), is below the guard; to 100 it is not
+        # the ellipsoid estimate of E8 to 20, the deepest table the tests
+        # and the benchmark ask for, is below the guard; to 100 it is not
         assert pi ** 4 / gamma(5) * 40 ** 4 < WORK_GUARD < pi ** 4 / gamma(5) * 200 ** 4
         with pytest.raises(ValueError, match="guard"):
             theta_table(e8, 100)
