@@ -89,15 +89,12 @@ def cholesky_plan(gram, bound):
 def _isqrt(a):
     """Exact floor(sqrt(a)) for an int64 array with 0 <= a < 2^62.
 
-    Below 2^50 the correctly rounded float64 sqrt of a stays more than half
-    an ulp below the next integer, so its truncation is exact.  Above, the
-    estimate is within 2^-20 of sqrt(a) <= 2^31, so its truncation is off by
-    at most one either way; one step each corrects it.
+    The float64 estimate is within 2^-20 of sqrt(a) <= 2^31, so its
+    truncation is off by at most one either way; one step each corrects it.
     """
     s = np.sqrt(a).astype(np.int64)
-    if a.max() >= 1 << 50:
-        s -= s * s > a
-        s += (s + 1) * (s + 1) <= a
+    s -= s * s > a
+    s += (s + 1) * (s + 1) <= a
     return s
 
 
@@ -210,16 +207,21 @@ def block_components(gram):
 
 def theta_counts(gram, bound):
     """[#{v : Q(v)=q} for q = 0..bound], split over orthogonal blocks whose
-    tables are merged by exact convolution over Python ints."""
+    tables are merged by exact products of series over Python ints."""
     if bound < 0:
         return []
-    total = np.ones(1, dtype=object)
+    total = np.zeros(bound + 1, dtype=object)
+    total[0] = 1
     for comp in block_components(gram):
         counts = np.zeros(bound + 1, dtype=np.int64)
         for q, _ in _walk([[gram[i][j] for j in comp] for i in comp], bound):
             counts += np.bincount(q, minlength=bound + 1)
         counts[1:] *= 2  # the walk visits each v != 0 up to sign, and 0 once
-        total = np.convolve(total, counts.astype(object))[:bound + 1]
+        # one shifted row per nonzero term of the sparser series
+        a, b = sorted((total, counts.astype(object)), key=np.count_nonzero)
+        total = np.zeros(bound + 1, dtype=object)
+        for k in np.flatnonzero(a):
+            total[k:] += a[k] * b[:bound + 1 - k]
     return total.tolist()
 
 

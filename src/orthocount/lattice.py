@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._enum import short_vectors, theta_counts
+from ._enum import _ldl_plan, short_vectors, theta_counts
 from .arith import InvariantError, is_prime, valuation
 from .intmat import (
     det_bareiss,
@@ -146,14 +146,18 @@ def successive_minima(L):
     mu_sq[i-1] = mu_i^2 is the smallest y such that i linearly independent
     vectors of Q-value <= y exist; a_sq[i-1] = (mu_1 ... mu_i)^2.
     The greedy pick runs over short vectors in order of Q.  Their bound
-    starts at min_i Q(e_i) and doubles up to max_i Q(e_i), where the basis
+    starts at max_j 1/(Q^-1)_jj = max_j det/(2*minor_j), from the determinant
+    and principal minors of the Gram matrix.  That is at most mu_r^2: r
+    independent vectors include one with v_j != 0, and
+    Q(v) >= v_j^2/(Q^-1)_jj.  It doubles up to max_i Q(e_i), where the basis
     itself gives r independent vectors, so the last walk always completes.
     """
     if not L.positive_definite:
         raise ValueError("successive minima need a positive definite lattice")
     r = L.rank
-    diag = [L.gram[i][i] // 2 for i in range(r)]
-    bound, picked = min(diag), []
+    *_, minors, det = _ldl_plan(tuple(map(tuple, L.gram)))
+    bound = max(-(-det // (2 * m)) for m in minors)
+    top, picked = max(L.gram[i][i] // 2 for i in range(r)), []
     while len(picked) < r:
         echelon, picked = [], []
         for v in short_vectors(L.gram_rows(), bound):
@@ -161,7 +165,7 @@ def successive_minima(L):
                 picked.append(v)
                 if len(picked) == r:
                     break
-        bound = min(2 * bound, max(diag))
+        bound = min(2 * bound, top)
     mu_sq = [L.q_value(v) for v in picked]
     return mu_sq, list(itertools.accumulate(mu_sq, lambda x, y: x * y))
 

@@ -31,6 +31,11 @@ X2Y2 = QuadLattice.from_rows([[2, 0], [0, 2]], positive_definite=True)
 HYP = QuadLattice.from_rows([[0, 1], [1, 0]])
 
 
+def gram_of_rows(B):
+    """Gram matrix 2*B*B^T of the sum of squares in the basis given by B's rows."""
+    return [[2 * sum(x * y for x, y in zip(u, w)) for w in B] for u in B]
+
+
 def brute_counts(L, bound, box):
     counts = [0] * (bound + 1)
     for v in itertools.product(range(-box, box + 1), repeat=L.rank):
@@ -293,9 +298,6 @@ class TestEnumerationKernels:
         a = [max(0, n * n + d) for n in ns for d in (-1, 0, 1)]
         a = [x for x in a if x < 1 << 62]
         assert _isqrt(np.array(a, dtype=np.int64)).tolist() == [math.isqrt(x) for x in a]
-        # below 2^50 the truncated float sqrt is taken as it is
-        small = [x for x in a if x < 1 << 50]
-        assert _isqrt(np.array(small, dtype=np.int64)).tolist() == [math.isqrt(x) for x in small]
 
     def test_int64_kernel_matches_bigint_walker(self, rng):
         from orthocount._enum import cholesky_plan
@@ -422,7 +424,7 @@ class TestPlan:
                 assert vecs == sorted(expect, key=L.q_value)
 
     @pytest.mark.parametrize("gram, builds", [
-        ([[20, 3], [3, 30]], 1),  # one block; the minima try bounds 10, 15
+        ([[20, 3], [3, 30]], 1),  # one block; the minima walk once, at bound 15
         # blocks A2, A2 and [40]: two distinct blocks, plus the whole gram
         # that successive_minima enumerates on
         ([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 1, 0], [0, 0, 1, 2, 0],
@@ -508,12 +510,16 @@ class TestSuccessiveMinima:
     @pytest.mark.parametrize("gram, expect", [
         ([[2, 2000], [2000, 2000002]], ([1, 1], [1, 1])),
         ([[4, 4000], [4000, 4000004]], ([2, 2], [2, 4])),
+        (gram_of_rows([[1000, 1], [999, 1]]), ([1, 1], [1, 1])),
+        (gram_of_rows([[1000, 1, 0], [999, 1, 0], [1000, 1, 1]]), ([1, 1, 1], [1, 1, 1])),
     ])
-    def test_bound_starts_at_smallest_basis_norm(self, monkeypatch, gram, expect):
-        # c(x^2 + y^2) in the basis e1, e2 + 1000 e1: Q(e2) = c(10^6 + 1), so
-        # one walk at max_i Q(e_i) would collect over a million vectors,
-        # while the walk at min_i Q(e_i) = c already finds both minima (and
-        # walks from bound 1 would take more than one call at c = 2)
+    def test_bound_starts_below_last_minimum(self, monkeypatch, gram, expect):
+        # c(x^2 + y^2) in the basis e1, e2 + 1000 e1, and Z^2, Z^3 in bases
+        # of long vectors only: one walk at max_i Q(e_i), or in the Z^k
+        # bases at min_i Q(e_i) >= 10^6, would collect over a million
+        # vectors (Z^3: beyond the work guard), while the walk at
+        # max_j 1/(Q^-1)_jj <= mu_r^2 already finds every minimum (and walks
+        # from bound 1 would take more than one call at c = 2)
         import orthocount.lattice as lattice
         from orthocount._enum import short_vectors
         seen = []
