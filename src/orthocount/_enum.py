@@ -1,8 +1,9 @@
 """Branch-and-bound lattice point enumeration (Fincke-Pohst style).
 
-The pruning data comes from an exact rational completion of squares
-Q(v) = sum_i c_i (v_i + sum_{j>i} L_ij v_j)^2, rescaled to a single integer
-plan so the hot loop is integer-only -- no floating point in any bound.
+The pruning data is the completion of squares
+Q(v) = sum_i c_i (v_i + sum_{j>i} L_ij v_j)^2, whose c_i and L_ij are ratios
+of the minors of one fraction-free Bareiss elimination, rescaled to a single
+integer plan so the hot loop is integer-only -- no floating point in any bound.
 That plan does not depend on the bound, so it is built once per Gram matrix
 and cached; each bound then only needs the int64 certificate, whose
 coordinate boxes |v_j| <= sqrt(2*bound*(G^-1)_jj) read the diagonal of the
@@ -12,20 +13,19 @@ whole arrays of partial vectors and yields the leaves with their exact Q.
 Its arrays are int64 when the certificate holds and Python ints
 (dtype=object) when it does not; the code is the same.  `theta_counts`
 bincounts the leaves' Q, `short_vectors` keeps the vectors in order of Q.
-A walk whose ellipsoid holds more than about WORK_GUARD points is refused
-before it starts.
+A walk whose ellipsoid holds more than about WORK_GUARD points, or a theta
+table longer than WORK_GUARD, is refused before it starts.
 
 Vectors are visited up to sign: the outermost nonzero coordinate is forced
 positive and counts are doubled afterwards.
 """
 
-from fractions import Fraction
 from functools import lru_cache
-from math import exp, isqrt, lcm, lgamma, log, pi
+from math import exp, gcd, isqrt, lcm, lgamma, log, pi, prod
 
 import numpy as np
 
-from .intmat import det_bareiss
+from .intmat import det_bareiss, gram_pivots
 
 INT64_SAFE = 1 << 62
 CHUNK = 1 << 16  # frontier rows walked at once by _walk
@@ -37,30 +37,24 @@ def _ldl_plan(gram):
     """Bound-free plan of a Gram matrix given as a tuple of tuples.
 
     Returns (mults, lds, lns, scale, minors, det) as tuples and ints, where
-    minors[j] is the determinant of gram with row and column j removed, so
-    that (gram^-1)_jj = minors[j] / det.
+    lns[i][j] = 0 for j <= i and minors[j] is the determinant of gram with
+    row and column j removed, so that (gram^-1)_jj = minors[j] / det.
+    With U the rows of `gram_pivots` and D_i its leading minors (D_0 = 1),
+    Q has c_i = D_{i+1}/(2 D_i) and L_ij = U[i][j]/D_{i+1}.  Row i is
+    cleared by g_i = gcd(U[i][i:]), and scale clears every
+    c_i/lds_i^2 = g_i^2/(2 D_i D_{i+1}).
     """
     r = len(gram)
-    A = [[Fraction(gram[i][j], 2) for j in range(r)] for i in range(r)]
-    c = [Fraction(0)] * r
-    L = [[Fraction(0)] * r for _ in range(r)]
-    for i in range(r):
-        c[i] = A[i][i]
-        if c[i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, r):
-            L[i][j] = A[i][j] / c[i]
-        for j in range(i + 1, r):
-            for k in range(j, r):
-                A[j][k] -= A[i][j] * A[i][k] / c[i]
-                A[k][j] = A[j][k]
-    lds = tuple(lcm(1, *(f.denominator for f in L[i][i + 1:])) for i in range(r))
-    scale = lcm(1, *((c[i] / lds[i] ** 2).denominator for i in range(r)))
-    mults = tuple(int(c[i] * scale) // lds[i] ** 2 for i in range(r))
-    lns = tuple(tuple(int(L[i][j] * lds[i]) for j in range(r)) for i in range(r))
+    U = gram_pivots(gram)
+    D = [1] + [row[i] for i, row in enumerate(U)]
+    gs = [gcd(*row[i:]) for i, row in enumerate(U)]
+    lds = tuple(D[i + 1] // g for i, g in enumerate(gs))
+    lns = tuple(tuple(x // g if j > i else 0 for j, x in enumerate(U[i])) for i, g in enumerate(gs))
+    scale = lcm(1, *(2 * a * b // gcd(g * g, 2 * a * b) for g, a, b in zip(gs, D, D[1:])))
+    mults = tuple(g * g * scale // (2 * a * b) for g, a, b in zip(gs, D, D[1:]))
     minors = tuple(det_bareiss([[gram[a][b] for b in range(r) if b != j]
                                 for a in range(r) if a != j]) for j in range(r))
-    return mults, lds, lns, scale, minors, det_bareiss(gram)
+    return mults, lds, lns, scale, minors, D[r]
 
 
 def cholesky_plan(gram, bound):
@@ -78,11 +72,9 @@ def cholesky_plan(gram, bound):
     mults, lds, lns, scale, minors, det = _ldl_plan(tuple(map(tuple, gram)))
     r = len(mults)
     vmax = [isqrt(2 * bound * m // det) + 1 for m in minors]
-    safe = 2 * bound * scale + 1 < INT64_SAFE
-    for i in range(r):
-        wb = lds[i] * vmax[i] + sum(abs(lns[i][j]) * vmax[j] for j in range(i + 1, r))
-        if mults[i] * wb * wb >= INT64_SAFE:
-            safe = False
+    wbs = [lds[i] * vmax[i] + sum(abs(x) * m for x, m in zip(lns[i], vmax)) for i in range(r)]
+    safe = 2 * bound * scale + 1 < INT64_SAFE and all(
+        m * wb * wb < INT64_SAFE for m, wb in zip(mults, wbs))
     return mults, lds, lns, scale, safe
 
 
@@ -136,7 +128,8 @@ def _walk(gram, bound, chunk=CHUNK):
     """
     mults, lds, lns, scale, safe = cholesky_plan(gram, bound)
     r = len(mults)
-    _check_work(r, bound, _ldl_plan(tuple(map(tuple, gram)))[5])
+    # det = prod 2 c_i with c_i = mults[i] lds[i]^2 / scale, exactly
+    _check_work(r, bound, prod(2 * m * d * d for m, d in zip(mults, lds)) // scale ** r)
     top = bound * scale
     dtype, root = (np.int64, _isqrt) if safe else (object, _isqrt_object)
     lns = np.array(lns, dtype=dtype)
@@ -210,6 +203,9 @@ def theta_counts(gram, bound):
     tables are merged by exact products of series over Python ints."""
     if bound < 0:
         return []
+    if bound + 1 > WORK_GUARD:
+        raise ValueError(f"a theta table to bound {bound} has {bound + 1} entries, "
+                         f"more than the {WORK_GUARD:.3g} guard")
     total = np.zeros(bound + 1, dtype=object)
     total[0] = 1
     for comp in block_components(gram):

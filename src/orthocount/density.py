@@ -222,21 +222,21 @@ def _orbits(ell, a):
     """
     mod = ell ** a
     r = np.arange(mod, dtype=np.int64)
-    v = np.zeros(mod, dtype=np.int64)  # v_ell(r), and a at r = 0
+    v = np.zeros(mod, dtype=np.int16)  # v_ell(r), and a at r = 0
     for k in range(1, a + 1):
         v[:: ell ** k] += 1
-    w = r // ell ** v
+    w = r // np.int64(ell) ** v  # residues stay int64; ell^v overflows int16
     if ell == 2:
-        key = w % 2 ** np.minimum(a - v, 3) // 2
+        key = (w % 2 ** np.minimum(a - v, 3) // 2).astype(np.int16)
     else:
-        nonresidue = np.ones(ell, dtype=np.int64)
+        nonresidue = np.ones(ell, dtype=np.int16)
         nonresidue[np.arange(ell) ** 2 % ell] = 0
-        key = nonresidue[w % ell]
+        key = nonresidue[np.remainder(w, ell, out=w)]
     del w  # lowers the peak memory at deep moduli
-    # orbits are labelled in the order of the key 4 v + class of w
+    # orbits are labelled in the order of the key 4 v + class of w (< 4a + 4)
     key += 4 * v
     count = np.bincount(key)
-    labels = (np.cumsum(count > 0) - 1)[key]
+    labels = (np.cumsum(count > 0) - 1).astype(np.int16)[key]
     reps = np.full(np.count_nonzero(count), mod)
     np.minimum.at(reps, labels, r)
     orbits = labels, reps, count[count > 0]
@@ -258,8 +258,9 @@ def _orbit_tensor(ell, a):
     labels, reps, _ = _orbits(ell, a)
     mod, n = len(labels), len(reps)
     twice = np.concatenate((labels, labels))
+    pair_row = labels.astype(np.int64) * n
     # twice[z + mod - x] is the label of z - x, for x = 0 .. mod - 1
-    T = np.array([np.bincount(labels * n + twice[z + mod: z: -1], minlength=n * n)
+    T = np.array([np.bincount(pair_row + twice[z + mod: z: -1], minlength=n * n)
                   for z in reps])
     o3, pair = np.nonzero(T)
     return (pair // n, pair % n, T[o3, pair].astype(object),

@@ -1,11 +1,9 @@
-"""Exact integer matrix algebra: Bareiss determinants, Hermite and Smith normal
-forms, integer kernels and row reduction over F_p.
+"""Exact integer matrix algebra: Bareiss determinants and Gram pivots, Hermite
+and Smith normal forms, integer kernels and row reduction over F_p.
 
 Everything here works on lists of lists of Python ints, so there is no
 overflow anywhere; matrix sizes in this package are tiny (rank <= ~10).
 """
-
-from fractions import Fraction
 
 
 def copy_mat(M):
@@ -54,9 +52,21 @@ def det_bareiss(M):
     return sign * prev
 
 
-def leading_principal_minors(M):
-    """[det M[:1,:1], det M[:2,:2], ...] exactly."""
-    return [det_bareiss([row[:k] for row in M[:k]]) for k in range(1, len(M) + 1)]
+def gram_pivots(G):
+    """Bareiss elimination of a symmetric G without row swaps (Bareiss 1968;
+    Cohen, GTM 138, 2.7.3): the upper triangular rows U, with U[i][j] the minor
+    on rows 0..i and columns 0..i-1, j, so U[i][i] = det G[:i+1, :i+1] and
+    G = L D L^T with L[j][i] = U[i][j]/U[i][i].  ValueError at a pivot <= 0."""
+    A, n, prev = copy_mat(G), len(G), 1
+    for k, row in enumerate(A):
+        p = row[k]
+        if p <= 0:
+            raise ValueError(f"form is not positive definite: leading minor {k + 1} is {p}")
+        for i in range(k + 1, n):
+            for j in range(i, n):  # every stage is symmetric: row[i] is A[i][k]
+                A[i][j] = (A[i][j] * p - row[i] * row[j]) // prev
+        prev = p
+    return [[0] * i + row[i:] for i, row in enumerate(A)]
 
 
 def hnf_columns(M):
@@ -181,26 +191,20 @@ def smith_normal_form(M):
 def solve_integer(M, v):
     """One integer solution x of M x = v, or None."""
     H, U = hnf_columns(M)
-    rows = len(M)
-    cols = len(M[0])
-    x = [Fraction(0)] * cols
-    r = list(map(Fraction, v))
+    rows, cols = len(M), len(M[0])
+    x, r = [0] * cols, list(v)
     for j in range(cols):
         i = next((i for i in range(rows) if H[i][j] != 0), None)
         if i is None:
             break
-        if r[i] % H[i][j] != 0 and r[i].denominator == 1:
-            pass
-        c = r[i] / H[i][j]
-        x[j] = c
+        x[j], rest = divmod(r[i], H[i][j])
+        if rest:
+            return None
         for k in range(rows):
-            r[k] -= c * H[k][j]
-    if any(r) or any(c.denominator != 1 for c in x):
+            r[k] -= x[j] * H[k][j]
+    if any(r):
         return None
-    y = [0] * cols
-    for i in range(cols):
-        y[i] = sum(U[i][j] * int(x[j]) for j in range(cols))
-    return y
+    return [sum(U[i][j] * x[j] for j in range(cols)) for i in range(cols)]
 
 
 def fp_row_reduce(M, p):

@@ -15,9 +15,9 @@ from .arith import InvariantError, is_prime, valuation
 from .intmat import (
     det_bareiss,
     fp_row_reduce,
+    gram_pivots,
     hnf_columns,
     kernel_basis,
-    leading_principal_minors,
     mat_mul,
     smith_normal_form,
     solve_integer,
@@ -47,8 +47,7 @@ class QuadLattice:
         if det_bareiss(self.gram_rows()) == 0:
             raise ValueError("gram is singular")
         if self.positive_definite:
-            if any(m <= 0 for m in leading_principal_minors(self.gram_rows())):
-                raise ValueError("positive_definite set but a leading minor is <= 0")
+            gram_pivots(self.gram_rows())  # raises at a leading minor <= 0
 
     @staticmethod
     def from_rows(rows, positive_definite=False):

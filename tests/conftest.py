@@ -38,9 +38,12 @@ def random_posdef_gram(rng, rank, spread=3):
         B = [[rng.randint(-spread, spread) for _ in range(rank)] for _ in range(rank)]
         G = [[2 * sum(B[k][i] * B[k][j] for k in range(rank)) for j in range(rank)]
              for i in range(rank)]
-        from orthocount.intmat import det_bareiss, leading_principal_minors
-        if det_bareiss(G) != 0 and all(m > 0 for m in leading_principal_minors(G)):
-            return G
+        from orthocount.intmat import gram_pivots
+        try:
+            gram_pivots(G)
+        except ValueError:
+            continue
+        return G
 
 
 def random_unimodular(rng, rank, steps=12):

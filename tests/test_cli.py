@@ -255,6 +255,17 @@ class TestCli:
         assert err.startswith("error: enumeration to bound 100 would visit about 6.49e+09 ")
         assert err.endswith(" guard\n")
 
+    def test_lattice_refuses_huge_table(self, tmp_path, capsys):
+        # a rank-1 table to 10^12 would need 10^12 + 1 counts: refused up
+        # front rather than dying allocating them
+        path = tmp_path / "a1.json"
+        path.write_text(json.dumps({"rank": 1, "gram": [[2]], "positive_definite": True}))
+        assert main(["lattice", "--in", str(path), "--mmax", "1000000000000",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: a theta table to bound 1000000000000 has 1000000000001 "
+                       "entries, more than the 1e+08 guard\n")
+
     @pytest.mark.parametrize("p", ["9", "15", "25"])
     def test_eis_rejects_composite_p(self, p, capsys):
         assert main(["eis", "--e8-check", "--p", p, "--mmax", "2"]) == 1

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
-from orthocount.intmat import det_bareiss, fp_row_reduce, mat_mul
+from orthocount.intmat import det_bareiss, fp_row_reduce, gram_pivots, mat_mul
 from orthocount.lattice import _fp_kernel
+
+from conftest import E8_GRAM, random_posdef_gram
 
 
 def test_det_of_empty_matrix_is_one():
@@ -17,6 +19,32 @@ def test_det_small_cases():
     assert det_bareiss([[0, 1], [1, 0]]) == -1
     assert det_bareiss([[1, 2], [2, 4]]) == 0
     assert det_bareiss([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4
+
+
+def test_gram_pivots_are_minors():
+    # the diagonal is the old leading_principal_minors, kept here as the
+    # oracle; U[i][j] is the minor on rows 0..i and columns 0..i-1, j
+    rng = random.Random(1968)
+    grams = [E8_GRAM] + [random_posdef_gram(rng, rng.randint(1, 7), spread=2)
+                         for _ in range(30)]
+    for G in grams:
+        r = len(G)
+        U = gram_pivots(G)
+        assert [U[k][k] for k in range(r)] == \
+            [det_bareiss([row[:k] for row in G[:k]]) for k in range(1, r + 1)]
+        for i in range(r):
+            assert U[i][:i] == [0] * i
+            for j in range(i + 1, r):
+                assert U[i][j] == det_bareiss([[G[a][b] for b in [*range(i), j]]
+                                               for a in range(i + 1)])
+    # E8's leading blocks are A_1, ..., A_7, then E8 itself is unimodular
+    assert [row[k] for k, row in enumerate(gram_pivots(E8_GRAM))] == [2, 3, 4, 5, 6, 7, 8, 1]
+
+
+@pytest.mark.parametrize("G", [[[2, 3], [3, 2]], [[2, 2], [2, 2]], [[-2]]])
+def test_gram_pivots_refuse_non_positive_definite(G):
+    with pytest.raises(ValueError, match="not positive definite"):
+        gram_pivots(G)
 
 
 def test_mat_mul_shape_mismatch():

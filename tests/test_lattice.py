@@ -1,12 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
 from orthocount.arith import InvariantError
-from orthocount.intmat import kernel_basis, mat_mul, transpose
+from orthocount.intmat import det_bareiss, kernel_basis, mat_mul, transpose
 from orthocount.lattice import (
     QuadLattice,
     SublatticeBasis,
@@ -195,6 +195,32 @@ def fraction_inverse(M):
     return [row[n:] for row in A]
 
 
+def ref_ldl_plan(gram):
+    """The integer plan by completing the squares over Fractions (test
+    oracle for _enum._ldl_plan's Bareiss plan): same tuple, same ints."""
+    r = len(gram)
+    A = [[Fraction(gram[i][j], 2) for j in range(r)] for i in range(r)]
+    c = [Fraction(0)] * r
+    L = [[Fraction(0)] * r for _ in range(r)]
+    for i in range(r):
+        c[i] = A[i][i]
+        if c[i] <= 0:
+            raise ValueError("form is not positive definite")
+        for j in range(i + 1, r):
+            L[i][j] = A[i][j] / c[i]
+        for j in range(i + 1, r):
+            for k in range(j, r):
+                A[j][k] -= A[i][j] * A[i][k] / c[i]
+                A[k][j] = A[j][k]
+    lds = tuple(lcm(1, *(f.denominator for f in L[i][i + 1:])) for i in range(r))
+    scale = lcm(1, *((c[i] / lds[i] ** 2).denominator for i in range(r)))
+    mults = tuple(int(c[i] * scale) // lds[i] ** 2 for i in range(r))
+    lns = tuple(tuple(int(L[i][j] * lds[i]) for j in range(r)) for i in range(r))
+    minors = tuple(det_bareiss([[gram[a][b] for b in range(r) if b != j]
+                                for a in range(r) if a != j]) for j in range(r))
+    return mults, lds, lns, scale, minors, det_bareiss(gram)
+
+
 def reference_vmax(gram, bound):
     inv = fraction_inverse(gram)
     return [isqrt(int(2 * bound * inv[j][j])) + 1 for j in range(len(gram))]
@@ -341,6 +367,16 @@ class TestEnumerationKernels:
         with pytest.raises(ValueError, match="guard"):
             short_vectors(E8_GRAM, 100)
 
+    def test_table_length_guard(self):
+        from orthocount._enum import WORK_GUARD, theta_counts
+        # Q = x^2 to 10^12 holds only about 2e6 points, below the walk's
+        # guard, but its table would have 10^12 + 1 entries; it is refused
+        # before anything is allocated, as is a table one entry too long
+        for bound in (10 ** 12, WORK_GUARD):
+            with pytest.raises(ValueError, match=f"to bound {bound} has {bound + 1} "
+                                                 r"entries, more than the 1e\+08 guard$"):
+                theta_counts([[2]], bound)
+
 
 class TestOrthogonalBlocks:
     def test_direct_sums_against_box(self, rng):
@@ -384,8 +420,11 @@ class TestPlan:
                   for i in range(r)]
             q = sum(G[i][j] * v[i] * v[j] for i in range(r) for j in range(r)) // 2
             assert sum(m * w * w for m, w in zip(mults, ws)) == q * scale
+        # the Bareiss plan is the Fraction plan, tuple for tuple
+        key = tuple(map(tuple, G))
+        assert _ldl_plan(key) == ref_ldl_plan(key)
         # Cramer's diagonal is the diagonal of the inverse
-        *_, minors, det = _ldl_plan(tuple(map(tuple, G)))
+        *_, minors, det = _ldl_plan(key)
         inv = fraction_inverse(G)
         assert [Fraction(m, det) for m in minors] == [inv[j][j] for j in range(r)]
 
@@ -409,6 +448,15 @@ class TestPlan:
         assert cholesky_plan(big, 2 ** 60 - 1)[4] is True
         assert cholesky_plan(big, 2 ** 60)[4] is False
 
+    def test_e8_and_non_positive_definite(self, rng):
+        from orthocount._enum import _ldl_plan
+        for b in (0, 1, 6, 20):
+            self.check_plan(E8_GRAM, b, rng)
+        for G in (((2, 3), (3, 2)), ((2, 2), (2, 2)), ((-2,),), ((4, 0), (0, -2))):
+            for plan in (_ldl_plan, ref_ldl_plan):
+                with pytest.raises(ValueError, match="not positive definite"):
+                    plan(G)
+
     def test_short_vectors_within_boxes(self, rng):
         from orthocount._enum import short_vectors
         grams = [G for G, _ in itertools.islice(kernel_cases(rng), 12)] + [UNSAFE_GRAM]
@@ -423,10 +471,12 @@ class TestPlan:
                 L = QuadLattice.from_rows(G, positive_definite=True)
                 assert vecs == sorted(expect, key=L.q_value)
 
+    # every walk looks its plan up once, and successive_minima once more for
+    # its start bound, so both cases hit exactly twice
     @pytest.mark.parametrize("gram, builds", [
         ([[20, 3], [3, 30]], 1),  # one block; the minima walk once, at bound 15
         # blocks A2, A2 and [40]: two distinct blocks, plus the whole gram
-        # that successive_minima enumerates on
+        # that successive_minima enumerates on; the second A2 walk hits
         ([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 1, 0], [0, 0, 1, 2, 0],
           [0, 0, 0, 0, 40]], 3),
     ])
@@ -437,8 +487,8 @@ class TestPlan:
         theta_table(L, 8)
         mu_sq, _ = successive_minima(L)
         info = _ldl_plan.cache_info()
-        assert info.misses == builds
-        assert info.hits >= 2 and max(mu_sq) > 8
+        assert (info.misses, info.hits) == (builds, 2)
+        assert max(mu_sq) > 8
 
 
 class TestSuccessiveMinima:
@@ -685,6 +735,20 @@ class TestIntersection:
         B = identity_basis(QuadLattice.from_rows([[2, 1], [1, 2]]))
         with pytest.raises(ValueError):
             intersect_and_index(A, B)
+
+    def test_contains_refuses_non_members(self):
+        # 2Z + Z has index 2: (1, 0) and (3, 5) lie outside it, (2, 5) inside
+        A = SublatticeBasis.from_cols(X2Y2, [[2, 0], [0, 1]])
+        assert A.index_in_ambient() == 2
+        assert not A.contains([1, 0]) and not A.contains([3, 5])
+        assert A.contains([2, 5]) and A.contains([0, 0])
+        # the index-6 sublattice spanned by (2, 0) and (1, 3)
+        B = SublatticeBasis.from_cols(X2Y2, [[2, 1], [0, 3]])
+        members = {(x, y) for x in range(-6, 7) for y in range(-6, 7)
+                   if y % 3 == 0 and (x - y // 3) % 2 == 0}
+        for x in range(-6, 7):
+            for y in range(-6, 7):
+                assert B.contains([x, y]) == ((x, y) in members), (x, y)
 
     def test_membership_and_divisibility(self, rng):
         for _ in range(10):
