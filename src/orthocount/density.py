@@ -1,22 +1,26 @@
 """Local representation densities of quadratic lattices.
 
-Three routes, kept deliberately independent:
+Three routes.  The naive count shares no code with the other two, which
+both start from the ell-adic Jordan splitting of lattice.jordan_blocks
+(Cassels, Rational Quadratic Forms, ch. 8; Conway & Sloane, SPLAG, ch. 15):
 
   local_density_naive      brute-force count of Q(v) = m mod ell^a over all
                            of (Z/ell^a)^rank (guarded at 10^8 points): every
                            prefix of rank-1 coordinates is enumerated, and the
                            last coordinate is counted through a table of its
                            values per linear coefficient
-  local_density_blockwise  the same count via an ell-adic block
-                           diagonalization; scales to any depth, used to
-                           reach stabilization at ell = 2.  Every block is
+  local_density_blockwise  the same count from the Jordan blocks, whose
+                           working precision follows v_ell(det), so any
+                           nonsingular gram is counted at any depth; used to
+                           reach stabilization.  Every block is
                            counted directly on the O(a) orbits of Z/ell^a
                            under the unit squares, from a weighted list of
                            its Q-values (for a 2x2 block, O(ell^a) of them
                            through y = x t and x = y t), and the blocks are
                            merged by an exact contraction over those orbits;
                            _orbits is the only code that knows them
-  local_density_recursive  odd p, p not dividing m: diagonalize over Z_p,
+  local_density_recursive  odd p, p not dividing m: diagonalize over Z_p
+                           (p_diagonalize, the odd-p view of the blocks),
                            drop the p-divisible variables, and count the unit
                            part over F_p by its Gauss-sum closed form (Lidl &
                            Niederreiter, Thms 6.26-6.27); the name is kept
@@ -32,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import InvariantError, is_prime, kronecker, valuation
-from .lattice import p_diagonalize
+from .lattice import jordan_blocks, p_diagonalize
 
 NAIVE_GUARD = 10 ** 8
 NAIVE_CHUNK = 1 << 18  # prefixes, or (b, x) cells, per step of _count_naive_np
@@ -128,87 +132,6 @@ def local_density_naive(ell, L, m, a):
 
 # ---------------------------------------------------------------------------
 # blockwise counter
-
-def block_diagonalize(L, ell, work_exp):
-    """Blocks of a form congruent to gram over Z_ell modulo ell^work_exp.
-
-    Odd ell gives 1x1 blocks only; ell = 2 may need 2x2 blocks [[a,b],[b,c]].
-    Returned as gram blocks ("1", g) or ("2", (a, b, c)).
-    """
-    _check_prime(ell)
-    M = ell ** work_exp
-    n = L.rank
-    G = [[L.gram[i][j] % M for j in range(n)] for i in range(n)]
-    idx = list(range(n))
-    blocks = []
-    while idx:
-        vmin, imin, jmin = min((valuation(G[i][j], ell, work_exp), i, j)
-                               for i in idx for j in idx)
-        if vmin >= work_exp:
-            raise ArithmeticError("working precision exhausted in block reduction")
-        # Q-values on the diagonal are G[ii]/2; at odd ell a 1x1 pivot works
-        # whenever some diagonal reaches the minimum, and one always can be
-        # produced by e_i <- e_i + e_j; at ell = 2 that move fails and the
-        # 2x2 block is kept whole.
-        diag = [i for i in idx if valuation(G[i][i], ell, work_exp) <= vmin]
-        if not diag and ell > 2:
-            i, j = imin, jmin
-            for c in idx:
-                G[i][c] = (G[i][c] + G[j][c]) % M
-            for c in idx:
-                G[c][i] = (G[c][i] + G[c][j]) % M
-            diag = [i]
-        if diag:
-            k = diag[0]
-            piv = G[k][k]
-            pv = valuation(piv, ell, work_exp)
-            uinv = pow(piv // ell ** pv, -1, M)
-            for r_ in idx:
-                if r_ == k:
-                    continue
-                if valuation(G[r_][k], ell, work_exp) < pv:
-                    raise InvariantError("1x1 pivot does not divide its column")
-                mult = (G[r_][k] // ell ** pv) * uinv % M
-                for c_ in idx:
-                    G[r_][c_] = (G[r_][c_] - mult * G[k][c_]) % M
-            for r_ in idx:
-                if r_ != k:
-                    G[r_][k] = G[k][r_] = 0
-            blocks.append(("1", piv))
-            idx.remove(k)
-        else:
-            # ell = 2, off-diagonal minimum: keep the 2x2 block
-            i, j = imin, jmin
-            if i == j:
-                raise InvariantError("2x2 pivot on the diagonal")
-            a, b, c = G[i][i], G[i][j], G[j][j]
-            det = (a * c - b * b) % M
-            dv = valuation(det, ell, work_exp)
-            if dv >= work_exp:
-                raise ArithmeticError("working precision exhausted in block reduction")
-            if dv != 2 * vmin:
-                raise InvariantError("2x2 pivot block is not ell^v times a unimodular block")
-            dinv = pow(det // ell ** dv, -1, M)
-            for r_ in idx:
-                if r_ in (i, j):
-                    continue
-                gi, gj = G[r_][i], G[r_][j]
-                x = gi * c - gj * b
-                y = -gi * b + gj * a
-                if valuation(x, ell, work_exp * 3) < dv or valuation(y, ell, work_exp * 3) < dv:
-                    raise InvariantError("2x2 pivot block does not divide its columns")
-                x = (x // ell ** dv) * dinv % M
-                y = (y // ell ** dv) * dinv % M
-                for c_ in idx:
-                    G[r_][c_] = (G[r_][c_] - x * G[i][c_] - y * G[j][c_]) % M
-            for r_ in idx:
-                if r_ not in (i, j):
-                    G[r_][i] = G[i][r_] = G[r_][j] = G[j][r_] = 0
-            blocks.append(("2", (a, b, c)))
-            idx.remove(i)
-            idx.remove(j)
-    return blocks
-
 
 @lru_cache(maxsize=64)
 def _orbits(ell, a):
@@ -346,7 +269,7 @@ def _blockwise_factors(L, ell, a):
     o1, o2, cnt, starts = _orbit_tensor(ell, a)
     merged = np.zeros(len(sizes), dtype=object)
     merged[labels[0]] = 1
-    for kind, data in block_diagonalize(L, ell, a + 6):
+    for kind, data in jordan_blocks(L, ell, a):
         h = _block_counts(kind, data, ell, a)
         merged = np.add.reduceat(merged[o1] * h[o2] * cnt, starts)
     merged.flags.writeable = False

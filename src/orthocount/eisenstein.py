@@ -246,8 +246,9 @@ def eis_coeff_theta(ctx, Lprime, m):
     """Coefficient q_{L'}(m) of the Eisenstein part of theta(L').
 
     L' must be positive definite of rank b+2 and agree with the ambient
-    lattice away from p; its local densities at the bad primes of the
-    ambient determinant are computed at stabilized depth.  Positive sign.
+    lattice away from p, so |det L'| = |det L| p^k (ValueError otherwise);
+    its local densities at the bad primes of the ambient determinant are
+    computed at stabilized depth.  Positive sign.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -256,12 +257,13 @@ def eis_coeff_theta(ctx, Lprime, m):
     if Lprime.rank != ctx.b + 2:
         raise ValueError(f"L' must have rank b+2 = {ctx.b + 2}")
     det_p, disc_p = _det_and_disc(Lprime)
-    # off p, the determinant valuations must match the ambient's
-    for ell in ctx.badPrimes:
-        if valuation(ctx.detL, ell, 0) != valuation(det_p, ell, 0):
-            raise ValueError(f"L' disagrees with the ambient at ell={ell}")
+    # off p the determinant must be the ambient's: |det L'| = |det L| p^k
+    k = valuation(det_p, ctx.p, 0)
+    if abs(det_p) != abs(ctx.detL) * ctx.p ** k:
+        raise ValueError(f"L' disagrees with the ambient away from p={ctx.p}: "
+                         f"|det L'| = {abs(det_p)}, |det L| = {abs(ctx.detL)}")
     dens = {ell: local_density(ell, Lprime, m) for ell in ctx.badPrimes}
-    if valuation(det_p, ctx.p, 0) > 0:
+    if k > 0:
         dens[ctx.p] = local_density(ctx.p, Lprime, m)
     return _coeff_common(ctx.b, m, ctx.detL, disc_p, dens, sign=+1)
 

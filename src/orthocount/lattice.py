@@ -11,10 +11,9 @@ from fractions import Fraction
 from math import gcd
 
 from ._enum import _ldl_plan, short_vectors, theta_counts
-from .arith import InvariantError, is_prime, valuation
+from .arith import InvariantError, is_prime, kronecker, valuation
 from .intmat import (
     det_bareiss,
-    fp_row_reduce,
     gram_pivots,
     hnf_columns,
     kernel_basis,
@@ -32,7 +31,9 @@ class QuadLattice:
     positive_definite: bool = False
 
     def __post_init__(self):
-        g = self.gram
+        # a tuple of tuples of int, so that lattices hash and compare by value
+        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        object.__setattr__(self, "gram", g)
         if self.rank < 1:
             raise ValueError("a lattice needs rank >= 1")
         if len(g) != self.rank or any(len(row) != self.rank for row in g):
@@ -51,8 +52,7 @@ class QuadLattice:
 
     @staticmethod
     def from_rows(rows, positive_definite=False):
-        return QuadLattice(len(rows), tuple(tuple(int(x) for x in r) for r in rows),
-                           positive_definite)
+        return QuadLattice(len(rows), rows, positive_definite)
 
     def gram_rows(self):
         return [list(row) for row in self.gram]
@@ -190,115 +190,132 @@ def _extend_echelon(echelon, v):
     return True
 
 
+def jordan_blocks(L, ell, depth):
+    """The ell-adic Jordan splitting of the gram of L, for counts mod ell^depth.
+
+    Returns gram blocks ("1", g) and, at ell = 2 only, ("2", (a, b, c)) for
+    [[a, b], [b, c]] = ell^v times a unimodular block, whose orthogonal sum
+    is equivalent to the gram over Z_ell (Cassels, Rational Quadratic Forms,
+    ch. 8).  Each step takes an entry of least valuation: a diagonal one is
+    a 1x1 pivot; at odd ell an off-diagonal one becomes diagonal through
+    e_i <- e_i + e_j, since Q(e_i + e_j) = Q_ii + Q_jj + 2 Q_ij; at ell = 2
+    the 2x2 block it spans is split off whole.
+
+    The entries are reduced modulo ell^w, w = depth + v_ell(det G) + 3.
+    Over Z_ell the pivot valuations (2v for a 2x2 block of scale ell^v) add
+    up to v_ell(det G), so each is at most v_ell(det G) < w, and the checks
+    for a pivot at or beyond ell^w can fire only on a broken invariant.
+    Dividing by a pivot of valuation v loses v digits of the multipliers,
+    and these losses total at most v_ell(det G), so every block is still
+    correct modulo ell^(depth + 3): more than the ell^(depth + 1) that
+    Q = G/2 modulo ell^depth needs at ell = 2.
+    """
+    if not is_prime(ell):
+        raise ValueError(f"{ell} is not prime")
+    G = L.gram_rows()
+    vdet = valuation(det_bareiss(G), ell, 0)
+    work = depth + vdet + 3
+    M = ell ** work
+
+    def val(x):
+        return valuation(x, ell, work)
+
+    def check_below_work(v):
+        if v >= work:
+            raise InvariantError(f"a pivot of valuation >= {work} at ell = {ell}, "
+                                 f"beyond v_ell(det) = {vdet}")
+
+    G = [[x % M for x in row] for row in G]
+    idx = list(range(L.rank))
+    blocks = []
+    while idx:
+        vmin, i, j = min((val(G[r][c]), r, c) for r in idx for c in idx)
+        check_below_work(vmin)
+        k = next((k for k in idx if val(G[k][k]) == vmin), None)
+        if k is None and ell > 2:
+            for c in idx:
+                G[i][c] = (G[i][c] + G[j][c]) % M
+            for c in idx:
+                G[c][i] = (G[c][i] + G[c][j]) % M
+            if val(G[i][i]) != vmin:
+                raise InvariantError("Q(e_i + e_j) lost the minimal valuation")
+            k = i
+        if k is not None:
+            piv = G[k][k]
+            uinv = pow(piv // ell ** vmin, -1, M)
+            idx.remove(k)
+            for r in idx:
+                if val(G[r][k]) < vmin:
+                    raise InvariantError("1x1 pivot does not divide its column")
+                mult = G[r][k] // ell ** vmin * uinv % M
+                for c in idx:
+                    G[r][c] = (G[r][c] - mult * G[k][c]) % M
+            blocks.append(("1", piv))
+            continue
+        # ell = 2, off-diagonal minimum: keep the 2x2 block
+        if i == j:
+            raise InvariantError("2x2 pivot on the diagonal")
+        a, b, c = G[i][i], G[i][j], G[j][j]
+        det = (a * c - b * b) % M
+        dv = val(det)
+        check_below_work(dv)
+        if dv != 2 * vmin:
+            raise InvariantError("2x2 pivot block is not ell^v times a unimodular block")
+        dinv = pow(det // ell ** dv, -1, M)
+        idx.remove(i)
+        idx.remove(j)
+        for r in idx:
+            gi, gj = G[r][i], G[r][j]
+            x, y = gi * c - gj * b, gj * a - gi * b
+            if min(valuation(x, ell, dv), valuation(y, ell, dv)) < dv:
+                raise InvariantError("2x2 pivot block does not divide its columns")
+            x = x // ell ** dv * dinv % M
+            y = y // ell ** dv * dinv % M
+            for c_ in idx:
+                G[r][c_] = (G[r][c_] - x * G[i][c_] - y * G[j][c_]) % M
+        blocks.append(("2", (a, b, c)))
+    return blocks
+
+
 def p_diagonalize(L, p, precision):
     """Diagonalize Q over Z_p (odd p): list of (unit mod p^precision, valuation).
 
-    The multiset of valuations is canonical; unit parts are only well defined
-    up to squares of p-adic units.
+    The odd-p view of jordan_blocks: each 1x1 block g gives Q = g/2 as
+    p^v times a unit.  The multiset of valuations is canonical; unit parts
+    are only well defined up to squares of p-adic units.
     """
     if p == 2:
         raise ValueError("p = 2 is out of scope (dyadic Jordan forms not supported)")
     if not is_prime(p):
         raise ValueError("p must be an odd prime")
-    G = L.gram_rows()
-    work = precision + valuation(det_bareiss(G), p, 0) + 2
-    mod = p ** work
-    # diagonalize QM = G/2 (2 is invertible mod p^work)
+    mod = p ** precision
     inv2 = pow(2, -1, mod)
-    A = [[G[i][j] * inv2 % mod for j in range(L.rank)] for i in range(L.rank)]
-    idx = list(range(L.rank))
     out = []
-    while idx:
-        vmin, imin, jmin = min(
-            (valuation(A[i][j], p, work), i, j) for i in idx for j in idx
-        )
-        if vmin >= work:
-            raise ArithmeticError("precision exhausted during p-adic diagonalization")
-        diag = [i for i in idx if valuation(A[i][i], p, work) == vmin]
-        if diag:
-            k = diag[0]
-        else:
-            # no diagonal entry of minimal valuation: e_i <- e_i + e_j fixes it
-            # (odd p: Q(e_i + e_j) = Q_ii + Q_jj + 2Q_ij has valuation vmin)
-            i, j = imin, jmin
-            for c in idx:
-                A[i][c] = (A[i][c] + A[j][c]) % mod
-            for c in idx:
-                A[c][i] = (A[c][i] + A[c][j]) % mod
-            k = i
-            if valuation(A[k][k], p, work) != vmin:
-                raise InvariantError("Q(e_i + e_j) lost the minimal valuation")
-        piv = A[k][k]
-        pv = valuation(piv, p, work)
-        unit = piv // p ** pv
-        uinv = pow(unit, -1, mod)
-        for i in idx:
-            if i == k:
-                continue
-            # A[i][k] / piv, exact p-adically since v_p(A[i][k]) >= pv
-            mult = (A[i][k] // p ** pv) * uinv % mod
-            for j in idx:
-                A[i][j] = (A[i][j] - mult * A[k][j]) % mod
-        for i in idx:
-            if i != k:
-                A[i][k] = A[k][i] = 0
-        out.append((unit % p ** precision, pv))
-        idx.remove(k)
+    for _, g in jordan_blocks(L, p, precision):
+        v = valuation(g, p, 0)
+        out.append((g // p ** v * inv2 % mod, v))
     return out
 
 
 def is_maximal_at(L, ell):
-    """True iff no integral overlattice exists inside L x Q_ell.
+    """True iff no integral overlattice exists inside L x Q_ell (odd ell).
 
-    Checked on the ell-torsion of the discriminant group: an overlattice step
-    exists iff some nonzero x with ell*x = 0 in L^v/L has Q(x) integral at ell.
+    Read off the Jordan splitting Q = sum u_i ell^(v_i) x_i^2.  A scale
+    v_i >= 2 gives the integral vector e_i/ell.  The scale-ell part gives
+    the ell-torsion of L^v/L with the form sum u_i x_i^2 / ell, and an
+    overlattice step is a nonzero isotropic vector of it over F_ell: one
+    exists for three or more variables, and for two iff -u_1 u_2 is a
+    square mod ell.
     """
     if ell == 2:
         raise ValueError("ell = 2 is out of scope")
-    G = L.gram_rows()
-    r = L.rank
-    d = det_bareiss(G)
-    if d % ell != 0:
-        return True  # unimodular at ell
-    # Candidate overlattice steps are x = y/ell with y in Z^r, y not in ell Z^r:
-    # x in L^v iff G y = 0 mod ell, and Q(x) = Q(y)/ell^2 is integral at ell
-    # iff Q(y) = 0 mod ell^2.  ([l, x] is automatically integral for x in L^v.)
-    divs = smith_normal_form(G)
-    k = sum(1 for dv in divs if dv % ell == 0)
-    if k == 0:
-        return True
-    if ell ** k > 10 ** 6:
-        raise ValueError("ell-torsion quotient too large to search")
-    # basis of {x in L^v : ell x in L} modulo L, via integer kernel:
-    # want w in Z^r with ell * Ginv * w integral, i.e. w in (1/ell) G Z^r + ...
-    # equivalently solve G y = ell w  =>  x = y/ell with y in Z^r, G y = 0 mod ell.
-    Gmod = [[G[i][j] % ell for j in range(r)] for i in range(r)]
-    null = _fp_kernel(Gmod, ell)
-    # x = y / ell for y in kernel of G mod ell; Q(x) = Q(y)/ell^2
-    # step exists iff Q(y) = 0 mod ell^2... plus x not in L: y not in ell Z^r.
-    for coeffs in itertools.product(range(ell), repeat=len(null)):
-        if not any(coeffs):
-            continue
-        y = [sum(c * null[t][i] for t, c in enumerate(coeffs)) for i in range(r)]
-        q = L.q_value(y)
-        if q % (ell * ell) == 0:
-            return False
-    return True
-
-
-def _fp_kernel(M, p):
-    """Basis of the kernel of M over F_p (M given as rows)."""
-    A, pivots = fp_row_reduce(M, p)
-    basis = []
-    for f in range(len(M[0])):
-        if f in pivots:
-            continue
-        v = [0] * len(M[0])
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-A[i][f]) % p
-        basis.append(v)
-    return basis
+    diag = p_diagonalize(L, ell, 1)
+    if any(v >= 2 for _, v in diag):
+        return False
+    units = [u for u, v in diag if v == 1]
+    if len(units) == 2:
+        return kronecker(-units[0] * units[1], ell) != 1
+    return len(units) < 3
 
 
 def intersect_and_index(A, B):

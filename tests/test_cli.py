@@ -273,17 +273,25 @@ class TestCli:
         assert out == ""
         assert err == "error: p must be an odd prime >= 5\n"
 
-    def test_exit_code_2_on_arithmetic_failure(self, tmp_path, capsys):
-        # the 3-adic Jordan scale 3^8 is beyond the blockwise working
-        # precision, so local_density raises ArithmeticError
+    def test_exit_code_2_on_arithmetic_failure(self, tmp_path, capsys, monkeypatch):
+        # a 3-adic Jordan scale of 3^8 is within the splitting's working
+        # precision, so the table is written
+        import orthocount.density as density_mod
+        import orthocount.lattice as lattice_mod
         path = tmp_path / "deep.json"
         gram = [[2 if i == j else 0 for j in range(5)] for i in range(5)]
         gram[4][4] = 2 * 3 ** 8
         path.write_text(json.dumps({"rank": 5, "gram": gram, "positive_definite": True}))
-        assert main(["eis", "--in", str(path), "--b", "3",
-                     "--out", str(tmp_path / "x.csv")]) == 2
+        args = ["eis", "--in", str(path), "--b", "3", "--out", str(tmp_path / "x.csv")]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        # a broken splitting invariant is an ArithmeticError: exit code 2
+        monkeypatch.setattr(lattice_mod, "valuation", lambda n, p, zero: zero)
+        density_mod._blockwise_factors.cache_clear()
+        assert main(args) == 2
         err = capsys.readouterr().err
-        assert err == "arithmetic failure: working precision exhausted in block reduction\n"
+        assert err.startswith("arithmetic failure: a pivot of valuation >= ")
+        assert err.endswith(", beyond v_ell(det) = 0\n")
 
     def test_exit_code_2_on_verification_failure(self, lattice_file, tmp_path,
                                                  monkeypatch):

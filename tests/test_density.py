@@ -1,6 +1,5 @@
 import itertools
 import random
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from orthocount.density import (
     _orbit_tensor,
     _orbits,
     _unit_form_count,
-    block_diagonalize,
     count_blockwise,
     local_density,
     local_density_blockwise,
@@ -21,13 +19,16 @@ from orthocount.density import (
     local_density_recursive,
     stable_depth,
 )
-from orthocount.lattice import QuadLattice, p_diagonalize
+from orthocount.arith import valuation
+from orthocount.intmat import mat_mul, smith_normal_form, transpose
+from orthocount.lattice import QuadLattice, jordan_blocks, p_diagonalize
 
-from conftest import E8_GRAM, assert_fires_under_python_O, random_posdef_gram
+from conftest import (E8_GRAM, assert_fires_under_python_O, random_posdef_gram,
+                      random_unimodular)
 
 HYP = QuadLattice.from_rows([[0, 1], [1, 0]])
-# at ell = 2 and depth 8 a 2x2 pivot of this gram has a determinant that
-# vanishes modulo 2^(8 + 6), the working precision of the block reduction
+# at ell = 2 the last Jordan block of this gram is a 2x2 block of scale 2^7,
+# whose determinant 2^14 reaches 2^(a + 6) for every depth a <= 8
 PRECISION_GRAM = [[88, -64, 56, 32, 4, -16], [-64, 88, -48, -48, -28, 28],
                   [56, -48, 80, 32, -12, -4], [32, -48, 32, 96, 8, -8],
                   [4, -28, -12, 8, 30, -22], [-16, 28, -4, -8, -22, 20]]
@@ -168,6 +169,16 @@ class TestBlockwise:
             assert local_density_blockwise(p, L, m, a) == local_density_naive(p, L, m, a), \
                 (p, L.gram, m, a)
 
+    def test_unit_square_classes_at_2(self):
+        # a 2-adic unit is a square only when it is 1 mod 8, so the blocks
+        # must be kept modulo 2^(depth + 1) to tell u x^2 apart for u mod 8
+        for u in (1, 3, 5, 7, 11):
+            for G in ([[2 * u]], [[2 * u, 0], [0, 6]]):
+                L = QuadLattice.from_rows(G)
+                for a in (3, 4):
+                    assert [local_density_blockwise(2, L, m, a) for m in range(2 ** a)] == \
+                        [local_density_naive(2, L, m, a) for m in range(2 ** a)], (G, a)
+
     def test_e8_delta2_closed_form(self, e8):
         # delta_2(E8, m) = (15/16) * sigma_{-3}(2-part of m); m = 64 and 256
         # stabilize at depths 9 and 11 and are checked at 10 and 12
@@ -193,21 +204,61 @@ class TestBlockwise:
             density._orbit_tensor.cache_clear()
             density._blockwise_factors.cache_clear()
             assert local_density_blockwise(2, L, m, a) == expect
-            assert [kind for kind, _ in block_diagonalize(L, 2, a + 6)] == ["2"] * 12
+            assert [kind for kind, _ in jordan_blocks(L, 2, a)] == ["2"] * 12
             count = count_blockwise(L, 2, m, a)
             assert type(count) is int and count > 2 ** 63
         # at depths 8 and 9 the reference merge pre-folds four int64 partial
         # products down to two; the orbit merge agrees at every target
         for a in (8, 9):
-            assert merge_matches_reference(L, 2, a)
+            merge_matches_reference(L, 2, a)
 
-    def test_precision_exhausted_at_2x2_pivot(self):
+    def test_precision_exhausted_at_2x2_pivot(self, rng):
+        # the splitting keeps depth + v_2(det) + 3 digits, enough for the
+        # 2x2 block of scale 2^7 at every depth: the counts agree with the
+        # naive route at depths 3 and 4, with the same lattice in another
+        # basis at depths 3, 4 and 8, and local_density answers at m = 8
         L = QuadLattice.from_rows(PRECISION_GRAM)
-        for call in (lambda: count_blockwise(L, 2, 0, 8), lambda: local_density(2, L, 8)):
-            with pytest.raises(ArithmeticError) as err:
-                call()
-            assert err.type is ArithmeticError
-            assert str(err.value) == "working precision exhausted in block reduction"
+        U = random_unimodular(rng, L.rank)
+        L2 = QuadLattice.from_rows(mat_mul(mat_mul(transpose(U), PRECISION_GRAM), U))
+        for m in range(2 ** 3):
+            assert local_density_blockwise(2, L, m, 3) == local_density_naive(2, L, m, 3)
+        assert local_density_blockwise(2, L, 8, 4) == local_density_naive(2, L, 8, 4)
+        for a in (3, 4, 8):
+            assert [count_blockwise(L, 2, m, a) for m in range(2 ** a)] == \
+                [count_blockwise(L2, 2, m, a) for m in range(2 ** a)]
+        assert local_density(2, L, 8) == local_density(2, L2, 8) == \
+            local_density_blockwise(2, L, 8, 9)
+
+    def test_deep_odd_scale_regression(self):
+        # a 3-adic Jordan scale of 3^7 at depth 1: the naive and recursive
+        # routes both give 2
+        L = QuadLattice.from_rows([[2, 0], [0, 2 * 3 ** 7]], positive_definite=True)
+        assert local_density(3, L, 1) == local_density_naive(3, L, 1, 2) == \
+            local_density_recursive(3, L, 1) == 2
+
+    def test_random_lattices_answer_at_2_and_3(self):
+        # seeded random rank 5-8 lattices; the last one has a 2-adic Jordan
+        # scale of 2^9, which reaches 2^(a + 6) at m = 1, 3, 5.  local_density
+        # answers every call and agrees with the naive route at its depth
+        # where that stays within 2^21 points, and otherwise with the
+        # recursive route at ell = 3, m not divisible by 3
+        rng = random.Random(11)
+        checked = []
+        for _ in range(17):
+            L = QuadLattice.from_rows(random_posdef_gram(rng, rng.randint(5, 8)),
+                                      positive_definite=True)
+            for ell in (2, 3):
+                for m in range(1, 7):
+                    d, a = local_density(ell, L, m), stable_depth(ell, m)
+                    if ell ** (a * L.rank) <= 2 ** 21:
+                        assert d == local_density_naive(ell, L, m, a), (L.gram, ell, m)
+                    elif ell == 3 and m % 3:
+                        assert d == local_density_recursive(3, L, m), (L.gram, m)
+                    else:
+                        continue
+                    checked.append((L.gram, ell, m))
+        assert len(checked) == 140
+        assert [m for g, ell, m in checked if g == L.gram and ell == 2] == [1, 3, 5]
 
     def test_deep_depth_reachable(self, e8):
         # depth 11 at ell=2 and rank 8 is far beyond the naive guard
@@ -228,7 +279,7 @@ def ref_blockwise_counts(L, ell, a):
     the factor sums stays below 2^62, a big-int pre-fold down to two
     factors, and the sum over u of aa[u] b[target - u] for all targets."""
     mod = ell ** a
-    blocks = block_diagonalize(L, ell, a + 6)
+    blocks = jordan_blocks(L, ell, a)
     factors = []
     for kind, data in blocks:
         hist = block_hist(kind, data, ell, a)
@@ -270,8 +321,8 @@ MERGE_DEPTHS = {2: 11, 3: 7, 5: 5, 7: 4}
 
 def merge_lattice(rng, ell, rank, a):
     """A random lattice, with ell-divisible blocks 40% of the time; a fifth
-    of those are scaled so far that the block reduction at depth a runs out
-    of its working precision ell^(a+6)."""
+    of those are scaled by ell^((a + 7) // 2), so that a Jordan scale reaches
+    ell^(a + 6) or beyond."""
     G = random_posdef_gram(rng, rank, spread=2)
     if rng.random() < 0.4:
         e = (a + 7) // 2 if rng.random() < 0.2 else 1
@@ -282,31 +333,33 @@ def merge_lattice(rng, ell, rank, a):
 
 def merge_matches_reference(L, ell, a):
     """Assert that count_blockwise equals ref_blockwise_counts at every
-    target, or raises the same ArithmeticError; True if it answered."""
-    try:
-        expect = ref_blockwise_counts(L, ell, a)
-    except ArithmeticError as err:
-        with pytest.raises(ArithmeticError, match=re.escape(str(err))):
-            count_blockwise(L, ell, 0, a)
-        return False
-    assert [count_blockwise(L, ell, m, a) for m in range(ell ** a)] == expect, \
-        (ell, a, L.gram)
-    return True
+    target, and the naive count too where that visits at most 2^20 points
+    over all targets.  Returns (deep, naive): whether a Jordan scale of L
+    reaches ell^(a + 6), and whether the naive count ran."""
+    counts = [count_blockwise(L, ell, m, a) for m in range(ell ** a)]
+    assert counts == ref_blockwise_counts(L, ell, a), (ell, a, L.gram)
+    naive = ell ** (a * (L.rank + 1)) <= 2 ** 20
+    if naive:
+        scale = ell ** (a * (L.rank - 1))
+        assert [Fraction(c, scale) for c in counts] == \
+            [local_density_naive(ell, L, m, a) for m in range(ell ** a)], (ell, a, L.gram)
+    top = max(valuation(d, ell, 0) for d in smith_normal_form(L.gram_rows()))
+    return top >= a + 6, naive
 
 
 class TestOrbitMerge:
     @pytest.mark.parametrize("ell", sorted(MERGE_DEPTHS))
     def test_matches_reference_merge(self, rng, ell):
-        answered = [merge_matches_reference(merge_lattice(rng, ell, rank, a), ell, a)
-                    for rank in range(1, 7) for a in range(1, MERGE_DEPTHS[ell] + 1)]
-        assert any(answered) and not all(answered)
+        checked = [merge_matches_reference(merge_lattice(rng, ell, rank, a), ell, a)
+                   for rank in range(1, 7) for a in range(1, MERGE_DEPTHS[ell] + 1)]
+        assert (True, True) in checked and (False, True) in checked
 
     def test_matches_reference_merge_at_precision_limit(self):
-        # the block reduction runs out of precision up to depth 8, the last
-        # time at a 2x2 pivot, and answers from depth 9 on
+        # up to depth 8 the determinant 2^14 of the scale-2^7 block reaches
+        # 2^(a + 6), and from depth 9 on it does not
         L = QuadLattice.from_rows(PRECISION_GRAM)
-        assert [merge_matches_reference(L, 2, a) for a in range(7, 12)] == \
-            [False, False, True, True, True]
+        for a in range(7, 12):
+            merge_matches_reference(L, 2, a)
 
     @pytest.mark.parametrize("ell,depth", [(2, 9), (3, 5), (5, 3), (7, 3)])
     def test_orbits_brute_force(self, ell, depth):

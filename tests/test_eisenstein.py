@@ -16,7 +16,7 @@ from orthocount.eisenstein import (
     eis_coeff_theta,
     split_m0_f,
 )
-from orthocount.lattice import QuadLattice, theta_table
+from orthocount.lattice import QuadLattice, det_and_disc_group, theta_table
 
 
 def sigma3(m):
@@ -115,6 +115,27 @@ class TestThetaCoeff:
         with pytest.raises(ValueError, match="disagrees"):
             eis_coeff_theta(EisensteinContext(b=6, p=7, detL=1, discOrder=1), L, 1)
         assert calls == [L]
+
+    def test_rejects_determinant_off_p(self, e8):
+        # E6 + A2 has det 9: besides 7 it carries the prime 3, where E8 is
+        # unimodular and no 3-adic density would be computed
+        n = 6
+        e6 = [[2 if i == j else -1 if abs(i - j) == 1 and max(i, j) < 5 else 0
+               for j in range(n)] for i in range(n)]
+        e6[2][5] = e6[5][2] = -1
+        G = [[0] * 8 for _ in range(8)]
+        for i in range(n):
+            G[i][:n] = e6[i]
+        G[6][6:], G[7][6:] = [2, -1], [-1, 2]
+        L = QuadLattice.from_rows(G, positive_definite=True)
+        assert det_and_disc_group(L) == (9, 9)
+        ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
+        with pytest.raises(ValueError, match="disagrees with the ambient away from p=7"):
+            eis_coeff_theta(ctx, L, 1)
+        # a scaling by a power of p is allowed
+        L7 = QuadLattice.from_rows([[7 * x for x in row] for row in e8.gram_rows()],
+                                   positive_definite=True)
+        assert eis_coeff_theta(ctx, L7, 1).is_zero
 
     def test_rejects_wrong_rank(self, e8):
         ctx = EisensteinContext.from_lattice(e8, b=6, p=7)

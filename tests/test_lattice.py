@@ -5,8 +5,10 @@ from math import isqrt, lcm
 
 import pytest
 
-from orthocount.arith import InvariantError
-from orthocount.intmat import det_bareiss, kernel_basis, mat_mul, transpose
+from orthocount.arith import InvariantError, valuation
+from orthocount.density import local_density, local_density_naive
+from orthocount.intmat import (det_bareiss, fp_row_reduce, kernel_basis, mat_mul,
+                               smith_normal_form, transpose)
 from orthocount.lattice import (
     QuadLattice,
     SublatticeBasis,
@@ -15,6 +17,7 @@ from orthocount.lattice import (
     identity_basis,
     intersect_and_index,
     is_maximal_at,
+    jordan_blocks,
     lattice_from_json,
     lattice_to_json,
     p_diagonalize,
@@ -58,6 +61,15 @@ class TestInvariants:
     def test_rejects_odd_diagonal(self):
         with pytest.raises(ValueError):
             QuadLattice.from_rows([[1, 0], [0, 2]])
+
+    def test_list_gram_is_normalised(self):
+        # a list-of-lists gram is stored as a tuple of tuples of int, so the
+        # lattice hashes and the cached density routes accept it
+        L = QuadLattice(2, [[2, 1], [1, 2]], True)
+        assert L.gram == ((2, 1), (1, 2)) and type(L.gram[0][0]) is int
+        assert L == QuadLattice.from_rows([[2, 1], [1, 2]], positive_definite=True)
+        assert hash(L) == hash(QuadLattice.from_rows([[2, 1], [1, 2]], True))
+        assert local_density(3, L, 1) == local_density_naive(3, L, 1, 2)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -113,6 +125,23 @@ class TestTypedFailures:
             "lattice.smith_normal_form = lambda M: [1, 2]\n"
             "L = lattice.QuadLattice.from_rows([[2, 0], [0, 2]])\n",
             "lattice.det_and_disc_group(L)\n")
+
+    def test_jordan_scale_past_det(self, monkeypatch):
+        # with v_ell(det) read as 0 and every entry as divisible by the
+        # working modulus, a pivot appears at or beyond ell^(depth + 3)
+        import orthocount.lattice as lattice
+        monkeypatch.setattr(lattice, "valuation", lambda n, p, zero: zero)
+        for ell in (2, 3):
+            with pytest.raises(InvariantError, match="beyond v_ell"):
+                jordan_blocks(X2Y2, ell, 4)
+
+    def test_jordan_scale_fires_under_python_O(self):
+        assert_fires_under_python_O(
+            "import orthocount.lattice as lattice\n"
+            "assert False, 'asserts are live'\n"
+            "lattice.valuation = lambda n, p, zero: zero\n"
+            "L = lattice.QuadLattice.from_rows([[2, 1], [1, 2]])\n",
+            "lattice.jordan_blocks(L, 3, 2)\n")
 
 
 class TestRepCount:
@@ -661,8 +690,101 @@ class TestPDiagonalize:
             vals2 = sorted(v for _, v in p_diagonalize(L2, p, 3))
             assert vals == vals2
 
+    def test_jordan_scales_match_smith_form(self, rng):
+        # the scales of the blocks (a 2x2 block of scale ell^v counts twice)
+        # are the ell-parts of the elementary divisors, scales up to ell^12
+        # included
+        for _ in range(60):
+            rank = rng.randint(1, 6)
+            ell = rng.choice([2, 3, 5])
+            G = random_posdef_gram(rng, rank, spread=2)
+            D = [ell ** rng.randint(0, 6) for _ in range(rank)]
+            G = [[G[i][j] * D[i] * D[j] for j in range(rank)] for i in range(rank)]
+            scales = []
+            for kind, data in jordan_blocks(QuadLattice.from_rows(G), ell, 2):
+                scales += [valuation(data, ell, 0)] if kind == "1" else \
+                    [valuation(data[1], ell, 0)] * 2
+            assert sorted(scales) == sorted(valuation(d, ell, 0)
+                                            for d in smith_normal_form(G)), (ell, G)
+
+
+def fp_kernel(M, p):
+    """Basis of the kernel of M over F_p (M given as rows)."""
+    A, pivots = fp_row_reduce(M, p)
+    basis = []
+    for f in range(len(M[0])):
+        if f in pivots:
+            continue
+        v = [0] * len(M[0])
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-A[i][f]) % p
+        basis.append(v)
+    return basis
+
+
+def ref_is_maximal_at(L, ell):
+    """The ell-torsion search that the Jordan-form rule replaced.
+
+    An overlattice step exists iff some nonzero x with ell*x = 0 in L^v/L
+    has Q(x) integral at ell.  The candidates are x = y/ell with y in the
+    kernel of G mod ell and y not in ell Z^r, and Q(x) = Q(y)/ell^2 is
+    integral at ell iff Q(y) = 0 mod ell^2.
+    """
+    G = L.gram_rows()
+    if det_bareiss(G) % ell != 0:
+        return True
+    null = fp_kernel([[x % ell for x in row] for row in G], ell)
+    for coeffs in itertools.product(range(ell), repeat=len(null)):
+        if any(coeffs):
+            y = [sum(c * v[i] for c, v in zip(coeffs, null)) for i in range(L.rank)]
+            if L.q_value(y) % (ell * ell) == 0:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fp_kernel_against_brute_force(p):
+    rng = random.Random(1000 + p)
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        rows = rng.randint(1, 4)
+        # some rows are combinations of others, so the rank is often short
+        M = [[rng.randrange(-2 * p, 2 * p) for _ in range(k)] for _ in range(rows)]
+        if rows > 1 and rng.random() < 0.5:
+            M[-1] = [rng.randrange(p) * a + b for a, b in zip(M[0], M[1 % (rows - 1)])]
+        null = {x for x in itertools.product(range(p), repeat=k)
+                if not any(sum(a * b for a, b in zip(row, x)) % p for row in M)}
+        basis = fp_kernel(M, p)
+        assert p ** len(basis) == len(null)
+        span = {tuple(sum(c * v[i] for c, v in zip(cs, basis)) % p for i in range(k))
+                for cs in itertools.product(range(p), repeat=len(basis))}
+        assert span == null
+
 
 class TestMaximality:
+    @pytest.mark.parametrize("ell", [3, 5, 7])
+    def test_matches_torsion_search(self, rng, ell):
+        # random lattices of rank 1-5, half of them with basis vectors
+        # scaled by ell (the unscaled lattice is then an overlattice), and a
+        # quarter with the whole gram scaled by ell, whose valuation-1 part
+        # decides maximality
+        results = []
+        for n in range(60):
+            rank = rng.randint(1, 5)
+            G = random_posdef_gram(rng, rank, spread=2)
+            if n % 2:
+                D = [ell if i < rng.randint(1, rank) else 1 for i in range(rank)]
+                G = [[G[i][j] * D[i] * D[j] for j in range(rank)] for i in range(rank)]
+            elif n % 4 == 2:
+                G = [[ell * x for x in row] for row in G]
+            L = QuadLattice.from_rows(G, positive_definite=True)
+            maximal = is_maximal_at(L, ell)
+            assert maximal == ref_is_maximal_at(L, ell), (ell, G)
+            assert not (maximal and n % 2), (ell, G)
+            results.append(maximal)
+        assert 10 <= results.count(True) <= 30
+
     def test_e8(self, e8):
         assert is_maximal_at(e8, 3)
 
