@@ -143,24 +143,16 @@ def chi_d(D, a):
 
 
 def sigma_s_chi(m, s, D=None):
-    """sigma_s(m, chi) = sum_{d | m} chi(d) d^s.
-
-    Exact Fraction for integer s; float for non-integer s.  D=None means the
-    trivial character.
+    """sigma_s(m, chi) = sum_{d | m} chi(d) d^s as an exact Fraction, for
+    integer s: for s < 0 the integer sum_{d | m} chi(d) (m/d)^(-s) over
+    m^(-s).  D=None means the trivial character.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    total = Fraction(0) if float(s).is_integer() else 0.0
-    s_int = int(s) if float(s).is_integer() else None
-    for d in divisors(m):
-        c = 1 if D is None else chi_d(D, d)
-        if c == 0:
-            continue
-        if s_int is not None:
-            total += c * Fraction(d) ** s_int
-        else:
-            total += c * float(d) ** float(s)
-    return total
+    chi = (lambda d: 1) if D is None else (lambda d: chi_d(D, d))
+    if s >= 0:
+        return Fraction(sum(chi(d) * d ** s for d in divisors(m)))
+    return Fraction(sum(chi(d) * (m // d) ** -s for d in divisors(m)), m ** -s)
 
 
 @lru_cache(maxsize=None)
@@ -236,6 +228,7 @@ def gen_bernoulli(n, D0):
     return Fraction(total, f)
 
 
+@lru_cache(maxsize=256)  # bounded: a run of Eisenstein coefficients asks for few (s, D)
 def lvalue_closed_form(s, D):
     """L(s, chi_D) as (rational, pi_power, sqrt_denominator) when it exists.
 

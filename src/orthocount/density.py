@@ -87,9 +87,11 @@ def _count_last(qx, keys, mult, mod):
     """sum of mult[i] #{x in Z/mod : qx x^2 + b x = t} over keys[i] = b mod + t.
 
     keys is sorted and distinct; the (b, x) grid covers only the b that
-    occur, a block of rows by a chunk of x at a time.
+    occur, a block of rows by a chunk of x at a time.  The b are the run
+    starts of the sorted keys // mod (np.unique would import numpy.ma).
     """
-    bs = np.unique(keys // mod)
+    bs = keys // mod
+    bs = bs[np.r_[True, bs[1:] != bs[:-1]]]
     cols = min(mod, NAIVE_CHUNK)
     rows = max(1, NAIVE_CHUNK // cols)
     count = 0

@@ -7,6 +7,14 @@ of pi times the square root of an exact rational, with any L-value that has
 no elementary closed form carried along symbolically and only resolved when
 a float is requested.  This keeps identities like the rank-8 root-lattice
 theta check exact rather than float-tolerant.
+
+Each coefficient is one exact product (Bruinier & Kuss, Manuscripta Math.
+106, 2001), assembled in a single pass: an integer numerator and
+denominator, an integer power of sqrt(pi) and one rational radicand, whose
+squares are folded out once, when the value is built.  The m-free factor
+2^(1+b/2) pi^(1+b/2) / Gamma(1+b/2) / sqrt(disc) is cached per
+(b, disc order) and the closed-form L-values per (s, D); each twisted
+divisor sum is an integer sum over the divisors of m.
 """
 
 import math
@@ -68,46 +76,29 @@ class MFValue:
     def abs(self):
         return replace(self, sign=abs(self.sign))
 
-    def _mul_rat(self, q):
-        q = Fraction(q)
-        if q == 0:
-            return MFValue.zero()
-        sign = self.sign * (1 if q > 0 else -1)
-        return replace(self, sign=sign, rat=self.rat * abs(q))
 
-    def _mul_sqrt(self, q):
-        """Multiply by sqrt(q) for positive rational q, folding out squares."""
-        q = Fraction(q)
-        if q <= 0:
-            raise InvariantError(f"sqrt({q}) of a non-positive rational")
-        sn, fn = squarefree_part(q.numerator)
-        sd, fd = squarefree_part(q.denominator)
-        arg = self.sqrt_arg * Fraction(sn, sd)
-        # arg may itself now contain squares across num/den; fold once more
-        sn2, fn2 = squarefree_part(arg.numerator)
-        sd2, fd2 = squarefree_part(arg.denominator)
-        return replace(self, rat=self.rat * Fraction(fn, fd) * Fraction(fn2, fd2),
-                       sqrt_arg=Fraction(sn2, sd2))
-
-    def _mul_pi(self, half):
-        return replace(self, pi_half=self.pi_half + half)
-
-    def _mul_lvalue(self, s, D, exponent):
-        """Multiply by L(s, chi_D)^exponent, folding a closed form if any."""
-        cf = lvalue_closed_form(s, D)
-        if cf is None:
-            return replace(self, lfactors=self.lfactors + ((s, D, exponent),))
-        q, spow, d = cf
-        out = self._mul_rat(q ** exponent)._mul_pi(2 * spow * exponent)
-        return out._mul_sqrt(Fraction(1, d) if exponent > 0 else Fraction(d))
+def _sqrt_fold(q):
+    """(f, s) with sqrt(q) = f sqrt(s), f > 0 rational and s a quotient of
+    coprime squarefree integers; InvariantError unless q > 0."""
+    q = Fraction(q)
+    if q <= 0:
+        raise InvariantError(f"sqrt({q}) of a non-positive rational")
+    sn, fn = squarefree_part(q.numerator)
+    sd, fd = squarefree_part(q.denominator)
+    return Fraction(fn, fd), Fraction(sn, sd)
 
 
-def _gamma_half(n2):
-    """Gamma(n2/2) as (rational, pi_half): Gamma = rational * pi^(pi_half/2)."""
-    if n2 % 2 == 0:
-        return Fraction(math.factorial(n2 // 2 - 1)), 0
-    n = (n2 - 1) // 2  # Gamma(n + 1/2)
-    return Fraction(math.factorial(2 * n), 4 ** n * math.factorial(n)), 1
+@lru_cache(maxsize=64)  # one entry per (b, disc order), reused for every m
+def _m_free(b, disc_order):
+    """2^(1+b/2) pi^(1+b/2) / Gamma(1+b/2) / sqrt(disc_order) as
+    (rational, pi_half, radicand), the radicand folded."""
+    # 2^(1+b/2) = 2^n sqrt(2^(b%2)) with n = b//2 + 1
+    n = b // 2 + 1
+    fold, rad = _sqrt_fold(Fraction(2 ** (b % 2), disc_order))
+    if b % 2 == 0:
+        return fold * Fraction(2 ** n, math.factorial(n - 1)), b + 2, rad
+    # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
+    return fold * Fraction(8 ** n * math.factorial(n), math.factorial(2 * n)), b + 1, rad
 
 
 @dataclass(frozen=True)
@@ -174,52 +165,59 @@ def _character_d(b, m0, detL):
 
 
 def _coeff_common(b, m, detL, disc_order, densities, sign):
-    """Shared assembly of the even/odd coefficient formulas.
+    """Shared assembly of the even/odd coefficient formulas, in one pass.
 
     densities: {ell: Fraction} over the primes dividing 2 detL.
     """
-    val = MFValue(sign, Fraction(1))
-    # 2^{1+b/2}: for odd b this is 2^{(b+1)/2} sqrt(2)
-    if b % 2 == 0:
-        val = val._mul_rat(Fraction(2) ** (1 + b // 2))
-    else:
-        val = val._mul_rat(Fraction(2) ** ((b + 1) // 2))._mul_sqrt(2)
-    val = val._mul_pi(b + 2)
-    # m^{b/2}
-    val = val._mul_rat(Fraction(m) ** (b // 2))
-    if b % 2:
-        val = val._mul_sqrt(m)
-    g_rat, g_pi = _gamma_half(b + 2)
-    val = val._mul_rat(1 / g_rat)._mul_pi(-g_pi)
-    val = val._mul_sqrt(Fraction(1, disc_order))
-    for ell in sorted(densities):
-        d = densities[ell]
+    const, pi_half, rad = _m_free(b, disc_order)
+    num, den = sign * const.numerator, const.denominator
+    rad_num, rad_den = rad.numerator, rad.denominator
+    for d in densities.values():
         if d == 0:
             return MFValue.zero()
-        val = val._mul_rat(d)
+        num, den = num * d.numerator, den * d.denominator
     if b % 2 == 0:
         D = _character_d(b, None, detL)
         sig = sigma_s_chi(m, -b // 2, D)
         if sig == 0:
             return MFValue.zero()
-        val = val._mul_rat(sig)
-        val = val._mul_lvalue(1 + b // 2, D, -1)
+        # m^(b/2) sigma_{-b/2}(m, chi_D)
+        num *= m ** (b // 2) * sig.numerator
+        den *= sig.denominator
+        lvalues = ((1 + b // 2, D, -1),)
     else:
         m0, f = split_m0_f(m, 2 * abs(detL))
         D = _character_d(b, m0, detL)
-        mob = Fraction(0)
-        for d in divisors(f):
-            mob += moebius(d) * chi_d(D, d) * Fraction(1, d ** ((b + 1) // 2)) \
-                * sigma_s_chi(f // d, -b)
+        # f^b sum_{d | f} mu(d) chi_D(d) d^(-(b+1)/2) sigma_{-b}(f/d), since
+        # f^b d^(-(b+1)/2) sigma_{-b}(f/d) = d^((b-1)/2) sigma_b(f/d)
+        h = b // 2
+        mob = sum(moebius(d) * chi_d(D, d) * d ** h * sigma_s_chi(f // d, b).numerator
+                  for d in divisors(f))
         if mob == 0:
             return MFValue.zero()
-        val = val._mul_rat(mob)
-        val = val._mul_lvalue((b + 1) // 2, D, 1)
+        # m^(b/2) = m^h f sqrt(m0); the Moebius sum carries 1/f^b
+        num *= mob * m ** h * f
+        den *= f ** b
+        rad_num *= m0
         # zeta(b+1) in the denominator, with the bad-prime Euler corrections
-        val = val._mul_lvalue(b + 1, 1, -1)
-        for ell in sorted(densities):
-            val = val._mul_rat(1 / (1 - Fraction(1, ell ** (1 + b))))
-    return val
+        lvalues = (((b + 1) // 2, D, 1), (b + 1, 1, -1))
+        for ell in densities:
+            num, den = num * ell ** (1 + b), den * (ell ** (1 + b) - 1)
+    lfactors = []
+    for s, D, e in lvalues:
+        cf = lvalue_closed_form(s, D)
+        if cf is None:
+            lfactors.append((s, D, e))
+            continue
+        q, spow, d = cf
+        if e > 0:
+            num, den, rad_den = num * q.numerator, den * q.denominator, rad_den * d
+        else:
+            num, den, rad_num = num * q.denominator, den * q.numerator, rad_num * d
+        pi_half += 2 * spow * e
+    fold, arg = _sqrt_fold(Fraction(rad_num, rad_den))
+    rat = Fraction(num * fold.numerator, den * fold.denominator)
+    return MFValue(1 if rat > 0 else -1, abs(rat), pi_half, arg, tuple(lfactors))
 
 
 def eis_coeff_global(ctx, local_densities, m):

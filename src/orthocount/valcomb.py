@@ -75,21 +75,18 @@ def _check_guard(r, prof):
                          f"{MIN_SET_GUARD}")
 
 
-def _tables(k, prof, dtype):
-    """nu and weight of every k-tuple, in C order (the order of
-    itertools.product), built one leading index at a time from
-    nu(i, J) = a_i + p^i nu(J)."""
+def _grow(tables, k, prof):
+    """Extend tables, the nu and weight of every j-tuple for j = 0, 1, ...
+    in C order (the order of itertools.product), to j <= k, one leading
+    index at a time from nu(i, J) = a_i + p^i nu(J)."""
+    dtype = tables[0][0].dtype
     idx = np.arange(1, prof.n + 2)
     a = np.array(prof.a, dtype)
-    vals, wts = np.zeros(1, dtype), np.zeros(1, np.int64)
-    if k:
-        vals, wts = a, idx
-    if k > 1:
-        pw = np.array([prof.p ** i for i in idx.tolist()], dtype)
-        for _ in range(k - 1):
-            vals = (a[:, None] + pw[:, None] * vals[None, :]).ravel()
-            wts = (idx[:, None] + wts[None, :]).ravel()
-    return vals, wts
+    pw = np.array([prof.p ** i for i in idx.tolist()], dtype)
+    while len(tables) <= k:
+        vals, wts = tables[-1]
+        tables.append(((a[:, None] + pw[:, None] * vals[None, :]).ravel(),
+                       (idx[:, None] + wts[None, :]).ravel()))
 
 
 def min_set(r, prof):
@@ -106,11 +103,20 @@ def min_set(r, prof):
     if r < 1:
         raise ValueError("r must be >= 1")
     _check_guard(r, prof)
+    return _search(r, prof, {})
+
+
+def _search(r, prof, tables):
+    """min_set's search, with the half tables taken from tables (dtype ->
+    list of the j-tuple tables, grown as needed), so that one call of
+    verify_minval builds every half table once."""
     n1, p = prof.n + 1, prof.p
     bound = max(prof.a) * sum(p ** (n1 * j) for j in range(r))
     dtype = np.int64 if bound < 2 ** 63 else object
-    v_i, w_i = _tables(r // 2, prof, dtype)
-    v_j, _ = _tables(r - r // 2, prof, dtype)
+    half = tables.setdefault(dtype, [(np.zeros(1, dtype), np.zeros(1, np.int64))])
+    _grow(half, r - r // 2, prof)
+    v_i, w_i = half[r // 2]
+    v_j, _ = half[r - r // 2]
     scale = np.array([p ** w for w in range(int(w_i.max()) + 1)], dtype)[w_i]
     step = max(1, CHUNK // len(v_j))
     best, flat = None, []
@@ -150,8 +156,9 @@ def verify_minval(prof, r_max):
     viol = []
     sets = {}
     checked = 0
+    tables = {}  # the half tables of every r, built once per call
     for r in range(1, r_max + 1):
-        _, sets[r] = min_set(r, prof)
+        _, sets[r] = _search(r, prof, tables)
     for r in range(1, r_max + 1):
         cur = sets[r]
         cur_set = set(cur)

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +148,22 @@ class TestNaiveKernel:
         for ell, a, gram, _ in naive_cases(rng, 10 ** 5):
             for m in (0, ell ** a, 5 * ell ** a):
                 assert_naive_matches_reference(gram, ell, a, m)
+
+    def test_first_call_imports_no_module(self):
+        # a fresh interpreter: the first count must not pull in a module
+        # (np.unique without return_counts imports numpy.ma on first use)
+        src = os.path.dirname(os.path.dirname(density.__file__))
+        code = ("import sys\n"
+                "from orthocount.density import local_density_naive\n"
+                "from orthocount.lattice import QuadLattice\n"
+                "L = QuadLattice.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 6]])\n"
+                "before = set(sys.modules)\n"
+                "local_density_naive(3, L, 2, 2)\n"
+                "print(sorted(set(sys.modules) - before))\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 7, 48, 50])
     def test_chunk_bounds(self, monkeypatch, rng, chunk):

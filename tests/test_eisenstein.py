@@ -1,14 +1,30 @@
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import orthocount.arith as arith
 import orthocount.eisenstein as eisenstein
-from orthocount.arith import InvariantError
+from conftest import E8_GRAM, assert_fires_under_python_O
+from orthocount.arith import (
+    InvariantError,
+    chi_d,
+    divisors,
+    factorize,
+    lvalue_closed_form,
+    moebius,
+    sigma_s_chi,
+    squarefree_part,
+)
+from orthocount.density import local_density
 from orthocount.eisenstein import (
     CuspPart,
     EisensteinContext,
     MFValue,
+    _character_d,
+    _sqrt_fold,
     cusp_part,
     densm_ratio,
     e8_check,
@@ -43,6 +59,108 @@ E7_GRAM = [
     [0, 0, 0, 0, -1, 2, 0],
     [0, 0, 0, -1, 0, 0, 2],
 ]
+
+
+# reference: the step-by-step assembly that the one-pass _coeff_common
+# replaced, kept verbatim as functions on MFValue; each step folds its own
+# square root, so a value may split its radicand differently
+
+
+def ref_mul_rat(v, q):
+    q = Fraction(q)
+    if q == 0:
+        return MFValue.zero()
+    sign = v.sign * (1 if q > 0 else -1)
+    return replace(v, sign=sign, rat=v.rat * abs(q))
+
+
+def ref_mul_sqrt(v, q):
+    """Multiply by sqrt(q) for positive rational q, folding out squares."""
+    q = Fraction(q)
+    if q <= 0:
+        raise InvariantError(f"sqrt({q}) of a non-positive rational")
+    sn, fn = squarefree_part(q.numerator)
+    sd, fd = squarefree_part(q.denominator)
+    arg = v.sqrt_arg * Fraction(sn, sd)
+    # arg may itself now contain squares across num/den; fold once more
+    sn2, fn2 = squarefree_part(arg.numerator)
+    sd2, fd2 = squarefree_part(arg.denominator)
+    return replace(v, rat=v.rat * Fraction(fn, fd) * Fraction(fn2, fd2),
+                   sqrt_arg=Fraction(sn2, sd2))
+
+
+def ref_mul_pi(v, half):
+    return replace(v, pi_half=v.pi_half + half)
+
+
+def ref_mul_lvalue(v, s, D, exponent):
+    """Multiply by L(s, chi_D)^exponent, folding a closed form if any."""
+    cf = lvalue_closed_form(s, D)
+    if cf is None:
+        return replace(v, lfactors=v.lfactors + ((s, D, exponent),))
+    q, spow, d = cf
+    out = ref_mul_pi(ref_mul_rat(v, q ** exponent), 2 * spow * exponent)
+    return ref_mul_sqrt(out, Fraction(1, d) if exponent > 0 else Fraction(d))
+
+
+def ref_gamma_half(n2):
+    """Gamma(n2/2) as (rational, pi_half): Gamma = rational * pi^(pi_half/2)."""
+    if n2 % 2 == 0:
+        return Fraction(math.factorial(n2 // 2 - 1)), 0
+    n = (n2 - 1) // 2  # Gamma(n + 1/2)
+    return Fraction(math.factorial(2 * n), 4 ** n * math.factorial(n)), 1
+
+
+def ref_coeff_common(b, m, detL, disc_order, densities, sign):
+    val = MFValue(sign, Fraction(1))
+    # 2^{1+b/2}: for odd b this is 2^{(b+1)/2} sqrt(2)
+    if b % 2 == 0:
+        val = ref_mul_rat(val, Fraction(2) ** (1 + b // 2))
+    else:
+        val = ref_mul_sqrt(ref_mul_rat(val, Fraction(2) ** ((b + 1) // 2)), 2)
+    val = ref_mul_pi(val, b + 2)
+    # m^{b/2}
+    val = ref_mul_rat(val, Fraction(m) ** (b // 2))
+    if b % 2:
+        val = ref_mul_sqrt(val, m)
+    g_rat, g_pi = ref_gamma_half(b + 2)
+    val = ref_mul_pi(ref_mul_rat(val, 1 / g_rat), -g_pi)
+    val = ref_mul_sqrt(val, Fraction(1, disc_order))
+    for ell in sorted(densities):
+        d = densities[ell]
+        if d == 0:
+            return MFValue.zero()
+        val = ref_mul_rat(val, d)
+    if b % 2 == 0:
+        D = _character_d(b, None, detL)
+        sig = sigma_s_chi(m, -b // 2, D)
+        if sig == 0:
+            return MFValue.zero()
+        val = ref_mul_rat(val, sig)
+        val = ref_mul_lvalue(val, 1 + b // 2, D, -1)
+    else:
+        m0, f = split_m0_f(m, 2 * abs(detL))
+        D = _character_d(b, m0, detL)
+        mob = Fraction(0)
+        for d in divisors(f):
+            mob += moebius(d) * chi_d(D, d) * Fraction(1, d ** ((b + 1) // 2)) \
+                * sigma_s_chi(f // d, -b)
+        if mob == 0:
+            return MFValue.zero()
+        val = ref_mul_rat(val, mob)
+        val = ref_mul_lvalue(val, (b + 1) // 2, D, 1)
+        # zeta(b+1) in the denominator, with the bad-prime Euler corrections
+        val = ref_mul_lvalue(val, b + 1, 1, -1)
+        for ell in sorted(densities):
+            val = ref_mul_rat(val, 1 / (1 - Fraction(1, ell ** (1 + b))))
+    return val
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and text are compared
+        return type(exc), str(exc)
 
 
 class TestContext:
@@ -115,6 +233,22 @@ class TestThetaCoeff:
         with pytest.raises(ValueError, match="disagrees"):
             eis_coeff_theta(EisensteinContext(b=6, p=7, detL=1, discOrder=1), L, 1)
         assert calls == [L]
+
+    def test_lvalue_computed_once_per_context(self, monkeypatch):
+        # for even b the one L-value is L(1 + b/2, chi_D) with D = 4 det L;
+        # each evaluation of lvalue_closed_form reduces D once
+        calls = []
+        real = arith.fundamental_discriminant
+        monkeypatch.setattr(arith, "fundamental_discriminant",
+                            lambda D: calls.append(D) or real(D))
+        arith.lvalue_closed_form.cache_clear()
+        L = QuadLattice.from_rows(D8_GRAM, positive_definite=True)
+        ctx = EisensteinContext.from_lattice(L, b=6, p=7)
+        theta = theta_table(L, 20)
+        for m in range(1, 21):
+            assert eis_coeff_theta(ctx, L, m).exact_fraction() == theta[m]
+        assert calls == [16]
+        arith.lvalue_closed_form.cache_clear()
 
     def test_rejects_determinant_off_p(self, e8):
         # E6 + A2 has det 9: besides 7 it carries the prime 3, where E8 is
@@ -321,15 +455,81 @@ class TestRepresentableSurrogate:
 
 class TestMFValue:
     def test_sqrt_folding(self):
-        v = MFValue(1, Fraction(1))._mul_sqrt(8)._mul_sqrt(2)
-        assert v.rat == 4 and v.sqrt_arg == 1
+        # sqrt(8) sqrt(2) = 4 is folded from the one radicand 16
+        assert _sqrt_fold(8 * 2) == (4, 1)
+        assert _sqrt_fold(Fraction(8, 27)) == (Fraction(2, 3), Fraction(2, 3))
+        assert _sqrt_fold(Fraction(12, 18)) == (1, Fraction(2, 3))
+        assert _sqrt_fold(Fraction(1, 50)) == (Fraction(1, 5), Fraction(1, 2))
 
     def test_sqrt_of_non_positive_raises(self):
         for q in (0, -3, Fraction(-1, 2)):
             with pytest.raises(InvariantError, match="non-positive"):
-                MFValue(1, Fraction(1))._mul_sqrt(q)
+                _sqrt_fold(q)
+
+    def test_non_positive_radicand_fires_under_python_O(self):
+        # a negative discriminant order puts -1/4 under the square root
+        assert_fires_under_python_O(
+            "from fractions import Fraction\n"
+            "from orthocount.eisenstein import _coeff_common\n"
+            "assert False, 'asserts are live'\n",
+            "_coeff_common(6, 1, 4, -4, {2: Fraction(1)}, 1)\n")
 
     def test_not_exact_raises(self):
         v = MFValue(1, Fraction(1), pi_half=2)
         with pytest.raises(ValueError):
             v.exact_fraction()
+
+
+def _theta_densities(ctx, L, m):
+    """The local densities eis_coeff_theta feeds to the assembly."""
+    dens = {ell: local_density(ell, L, m) for ell in ctx.badPrimes}
+    if det_and_disc_group(L)[0] % ctx.p == 0:
+        dens[ctx.p] = local_density(ctx.p, L, m)
+    return dens
+
+
+def _random_inputs(rng):
+    b = rng.randint(3, 10)
+    m = rng.randint(1, 40)
+    detL = rng.choice([-1, 1]) * rng.randint(1, 24)
+    primes = [ell for ell, _ in factorize(2 * abs(detL))]
+    if rng.random() < 0.3:
+        primes.append(rng.choice([5, 7, 11]))
+    disc = abs(detL) * rng.choice([1, 1, 1, 5, 7, 49])
+    dens = {ell: Fraction(rng.choice([0] + [rng.randint(-2, 40)] * 15),
+                          rng.choice([1, 2, 3, 4, 8, 9, 25, 27, 49]))
+            for ell in primes}
+    return b, m, detL, disc, dens, rng.choice([-1, 1])
+
+
+class TestAssemblyAgainstReference:
+    @pytest.mark.parametrize("name", ["D8", "E7", "E8", "Z8"])
+    def test_root_lattices_match_reference(self, name):
+        gram, b = {"D8": (D8_GRAM, 6), "E7": (E7_GRAM, 5), "E8": (E8_GRAM, 6),
+                   "Z8": ([[2 * (i == j) for j in range(8)] for i in range(8)], 6)}[name]
+        L = QuadLattice.from_rows(gram, positive_definite=True)
+        ctx = EisensteinContext.from_lattice(L, b=b, p=7)
+        for m in range(1, 121):
+            q = eis_coeff_theta(ctx, L, m)
+            ref = ref_coeff_common(b, m, ctx.detL, ctx.discOrder,
+                                   _theta_densities(ctx, L, m), +1)
+            assert q.exact_fraction() == ref.exact_fraction(), (name, m)
+
+    def test_random_inputs_match_reference(self):
+        rng = random.Random(20261019)
+        kinds = set()
+        for _ in range(400):
+            args = _random_inputs(rng)
+            got = _outcome(eisenstein._coeff_common, *args)
+            want = _outcome(ref_coeff_common, *args)
+            if isinstance(want, tuple):
+                assert got == want, args
+                kinds.add(want[0])
+                continue
+            assert (got.sign, got.pi_half, got.lfactors) == \
+                (want.sign, want.pi_half, want.lfactors), args
+            assert got.rat ** 2 * got.sqrt_arg == want.rat ** 2 * want.sqrt_arg, args
+            kinds.add((got.sign, bool(got.lfactors), got.sqrt_arg == 1))
+        # both signs, zeros, unresolved L-values, surds and raised errors
+        assert {(1, False, True), (-1, False, True), (0, False, True),
+                (1, True, True), (-1, False, False), ValueError} <= kinds, kinds

@@ -157,6 +157,33 @@ class TestMinSetAgainstReference:
         assert blocks[0] > 0 and len(set(blocks)) == 2
         assert min_set(4, LATE_TIES) == (v, argmin) == dp_min_set(4, LATE_TIES)
 
+    def test_shared_half_tables_match(self):
+        # verify_minval's search reads one set of half tables for every r
+        for prof in SWEEP:
+            tables = {}
+            for r in range(1, 7):
+                assert valcomb._search(r, prof, tables) == min_set(r, prof) \
+                    == _cached_ref_min_set(r, prof), (prof, r)
+            assert max(map(len, tables.values())) == 4
+
+    def test_verify_minval_builds_half_tables_once(self, monkeypatch):
+        # 2 * 7^5 * (1 + 7^5 + ... + 7^25) passes 2^63, so r = 6 is searched
+        # over Python ints and r <= 5 over int64: one set of tables each
+        built = []
+        real = valcomb._grow
+
+        def counting(tables, k, prof):
+            n = len(tables)
+            real(tables, k, prof)
+            built.append(len(tables) - n)
+
+        monkeypatch.setattr(valcomb, "_grow", counting)
+        assert verify_minval(ValuationProfile(4, 7, (2, 1, 1, 1, 1)), 6).ok
+        assert len(built) == 6 and sum(built) == 3 + 3
+        built.clear()
+        assert verify_minval(ValuationProfile(1, 5, (3, 1)), 6).ok
+        assert sum(built) == 3
+
     def test_guard_edge(self):
         prof = ValuationProfile(4, 7, (12, 11, 9, 5, 1))
         assert (prof.n + 1) ** 10 <= MIN_SET_GUARD
