@@ -496,8 +496,7 @@ def _random_inputs(rng):
     if rng.random() < 0.3:
         primes.append(rng.choice([5, 7, 11]))
     disc = abs(detL) * rng.choice([1, 1, 1, 5, 7, 49])
-    dens = {ell: Fraction(rng.choice([0] + [rng.randint(-2, 40)] * 15),
-                          rng.choice([1, 2, 3, 4, 8, 9, 25, 27, 49]))
+    dens = {ell: Fraction(rng.randint(-2, 40), rng.choice([1, 2, 3, 4, 8, 9, 25, 27, 49]))
             for ell in primes}
     return b, m, detL, disc, dens, rng.choice([-1, 1])
 
