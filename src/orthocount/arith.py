@@ -1,16 +1,14 @@
 """Characters, divisor sums and Dirichlet L-values.
 
-L-values are evaluated two ways: closed forms (Bernoulli numbers, exact
-rational times a power of pi) whenever the character parity matches the
-argument, and tail-bounded direct summation otherwise.  The summation path
-is also kept as an independent numeric oracle for the closed forms.
+L-values are exact closed forms (generalized Bernoulli numbers: an exact
+rational times a power of pi over a square root) whenever the parity of the
+character matches the argument, which is every L-value the Eisenstein
+coefficients need; there is no numeric evaluation.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 
 class InvariantError(ArithmeticError):
@@ -201,6 +199,23 @@ def fundamental_discriminant(D):
     return d0, g
 
 
+def _character_table(D):
+    """[chi_D(1), ..., chi_D(|D|)]: one Kronecker symbol per prime a <= |D|,
+    the rest by complete multiplicativity over a prime-factor sieve."""
+    if D % 4 not in (0, 1):
+        raise ValueError("chi_D needs D = 0 or 1 mod 4")
+    f = abs(D)
+    factor = [0] * (f + 1)  # a prime factor of each composite a <= f
+    for q in range(2, math.isqrt(f) + 1):
+        if factor[q] == 0:
+            factor[q * q::q] = [q] * len(range(q * q, f + 1, q))
+    chi = [0, 1]
+    for a in range(2, f + 1):
+        q = factor[a]
+        chi.append(kronecker(D, a) if q == 0 else chi[q] * chi[a // q])
+    return chi[1:]
+
+
 @lru_cache(maxsize=1024)
 def gen_bernoulli(n, D0):
     """Generalized Bernoulli number B_{n, chi_{D0}} for fundamental D0, exact.
@@ -214,8 +229,7 @@ def gen_bernoulli(n, D0):
     """
     f = abs(D0)
     sums = [0] * (n + 1)
-    for a in range(1, f + 1):
-        c = chi_d(D0, a)
+    for a, c in enumerate(_character_table(D0), start=1):
         if c == 0:
             continue
         term = c
@@ -243,8 +257,6 @@ def lvalue_closed_form(s, D):
     if s % 2 != parity:
         return None
     if D0 == 1:
-        if s % 2 or s == 0:
-            return None
         q = zeta_even_over_pi(s)
         d = 1
     else:
@@ -268,54 +280,3 @@ def lvalue_closed_form(s, D):
     for p in sorted(extra):
         q *= (1 - Fraction(chi_d(D0, p) if D0 != 1 else 1, p ** s))
     return q, s, d
-
-
-def dirichlet_L(s, D=None, eps=1e-12):
-    """L(s, chi_D) (or zeta(s) for D=None) to absolute error <= eps, s > 1.
-
-    Principal/zeta tails use int_N^inf x^{-s} dx; non-principal characters use
-    Abel summation, giving a 2*Mchi*(N+1)^{-s} tail with Mchi the max partial
-    sum of the character over a period.
-    """
-    s = float(s)
-    if s <= 1:
-        raise ValueError("need s > 1")
-    if D is not None and D % 4 not in (0, 1):
-        raise ValueError("need D = 0 or 1 mod 4")
-    principal = D is None or fundamental_discriminant(D)[0] == 1
-    if principal:
-        # strip the zero classes: sum over n coprime to D when D is given
-        if D is None:
-            N = int((1.0 / (eps * (s - 1))) ** (1.0 / (s - 1))) + 2
-            return _partial_power_sum(1, N, s) + _zeta_tail(N, s)
-        # zeta times finite Euler factors, evaluated recursively
-        base = dirichlet_L(s, None, eps / 2)
-        for p in sorted({p for p, _ in factorize(abs(D))}):
-            base *= 1 - p ** (-s)
-        return base
-    period = abs(D)
-    vals = np.array([kronecker(D, a) for a in range(period)], dtype=np.float64)
-    mchi = float(np.max(np.abs(np.cumsum(vals))))
-    N = int((2 * mchi / eps) ** (1.0 / s)) + period + 2
-    total = 0.0
-    for start in range(1, N + 1, 1 << 16):
-        stop = min(N, start + (1 << 16) - 1)
-        n = np.arange(start, stop + 1, dtype=np.int64)
-        total += float(np.sum(vals[n % period] * np.asarray(n, np.float64) ** (-s)))
-    return total
-
-
-def _partial_power_sum(start, stop, s):
-    total = 0.0
-    for a in range(start, stop + 1, 1 << 16):
-        b = min(stop, a + (1 << 16) - 1)
-        n = np.arange(a, b + 1, dtype=np.float64)
-        total += float(np.sum(n ** (-s)))
-    return total
-
-
-def _zeta_tail(N, s):
-    # Euler-Maclaurin style midpoint: int_{N+1/2}^inf x^-s dx is accurate to
-    # O(N^{-s-2}); the plain integral bound would need no correction but this
-    # halves the required N
-    return (N + 0.5) ** (1.0 - s) / (s - 1.0)

@@ -194,18 +194,10 @@ def _cmd_eis(args):
     rows = []
     for m in range(1, args.mmax + 1):
         q = eis_coeff_theta(ctx, L, m)
-        if q.is_exact and q.pi_half == 0 and q.sqrt_arg == 1:
-            qv = q.exact_fraction()
-            resid = Fraction(table[m]) - qv
-        else:
-            qv = q.approx()
-            resid = table[m] - qv
         # the signature-(b,2) coefficient with matching local data off p
         dens = {ell: local_density(ell, L, m) for ell in ctx.badPrimes}
-        qg = eis_coeff_global(ctx, dens, m).abs()
-        qg_val = qg.exact_fraction() if (qg.is_exact and qg.pi_half == 0
-                                         and qg.sqrt_arg == 1) else qg.approx()
-        rows.append((m, qg_val, qv, table[m], resid))
+        qg = abs(eis_coeff_global(ctx, dens, m))
+        rows.append((m, qg, q, table[m], Fraction(table[m]) - q))
     emit_table(rows, ["m", "qL_abs", "qLprime", "rep_count", "cusp_residual"],
                args.out, manifest={"cmd": "eis", "in": args.infile, "b": args.b,
                                    "p": args.p, "mmax": args.mmax})

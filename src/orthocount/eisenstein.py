@@ -2,103 +2,84 @@
 attached to a signature-(b,2) lattice, and of the Eisenstein part of theta
 series of positive definite lattices in the fixed genus chain.
 
-Coefficients are *structured*: an exact rational times a half-integer power
-of pi times the square root of an exact rational, with any L-value that has
-no elementary closed form carried along symbolically and only resolved when
-a float is requested.  This keeps identities like the rank-8 root-lattice
-theta check exact rather than float-tolerant.
+Every coefficient is an exact `Fraction`.  By Siegel-Weil it is a weighted
+average of representation numbers, hence rational, and for det L > 0 the
+closed form (Bruinier & Kuss, Manuscripta Math. 106, 2001) shows this factor
+by factor:
 
-Each coefficient is one exact product (Bruinier & Kuss, Manuscripta Math.
-106, 2001), assembled in a single pass: an integer numerator and
-denominator, an integer power of sqrt(pi) and one rational radicand, whose
-squares are folded out once, when the value is built.  The m-free factor
-2^(1+b/2) pi^(1+b/2) / Gamma(1+b/2) / sqrt(disc) is cached per
-(b, disc order) and the closed-form L-values per (s, D); each twisted
-divisor sum is an integer sum over the divisors of m.
+- every L-value has the parity of its argument, so it is a rational times
+  pi^s / sqrt(|D0|) (Washington, Thm. 4.2).  For even b it is
+  L(1+b/2, chi_D) with D = (-1)^(1+b/2) 4 det L; for odd b,
+  L((b+1)/2, chi_D) and zeta(b+1);
+- the powers of pi cancel identically;
+- the one radicand is |D0|/disc (even b) or 2 m0/(disc |D0|) (odd b), a
+  rational square exactly when disc = det L p^k with k even.
+
+Each coefficient is assembled in one pass over integers: a numerator and a
+denominator, the exponent of sqrt(pi) and one radicand.  The assembly raises
+InvariantError unless every L-value had a closed form, the pi exponent is 0
+and the radicand is a rational square; `EisensteinContext` refuses
+det L <= 0 and `eis_coeff_theta` an odd k up front.  The closed-form
+L-values are cached per (s, D); each twisted divisor sum is an integer sum
+over the divisors of m.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
     InvariantError,
     chi_d,
-    dirichlet_L,
     divisors,
     factorize,
     is_prime,
     lvalue_closed_form,
     moebius,
     sigma_s_chi,
-    squarefree_part,
     valuation,
 )
 from .density import local_density
 from .lattice import det_and_disc_group, p_diagonalize, theta_table
 
 
-@dataclass(frozen=True)
-class MFValue:
-    """sign * rat * pi^(pi_half/2) * sqrt(sqrt_arg) * prod L(s,chi_D)^e."""
-    sign: int
-    rat: Fraction
-    pi_half: int = 0
-    sqrt_arg: Fraction = Fraction(1)
-    lfactors: tuple = ()  # ((s, D, exponent), ...) unresolved L-values
+class Coefficient(Fraction):
+    """An Eisenstein coefficient: a plain exact Fraction.
 
-    @staticmethod
-    def zero():
-        return MFValue(0, Fraction(0))
-
-    @property
-    def is_zero(self):
-        return self.sign == 0
-
-    @property
-    def is_exact(self):
-        return not self.lfactors
+    The four read-only names below exist only for the correctness check of
+    the benchmark in `perfbench/workloads.py`, which reads a coefficient
+    through them; they are constants, and nothing else should read them.
+    """
+    __slots__ = ()
+    is_exact = True
+    pi_half = 0
+    sqrt_arg = 1
 
     def exact_fraction(self):
-        if not self.is_exact or self.pi_half != 0 or self.sqrt_arg != 1:
-            raise ValueError("value is not a plain rational")
-        return self.sign * self.rat
-
-    def approx(self, eps=1e-12):
-        if self.is_zero:
-            return 0.0
-        val = float(self.rat) * math.pi ** (self.pi_half / 2.0) * math.sqrt(self.sqrt_arg)
-        for s, D, e in self.lfactors:
-            val *= dirichlet_L(s, D, eps) ** e
-        return self.sign * val
-
-    def abs(self):
-        return replace(self, sign=abs(self.sign))
+        return Fraction(self)
 
 
-def _sqrt_fold(q):
-    """(f, s) with sqrt(q) = f sqrt(s), f > 0 rational and s a quotient of
-    coprime squarefree integers; InvariantError unless q > 0."""
-    q = Fraction(q)
-    if q <= 0:
-        raise InvariantError(f"sqrt({q}) of a non-positive rational")
-    sn, fn = squarefree_part(q.numerator)
-    sd, fd = squarefree_part(q.denominator)
-    return Fraction(fn, fd), Fraction(sn, sd)
-
-
-@lru_cache(maxsize=64)  # one entry per (b, disc order), reused for every m
-def _m_free(b, disc_order):
-    """2^(1+b/2) pi^(1+b/2) / Gamma(1+b/2) / sqrt(disc_order) as
-    (rational, pi_half, radicand), the radicand folded."""
+def _m_free(b):
+    """2^(1+b/2) pi^(1+b/2) / Gamma(1+b/2) as (rational, pi_half, radicand):
+    rational * pi^(pi_half/2) * sqrt(radicand)."""
     # 2^(1+b/2) = 2^n sqrt(2^(b%2)) with n = b//2 + 1
     n = b // 2 + 1
-    fold, rad = _sqrt_fold(Fraction(2 ** (b % 2), disc_order))
     if b % 2 == 0:
-        return fold * Fraction(2 ** n, math.factorial(n - 1)), b + 2, rad
+        return Fraction(2 ** n, math.factorial(n - 1)), b + 2, 1
     # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
-    return fold * Fraction(8 ** n * math.factorial(n), math.factorial(2 * n)), b + 1, rad
+    return Fraction(8 ** n * math.factorial(n), math.factorial(2 * n)), b + 1, 2
+
+
+def _rational_sqrt(q):
+    """sqrt(q) for the square q of a positive rational; InvariantError
+    otherwise."""
+    if q <= 0:
+        raise InvariantError(f"sqrt({q}) of a non-positive rational")
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        raise InvariantError(f"sqrt({q}) is not rational")
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -106,8 +87,9 @@ class EisensteinContext:
     """Ambient data feeding the coefficient formulas.
 
     b >= 3 (weight is 1 + b/2), p an odd prime >= 5 where the lattice is
-    self-dual, detL the determinant of the ambient gram, discOrder the order
-    of its discriminant group.
+    self-dual, detL > 0 the determinant of the ambient gram (neither the
+    signature (b, 2) lattice nor its positive definite companion has a
+    negative one), discOrder the order of its discriminant group.
     """
     b: int
     p: int
@@ -120,17 +102,17 @@ class EisensteinContext:
             raise ValueError("b must be >= 3")
         if self.p < 5 or not is_prime(self.p):
             raise ValueError("p must be an odd prime >= 5")
-        if self.detL == 0:
-            raise ValueError("detL must be nonzero")
-        bad = frozenset(p for p, _ in factorize(2 * abs(self.detL)))
+        if self.detL <= 0:
+            raise ValueError("detL must be positive")
+        bad = frozenset(p for p, _ in factorize(2 * self.detL))
         if self.badPrimes is None:
             object.__setattr__(self, "badPrimes", bad)
         elif frozenset(self.badPrimes) != bad:
             raise ValueError("badPrimes must be the primes dividing 2 detL")
         if self.p in self.badPrimes:
             raise ValueError("p must not divide 2 detL (self-duality at p)")
-        if self.discOrder != abs(self.detL):
-            raise ValueError("discOrder must equal |detL|")
+        if self.discOrder != self.detL:
+            raise ValueError("discOrder must equal detL")
 
     @staticmethod
     def from_lattice(L, b, p):
@@ -169,32 +151,25 @@ def _coeff_common(b, m, detL, disc_order, densities, sign):
 
     densities: {ell: Fraction} over the primes dividing 2 detL.
     """
-    const, pi_half, rad = _m_free(b, disc_order)
-    num, den = sign * const.numerator, const.denominator
-    rad_num, rad_den = rad.numerator, rad.denominator
+    const, pi_half, rad_num = _m_free(b)
+    num, den, rad_den = sign * const.numerator, const.denominator, disc_order
     for d in densities.values():
-        if d == 0:
-            return MFValue.zero()
         num, den = num * d.numerator, den * d.denominator
     if b % 2 == 0:
         D = _character_d(b, None, detL)
         sig = sigma_s_chi(m, -b // 2, D)
-        if sig == 0:
-            return MFValue.zero()
         # m^(b/2) sigma_{-b/2}(m, chi_D)
         num *= m ** (b // 2) * sig.numerator
         den *= sig.denominator
         lvalues = ((1 + b // 2, D, -1),)
     else:
-        m0, f = split_m0_f(m, 2 * abs(detL))
+        m0, f = split_m0_f(m, 2 * detL)
         D = _character_d(b, m0, detL)
         # f^b sum_{d | f} mu(d) chi_D(d) d^(-(b+1)/2) sigma_{-b}(f/d), since
         # f^b d^(-(b+1)/2) sigma_{-b}(f/d) = d^((b-1)/2) sigma_b(f/d)
         h = b // 2
         mob = sum(moebius(d) * chi_d(D, d) * d ** h * sigma_s_chi(f // d, b).numerator
                   for d in divisors(f))
-        if mob == 0:
-            return MFValue.zero()
         # m^(b/2) = m^h f sqrt(m0); the Moebius sum carries 1/f^b
         num *= mob * m ** h * f
         den *= f ** b
@@ -203,21 +178,21 @@ def _coeff_common(b, m, detL, disc_order, densities, sign):
         lvalues = (((b + 1) // 2, D, 1), (b + 1, 1, -1))
         for ell in densities:
             num, den = num * ell ** (1 + b), den * (ell ** (1 + b) - 1)
-    lfactors = []
     for s, D, e in lvalues:
         cf = lvalue_closed_form(s, D)
         if cf is None:
-            lfactors.append((s, D, e))
-            continue
+            raise InvariantError(f"L({s}, chi_{D}) has no closed form: the parity "
+                                 "of chi_D differs from s")
         q, spow, d = cf
         if e > 0:
             num, den, rad_den = num * q.numerator, den * q.denominator, rad_den * d
         else:
             num, den, rad_num = num * q.denominator, den * q.numerator, rad_num * d
         pi_half += 2 * spow * e
-    fold, arg = _sqrt_fold(Fraction(rad_num, rad_den))
-    rat = Fraction(num * fold.numerator, den * fold.denominator)
-    return MFValue(1 if rat > 0 else -1, abs(rat), pi_half, arg, tuple(lfactors))
+    if pi_half != 0:
+        raise InvariantError(f"pi^({Fraction(pi_half, 2)}) survives in a coefficient")
+    root = _rational_sqrt(Fraction(rad_num, rad_den))
+    return Coefficient(num * root.numerator, den * root.denominator)
 
 
 def eis_coeff_global(ctx, local_densities, m):
@@ -244,7 +219,8 @@ def eis_coeff_theta(ctx, Lprime, m):
     """Coefficient q_{L'}(m) of the Eisenstein part of theta(L').
 
     L' must be positive definite of rank b+2 and agree with the ambient
-    lattice away from p, so |det L'| = |det L| p^k (ValueError otherwise);
+    lattice away from p, so det L' = det L p^k with k even (ValueError
+    otherwise);
     its local densities at the bad primes of the ambient determinant are
     computed at stabilized depth.  Positive sign.
     """
@@ -255,11 +231,16 @@ def eis_coeff_theta(ctx, Lprime, m):
     if Lprime.rank != ctx.b + 2:
         raise ValueError(f"L' must have rank b+2 = {ctx.b + 2}")
     det_p, disc_p = _det_and_disc(Lprime)
-    # off p the determinant must be the ambient's: |det L'| = |det L| p^k
+    # off p the determinant must be the ambient's: det L' = det L p^k
     k = valuation(det_p, ctx.p, 0)
-    if abs(det_p) != abs(ctx.detL) * ctx.p ** k:
+    if det_p != ctx.detL * ctx.p ** k:
         raise ValueError(f"L' disagrees with the ambient away from p={ctx.p}: "
-                         f"|det L'| = {abs(det_p)}, |det L| = {abs(ctx.detL)}")
+                         f"det L' = {det_p}, det L = {ctx.detL}")
+    # at a prime ell != p where p is a non-square unit, det L' / det L = p^k
+    # must be a square for L' and L to agree there
+    if k % 2:
+        raise ValueError(f"L' disagrees with the ambient away from p={ctx.p}: "
+                         f"det L' / det L = {ctx.p}^{k} is an odd power of p")
     dens = {ell: local_density(ell, Lprime, m) for ell in ctx.badPrimes}
     if k > 0:
         dens[ctx.p] = local_density(ctx.p, Lprime, m)
@@ -268,7 +249,7 @@ def eis_coeff_theta(ctx, Lprime, m):
 
 @dataclass
 class CuspPart:
-    residuals: list  # g(m) = r(m) - q_{L'}(m), m = 1..M (Fraction or float)
+    residuals: list  # g(m) = r(m) - q_{L'}(m), m = 1..M, exact Fractions
     exponent: float | None  # fitted slope of log|g| vs log m, None if cusp-free
     cusp_free: bool
     bound: float  # (b+2)/4 + 0.25
@@ -279,13 +260,8 @@ def cusp_part(Lprime, ctx, M):
     if Lprime.rank != ctx.b + 2:
         raise ValueError(f"rank(L') = {Lprime.rank} but b+2 = {ctx.b + 2}")
     table = theta_table(Lprime, M)
-    residuals = []
-    for m in range(1, M + 1):
-        q = eis_coeff_theta(ctx, Lprime, m)
-        if q.is_exact and q.pi_half == 0 and q.sqrt_arg == 1:
-            residuals.append(Fraction(table[m]) - q.exact_fraction())
-        else:
-            residuals.append(table[m] - q.approx())
+    residuals = [Fraction(table[m]) - eis_coeff_theta(ctx, Lprime, m)
+                 for m in range(1, M + 1)]
     pts = [(math.log(m), math.log(abs(float(g))))
            for m, g in enumerate(residuals, start=1)
            if abs(float(g)) > 1e-6]
@@ -328,7 +304,7 @@ def densm_ratio(ctx, Lprime_n, m):
         chi_p = chi_d(D, p)
         quotient = delta_p / (1 - chi_p * Fraction(1, p ** (1 + b // 2)))
     else:
-        m0, _ = split_m0_f(m, 2 * abs(ctx.detL))
+        m0, _ = split_m0_f(m, 2 * ctx.detL)
         D = _character_d(b, m0, ctx.detL)
         chi_p = chi_d(D, p)
         quotient = delta_p * (1 - chi_p * Fraction(1, p ** ((b + 1) // 2))) \
@@ -348,18 +324,6 @@ def densm_ratio(ctx, Lprime_n, m):
     return out
 
 
-def representable_surrogate(ctx, L, m):
-    """Desk-scale surrogate for global representability: m is p-free and
-    every local density at the bad primes and at p is positive.  (For rank
-    b+2 >= 5 maximal lattices this captures all large m.)"""
-    if m % ctx.p == 0:
-        return False
-    for ell in sorted(ctx.badPrimes) + [ctx.p]:
-        if local_density(ell, L, m) == 0:
-            return False
-    return True
-
-
 def e8_check(e8_lattice, mmax=20, b=6, p=7):
     """The end-to-end identity: theta coefficients of the rank-8 root lattice
     equal its representation numbers exactly."""
@@ -369,7 +333,6 @@ def e8_check(e8_lattice, mmax=20, b=6, p=7):
     ok = True
     for m in range(1, mmax + 1):
         q = eis_coeff_theta(ctx, e8_lattice, m)
-        qe = q.exact_fraction()
-        rows.append((m, qe, table[m]))
-        ok = ok and qe == table[m]
+        rows.append((m, q, table[m]))
+        ok = ok and q == table[m]
     return ok, rows

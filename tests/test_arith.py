@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +11,6 @@ from orthocount.arith import (
     InvariantError,
     bernoulli,
     chi_d,
-    dirichlet_L,
     divisors,
     factorize,
     fundamental_discriminant,
@@ -156,6 +156,22 @@ def ref_gen_bernoulli(n, D0):
     return Fraction(f) ** (n - 1) * total
 
 
+def per_a_gen_bernoulli(n, D0):
+    """B_{n,chi} through S_j = sum_a chi(a) a^j with one Kronecker symbol per
+    a <= |D0|: the former implementation."""
+    f = abs(D0)
+    sums = [0] * (n + 1)
+    for a in range(1, f + 1):
+        c = chi_d(D0, a)
+        term = c
+        for j in range(n + 1):
+            sums[j] += term
+            term *= a
+    total = sum(math.comb(n, k) * f ** k * sums[n - k] * bernoulli(k)
+                for k in range(n + 1))
+    return Fraction(total, f)
+
+
 def class_number(D):
     """h(D) for D < 0 by counting reduced forms (a, b, c), b^2 - 4ac = D."""
     h = 0
@@ -208,6 +224,16 @@ class TestGenBernoulli:
             assert gen_bernoulli(n, 1) == sum(math.comb(n, k) * bernoulli(k)
                                               for k in range(n + 1)), n
 
+    def test_character_table_by_multiplicativity(self):
+        # the sieve's values at composite a are products of Kronecker symbols
+        # at primes; the per-a evaluation is the former implementation
+        ds = fundamental_discriminants(400)
+        assert 1 in ds and -399 in ds and 389 in ds
+        for D0 in ds:
+            assert arith._character_table(D0) == [chi_d(D0, a) for a in range(1, abs(D0) + 1)]
+            for n in range(9):
+                assert gen_bernoulli.__wrapped__(n, D0) == per_a_gen_bernoulli(n, D0), (n, D0)
+
     def test_cache_repeat(self):
         first = gen_bernoulli(5, -31)
         hits = gen_bernoulli.cache_info().hits
@@ -228,6 +254,47 @@ class TestFundamentalDiscriminant:
     def test_composite(self):
         assert fundamental_discriminant(-16) == (-4, 2)
         assert fundamental_discriminant(45) == (5, 3)
+
+
+def dirichlet_L(s, D=None, eps=1e-12):
+    """L(s, chi_D) (or zeta(s) for D=None) to absolute error <= eps, s > 1,
+    by direct summation: the numeric oracle for the closed forms.
+
+    Principal/zeta tails use int_N^inf x^{-s} dx; non-principal characters use
+    Abel summation, giving a 2*Mchi*(N+1)^{-s} tail with Mchi the max partial
+    sum of the character over a period.
+    """
+    s = float(s)
+    if s <= 1:
+        raise ValueError("need s > 1")
+    if D is not None and D % 4 not in (0, 1):
+        raise ValueError("need D = 0 or 1 mod 4")
+    principal = D is None or fundamental_discriminant(D)[0] == 1
+    if principal:
+        if D is None:
+            N = int((1.0 / (eps * (s - 1))) ** (1.0 / (s - 1))) + 2
+            total = 0.0
+            for a in range(1, N + 1, 1 << 16):
+                n = np.arange(a, min(N, a + (1 << 16) - 1) + 1, dtype=np.float64)
+                total += float(np.sum(n ** (-s)))
+            # Euler-Maclaurin style midpoint: int_{N+1/2}^inf x^-s dx is
+            # accurate to O(N^{-s-2}), which halves the required N
+            return total + (N + 0.5) ** (1.0 - s) / (s - 1.0)
+        # zeta times finite Euler factors, evaluated recursively
+        base = dirichlet_L(s, None, eps / 2)
+        for p in sorted({p for p, _ in factorize(abs(D))}):
+            base *= 1 - p ** (-s)
+        return base
+    period = abs(D)
+    vals = np.array([kronecker(D, a) for a in range(period)], dtype=np.float64)
+    mchi = float(np.max(np.abs(np.cumsum(vals))))
+    N = int((2 * mchi / eps) ** (1.0 / s)) + period + 2
+    total = 0.0
+    for start in range(1, N + 1, 1 << 16):
+        stop = min(N, start + (1 << 16) - 1)
+        n = np.arange(start, stop + 1, dtype=np.int64)
+        total += float(np.sum(vals[n % period] * np.asarray(n, np.float64) ** (-s)))
+    return total
 
 
 class TestLValues:

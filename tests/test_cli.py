@@ -307,3 +307,87 @@ class TestCli:
         monkeypatch.setattr(density_mod, "local_density_recursive", broken)
         assert main(["density", "--in", lattice_file, "--p", "5", "--mmax", "4",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def _a_gram(n):
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
+            for i in range(n)]
+
+
+def _d_gram(n):
+    G = _a_gram(n)
+    G[n - 2][n - 1] = G[n - 1][n - 2] = 0
+    G[n - 3][n - 1] = G[n - 1][n - 3] = -1
+    return G
+
+
+def _e_gram(n):
+    G = _a_gram(n)
+    G[n - 2][n - 1] = G[n - 1][n - 2] = 0
+    G[2][n - 1] = G[n - 1][2] = -1
+    return G
+
+
+def _cusp_gram():
+    # 2 diag(1, 1, 1, 1, 1, 16): not alone in its genus, nonzero residuals
+    G = [[2 * (i == j) for j in range(6)] for i in range(6)]
+    G[5][5] = 32
+    return G
+
+
+class TestEisGoldenBytes:
+    """SHA-256 of the `eis` CSV rows (header on; the manifest line carries
+    the input path) at m <= 40, p = 7: every cell is an exact rational."""
+
+    CASES = {
+        "D8": (_d_gram(8), 6,
+               "6d07d2114404f4d092aaa61ae5e9bf1ba0a0558e86e9884da6dd71df34b8c68e"),
+        "E7": (_e_gram(7), 5,
+               "28cf16b814edd354c314dd7035de9754f5c4342c5d59ff08dd69db09514514dd"),
+        "A5": (_a_gram(5), 3,
+               "4750314d258843ef6690667cdf6c98e96a2ad60431a393fa31481d5c6a6cbe3d"),
+        "D5": (_d_gram(5), 3,
+               "23f1348c38b8467009a29d4e17d58be2ec36cff1288eabc8fe1f889f8a78bf8b"),
+        "E6": (_e_gram(6), 4,
+               "a5cc9994b1e32d4a4f09e9aaebfa6ea166a24141e20f309416366fb9071aab9a"),
+        "cusp6": (_cusp_gram(), 4,
+                  "bdf98a05eb48ce580dac6b8801f39826070d88a9b0e01bc4183c1dbacc1b40b4"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_eis_rows(self, tmp_path, name):
+        gram, b, digest = self.CASES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"rank": len(gram), "gram": gram,
+                                    "positive_definite": True}))
+        out = tmp_path / f"{name}.csv"
+        assert main(["eis", "--in", str(path), "--b", str(b), "--mmax", "40",
+                     "--out", str(out)]) == 0
+        manifest, rows = out.read_bytes().split(b"\n", 1)
+        assert manifest.startswith(b"# b=")
+        assert rows.startswith(b"m,qL_abs,qLprime,rep_count,cusp_residual\n")
+        assert hashlib.sha256(rows).hexdigest() == digest
+
+    def test_e8_check(self, tmp_path):
+        out = tmp_path / "e8.csv"
+        assert main(["eis", "--e8-check", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "a409b5956207a488f66dee25732d83374b6fe8551d0d8b0b29f7889ec5b55eaa"
+
+    def test_broken_invariant_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an L-value reporting the wrong power of pi leaves a power of pi over
+        import orthocount.eisenstein as eis_mod
+        real = eis_mod.lvalue_closed_form
+
+        def shifted(s, D):
+            q, spow, d = real(s, D)
+            return q, spow + 1, d
+
+        path = tmp_path / "e6.json"
+        path.write_text(json.dumps({"rank": 6, "gram": _e_gram(6),
+                                    "positive_definite": True}))
+        monkeypatch.setattr(eis_mod, "lvalue_closed_form", shifted)
+        assert main(["eis", "--in", str(path), "--b", "4", "--mmax", "2",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "arithmetic failure: pi^(-1) survives in a coefficient\n"

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -20,11 +20,11 @@ from orthocount.arith import (
 )
 from orthocount.density import local_density
 from orthocount.eisenstein import (
+    Coefficient,
     CuspPart,
     EisensteinContext,
-    MFValue,
     _character_d,
-    _sqrt_fold,
+    _rational_sqrt,
     cusp_part,
     densm_ratio,
     e8_check,
@@ -33,6 +33,7 @@ from orthocount.eisenstein import (
     split_m0_f,
 )
 from orthocount.lattice import QuadLattice, det_and_disc_group, theta_table
+from test_arith import dirichlet_L
 
 
 def sigma3(m):
@@ -63,7 +64,27 @@ E7_GRAM = [
 
 # reference: the step-by-step assembly that the one-pass _coeff_common
 # replaced, kept verbatim as functions on MFValue; each step folds its own
-# square root, so a value may split its radicand differently
+# square root and carries an L-value without a closed form symbolically, so
+# it also shows what an input outside the formula's domain would produce
+
+
+@dataclass(frozen=True)
+class MFValue:
+    """sign * rat * pi^(pi_half/2) * sqrt(sqrt_arg) * prod L(s,chi_D)^e."""
+    sign: int
+    rat: Fraction
+    pi_half: int = 0
+    sqrt_arg: Fraction = Fraction(1)
+    lfactors: tuple = ()  # ((s, D, exponent), ...) unresolved L-values
+
+    @staticmethod
+    def zero():
+        return MFValue(0, Fraction(0))
+
+    def exact_fraction(self):
+        if self.lfactors or self.pi_half != 0 or self.sqrt_arg != 1:
+            raise ValueError("value is not a plain rational")
+        return self.sign * self.rat
 
 
 def ref_mul_rat(v, q):
@@ -156,13 +177,6 @@ def ref_coeff_common(b, m, detL, disc_order, densities, sign):
     return val
 
 
-def _outcome(fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the type and text are compared
-        return type(exc), str(exc)
-
-
 class TestContext:
     def test_from_lattice(self, e8):
         ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
@@ -180,6 +194,14 @@ class TestContext:
     def test_rejects_odd_composite_p(self, p):
         with pytest.raises(ValueError, match="p must be an odd prime >= 5"):
             EisensteinContext(b=6, p=p, detL=4, discOrder=4)
+
+    @pytest.mark.parametrize("det", [-4, -1, 0])
+    def test_rejects_non_positive_det(self, det):
+        with pytest.raises(ValueError, match="detL must be positive"):
+            EisensteinContext(b=6, p=7, detL=det, discOrder=abs(det))
+        indefinite = QuadLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 2]])
+        with pytest.raises(ValueError, match="detL must be positive"):
+            EisensteinContext.from_lattice(indefinite, b=3, p=7)
 
 
 class TestSplit:
@@ -204,7 +226,7 @@ class TestThetaCoeff:
         table = theta_table(z8, 12)
         for m in range(1, 13):
             q = eis_coeff_theta(ctx, z8, m)
-            assert q.exact_fraction() == table[m]
+            assert q == table[m]
 
     def test_e7_odd_b_numeric(self):
         # rank 7: b = 5, det 2; the genus again has one class, so the odd-b
@@ -215,8 +237,8 @@ class TestThetaCoeff:
         table = theta_table(L, 8)
         for m in range(1, 9):
             q = eis_coeff_theta(ctx, L, m)
-            assert q.is_exact, m
-            assert q.exact_fraction() == table[m], m
+            assert isinstance(q, Fraction), m
+            assert q == table[m], m
 
     def test_determinant_read_once_per_lattice(self, monkeypatch):
         # det and discriminant group of L' come from one Smith form per
@@ -246,7 +268,7 @@ class TestThetaCoeff:
         ctx = EisensteinContext.from_lattice(L, b=6, p=7)
         theta = theta_table(L, 20)
         for m in range(1, 21):
-            assert eis_coeff_theta(ctx, L, m).exact_fraction() == theta[m]
+            assert eis_coeff_theta(ctx, L, m) == theta[m]
         assert calls == [16]
         arith.lvalue_closed_form.cache_clear()
 
@@ -269,7 +291,7 @@ class TestThetaCoeff:
         # a scaling by a power of p is allowed
         L7 = QuadLattice.from_rows([[7 * x for x in row] for row in e8.gram_rows()],
                                    positive_definite=True)
-        assert eis_coeff_theta(ctx, L7, 1).is_zero
+        assert eis_coeff_theta(ctx, L7, 1) == 0
 
     def test_rejects_wrong_rank(self, e8):
         ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
@@ -278,22 +300,40 @@ class TestThetaCoeff:
 
     def test_rejects_indefinite(self):
         L = QuadLattice.from_rows([[0, 1], [1, 0]])
-        ctx = EisensteinContext(b=3, p=5, detL=-1, discOrder=1)
-        with pytest.raises(ValueError):
+        ctx = EisensteinContext(b=3, p=5, detL=4, discOrder=4)
+        with pytest.raises(ValueError, match="L' must be positive definite"):
             eis_coeff_theta(ctx, L, 1)
+
+    @pytest.mark.parametrize("r", [6, 7, 8])
+    def test_rejects_odd_power_of_p(self, r):
+        # 2 I_r and diag(2, ..., 2, 2 5^k) agree away from 5 only for even k:
+        # for odd k, det L' / det L = 5^k is a non-square at every prime
+        # where 5 is a non-residue, and the formula would return a surd
+        ctx = EisensteinContext(b=r - 2, p=5, detL=2 ** r, discOrder=2 ** r)
+        for k in (1, 2, 3):
+            L = QuadLattice.from_rows(
+                [[2 * (i == j) * (5 ** k if i == r - 1 else 1) for j in range(r)]
+                 for i in range(r)], positive_definite=True)
+            for m in range(1, 13):
+                if k % 2:
+                    with pytest.raises(ValueError, match="disagrees with the ambient "
+                                       "away from p=5: .* odd power of p"):
+                        eis_coeff_theta(ctx, L, m)
+                else:
+                    assert isinstance(eis_coeff_theta(ctx, L, m), Fraction)
 
 
 class TestGlobalCoeff:
     def test_zero_density_kills(self, e8):
         ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
         q = eis_coeff_global(ctx, {2: Fraction(0)}, 5)
-        assert q.is_zero
+        assert q == 0
 
     def test_sign_negative(self, e8):
         ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
         q = eis_coeff_global(ctx, {2: Fraction(15, 16)}, 1)
-        assert q.sign == -1
-        assert q.abs().exact_fraction() == 240
+        assert q < 0
+        assert abs(q) == 240
 
     def test_missing_density_rejected(self, e8):
         ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
@@ -307,16 +347,14 @@ class TestGlobalCoeff:
         ratios = []
         for m in range(1, 201):
             q = eis_coeff_global(ctx, {2: local_density(2, e8, m)}, m)
-            assert not q.is_zero
-            ratios.append(q.abs().exact_fraction() / Fraction(m) ** 3)
+            assert q != 0
+            ratios.append(abs(q) / Fraction(m) ** 3)
         assert max(ratios) / min(ratios) < 3
 
     def test_recomputation_oracle_odd_b(self):
         # odd-b branch against a literal one-line re-evaluation
         L = QuadLattice.from_rows(E7_GRAM, positive_definite=True)
         ctx = EisensteinContext.from_lattice(L, b=5, p=11)
-        from orthocount.arith import chi_d, dirichlet_L, divisors, moebius
-        from orthocount.density import local_density
         for m in (1, 2, 4, 9, 18):
             dens = {ell: local_density(ell, L, m) for ell in ctx.badPrimes}
             q = eis_coeff_global(ctx, dens, m)
@@ -330,7 +368,7 @@ class TestGlobalCoeff:
                        * dirichlet_L(3, D, 1e-11) * mob
                        / (math.gamma(3.5) * math.sqrt(2) * zeta6)
                        * float(dens[2]) / (1 - 2.0 ** -6))
-            assert q.approx(1e-11) == pytest.approx(expect, rel=1e-9), m
+            assert float(q) == pytest.approx(expect, rel=1e-9), m
 
 
 class TestCuspPart:
@@ -356,7 +394,7 @@ class TestCuspPart:
         out = cusp_part(L, ctx, 60)
         assert not out.cusp_free
         assert any(g != 0 for g in out.residuals)
-        assert isinstance(out.residuals[0], Fraction)  # exact L-value folding
+        assert all(isinstance(g, Fraction) for g in out.residuals)
         assert out.exponent <= out.bound
 
     def test_rank_mismatch(self, e8):
@@ -430,15 +468,25 @@ class TestDensmRatio:
             densm_ratio(ctx, L, 1)
 
 
+def representable_surrogate(ctx, L, m):
+    """Desk-scale surrogate for global representability: m is p-free and
+    every local density at the bad primes and at p is positive.  (For rank
+    b+2 >= 5 maximal lattices this captures all large m.)"""
+    if m % ctx.p == 0:
+        return False
+    for ell in sorted(ctx.badPrimes) + [ctx.p]:
+        if local_density(ell, L, m) == 0:
+            return False
+    return True
+
+
 class TestRepresentableSurrogate:
     def test_e8_all_units_representable(self, e8):
-        from orthocount.eisenstein import representable_surrogate
         ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
         for m in range(1, 30):
             assert representable_surrogate(ctx, e8, m) == (m % 7 != 0)
 
     def test_local_obstruction(self):
-        from orthocount.eisenstein import representable_surrogate
         # x^2 + y^2 + 9(z^2 + w^2 + u^2): sums of two squares miss 3 mod 9,
         # so m = 3 is locally obstructed at the bad prime 3
         rows = [[0] * 5 for _ in range(5)]
@@ -453,18 +501,23 @@ class TestRepresentableSurrogate:
         assert not representable_surrogate(ctx, L, 7)  # p | m excluded
 
 
-class TestMFValue:
-    def test_sqrt_folding(self):
-        # sqrt(8) sqrt(2) = 4 is folded from the one radicand 16
-        assert _sqrt_fold(8 * 2) == (4, 1)
-        assert _sqrt_fold(Fraction(8, 27)) == (Fraction(2, 3), Fraction(2, 3))
-        assert _sqrt_fold(Fraction(12, 18)) == (1, Fraction(2, 3))
-        assert _sqrt_fold(Fraction(1, 50)) == (Fraction(1, 5), Fraction(1, 2))
+class TestExactRoot:
+    def test_square_radicands(self):
+        # sqrt(8) sqrt(2) = 4 comes from the one radicand 16
+        assert _rational_sqrt(Fraction(8 * 2)) == 4
+        assert _rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
+        assert _rational_sqrt(Fraction(8, 18)) == Fraction(2, 3)
+        assert _rational_sqrt(Fraction(1, 100)) == Fraction(1, 10)
 
     def test_sqrt_of_non_positive_raises(self):
-        for q in (0, -3, Fraction(-1, 2)):
+        for q in (Fraction(0), Fraction(-3), Fraction(-1, 2)):
             with pytest.raises(InvariantError, match="non-positive"):
-                _sqrt_fold(q)
+                _rational_sqrt(q)
+
+    def test_surd_raises(self):
+        for q in (Fraction(2), Fraction(8, 27), Fraction(1, 50), Fraction(4, 5)):
+            with pytest.raises(InvariantError, match="is not rational"):
+                _rational_sqrt(q)
 
     def test_non_positive_radicand_fires_under_python_O(self):
         # a negative discriminant order puts -1/4 under the square root
@@ -474,10 +527,31 @@ class TestMFValue:
             "assert False, 'asserts are live'\n",
             "_coeff_common(6, 1, 4, -4, {2: Fraction(1)}, 1)\n")
 
-    def test_not_exact_raises(self):
-        v = MFValue(1, Fraction(1), pi_half=2)
-        with pytest.raises(ValueError):
-            v.exact_fraction()
+    def test_surd_radicand_fires_under_python_O(self):
+        # disc = det L * 7: an odd power of p leaves sqrt(7) in the radicand
+        assert_fires_under_python_O(
+            "from fractions import Fraction\n"
+            "from orthocount.eisenstein import _coeff_common\n"
+            "assert False, 'asserts are live'\n",
+            "_coeff_common(6, 1, 4, 4 * 7, {2: Fraction(1)}, 1)\n")
+
+    def test_pi_power_fires_under_python_O(self):
+        # an L-value reporting the wrong power of pi leaves a power of pi over
+        assert_fires_under_python_O(
+            "from fractions import Fraction\n"
+            "import orthocount.eisenstein as E\n"
+            "assert False, 'asserts are live'\n"
+            "real = E.lvalue_closed_form\n"
+            "def shifted(s, D):\n"
+            "    q, spow, d = real(s, D)\n"
+            "    return q, spow + 1, d\n"
+            "E.lvalue_closed_form = shifted\n",
+            "E._coeff_common(6, 1, 4, 4, {2: Fraction(1)}, 1)\n")
+
+    def test_missing_closed_form_raises(self, monkeypatch):
+        monkeypatch.setattr(eisenstein, "lvalue_closed_form", lambda s, D: None)
+        with pytest.raises(InvariantError, match="no closed form"):
+            eisenstein._coeff_common(6, 1, 4, 4, {2: Fraction(1)}, 1)
 
 
 def _theta_densities(ctx, L, m):
@@ -488,17 +562,26 @@ def _theta_densities(ctx, L, m):
     return dens
 
 
-def _random_inputs(rng):
+def _random_inputs(rng, in_domain):
+    """Arguments of _coeff_common.  In domain: detL > 0, even for odd b as
+    for every even lattice of odd rank, and disc = detL p^(2j).  Off domain:
+    detL < 0 ("det") or disc = detL p^(2j+1) ("odd power")."""
     b = rng.randint(3, 10)
     m = rng.randint(1, 40)
-    detL = rng.choice([-1, 1]) * rng.randint(1, 24)
-    primes = [ell for ell, _ in factorize(2 * abs(detL))]
+    detL = rng.randint(1, 12) * (2 if b % 2 else rng.randint(1, 2))
+    primes = [ell for ell, _ in factorize(2 * detL)]
     if rng.random() < 0.3:
         primes.append(rng.choice([5, 7, 11]))
-    disc = abs(detL) * rng.choice([1, 1, 1, 5, 7, 49])
     dens = {ell: Fraction(rng.randint(-2, 40), rng.choice([1, 2, 3, 4, 8, 9, 25, 27, 49]))
             for ell in primes}
-    return b, m, detL, disc, dens, rng.choice([-1, 1])
+    kind, disc = "in", detL * rng.choice([1, 1, 1, 25, 49])
+    if not in_domain:
+        kind = rng.choice(["det", "odd power"])
+        if kind == "det":
+            detL = -detL
+        else:
+            disc *= rng.choice([5, 7, 125])
+    return kind, (b, m, detL, disc, dens, rng.choice([-1, 1]))
 
 
 class TestAssemblyAgainstReference:
@@ -512,23 +595,34 @@ class TestAssemblyAgainstReference:
             q = eis_coeff_theta(ctx, L, m)
             ref = ref_coeff_common(b, m, ctx.detL, ctx.discOrder,
                                    _theta_densities(ctx, L, m), +1)
-            assert q.exact_fraction() == ref.exact_fraction(), (name, m)
+            assert type(q) is Coefficient, (name, m)
+            assert q == ref.exact_fraction(), (name, m)
+
+    def test_odd_det_with_odd_b_is_refused(self):
+        # no even lattice of odd rank has an odd determinant: chi_D would
+        # need D = -6, which is not a discriminant; the reference agrees
+        args = (5, 1, 3, 3, {2: Fraction(1), 3: Fraction(1)}, 1)
+        for assemble in (eisenstein._coeff_common, ref_coeff_common):
+            with pytest.raises(ValueError, match="-6 is not 0 or 1 mod 4"):
+                assemble(*args)
 
     def test_random_inputs_match_reference(self):
         rng = random.Random(20261019)
         kinds = set()
-        for _ in range(400):
-            args = _random_inputs(rng)
-            got = _outcome(eisenstein._coeff_common, *args)
-            want = _outcome(ref_coeff_common, *args)
-            if isinstance(want, tuple):
-                assert got == want, args
-                kinds.add(want[0])
+        for i in range(400):
+            kind, args = _random_inputs(rng, in_domain=i % 2 == 0)
+            want = ref_coeff_common(*args)
+            if kind == "in":
+                got = eisenstein._coeff_common(*args)
+                assert type(got) is Coefficient, args
+                assert got == want.exact_fraction(), args
+                kinds.add((kind, want.sign))
                 continue
-            assert (got.sign, got.pi_half, got.lfactors) == \
-                (want.sign, want.pi_half, want.lfactors), args
-            assert got.rat ** 2 * got.sqrt_arg == want.rat ** 2 * want.sqrt_arg, args
-            kinds.add((got.sign, bool(got.lfactors), got.sqrt_arg == 1))
-        # both signs, zeros, unresolved L-values, surds and raised errors
-        assert {(1, False, True), (-1, False, True), (0, False, True),
-                (1, True, True), (-1, False, False), ValueError} <= kinds, kinds
+            # the reference shows the value is not rational (or is zero);
+            # the one exact path refuses it
+            assert want.sign == 0 or want.lfactors or want.sqrt_arg != 1, args
+            with pytest.raises(InvariantError):
+                eisenstein._coeff_common(*args)
+            kinds.add(kind)
+        # both signs and zeros in domain, both kinds of draw off it
+        assert {("in", 1), ("in", -1), ("in", 0), "det", "odd power"} <= kinds, kinds
