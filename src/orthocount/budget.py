@@ -69,12 +69,12 @@ def local_intersection(seq, m, n_cap):
 
 
 def truncation_cap(c1_proxy, b, X):
-    """c2 X^{b/2} with c2 = c1 * 2^{b/2}: beyond this level the first
-    successive minimum exceeds sqrt(2X), so no vectors of norm <= 2X remain."""
-    if b % 2 == 0:
-        c2 = Fraction(c1_proxy) * 2 ** (b // 2)
-        return math.ceil(c2 * X ** (b // 2))
-    return math.ceil(float(c1_proxy) * 2 ** (b / 2) * X ** (b / 2))
+    """c2 X^{b/2}, c2 = c1 * 2^{b/2}, rounded up: the least N with N^2 >= c1^2 (2X)^b.
+    Beyond this level the first successive minimum exceeds sqrt(2X), so no
+    vectors of norm <= 2X remain."""
+    square = Fraction(c1_proxy) ** 2 * Fraction(2 * X) ** b
+    n = math.isqrt(math.ceil(square))
+    return n if n * n >= square else n + 1
 
 
 @dataclass

@@ -12,13 +12,10 @@ both start from the ell-adic Jordan splitting of lattice.jordan_blocks
   local_density_blockwise  the same count from the Jordan blocks, whose
                            working precision follows v_ell(det), so any
                            nonsingular gram is counted at any depth; used to
-                           reach stabilization.  Every block is
-                           counted directly on the O(a) orbits of Z/ell^a
-                           under the unit squares, from a weighted list of
-                           its Q-values (for a 2x2 block, O(ell^a) of them
-                           through y = x t and x = y t), and the blocks are
-                           merged by an exact contraction over those orbits;
-                           _orbits is the only code that knows them
+                           reach stabilization.  Every block is counted in
+                           closed form on the O(a) orbits of Z/ell^a under
+                           the unit squares, and the blocks are merged by an
+                           exact contraction over those orbits
   local_density_recursive  odd p, p not dividing m: diagonalize over Z_p
                            (p_diagonalize, the odd-p view of the blocks),
                            drop the p-divisible variables, and count the unit
@@ -30,6 +27,7 @@ All values are exact Fractions.
 """
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from fractions import Fraction
 
@@ -134,40 +132,49 @@ def local_density_naive(ell, L, m, a):
 
 # ---------------------------------------------------------------------------
 # blockwise counter
+#
+# Q(u x) = u^2 Q(x), so every count below is constant on the orbits of
+# Z/ell^a under multiplication by the unit squares.  r = ell^v w, w a unit
+# mod ell^k, k = a - v, has the orbit ell^v times the class of w modulo the
+# unit squares: its quadratic character at odd ell, and w mod 2^min(k, 3) at
+# ell = 2, one of c(k) classes; 0 is an orbit alone.  The orbits are labelled
+# in the order of the key 4 v + class, so 0 (v = a) comes last.  Every count
+# is a closed form on the orbits, and no residue list mod ell^a is built.
+
+def _unit_class(ell, k, w):
+    """The unit-square class of the unit w mod ell^k, k >= 1."""
+    if ell == 2:
+        return w % 2 ** min(k, 3) // 2
+    return int(pow(w, (ell - 1) // 2, ell) != 1)
+
 
 @lru_cache(maxsize=64)
 def _orbits(ell, a):
-    """Orbits of Z/ell^a under multiplication by the unit squares (cached).
+    """The orbits of Z/ell^a under the unit squares, in label order (cached):
+    (v, class, least representative, size) for each.
 
-    r = ell^k w, w a unit mod ell^(a-k), has the orbit ell^k times the coset
-    of w modulo the unit squares: the class of w mod 2^min(a-k, 3) at ell = 2,
-    the quadratic residue class of w at odd ell; 0 is an orbit alone.
-    Returns (labels, reps, sizes), read-only: the orbit label of every
-    residue, and one representative and the size of each orbit.
+    The orbit (v, c) is ell^v times the phi(ell^k)/c(k) units of class c
+    mod ell^k, k = a - v, so its least element is ell^v times the least
+    unit of class c: 2c + 1 at ell = 2, and 1 or the least nonresidue.
     """
-    mod = ell ** a
-    r = np.arange(mod, dtype=np.int64)
-    v = np.zeros(mod, dtype=np.int16)  # v_ell(r), and a at r = 0
-    for k in range(1, a + 1):
-        v[:: ell ** k] += 1
-    w = r // np.int64(ell) ** v  # residues stay int64; ell^v overflows int16
-    if ell == 2:
-        key = (w % 2 ** np.minimum(a - v, 3) // 2).astype(np.int16)
-    else:
-        nonresidue = np.ones(ell, dtype=np.int16)
-        nonresidue[np.arange(ell) ** 2 % ell] = 0
-        key = nonresidue[np.remainder(w, ell, out=w)]
-    del w  # lowers the peak memory at deep moduli
-    # orbits are labelled in the order of the key 4 v + class of w (< 4a + 4)
-    key += 4 * v
-    count = np.bincount(key)
-    labels = (np.cumsum(count > 0) - 1).astype(np.int16)[key]
-    reps = np.full(np.count_nonzero(count), mod)
-    np.minimum.at(reps, labels, r)
-    orbits = labels, reps, count[count > 0]
-    for arr in orbits:
-        arr.flags.writeable = False
-    return orbits
+    orbits = []
+    for v in range(a):
+        k = a - v
+        n = 2 ** min(k - 1, 2) if ell == 2 else 2  # c(k)
+        least = [2 * c + 1 for c in range(n)] if ell == 2 else \
+            [1, next(w for w in range(2, ell) if _unit_class(ell, k, w))]
+        size = (ell - 1) * ell ** (k - 1) // n
+        orbits += [(v, c, ell ** v * least[c], size) for c in range(n)]
+    orbits.append((a, 0, 0, 1))
+    return tuple(orbits)
+
+
+def _orbit_of(ell, a, r):
+    """The label of the orbit of r mod ell^a: the orbits are sorted by (v, class)."""
+    r %= ell ** a
+    v = valuation(r, ell, a)
+    c = _unit_class(ell, a - v, r // ell ** v) if v < a else 0
+    return bisect_left(_orbits(ell, a), (v, c))
 
 
 @lru_cache(maxsize=64)
@@ -178,83 +185,107 @@ def _orbit_tensor(ell, a):
     cnt = T[o3, o1, o2] = #{x in o1 : z - x in o2}, z the representative of
     o3, ordered by o3 with the entries of o3 from starts[o3] on.  T does not
     depend on z within o3: x -> u^2 x maps the x counted for z onto those
-    counted for u^2 z.
+    counted for u^2 z.  With v1, v3 the valuations of o1, o3:
+      v1, v3 >= 1   dividing by ell maps these orbits one to one onto those
+                    of depth a - 1, so the entries are T at depth a - 1 with
+                    every label moved past the unit orbits of depth a;
+      v1 != v3      z - x has valuation min(v1, v3) and a class fixed by the
+                    classes of o1 and o3: all |o1| x land in one orbit;
+      v1 = v3 = 0   with D = 1 class digit at odd ell and 3 at ell = 2, the
+                    orbit of z - x of valuation below D is fixed by x mod
+                    ell^B, B = min(a, 2D - 1), and those x are counted over
+                    x mod ell^B; a valuation of D or more means x = z mod
+                    ell^D, so o1 = o3, and then z - x runs once over every
+                    element of valuation D or more (0 included).
+    Each (o3, o1) sums to |o1| over o2, or InvariantError.
     """
-    labels, reps, _ = _orbits(ell, a)
-    mod, n = len(labels), len(reps)
-    twice = np.concatenate((labels, labels))
-    pair_row = labels.astype(np.int64) * n
-    # twice[z + mod - x] is the label of z - x, for x = 0 .. mod - 1
-    T = np.array([np.bincount(pair_row + twice[z + mod: z: -1], minlength=n * n)
-                  for z in reps])
-    o3, pair = np.nonzero(T)
-    return (pair // n, pair % n, T[o3, pair].astype(object),
-            np.searchsorted(o3, np.arange(n)))
-
-
-def _block_values(kind, data, ell, a):
-    """(weight, values) pairs of one block, for the orbits of _orbits(ell, a):
-    #{x in (Z/ell^a)^k : Q(x) in an orbit} is the sum over the pairs of
-    weight times the number of values in that orbit.
-
-    A 1x1 block ("1", g) has Q = g x^2/2, each x once.  A 2x2 block
-    ("2", (a, b, c)) has Q = qa x^2 + b x y + qc y^2, qa = a/2, qc = c/2; its
-    pairs at depth d split three ways:
-      x a unit:            y = x t turns Q into x^2 f(t), f = qa + b t + qc t^2;
-      ell | x, y a unit:   x = y t with ell | t turns Q into y^2 g(t),
-                           g = qc + b t + qa t^2;
-      ell divides both:    Q(ell x', ell y') = ell^2 Q(x', y'), with ell^2
-                           pairs per (x', y') mod ell^(d-2).
-    As the unit x runs over (Z/ell^d)*, x^2 f(t) covers the orbit of f(t)
-    evenly, so f over every t and g over ell | t carry the weight
-    phi(ell^d).  Unrolling the third case gives the depths d = a, a-2, ...,
-    whose values ell^(a-d) f and ell^(a-d) g carry ell^(a-d) phi(ell^d):
-    the orbit of ell^(a-d) w mod ell^a is ell^(a-d) times that of w mod
-    ell^d.  The ell^(a+d) pairs left once d <= 0 have Q = 0.  Every
-    intermediate stays below sub^2 + sub, sub = ell^d, so int64 is exact.
-    """
-    mod = ell ** a
-    if kind == "1":
-        # Q-coefficient of the 1x1 block: data/2 mod ell^a (data stays even
-        # at ell = 2; at odd ell divide by the unit 2)
-        if ell == 2:
-            if data % 2:
-                raise InvariantError("odd 1x1 block at ell = 2")
-            qcoef = (data % (2 * mod)) // 2
-        else:
-            qcoef = data * pow(2, -1, mod) % mod
-        x = np.arange(mod, dtype=np.int64)
-        yield 1, qcoef * (x * x % mod) % mod
-        return
-    aa, bb, cc = data
-    qa, qb, qc = (aa % (2 * mod)) // 2, bb % mod, (cc % (2 * mod)) // 2
-    d = a
-    while d > 0:
-        sub = ell ** d
-        t = np.arange(sub, dtype=np.int64)
-        u = t[: sub // ell] * ell
-        f = ((qc % sub * t + qb % sub) % sub * t + qa) % sub
-        g = ((qa % sub * u + qb % sub) % sub * u + qc) % sub
-        yield mod // sub * (sub - sub // ell), mod // sub * np.concatenate([f, g])
-        d -= 2
-    yield ell ** (a + d), [0]
+    if a == 0:  # Z/1 = {0}, and 0 - 0 = 0
+        zero = np.zeros(1, dtype=np.intp)
+        return zero, zero, np.ones(1, dtype=object), zero
+    orbits = _orbits(ell, a)
+    p1, p2, pcnt, pstarts = _orbit_tensor(ell, a - 1)
+    units = len(orbits) - len(pstarts)
+    digits = 3 if ell == 2 else 1
+    mod = ell ** min(a, 2 * digits - 1)
+    new = []  # (o3, o1, o2, count), for o1 or o3 a unit orbit
+    for o3, (_, _, z, _) in enumerate(orbits):
+        for o1 in range(len(orbits) if o3 < units else units):
+            _, c1, x1, size = orbits[o1]
+            row = {}  # o2 -> count
+            if o3 >= units or o1 >= units:
+                row[_orbit_of(ell, a, z - x1)] = size
+            else:
+                for x in range(1, mod):
+                    y = (z - x) % mod
+                    if x % ell and _unit_class(ell, a, x) == c1 and y and \
+                            valuation(y, ell, 0) < digits:
+                        o2 = _orbit_of(ell, a, y)
+                        row[o2] = row.get(o2, 0) + ell ** a // mod
+                if o1 == o3:
+                    row.update((o2, size2) for o2, (v2, _, _, size2) in enumerate(orbits)
+                               if v2 >= min(a, digits))
+            if sum(row.values()) != size:
+                raise InvariantError("a row of the orbit tensor does not sum to its orbit's size")
+            new += [(o3, o1, o2, c) for o2, c in row.items()]
+    n3, n1, n2, ncnt = zip(*new)
+    shifted = np.repeat(np.arange(len(pstarts)), np.diff(pstarts, append=len(pcnt)))
+    o3 = np.concatenate((shifted + units, n3))
+    order = np.argsort(o3, kind="stable")
+    return (np.concatenate((p1 + units, n1))[order], np.concatenate((p2 + units, n2))[order],
+            np.concatenate((pcnt, np.array(ncnt, dtype=object)))[order],
+            np.searchsorted(o3[order], np.arange(len(orbits))))
 
 
 def _block_counts(kind, data, ell, a):
-    """#{x : Q(x) = r} for r in each orbit of _orbits(ell, a), one block.
+    """#{x in (Z/ell^a)^dim : Q(x) = r} for r in each orbit of _orbits(ell, a),
+    for one block of lattice.jordan_blocks, in closed form (Python ints).
 
-    The count is constant on each orbit, since Q(u x) = u^2 Q(x), so it is
-    the weighted count of the block's values in the orbit over its size.  A
-    sum that the size does not divide raises InvariantError.
+    A 1x1 block ("1", g) has Q = q x^2, q = g/2 = ell^s u mod ell^a: the
+    phi(ell^(a-j)) x of valuation j take Q into the orbit of ell^(s+2j) u,
+    and cover it evenly.
+
+    A 2x2 block ("2", (A, B, C)) comes only at ell = 2, with v = v_2(B) and
+    2^(v+1) dividing A and C.  Q is Z_2-equivalent to 2^v xy when
+    (A/2^(v+1)) (C/2^(v+1)) is even, and to 2^v (x^2 + xy + y^2) otherwise.
+    With k = a - v, each element of an orbit of valuation v + t, 0 <= t < k,
+    is taken by 4^v (t + 1) 2^(k-1) pairs in the first case: each x = 2^i x'
+    with i <= t leaves 2^i values of y.  In the second it is taken by
+    4^v 3 2^(k-1) pairs at even t and none at odd t: the norm maps the units
+    of the unramified quadratic extension onto the units, fibres of equal
+    size.
+
+    The zero orbit takes what is left of ell^(a dim), dim = int(kind);
+    InvariantError if that is negative.
     """
-    labels, _, sizes = _orbits(ell, a)
-    total = np.zeros(len(sizes), dtype=np.int64)
-    for weight, values in _block_values(kind, data, ell, a):
-        total += weight * np.bincount(labels[values], minlength=len(sizes))
-    counts, rest = np.divmod(total, sizes)
-    if rest.any():
-        raise InvariantError("block count is not constant on the unit-square orbits")
-    return counts
+    orbits = _orbits(ell, a)
+    counts = [0] * len(orbits)
+    if kind == "1":
+        # the Q-coefficient g/2 mod ell^a (g is even at ell = 2; at odd ell
+        # divide by the unit 2)
+        if ell == 2:
+            if data % 2:
+                raise InvariantError("odd 1x1 block at ell = 2")
+            q = data % 2 ** (a + 1) // 2
+        else:
+            q = data * pow(2, -1, ell ** a) % ell ** a
+        s = valuation(q, ell, a)
+        for j in range((a - s + 1) // 2):
+            o = _orbit_of(ell, a, ell ** (s + 2 * j) * (q // ell ** s))
+            counts[o] = (ell - 1) * ell ** (a - j - 1) // orbits[o][3]
+    else:
+        A, B, C = data
+        v = valuation(B, ell, a)
+        if ell != 2 or A % 2 ** (v + 1) or C % 2 ** (v + 1):
+            raise InvariantError("a 2x2 block is not 2^v times a unimodular form")
+        hyperbolic = (A >> (v + 1)) * (C >> (v + 1)) % 2 == 0
+        for o, (w, _, _, _) in enumerate(orbits[:-1]):
+            t = w - v
+            if t >= 0 and (hyperbolic or t % 2 == 0):
+                counts[o] = 4 ** v * (t + 1 if hyperbolic else 3) * 2 ** (a - v - 1)
+    counts[-1] = ell ** (a * int(kind)) - sum(c * o[3] for c, o in zip(counts, orbits))
+    if counts[-1] < 0:
+        raise InvariantError("a block counts more points than (Z/ell^a)^dim holds")
+    return np.array(counts, dtype=object)
 
 
 @lru_cache(maxsize=256)
@@ -264,13 +295,12 @@ def _blockwise_factors(L, ell, a):
     Each block count is constant on the orbits (_block_counts), and so is
     the count for a sum of blocks: adding a block with counts h is the exact
     contraction new[o3] = sum of T[o3, o1, o2] merged[o1] h[o2] over the
-    structure tensor of _orbit_tensor, in Python ints.  No block is
-    tabulated over Z/ell^a.  The vector is returned read-only.
+    structure tensor of _orbit_tensor, in Python ints.  The vector is
+    returned read-only.
     """
-    labels, _, sizes = _orbits(ell, a)
     o1, o2, cnt, starts = _orbit_tensor(ell, a)
-    merged = np.zeros(len(sizes), dtype=object)
-    merged[labels[0]] = 1
+    merged = np.zeros(len(starts), dtype=object)
+    merged[-1] = 1  # the empty sum is 0
     for kind, data in jordan_blocks(L, ell, a):
         h = _block_counts(kind, data, ell, a)
         merged = np.add.reduceat(merged[o1] * h[o2] * cnt, starts)
@@ -281,7 +311,7 @@ def _blockwise_factors(L, ell, a):
 def count_blockwise(L, ell, m, a):
     """#{v in (Z/ell^a)^rank : Q(v) = m}, via block reduction (any depth)."""
     _check_prime(ell)
-    return _blockwise_factors(L, ell, a)[_orbits(ell, a)[0][m % ell ** a]]
+    return _blockwise_factors(L, ell, a)[_orbit_of(ell, a, m)]
 
 
 def local_density_blockwise(ell, L, m, a):

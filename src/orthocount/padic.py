@@ -117,6 +117,7 @@ class UnramifiedRing:
     minpoly: tuple      # length deg+1, monic, coefficients mod p^R
     sigma_mat: tuple    # deg x deg, columns: sigma(x^j) in x-basis, mod p^R
     red_rows: tuple     # rows k=0..deg-2: x^{deg+k} in x-basis, mod p^R
+    tau: tuple = ()     # Teichmuller representative of x, mod p^R (deg > 1)
 
     @property
     def modulus(self):
@@ -206,32 +207,15 @@ class UnramifiedRing:
 
     def teichmuller_unit(self, k):
         """tau^k for the Teichmuller representative tau of x (deg > 1)."""
-        return self.pow(self._tau(), k)
-
-    def _tau(self):
-        return _teichmuller_cache(self)
+        if self.deg == 1:
+            raise ValueError("prime ring has no generator")
+        return self.pow(self.tau, k)
 
     def as_matrix_int64(self):
         sig = np.array(self.sigma_mat, dtype=np.int64)
         red = np.array(self.red_rows, dtype=np.int64) if self.deg > 1 else \
             np.zeros((0, 1), dtype=np.int64)
         return sig, red
-
-
-_TAU_CACHE = {}
-
-
-def _teichmuller_cache(ring):
-    key = (ring.p, ring.R, ring.deg, ring.minpoly)
-    if key not in _TAU_CACHE:
-        q = ring.p ** ring.deg
-        y = ring.gen()
-        for _ in range(ring.R + 1):
-            y = ring.pow(y, q)
-        if ring.pow(y, q - 1) != ring.one():
-            raise InvariantError("Teichmuller iteration failed")
-        _TAU_CACHE[key] = y
-    return _TAU_CACHE[key]
 
 
 @lru_cache(maxsize=None)
@@ -297,7 +281,7 @@ def make_ring(p, R, deg, minpoly_modp=None, seed=0):
             img = ring0.add(img, tuple(c[k] * Pcols[k][i] % mod for i in range(deg)))
         sig_cols.append(img)
     sigma_mat = tuple(tuple(sig_cols[j][i] for j in range(deg)) for i in range(deg))
-    ring = UnramifiedRing(p, R, deg, f, sigma_mat, tuple(red))
+    ring = UnramifiedRing(p, R, deg, f, sigma_mat, tuple(red), tau)
     # sanity: sigma is a ring map lifting Frobenius, sigma^deg = id
     g = ring.gen()
     if ring.sigma(ring.mul(g, g)) != ring.mul(ring.sigma(g), ring.sigma(g)):

@@ -8,6 +8,7 @@ tables of the two halves of the tuple.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -264,14 +265,40 @@ def schedules(h, p, r_max, a=None):
 @dataclass(frozen=True)
 class DecaySchedule:
     case: str  # "generic" | "ssp-case1" | "ssp-case2"
-    windows: tuple  # ((n_lo, n_hi, exponent), ...) consecutive, e nondecreasing
+    # ((n_lo, n_hi, exponent), ...) in order and disjoint, e nondecreasing; a
+    # gap between two windows holds n that the theorems leave uncovered
+    windows: tuple
 
     def __post_init__(self):
         for (l1, h1, e1), (l2, h2, e2) in zip(self.windows, self.windows[1:]):
-            if l2 != h1 + 1:
-                raise ValueError("windows must be consecutive")
+            if l2 <= h1:
+                raise ValueError("windows must be in order and must not overlap")
             if e2 < e1:
                 raise ValueError("exponents must be nondecreasing")
+
+
+def _windows(case, h, p, a):
+    """The windows (lo, hi, e) of the decay theorems, in order and without
+    end: |L_1/L_n| >= p^e for lo <= n <= hi, and an n below lo that no
+    earlier window holds is uncovered.  A window may be empty (lo > hi).
+    a is a Fraction; where a p^r is fractional, the edges are the least and
+    the largest integers on the right side of each bound."""
+    if case == "generic":
+        for r in itertools.count():
+            yield _h_at(h, p, r) + 1, _h_at(h, p, r + 1), 2 + 2 * r
+    elif case == "ssp-case1":
+        for r in itertools.count():
+            lo = math.ceil(_hprime_at(h, p, r - 1, a) + a * p ** r) + 1
+            mid = _hprime_at(h, p, r, a)
+            yield lo, mid, 1 + 2 * r
+            yield max(lo, mid + 1), math.floor(mid + a * p ** (r + 1)), 2 + 2 * r
+    elif case == "ssp-case2":
+        lo = math.ceil(_hprime_at(h, p, -1, a) + a) + 1
+        yield lo, _hprime_at(h, p, 0, a), 1
+        for r in itertools.count():
+            yield max(lo, _hprime_at(h, p, r, a) + 1), _hprime_at(h, p, r + 1, a), 3 + 2 * r
+    else:
+        raise ValueError(f"unknown case {case!r}")
 
 
 def predicted_index(n, case, h, p, a=None, r_cap=64):
@@ -279,66 +306,24 @@ def predicted_index(n, case, h, p, a=None, r_cap=64):
     or None where the theorems leave n uncovered (below the first window, or
     inside a genuine inter-window gap when a p^r is fractional).
 
-    The schedules are walked level by level in closed form up to the first
-    window that decides n; r_cap bounds the levels tried."""
+    The windows of _windows are walked in order up to the first that decides
+    n; those of exponent above 2 r_cap - 2 (the levels past r_cap) are not
+    tried."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if case == "generic":
-        if n <= _h_at(h, p, 0):
-            return None
-        for r in range(r_cap - 1):
-            if n <= _h_at(h, p, r + 1):
-                return 2 + 2 * r
-        raise ValueError("increase r_cap")
     a = Fraction(h, 2) if a is None else Fraction(a)
-    if case == "ssp-case1":
-        for r in range(r_cap - 1):
-            if n < _hprime_at(h, p, r - 1, a) + a * p ** r + 1:
-                return None
-            hp_r = _hprime_at(h, p, r, a)
-            if n <= hp_r:
-                return 1 + 2 * r
-            if n <= hp_r + a * p ** (r + 1):
-                return 2 + 2 * r
-        raise ValueError("increase r_cap")
-    if case == "ssp-case2":
-        if n < _hprime_at(h, p, -1, a) + a + 1:
+    for lo, hi, e in _windows(case, h, p, a):
+        if e > 2 * r_cap - 2:
+            raise ValueError("increase r_cap")
+        if n < lo:
             return None
-        if n <= _hprime_at(h, p, 0, a):
-            return 1
-        for r in range(r_cap - 2):
-            if n <= _hprime_at(h, p, r + 1, a):
-                return 3 + 2 * r
-        raise ValueError("increase r_cap")
-    raise ValueError(f"unknown case {case!r}")
+        if n <= hi:
+            return e
 
 
 def build_schedule(case, h, p, a=None, r_max=4):
-    """DecaySchedule over the windows the theorem covers up to level r_max."""
-    a_frac = Fraction(h, 2) if a is None else Fraction(a)
-    windows = []
-    if case == "generic":
-        hr = schedule_h(h, p, r_max + 1)
-        for r in range(r_max + 1):
-            if hr[r] + 1 <= hr[r + 1]:
-                windows.append((hr[r] + 1, hr[r + 1], 2 + 2 * r))
-    elif case == "ssp-case1":
-        hp = schedule_hprime(h, p, r_max + 1, a_frac)
-        for r in range(r_max + 1):
-            lo1 = int(hp[r] + a_frac * p ** r) + 1
-            if lo1 <= hp[r + 1]:
-                windows.append((lo1, hp[r + 1], 1 + 2 * r))
-            hi2 = int(hp[r + 1] + a_frac * p ** (r + 1))
-            if hp[r + 1] + 1 <= hi2:
-                windows.append((hp[r + 1] + 1, hi2, 2 + 2 * r))
-    elif case == "ssp-case2":
-        hp = schedule_hprime(h, p, r_max + 1, a_frac)
-        lo = int(hp[0] + a_frac) + 1
-        if lo <= hp[1]:
-            windows.append((lo, hp[1], 1))
-        for r in range(r_max):
-            if hp[r + 1] + 1 <= hp[r + 2]:
-                windows.append((hp[r + 1] + 1, hp[r + 2], 3 + 2 * r))
-    else:
-        raise ValueError(f"unknown case {case!r}")
-    return DecaySchedule(case, tuple(windows))
+    """DecaySchedule over the nonempty windows of predicted_index up to level
+    r_max (exponent 2 r_max + 2)."""
+    a = Fraction(h, 2) if a is None else Fraction(a)
+    windows = itertools.takewhile(lambda w: w[2] <= 2 * r_max + 2, _windows(case, h, p, a))
+    return DecaySchedule(case, tuple(w for w in windows if w[0] <= w[1]))

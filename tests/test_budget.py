@@ -70,6 +70,18 @@ class TestCaps:
         a, b = truncation_cap(1, 4, 50), truncation_cap(1, 4, 100)
         assert abs(b - 4 * a) <= 4
 
+    def test_odd_b_exact(self):
+        # (2X)^(b/2) is irrational for odd b; rounding it through floats gave
+        # 9 and 33 for these two
+        assert truncation_cap(1, 3, 2) == 8
+        assert truncation_cap(1, 5, 2) == 32
+        for c1 in (1, 3, Fraction(1, 3), Fraction(7, 2)):
+            for b in range(1, 10):
+                for X in (1, 2, 3, 8, Fraction(1, 2), 10 ** 6 + 1):
+                    n = truncation_cap(c1, b, X)
+                    square = Fraction(c1) ** 2 * Fraction(2 * X) ** b
+                    assert n * n >= square > (n - 1) ** 2, (c1, b, X)
+
     def test_no_vectors_beyond_cap(self):
         seq = worked_sequence()
         X = 2

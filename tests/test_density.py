@@ -3,7 +3,10 @@ import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from orthocount import density
 from orthocount.density import (
     _block_counts,
     _count_naive_np,
+    _orbit_of,
     _orbit_tensor,
     _orbits,
     _unit_form_count,
@@ -279,6 +283,48 @@ class TestBlockwise:
         assert len(checked) == 140
         assert [m for g, ell, m in checked if g == L.gram and ell == 2] == [1, 3, 5]
 
+    def test_e8_cubed_depth_40_within_a_second(self):
+        # depth 40 at ell = 2: about 160 orbits, and no list of 2^40 residues
+        n = len(E8_GRAM)
+        G = [[E8_GRAM[i % n][j % n] if i // n == j // n else 0 for j in range(3 * n)]
+             for i in range(3 * n)]
+        L = QuadLattice.from_rows(G, positive_definite=True)
+        k, m = 12, 2 ** 38
+        expect = (1 - Fraction(1, 2 ** k)) * sum(Fraction(1, 2 ** (j * (k - 1)))
+                                                 for j in range(39))
+        for cache in (density._orbits, density._orbit_tensor, density._blockwise_factors):
+            cache.cache_clear()
+        start = time.perf_counter()
+        assert local_density_blockwise(2, L, m, 40) == expect
+        assert time.perf_counter() - start < 1.0
+
+    def test_deep_odd_moduli_answer(self):
+        # 5^13 residues would need about 9 GiB as an int64 array.  The
+        # hyperbolic plane, split at odd p into two 1x1 blocks, has
+        # #{xy = m mod p^a} = (v_p(m) + 1) phi(p^a) for v_p(m) < a, and 0
+        # takes the rest of the p^(2a) pairs
+        for p, a in ((5, 13), (3, 14), (7, 12)):
+            phi = (p - 1) * p ** (a - 1)
+            for m in (1, 2 * p, p ** (a - 1)):
+                assert count_blockwise(HYP, p, m, a) == (valuation(m, p, 0) + 1) * phi
+            off_zero = sum((v + 1) * phi * (p - 1) * p ** (a - v - 1) for v in range(a))
+            assert count_blockwise(HYP, p, 0, a) == p ** (2 * a) - off_zero
+
+    def test_cold_deep_call_memory(self):
+        # a cold count at 3^14 on a rank-4 lattice: about 30 orbits, where
+        # a list of the 3^14 residues alone would take 38 MB
+        L = QuadLattice.from_rows([[2, 1, 0, 0], [1, 4, 1, 0], [0, 1, 6, 1], [0, 0, 1, 8]],
+                                  positive_definite=True)
+        for cache in (density._orbits, density._orbit_tensor, density._blockwise_factors):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            count_blockwise(L, 3, 1, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, peak
+
     def test_deep_depth_reachable(self, e8):
         # depth 11 at ell=2 and rank 8 is far beyond the naive guard
         d = local_density_blockwise(2, e8, 16, 11)
@@ -301,7 +347,7 @@ def ref_blockwise_counts(L, ell, a):
     blocks = jordan_blocks(L, ell, a)
     factors = []
     for kind, data in blocks:
-        hist = block_hist(kind, data, ell, a)
+        hist = expand(_block_counts(kind, data, ell, a), ell, a).astype(np.int64)
         factors.append((hist, mod if kind == "1" else mod * mod))
     factors.sort(key=lambda t: t[1])
     merged = []
@@ -380,22 +426,38 @@ class TestOrbitMerge:
         for a in range(7, 12):
             merge_matches_reference(L, 2, a)
 
+    def test_tensor_row_sum_fires_under_python_O(self):
+        # the unit orbit {1} mod 3 reported with two elements: for z = 1 its
+        # one element x = 1 gives z - x = 0, so the row sums to 1, not 2
+        assert_fires_under_python_O(
+            "from orthocount import density\n"
+            "assert False, 'asserts are live'\n"
+            "real = density._orbits\n"
+            "density._orbits = lambda ell, a: ((0, 0, 1, 2),) + real(ell, a)[1:]\n",
+            "density._orbit_tensor(3, 1)\n")
+
     @pytest.mark.parametrize("ell,depth", [(2, 9), (3, 5), (5, 3), (7, 3)])
     def test_orbits_brute_force(self, ell, depth):
         for a in range(1, depth + 1):
             mod = ell ** a
-            labels, reps, sizes = _orbits(ell, a)
+            orbits = _orbits(ell, a)
             o1, o2, cnt, starts = _orbit_tensor(ell, a)
-            lab = labels.tolist()
+            lab = residue_labels(ell, a).tolist()
             members = {}
             for r in range(mod):
                 members.setdefault(lab[r], set()).add(r)
             squares = {u * u % mod for u in range(mod) if u % ell}
             for r in range(mod):
                 assert members[lab[r]] == {s * r % mod for s in squares}, (ell, a, r)
-            n = len(reps)
+            n = len(orbits)
+            reps = [z for _, _, z, _ in orbits]
             assert [lab[z] for z in reps] == list(range(n)) == sorted(members)
-            assert sizes.tolist() == [len(members[o]) for o in range(n)]
+            assert reps == [min(members[o]) for o in range(n)]
+            assert [size for *_, size in orbits] == [len(members[o]) for o in range(n)]
+            # labels follow the key 4 v + class, v the valuation of the orbit
+            assert [v for v, *_ in orbits] == [valuation(z, ell, a) for z in reps]
+            keys = [4 * v + c for v, c, _, _ in orbits]
+            assert keys == sorted(set(keys))
             T = np.zeros((n, n, n), dtype=np.int64)
             T[np.repeat(np.arange(n), np.diff(starts, append=len(cnt))), o1, o2] = cnt
             for z in range(mod):
@@ -405,13 +467,34 @@ class TestOrbitMerge:
                 assert (direct == T[lab[z]]).all(), (ell, a, z)
 
 
+@lru_cache(maxsize=None)
+def residue_labels(ell, a):
+    """The orbit label of every residue mod ell^a."""
+    return np.array([_orbit_of(ell, a, r) for r in range(ell ** a)])
+
+
+def expand(h, ell, a):
+    """A count on each unit-square orbit, as the histogram over Z/ell^a."""
+    assert len(h) == len(_orbits(ell, a))
+    assert all(type(c) is int for c in h)
+    return h[residue_labels(ell, a)]
+
+
 def block_hist(kind, data, ell, a):
-    """The histogram of one block over Z/ell^a, expanded from its count on
-    each unit-square orbit as h[labels]."""
-    labels, _, sizes = _orbits(ell, a)
-    h = _block_counts(kind, data, ell, a)
-    assert h.shape == sizes.shape
-    return h[labels]
+    """The histogram of one block over Z/ell^a.  _block_counts takes the
+    blocks that jordan_blocks returns: any 1x1 block, and at ell = 2 a 2x2
+    block of 2^v times a unimodular form.  Any 2x2 block (a, b, c) is
+    counted as the binary lattice [[a, b], [b, c]] through the blockwise
+    route, which splits it by jordan_blocks; a multiple of 2 ell^a added to
+    a and c, which leaves Q mod ell^a alone, makes the gram nonsingular."""
+    if kind == "1":
+        return expand(_block_counts(kind, data, ell, a), ell, a)
+    aa, bb, cc = data
+    step = 2 * ell ** a
+    aa, cc = next((aa + step * s, cc + step * t) for s in range(3) for t in range(3)
+                  if (aa + step * s) * (cc + step * t) != bb * bb)
+    binary = QuadLattice.from_rows([[aa, bb], [bb, cc]])
+    return expand(density._blockwise_factors(binary, ell, a), ell, a)
 
 
 def block_hist_reference(kind, data, ell, a):
@@ -490,7 +573,6 @@ class TestBlockHistograms:
         for a in range(1, HIST_DEPTHS[ell] + 1):
             for g in hist_coefficients(ell, a):
                 got = block_hist("1", g, ell, a)
-                assert got.dtype == np.int64
                 assert got.tolist() == block_hist_reference("1", g, ell, a), (ell, a, g)
 
     @pytest.mark.parametrize("ell", sorted(HIST_DEPTHS))
@@ -502,7 +584,6 @@ class TestBlockHistograms:
             for k, (g1, g2) in enumerate(zip(coeffs, coeffs[::-1])):
                 for b in (0, 1, ell, -ell - 2, ell ** a + 1 + k):
                     got = block_hist("2", (g1, b, g2), ell, a)
-                    assert got.dtype == np.int64
                     assert got.tolist() == block_hist_reference("2", (g1, b, g2), ell, a), \
                         (ell, a, g1, b, g2)
 
@@ -522,7 +603,6 @@ class TestBlockHistograms:
             for _ in range(8 if a <= 2 else 4):
                 data = random_block(rng, ell, a)
                 got = block_hist("2", data, ell, a)
-                assert got.dtype == np.int64
                 if a <= HIST_DEPTHS[ell]:
                     expect = block_hist_reference("2", data, ell, a)
                 else:
@@ -545,14 +625,13 @@ class TestBlockHistograms:
 
     def test_1x1_exact_where_unreduced_products_overflow(self):
         # at mod 3^14, qcoef * x^2 passes 2^63 unless x^2 is reduced first;
-        # Q = -x^2 takes each unit r = 2 mod 3 twice and r = 1 mod 3 never.
-        # Counting a block builds the orbit labels but never the structure
-        # tensor, which takes seconds and hundreds of MB at 3^14.
-        mod = 3 ** 14
+        # Q = -x^2 takes each unit r = 2 mod 3 twice and r = 1 mod 3 never
+        # (the counts are constant on the orbits of 2 and 1).  Counting a
+        # block never builds the structure tensor.
         density._orbit_tensor.cache_clear()
-        h = block_hist("1", -2, 3, 14)
-        assert h.sum() == mod
-        assert (h[2::3] == 2).all() and not h[1::3].any()
+        h = _block_counts("1", -2, 3, 14)
+        assert sum(c * size for c, (*_, size) in zip(h, _orbits(3, 14))) == 3 ** 14
+        assert h[_orbit_of(3, 14, 2)] == 2 and h[_orbit_of(3, 14, 1)] == 0
         assert density._orbit_tensor.cache_info().currsize == 0
         density._orbits.cache_clear()
 
@@ -562,19 +641,25 @@ class TestBlockHistograms:
             "assert False, 'asserts are live'\n",
             "_block_counts('1', 3, 2, 3)\n")
 
-    def test_orbit_constancy_fires_under_python_O(self):
-        # one extra value 1 mod 25 lands in an orbit of 10 residues, so the
-        # weighted count of that orbit is no longer a multiple of its size
+    def test_zero_orbit_remainder_fires_under_python_O(self):
+        # with every nonzero orbit twice its size, the 44 pairs of xy mod 8
+        # off 0 count 88 points, and the zero orbit's remainder of 4^3 is
+        # negative
         assert_fires_under_python_O(
             "from orthocount import density\n"
-            "from orthocount.lattice import QuadLattice\n"
             "assert False, 'asserts are live'\n"
-            "real = density._block_values\n"
-            "def skewed(kind, data, ell, a):\n"
-            "    yield from real(kind, data, ell, a)\n"
-            "    yield 1, [1]\n"
-            "density._block_values = skewed\n",
-            "density.count_blockwise(QuadLattice.from_rows([[2]]), 5, 1, 2)\n")
+            "real = density._orbits\n"
+            "density._orbits = lambda ell, a: tuple(\n"
+            "    (v, c, z, 2 * size if v < a else size) for v, c, z, size in real(ell, a))\n",
+            "density._block_counts('2', (0, 1, 0), 2, 3)\n")
+
+    def test_non_jordan_2x2_block_fires_under_python_O(self):
+        # [[2, 2], [2, 2]] is not 2^v times a unimodular form: v_2(B) = 1,
+        # but 4 does not divide A
+        assert_fires_under_python_O(
+            "from orthocount.density import _block_counts\n"
+            "assert False, 'asserts are live'\n",
+            "_block_counts('2', (2, 2, 2), 2, 3)\n")
 
 
 class TestStabilization:

@@ -41,3 +41,18 @@ def test_unit_inverse(p, R, deg):
         a = tuple(rng.randrange(ring.modulus) for _ in range(deg))
         if ring.is_unit(a):
             assert ring.mul(a, ring.inv(a)) == ring.one()
+
+
+@pytest.mark.parametrize("p,R,deg", [(5, 3, 2), (3, 4, 3), (2, 6, 2)])
+def test_teichmuller_from_make_ring(p, R, deg):
+    # make_ring keeps the tau it builds sigma from: tau^(q-1) = 1,
+    # sigma(tau) = tau^p, tau = x mod p, and teichmuller_unit reads it
+    ring = make_ring(p, R, deg)
+    q = p ** deg
+    assert ring.pow(ring.tau, q - 1) == ring.one()
+    assert ring.sigma(ring.tau) == ring.pow(ring.tau, p)
+    assert all((t - x) % p == 0 for t, x in zip(ring.tau, ring.gen()))
+    assert ring.teichmuller_unit(1) == ring.tau
+    assert ring.teichmuller_unit(q - 1) == ring.one()
+    with pytest.raises(ValueError):
+        make_ring(p, R, 1).teichmuller_unit(1)

@@ -338,10 +338,30 @@ class TestSchedules:
                     assert predicted_index(n, case, h=4, p=5, a=2) == e
 
     def test_schedule_validation(self):
+        # a gap between windows is allowed: predicted_index leaves such n
+        # uncovered when a p^r is fractional
+        assert DecaySchedule("generic", ((1, 5, 2), (7, 9, 4))).windows[1] == (7, 9, 4)
         with pytest.raises(ValueError):
-            DecaySchedule("generic", ((1, 5, 2), (7, 9, 4)))
+            DecaySchedule("generic", ((1, 5, 2), (5, 9, 4)))
+        with pytest.raises(ValueError):
+            DecaySchedule("generic", ((7, 9, 2), (1, 5, 4)))
         with pytest.raises(ValueError):
             DecaySchedule("generic", ((1, 5, 4), (6, 9, 2)))
+
+    def test_fractional_a_windows_match_predicted_index(self):
+        # h = 1, p = 3, a = 1/2: n >= h'_{r-1} + a p^r + 1 opens each level,
+        # so n = 1 is uncovered and the first windows are (2, 2, 2), (4, 4, 3)
+        sched = build_schedule("ssp-case1", h=1, p=3)
+        assert sched.windows[:3] == ((2, 2, 2), (4, 4, 3), (5, 8, 4))
+        assert [predicted_index(n, "ssp-case1", h=1, p=3) for n in (1, 3, 9)] == [None] * 3
+        for case in ("generic", "ssp-case1", "ssp-case2"):
+            for h, p, a in ((1, 3, None), (3, 5, Fraction(1, 2)), (2, 3, Fraction(7, 2)),
+                            (1, 5, 2)):
+                windows = build_schedule(case, h, p, a=a, r_max=3).windows
+                exponent = {n: e for lo, hi, e in windows for n in range(lo, hi + 1)}
+                for n in range(1, windows[-1][1] + 1):
+                    assert exponent.get(n) == _ref_predicted_index(n, case, h, p, a=a), \
+                        (case, h, p, a, n)
 
 
 def test_profile_validation():
