@@ -5,9 +5,11 @@ both start from the ell-adic Jordan splitting of lattice.jordan_blocks
 (Cassels, Rational Quadratic Forms, ch. 8; Conway & Sloane, SPLAG, ch. 15):
 
   local_density_naive      brute-force count of Q(v) = m mod ell^a over all
-                           of (Z/ell^a)^rank (guarded at 10^8 points): every
-                           prefix of rank-1 coordinates is enumerated, and the
-                           last coordinate is counted through a table of its
+                           of (Z/ell^a)^rank (guarded at 10^8 points): the
+                           first rank-1 coordinates are fixed one level at a
+                           time over a frontier that carries m - Q(prefix)
+                           and the partial linear coefficients, and the last
+                           coordinate is counted through a table of its
                            values per linear coefficient
   local_density_blockwise  the same count from the Jordan blocks, whose
                            working precision follows v_ell(det), so any
@@ -37,7 +39,7 @@ from .arith import InvariantError, is_prime, kronecker, valuation
 from .lattice import jordan_blocks, p_diagonalize
 
 NAIVE_GUARD = 10 ** 8
-NAIVE_CHUNK = 1 << 18  # prefixes, or (b, x) cells, per step of _count_naive_np
+NAIVE_CHUNK = 1 << 18  # (row, x) cells per _grid block: frontier children, or (b, x) tests
 
 
 def _check_prime(ell):
@@ -48,35 +50,50 @@ def _check_prime(ell):
 # ---------------------------------------------------------------------------
 # naive counter
 
+def _grid(n, mod):
+    """Blocks (x, rows) of the n-by-mod grid of (row, x) cells: x a chunk of
+    Z/mod and rows a slice of the n rows, at most NAIVE_CHUNK cells each."""
+    cols = min(mod, NAIVE_CHUNK)
+    step = max(1, NAIVE_CHUNK // cols)
+    for c0 in range(0, mod, cols):
+        x = np.arange(c0, min(mod, c0 + cols), dtype=np.int64)
+        for r0 in range(0, n, step):
+            yield x, slice(r0, r0 + step)
+
+
 def _count_naive_np(qd, G, mod, m):
     """#{v in (Z/mod)^r : Q(v) = m}, counted over every point.
 
     qd (the diagonal Q-coefficients) and G are int64 arrays reduced mod
-    `mod`.  With x the last coordinate and v' the first r-1 (the prefix),
-    Q(v) = q + b x + qd[r-1] x^2, where q = Q(v') and b = sum_i G[i, r-1] v'_i.
-    Every prefix is enumerated, NAIVE_CHUNK at a time, and grouped by the
-    pair (b, m - q); each x is then tested once per distinct b against the
-    targets of that b, again NAIVE_CHUNK cells at a time, so that
-    #{x : qd[r-1] x^2 + b x = m - q} is a count over every x.  Every
-    intermediate stays below 2 mod^2, so int64 is exact.
+    `mod`.  The first k = r-1 coordinates (the prefix) are fixed one level
+    at a time over a frontier of rows (t, c_k, c_(k-1), ..., c_i): before
+    coordinate i is fixed, t = m - Q(v_0, ..., v_(i-1)) and
+    c_l = sum_(j<i) G[j, l] v_j for each coordinate l not yet fixed.  Fixing
+    v_i = x takes t to t - qd[i] x^2 - c_i x and c_l to c_l + G[i, l] x,
+    each a sum of at most three terms below mod^2 before one reduction, so
+    int64 is exact.  Children are expanded a _grid block at a time, so
+    memory stays flat.  A full prefix leaves Q(v) = m - t + b x + qd[k] x^2
+    for the last coordinate x, b = c_k; the prefixes are grouped by (b, t),
+    and _count_last tests each x once per distinct b.
     """
     k = len(qd) - 1
-    prefixes = mod ** k
+
+    def prefixes(i, S):
+        """Fix coordinates i, ..., k-1 of the rows S; yield the (t, b) rows."""
+        if i == k:
+            yield S
+            return
+        for x, rows in _grid(len(S), mod):
+            s = S[rows]
+            new = np.empty((len(s), len(x), S.shape[1] - 1), dtype=np.int64)
+            new[:, :, 0] = s[:, :1] - qd[i] * (x * x % mod) % mod - s[:, -1:] * x
+            new[:, :, 1:] = s[:, None, 1:-1] + x[:, None] * G[i, k:i:-1] % mod
+            new %= mod
+            yield from prefixes(i + 1, new.reshape(-1, S.shape[1] - 1))
+
     count = 0
-    for start in range(0, prefixes, NAIVE_CHUNK):
-        x = np.arange(start, min(prefixes, start + NAIVE_CHUNK), dtype=np.int64)
-        V = np.empty((len(x), k), dtype=np.int64)
-        for i in range(k):
-            V[:, i] = x % mod
-            x = x // mod
-        q = np.zeros(len(x), dtype=np.int64)
-        b = np.zeros(len(x), dtype=np.int64)
-        for i in range(k):
-            q = (q + qd[i] * (V[:, i] * V[:, i] % mod)) % mod
-            for j in range(i + 1, k):
-                q = (q + G[i, j] * (V[:, i] * V[:, j] % mod)) % mod
-            b = (b + G[i, k] * V[:, i]) % mod
-        keys, mult = np.unique(b * mod + (m - q) % mod, return_counts=True)
+    for S in prefixes(0, np.array([[m] + [0] * (k + 1)], dtype=np.int64)):
+        keys, mult = np.unique(S[:, 1] * mod + S[:, 0], return_counts=True)
         count += _count_last(qd[k], keys, mult, mod)
     return count
 
@@ -85,23 +102,18 @@ def _count_last(qx, keys, mult, mod):
     """sum of mult[i] #{x in Z/mod : qx x^2 + b x = t} over keys[i] = b mod + t.
 
     keys is sorted and distinct; the (b, x) grid covers only the b that
-    occur, a block of rows by a chunk of x at a time.  The b are the run
-    starts of the sorted keys // mod (np.unique would import numpy.ma).
+    occur, a _grid block at a time.  The b are the run starts of the sorted
+    keys // mod (np.unique would import numpy.ma).
     """
     bs = keys // mod
     bs = bs[np.r_[True, bs[1:] != bs[:-1]]]
-    cols = min(mod, NAIVE_CHUNK)
-    rows = max(1, NAIVE_CHUNK // cols)
     count = 0
-    for c0 in range(0, mod, cols):
-        x = np.arange(c0, min(mod, c0 + cols), dtype=np.int64)
-        y = qx * (x * x % mod) % mod
-        for r0 in range(0, len(bs), rows):
-            b = bs[r0:r0 + rows, None]
-            key = (b * mod + (y + b * x) % mod).ravel()
-            pos = np.searchsorted(keys, key)
-            # a key past the last target is clipped onto it and cannot match
-            count += int(mult[pos[keys.take(pos, mode="clip") == key]].sum())
+    for x, rows in _grid(len(bs), mod):
+        b = bs[rows, None]
+        key = (b * mod + (qx * (x * x % mod) % mod + b * x) % mod).ravel()
+        pos = np.searchsorted(keys, key)
+        # a key past the last target is clipped onto it and cannot match
+        count += int(mult[pos[keys.take(pos, mode="clip") == key]].sum())
     return count
 
 
@@ -109,8 +121,9 @@ def local_density_naive(ell, L, m, a):
     """ell^{a(1-rank)} #{v in (Z/ell^a)^rank : Q(v) = m}, exact.
 
     A brute-force count over every point: the first rank-1 coordinates are
-    enumerated and the last one is counted through a table of its values
-    for each linear coefficient that occurs.
+    fixed one at a time over a frontier of prefixes, and the last one is
+    counted through a table of its values for each linear coefficient that
+    occurs.
     Guarded: ell^(a*rank) must stay at or below 10^8 points.
     """
     _check_prime(ell)

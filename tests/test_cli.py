@@ -391,3 +391,33 @@ class TestEisGoldenBytes:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == \
             "arithmetic failure: pi^(-1) survives in a coefficient\n"
+
+
+class TestDensityGoldenBytes:
+    """SHA-256 of the `density` CSV rows (header on; the manifest line carries
+    the input path) at m <= 20: naive against recursive at depth 1."""
+
+    CASES = {
+        "hyp_p5": ([[0, 1], [1, 0]], False, 5,
+                   "8fdff7474a13ed6be8c1819ba3d24429ba1416705588ab93f4097ac5fcdf44dd"),
+        "rank4_p7": ([[2, 1, 0, 0], [1, 2, 1, 0], [0, 1, 2, 1], [0, 0, 1, 6]], True, 7,
+                     "531dbed1a2c6a71c257512de50b9d7138dcbf08417d9d0ad09c86fe7dc3dea6c"),
+        # det 3051 = 3^3 113: a Jordan block of scale 3 next to the unit part
+        "rank6_p3": ([[2, 1, 0, 0, 0, 0], [1, 4, 1, 0, 0, 0], [0, 1, 4, 3, 0, 0],
+                      [0, 0, 3, 6, 3, 0], [0, 0, 0, 3, 6, 3], [0, 0, 0, 0, 3, 12]], True, 3,
+                     "08bdd9f357b7cd67714207e809eb52530fc2891f9f4afeb1672b02a12b2cb84a"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_density_rows(self, tmp_path, name):
+        gram, positive_definite, p, digest = self.CASES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"rank": len(gram), "gram": gram,
+                                    "positive_definite": positive_definite}))
+        out = tmp_path / f"{name}.csv"
+        assert main(["density", "--in", str(path), "--p", str(p), "--mmax", "20",
+                     "--out", str(out)]) == 0
+        manifest, rows = out.read_bytes().split(b"\n", 1)
+        assert manifest.startswith(b"# cmd=density")
+        assert rows.startswith(b"m,delta_naive,delta_recursive,agree\n")
+        assert hashlib.sha256(rows).hexdigest() == digest

@@ -68,6 +68,24 @@ class TestNaive:
         with pytest.raises(ValueError):
             local_density_naive(6, HYP, 1, 1)
 
+    def test_guard_edge(self):
+        # 3^16 = 4.3e7 points, just under the 10^8 guard: the prefix frontier
+        # is expanded a chunk at a time, so time and memory stay small
+        L = QuadLattice.from_rows(
+            [[(4 if i == 7 else 2) if i == j else int(abs(i - j) == 1) for j in range(8)]
+             for i in range(8)], positive_definite=True)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            d = local_density_naive(3, L, 5, 2)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d == local_density_blockwise(3, L, 5, 2) == Fraction(80, 81)
+        assert elapsed < 2.0, elapsed
+        assert peak < 24 * 2 ** 20, peak
+
 
 def ref_count_naive(qdiag, gram, mod, m, total):
     """The flat-index kernel the last-coordinate table replaced: decode every
