@@ -1,5 +1,9 @@
 """Branch-and-bound lattice point enumeration (Fincke-Pohst style).
 
+Every Gram matrix whose result does not depend on the basis is first
+LLL-reduced (`reduced_gram`, cached per Gram matrix): the reduced basis has
+short, nearly orthogonal vectors, so the walk visits few nodes off the
+ellipsoid however skewed the given basis was.
 The pruning data is the completion of squares
 Q(v) = sum_i c_i (v_i + sum_{j>i} L_ij v_j)^2, whose c_i and L_ij are ratios
 of the minors of one fraction-free Bareiss elimination, rescaled to a single
@@ -10,6 +14,7 @@ coordinate boxes |v_j| <= sqrt(2*bound*(G^-1)_jj) read the diagonal of the
 inverse off integer minors (Cramer's rule).
 One walk, `_walk`, serves every caller: it goes one level at a time over
 whole arrays of partial vectors and yields the leaves with their exact Q.
+It walks exactly the Gram matrix it is given.
 Its arrays are int64 when the certificate holds and Python ints
 (dtype=object) when it does not; the code is the same.  `theta_counts`
 bincounts the leaves' Q, `short_vectors` keeps the vectors in order of Q.
@@ -25,11 +30,19 @@ from math import exp, gcd, isqrt, lcm, lgamma, log, pi, prod
 
 import numpy as np
 
-from .intmat import det_bareiss, gram_pivots
+from .intmat import det_bareiss, gram_pivots, lll_gram
 
 INT64_SAFE = 1 << 62
 CHUNK = 1 << 16  # frontier rows walked at once by _walk
 WORK_GUARD = 10 ** 8  # estimated lattice points; more is refused
+
+
+@lru_cache(maxsize=512)  # bounded: a long run meets many distinct Gram matrices
+def reduced_gram(gram):
+    """The LLL-reduced Gram matrix (delta = 3/4) of a positive definite Gram
+    matrix, both as tuples of tuples.  Its walk, and so its `_ldl_plan`, is
+    shared by every caller that reduces the same Gram matrix."""
+    return tuple(map(tuple, lll_gram(gram)[0]))
 
 
 @lru_cache(maxsize=512)  # bounded: a long run meets many distinct Gram matrices
@@ -199,8 +212,9 @@ def block_components(gram):
 
 
 def theta_counts(gram, bound):
-    """[#{v : Q(v)=q} for q = 0..bound], split over orthogonal blocks whose
-    tables are merged by exact products of series over Python ints."""
+    """[#{v : Q(v)=q} for q = 0..bound], split over orthogonal blocks, each
+    walked in its reduced basis, whose tables are merged by exact products
+    of series over Python ints."""
     if bound < 0:
         return []
     if bound + 1 > WORK_GUARD:
@@ -210,7 +224,8 @@ def theta_counts(gram, bound):
     total[0] = 1
     for comp in block_components(gram):
         counts = np.zeros(bound + 1, dtype=np.int64)
-        for q, _ in _walk([[gram[i][j] for j in comp] for i in comp], bound):
+        block = reduced_gram(tuple(tuple(gram[i][j] for j in comp) for i in comp))
+        for q, _ in _walk(block, bound):
             counts += np.bincount(q, minlength=bound + 1)
         counts[1:] *= 2  # the walk visits each v != 0 up to sign, and 0 once
         # one shifted row per nonzero term of the sparser series

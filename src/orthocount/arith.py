@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+CHARACTER_GUARD = 10 ** 6  # |D| of the largest character table; more is refused
+
 
 class InvariantError(ArithmeticError):
     """A mathematical invariant that the code relies on does not hold.
@@ -205,6 +207,9 @@ def _character_table(D):
     if D % 4 not in (0, 1):
         raise ValueError("chi_D needs D = 0 or 1 mod 4")
     f = abs(D)
+    if f > CHARACTER_GUARD:
+        raise ValueError(f"a table of chi_{D} has {f} entries, "
+                         f"more than the {CHARACTER_GUARD:.3g} guard")
     factor = [0] * (f + 1)  # a prime factor of each composite a <= f
     for q in range(2, math.isqrt(f) + 1):
         if factor[q] == 0:

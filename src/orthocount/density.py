@@ -86,8 +86,12 @@ def _count_naive_np(qd, G, mod, m):
         for x, rows in _grid(len(S), mod):
             s = S[rows]
             new = np.empty((len(s), len(x), S.shape[1] - 1), dtype=np.int64)
-            new[:, :, 0] = s[:, :1] - qd[i] * (x * x % mod) % mod - s[:, -1:] * x
-            new[:, :, 1:] = s[:, None, 1:-1] + x[:, None] * G[i, k:i:-1] % mod
+            # written in place: no (rows, x) temporary beside the block
+            t = new[:, :, 0]
+            np.multiply(s[:, -1:], -x, out=t)
+            t += s[:, :1]
+            t -= qd[i] * (x * x % mod) % mod
+            np.add(s[:, None, 1:-1], x[:, None] * G[i, k:i:-1] % mod, out=new[:, :, 1:])
             new %= mod
             yield from prefixes(i + 1, new.reshape(-1, S.shape[1] - 1))
 
@@ -106,7 +110,7 @@ def _count_last(qx, keys, mult, mod):
     keys // mod (np.unique would import numpy.ma).
     """
     bs = keys // mod
-    bs = bs[np.r_[True, bs[1:] != bs[:-1]]]
+    bs = bs[np.concatenate(([True], bs[1:] != bs[:-1]))]
     count = 0
     for x, rows in _grid(len(bs), mod):
         b = bs[rows, None]

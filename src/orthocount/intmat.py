@@ -1,5 +1,6 @@
 """Exact integer matrix algebra: Bareiss determinants and Gram pivots, Hermite
-and Smith normal forms, integer kernels and row reduction over F_p.
+and Smith normal forms, integer kernels, row reduction over F_p and LLL
+reduction of Gram matrices.
 
 Everything here works on lists of lists of Python ints, so there is no
 overflow anywhere; matrix sizes in this package are tiny (rank <= ~10).
@@ -231,3 +232,75 @@ def fp_row_reduce(M, p):
                 A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
         pivots.append(c)
     return A, pivots
+
+
+def lll_gram(G):
+    """LLL reduction of a positive definite Gram matrix, delta = 3/4, in
+    Python ints (Cohen, GTM 138, Alg. 2.6.7, the integral LLL).
+
+    Returns (R, H) with R = H^T G H and H unimodular, whose columns are the
+    reduced basis in the coordinates of G.  The algorithm keeps the leading
+    minors d_i and the numerators lambda_ij = d_j mu_ij of Gram-Schmidt
+    instead of the rational mu_ij, so every division in it is exact.  R is
+    kept as the Gram matrix of the current basis through every step.
+    ValueError at a leading minor <= 0.
+    """
+    n = len(G)
+    R = copy_mat(G)
+    H = identity(n)  # H[k] is the k-th basis vector, a column of the result
+    d = [1] * (n + 1)  # d[i + 1] = det of the Gram matrix of H[0..i]
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k, l):
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])  # nearest integer
+            H[k] = [x - q * y for x, y in zip(H[k], H[l])]
+            Rk = R[k] = [x - q * y for x, y in zip(R[k], R[l])]
+            Rk[k] -= q * Rk[l]
+            for row, x in zip(R, Rk):
+                row[k] = x
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        H[k - 1], H[k] = H[k], H[k - 1]
+        R[k - 1], R[k] = R[k], R[k - 1]
+        for row in R:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        mu = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + mu * mu) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - mu * t) // d[k]
+            lam[i][k - 1] = (B * t + mu * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = R[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError(f"form is not positive definite: leading minor {k + 1} is {u}")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return R, transpose(H)

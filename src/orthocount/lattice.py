@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._enum import _ldl_plan, short_vectors, theta_counts
+from ._enum import reduced_gram, short_vectors, theta_counts
 from .arith import InvariantError, is_prime, kronecker, valuation
 from .intmat import (
     det_bareiss,
@@ -22,6 +22,12 @@ from .intmat import (
     solve_integer,
     transpose,
 )
+
+
+def _q_value(gram, v):
+    """Q(v) = v^T gram v / 2."""
+    r = len(gram)
+    return sum(gram[i][j] * v[i] * v[j] for i in range(r) for j in range(r)) // 2
 
 
 @dataclass(frozen=True)
@@ -58,9 +64,7 @@ class QuadLattice:
         return [list(row) for row in self.gram]
 
     def q_value(self, v):
-        g = self.gram
-        r = self.rank
-        return sum(g[i][j] * v[i] * v[j] for i in range(r) for j in range(r)) // 2
+        return _q_value(self.gram, v)
 
     def bilinear(self, v, w):
         g = self.gram
@@ -143,29 +147,27 @@ def successive_minima(L):
     """(mu_sq, a_sq): exact squared successive minima and squared products.
 
     mu_sq[i-1] = mu_i^2 is the smallest y such that i linearly independent
-    vectors of Q-value <= y exist; a_sq[i-1] = (mu_1 ... mu_i)^2.
-    The greedy pick runs over short vectors in order of Q.  Their bound
-    starts at max_j 1/(Q^-1)_jj = max_j det/(2*minor_j), from the determinant
-    and principal minors of the Gram matrix.  That is at most mu_r^2: r
-    independent vectors include one with v_j != 0, and
-    Q(v) >= v_j^2/(Q^-1)_jj.  It doubles up to max_i Q(e_i), where the basis
-    itself gives r independent vectors, so the last walk always completes.
+    vectors of Q-value <= y exist; a_sq[i-1] = (mu_1 ... mu_i)^2.  Both do
+    not depend on the basis, so one walk in the LLL-reduced basis b_i finds
+    them, to top = max_i Q(b_i): the b_i are r independent vectors of
+    Q <= top, so mu_r^2 <= top, and the greedy pick of independent vectors
+    in order of Q is then exact.  LLL bounds top <= 2^(r-1) mu_r^2 (Lenstra,
+    Lenstra & Lovasz 1982), so the walk stays small however skewed the
+    basis of L is.
     """
     if not L.positive_definite:
         raise ValueError("successive minima need a positive definite lattice")
     r = L.rank
-    *_, minors, det = _ldl_plan(tuple(map(tuple, L.gram)))
-    bound = max(-(-det // (2 * m)) for m in minors)
-    top, picked = max(L.gram[i][i] // 2 for i in range(r)), []
-    while len(picked) < r:
-        echelon, picked = [], []
-        for v in short_vectors(L.gram_rows(), bound):
-            if _extend_echelon(echelon, v):
-                picked.append(v)
-                if len(picked) == r:
-                    break
-        bound = min(2 * bound, top)
-    mu_sq = [L.q_value(v) for v in picked]
+    R = reduced_gram(L.gram)
+    echelon, mu_sq = [], []
+    for v in short_vectors(R, max(R[i][i] for i in range(r)) // 2):
+        if _extend_echelon(echelon, v):
+            mu_sq.append(_q_value(R, v))
+            if len(mu_sq) == r:
+                break
+    if len(mu_sq) < r:
+        raise InvariantError(f"{len(mu_sq)} independent vectors up to the longest "
+                             f"reduced basis vector, expected {r}")
     return mu_sq, list(itertools.accumulate(mu_sq, lambda x, y: x * y))
 
 

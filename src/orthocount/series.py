@@ -226,12 +226,12 @@ def _fold(pv, un, keys, tv, tu, ring):
     p, R, mod = ring.p, ring.R, ring.modulus
     order = np.argsort(keys, kind="stable")
     keys, tv, tu = keys[order], tv[order], tu[order]
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     cells = keys[first]
     held = pv[cells]
     vmin = np.minimum(np.minimum.reduceat(tv, first), held)
     pw = np.array([p ** e for e in range(R)] + [0], dtype=np.int64)
-    gap = np.minimum(tv - np.repeat(vmin, np.diff(np.r_[first, keys.size])), R)
+    gap = np.minimum(tv - np.repeat(vmin, np.diff(np.concatenate((first, [keys.size])))), R)
     total = np.add.reduceat(tu * pw[gap, None] % mod, first, axis=0)
     total += un[cells] * pw[np.minimum(held - vmin, R), None] % mod
     un[cells] = total % mod

@@ -234,6 +234,13 @@ class TestGenBernoulli:
             for n in range(9):
                 assert gen_bernoulli.__wrapped__(n, D0) == per_a_gen_bernoulli(n, D0), (n, D0)
 
+    def test_character_table_guard(self, monkeypatch):
+        # |D| at the guard is built, one past it is refused
+        monkeypatch.setattr(arith, "CHARACTER_GUARD", 399)
+        assert len(arith._character_table(-399)) == 399
+        with pytest.raises(ValueError, match="chi_-403 has 403 entries"):
+            arith._character_table(-403)
+
     def test_cache_repeat(self):
         first = gen_bernoulli(5, -31)
         hits = gen_bernoulli.cache_info().hits

@@ -240,6 +240,17 @@ class TestThetaCoeff:
             assert isinstance(q, Fraction), m
             assert q == table[m], m
 
+    def test_e7_character_table_guard(self):
+        # D0 = -(10^6 + 3) at m = 10^6 + 3: its character table would pass
+        # the guard by three entries, so the call is refused up front
+        import time
+        L = QuadLattice.from_rows(E7_GRAM, positive_definite=True)
+        ctx = EisensteinContext.from_lattice(L, b=5, p=7)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than the 1e\\+06 guard"):
+            eis_coeff_theta(ctx, L, 10 ** 6 + 3)
+        assert time.perf_counter() - start < 0.5
+
     def test_determinant_read_once_per_lattice(self, monkeypatch):
         # det and discriminant group of L' come from one Smith form per
         # lattice; the valuation check against the ambient runs on every call

@@ -1,11 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from orthocount.intmat import det_bareiss, fp_row_reduce, gram_pivots, mat_mul
+from orthocount.intmat import (det_bareiss, fp_row_reduce, gram_pivots, identity, lll_gram,
+                               mat_mul, transpose)
 
-from conftest import E8_GRAM, random_posdef_gram
+from conftest import E8_GRAM, random_posdef_gram, random_unimodular
 
 
 def test_det_of_empty_matrix_is_one():
@@ -44,6 +46,58 @@ def test_gram_pivots_are_minors():
 def test_gram_pivots_refuse_non_positive_definite(G):
     with pytest.raises(ValueError, match="not positive definite"):
         gram_pivots(G)
+
+
+def gram_schmidt(R):
+    """(mu, B): the Gram-Schmidt coefficients mu[i][j] and squared lengths
+    B[i] of the basis with Gram matrix R, in Fractions."""
+    n = len(R)
+    mu, B = [[Fraction(0)] * n for _ in range(n)], []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (Fraction(R[i][j]) - sum(mu[j][k] * mu[i][k] * B[k] for k in range(j))) / B[j]
+        B.append(Fraction(R[i][i]) - sum(mu[i][k] ** 2 * B[k] for k in range(i)))
+    return mu, B
+
+
+def test_lll_gram_is_reduced_and_unimodular():
+    rng = random.Random(1982)
+    grams = [E8_GRAM] + [random_posdef_gram(rng, rng.randint(1, 7), spread=3)
+                         for _ in range(60)]
+    for steps in (30, 60):
+        U = random_unimodular(random.Random(5), 8, steps=steps)
+        grams.append(mat_mul(mat_mul(transpose(U), E8_GRAM), U))
+    for G in grams:
+        n = len(G)
+        R, H = lll_gram(G)
+        assert mat_mul(mat_mul(transpose(H), G), H) == R
+        assert abs(det_bareiss(H)) == 1
+        mu, B = gram_schmidt(R)
+        for i in range(n):
+            assert all(abs(mu[i][j]) <= Fraction(1, 2) for j in range(i))
+        for k in range(1, n):
+            assert B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]
+        # a reduced basis is a fixed point
+        assert lll_gram(R) == (R, identity(n))
+
+
+def test_lll_gram_keeps_standard_e8_roots():
+    # the Dynkin basis of E8 is not LLL-reduced at delta = 3/4: its last
+    # Gram-Schmidt vector has length^2 1/8 after one of 8/7, which the
+    # Lovasz condition with |mu| <= 1/2 forbids; it and its skewed bases
+    # reduce to a basis of roots
+    _, B = gram_schmidt(E8_GRAM)
+    assert B[-2:] == [Fraction(8, 7), Fraction(1, 8)]
+    for steps in (0, 30, 60):
+        U = random_unimodular(random.Random(5), 8, steps=steps)
+        R, _ = lll_gram(mat_mul(mat_mul(transpose(U), E8_GRAM), U))
+        assert R != E8_GRAM and [R[i][i] for i in range(8)] == [2] * 8
+
+
+@pytest.mark.parametrize("G", [[[2, 3], [3, 2]], [[2, 2], [2, 2]], [[-2]]])
+def test_lll_gram_refuses_non_positive_definite(G):
+    with pytest.raises(ValueError, match="not positive definite"):
+        lll_gram(G)
 
 
 def test_mat_mul_shape_mismatch():

@@ -500,10 +500,10 @@ class TestPlan:
                 L = QuadLattice.from_rows(G, positive_definite=True)
                 assert vecs == sorted(expect, key=L.q_value)
 
-    # every walk looks its plan up once, and successive_minima once more for
-    # its start bound, so both cases hit exactly twice
+    # every walk looks the plan of its reduced gram up once, and
+    # successive_minima walks once, so both cases hit exactly once
     @pytest.mark.parametrize("gram, builds", [
-        ([[20, 3], [3, 30]], 1),  # one block; the minima walk once, at bound 15
+        ([[20, 3], [3, 30]], 1),  # one block: the minima walk hits theta's plan
         # blocks A2, A2 and [40]: two distinct blocks, plus the whole gram
         # that successive_minima enumerates on; the second A2 walk hits
         ([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 1, 0], [0, 0, 1, 2, 0],
@@ -516,7 +516,7 @@ class TestPlan:
         theta_table(L, 8)
         mu_sq, _ = successive_minima(L)
         info = _ldl_plan.cache_info()
-        assert (info.misses, info.hits) == (builds, 2)
+        assert (info.misses, info.hits) == (builds, 1)
         assert max(mu_sq) > 8
 
 
@@ -596,9 +596,10 @@ class TestSuccessiveMinima:
         # c(x^2 + y^2) in the basis e1, e2 + 1000 e1, and Z^2, Z^3 in bases
         # of long vectors only: one walk at max_i Q(e_i), or in the Z^k
         # bases at min_i Q(e_i) >= 10^6, would collect over a million
-        # vectors (Z^3: beyond the work guard), while the walk at
-        # max_j 1/(Q^-1)_jj <= mu_r^2 already finds every minimum (and walks
-        # from bound 1 would take more than one call at c = 2)
+        # vectors (Z^3: beyond the work guard), while the one walk to the
+        # longest vector of the LLL-reduced basis finds every minimum among
+        # at most 4 vectors (and walks from bound 1 would take more than one
+        # call at c = 2)
         import orthocount.lattice as lattice
         from orthocount._enum import short_vectors
         seen = []
@@ -612,6 +613,35 @@ class TestSuccessiveMinima:
         L = QuadLattice.from_rows(gram, positive_definite=True)
         assert successive_minima(L) == expect
         assert len(seen) == 1 and seen[0] <= 4
+
+    def test_too_few_independent_vectors_raise(self, monkeypatch):
+        # the reduced basis guarantees r independent vectors in the one walk;
+        # a walk that lost some is a broken invariant, not a shorter answer
+        import orthocount.lattice as lattice
+        from orthocount._enum import short_vectors
+        monkeypatch.setattr(lattice, "short_vectors", lambda g, b: short_vectors(g, b)[:1])
+        with pytest.raises(InvariantError, match="1 independent vectors"):
+            successive_minima(X2Y2)
+
+    @pytest.mark.parametrize("steps", [30, 60])
+    def test_skewed_e8(self, e8, steps):
+        # E8 in a basis of vectors up to Q ~ 10^4 (30 steps) or 10^6 (60):
+        # the reduced basis brings theta and minima back to E8's own cost
+        import time
+        from orthocount._enum import reduced_gram
+        U = random_unimodular(random.Random(5), 8, steps=steps)
+        L = QuadLattice.from_rows(mat_mul(mat_mul(transpose(U), E8_GRAM), U),
+                                  positive_definite=True)
+        assert max(L.gram[i][i] for i in range(8)) > 10 ** 4
+        expect = theta_table(e8, 10)
+        reduced_gram.cache_clear()
+        t = time.perf_counter()
+        assert theta_table(L, 10) == expect
+        assert time.perf_counter() - t < 1
+        reduced_gram.cache_clear()
+        t = time.perf_counter()
+        assert successive_minima(L) == ([1] * 8, [1] * 8)
+        assert time.perf_counter() - t < 1
 
     def test_matches_hnf_reference(self, rng):
         for _ in range(30):
