@@ -263,7 +263,7 @@ def _cmd_crystal(args):
         F = frobenius_F(coords, s0, s0inv)
     # the fewest factors N with v_t(F^(N)) = p^N v_t(F) > T_max; an F with a
     # constant t-term (v_t(F) = 0) is refused by f_infinity_partial
-    minv, N = F.min_t_valuation(), 1
+    minv, N = F.t_valuation(), 1
     while minv and minv * p ** N <= sr.tmax:
         N += 1
     finf = f_infinity_partial(F, N)

@@ -9,6 +9,16 @@ identities exactly) and the truncated-series engine used for the decay
 traces.  A series matrix there is two arrays, a pval block (rows, cols, T+1)
 and a unit block (rows, cols, T+1, d): builders write entries with
 M[i, j] = s, and the probes read the pval block directly.
+
+The curve coordinates come in pairs: plain pairs (x_i, y_i) for i < n and
+primed pairs (xp_j, yp_j) for j <= m.  The superspecial case is the generic
+case with n = 1, its primed pairs named (x_j, y_j).  Both cases derive
+Q = -sum x y over all pairs and R = -sum (x sigma(y) + sigma(x) y) over the
+primed pairs from one pair list.  The summation order is fixed (plain pairs,
+then primed pairs, x sigma(y) before sigma(x) y): series addition keeps
+relative precision R, so a sum whose leading digits cancel is renormalized
+with its lost digits set to zero, and once terms cancel a different order
+can give different bytes.
 """
 
 import random
@@ -18,9 +28,9 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import InvariantError
-from .intmat import fp_row_reduce
+from .intmat import fp_row_reduce, mat_mul
 from .padic import PINF, make_ring
-from .poly import Poly, mat_mul_poly
+from .poly import Poly
 from .series import SeriesRing, TSeriesMatrix
 from .valcomb import ValuationProfile
 
@@ -66,6 +76,22 @@ def coordinate_names(n, m):
     return xs, ys, xps, yps
 
 
+def _pairs(case, n, m):
+    """(plain, primed) coordinate-name pairs: (x_i, y_i) for i < n and
+    (xp_j, yp_j) for j <= m.  The superspecial case is n = 1 with its primed
+    pairs named (x_j, y_j)."""
+    if case == "superspecial":
+        return [], [(f"x{j}", f"y{j}") for j in range(1, m + 1)]
+    xs, ys, xps, yps = coordinate_names(n, m)
+    return list(zip(xs, ys)), list(zip(xps, yps))
+
+
+def curve_names(case, n, m):
+    """The names of a substitution's coordinate series."""
+    plain, primed = _pairs(case, n, m)
+    return [name for pair in plain + primed for name in pair]
+
+
 def unipotent_sym(n, m, primed=False, p=None):
     """The tautological (primed: conjugated) unipotent u as a Poly matrix."""
     xs, ys, xps, yps = coordinate_names(n, m)
@@ -74,11 +100,7 @@ def unipotent_sym(n, m, primed=False, p=None):
     if primed and p is None:
         raise ValueError("primed form needs p")
     E = [[Poly() for _ in range(dim)] for _ in range(dim)]
-    Q = Poly()
-    for i in range(n - 1):
-        Q = Q - Poly.var(xs[i]) * Poly.var(ys[i])
-    for j in range(m):
-        Q = Q - Poly.var(xps[j]) * Poly.var(yps[j])
+    Q = q_polynomial(n, m)
     last = 2 * n - 1  # column "2n", 0-based
     for i in range(n - 1):
         E[i][last] = -Poly.var(ys[i]) * inv_p
@@ -114,7 +136,7 @@ def nonordinary_equation(n, m, p=5):
             B[i][j] = B0[i][j]
     for k in range(2 * m):
         B[2 * n + k][2 * n + k] = Poly.const(1)
-    uB = mat_mul_poly(u, B)
+    uB = mat_mul(u, B)
     # p * Frob(v_n): column n-1 of p*uB; gr_{-1} coefficient is the v_n row
     col = [Poly.const(p) * uB[i][n - 1] for i in range(dim)]
     eq = col[n - 1].reduce_mod(p)
@@ -126,12 +148,11 @@ def nonordinary_equation(n, m, p=5):
 
 
 def q_polynomial(n, m):
-    xs, ys, xps, yps = coordinate_names(n, m)
+    """Q = -sum x y over the plain, then the primed pairs."""
+    plain, primed = _pairs("generic", n, m)
     Q = Poly()
-    for i in range(n - 1):
-        Q = Q - Poly.var(xs[i]) * Poly.var(ys[i])
-    for j in range(m):
-        Q = Q - Poly.var(xps[j]) * Poly.var(yps[j])
+    for x, y in plain + primed:
+        Q = Q - Poly.var(x) * Poly.var(y)
     return Q
 
 
@@ -164,26 +185,6 @@ def synthesize_s0prime(ring, n, seed=0):
             continue
         return S, Sinv
     raise RuntimeError("failed to synthesize an invertible change of basis")
-
-
-def ring_mat_mul(ring, A, B):
-    nn = len(A)
-    mm = len(B[0])
-    kk = len(B)
-    out = []
-    for i in range(nn):
-        row = []
-        for j in range(mm):
-            acc = ring.zero()
-            for k in range(kk):
-                acc = ring.add(acc, ring.mul(A[i][k], B[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def ring_mat_sigma(ring, A):
-    return tuple(tuple(ring.sigma(x) for x in row) for row in A)
 
 
 def ring_mat_inv(ring, A):
@@ -219,14 +220,8 @@ def b0_prime_constant(n):
 
 @dataclass
 class CurveSubstitution:
-    """Teichmuller-lifted curve coordinate series.
-
-    Generic case: series x1..x_{n-1}, y1..y_{n-1}, xp1..xpm, yp1..ypm with
-    derived Y_n = -sum x_i y_i - sum xp_j yp_j and
-    Y_{n+1} = -sum (xp_j sigma(yp_j) + sigma(xp_j) yp_j).
-    Superspecial case (n = 1): series x1..xm, y1..ym with derived
-    Q = -sum x_i y_i and R = -sum (x_i sigma(y_i) + sigma(x_i) y_i).
-    """
+    """Teichmuller-lifted curve coordinate series, in plain and primed pairs
+    (see _pairs), with the derived Q = Y_n and R = Y_{n+1}."""
     case: str
     n: int
     m: int
@@ -236,63 +231,40 @@ class CurveSubstitution:
     def __post_init__(self):
         if self.case not in ("generic", "superspecial"):
             raise ValueError("case must be generic or superspecial")
-        names = self.expected_names()
+        names = curve_names(self.case, self.n, self.m)
         if set(self.series) != set(names):
             raise ValueError(f"need series exactly for {names}")
 
-    def expected_names(self):
-        if self.case == "generic":
-            xs, ys, xps, yps = coordinate_names(self.n, self.m)
-            return xs + ys + xps + yps
-        return [f"x{i}" for i in range(1, self.m + 1)] + \
-               [f"y{i}" for i in range(1, self.m + 1)]
-
-    def _pair_sum(self, pairs):
+    def _neg_pair_sum(self, pairs):
         acc = self.sring.zero_series()
         for a, b in pairs:
             acc = acc.add(a.mul(b))
-        return acc
+        return acc.neg()
 
     def y_series(self, i):
-        """Y_i for 1 <= i <= n+1 in the generic case."""
-        if self.case != "generic":
-            raise ValueError("generic case only")
+        """Y_i for 1 <= i <= n+1: y_i below n, then Q and R."""
         if 1 <= i <= self.n - 1:
             return self.series[f"y{i}"]
         if i == self.n:
-            pairs = [(self.series[f"x{k}"], self.series[f"y{k}"])
-                     for k in range(1, self.n)]
-            pairs += [(self.series[f"xp{j}"], self.series[f"yp{j}"])
-                      for j in range(1, self.m + 1)]
-            return self._pair_sum(pairs).neg()
+            return self.q_series()
         if i == self.n + 1:
-            pairs = []
-            for j in range(1, self.m + 1):
-                xp = self.series[f"xp{j}"]
-                yp = self.series[f"yp{j}"]
-                pairs.append((xp, yp.sigma_twist()))
-                pairs.append((xp.sigma_twist(), yp))
-            return self._pair_sum(pairs).neg()
+            return self.r_series()
         raise ValueError("i out of range")
 
     def q_series(self):
-        """Q(t) = -sum X_i Y_i (superspecial case)."""
-        if self.case != "superspecial":
-            raise ValueError("superspecial case only")
-        pairs = [(self.series[f"x{i}"], self.series[f"y{i}"])
-                 for i in range(1, self.m + 1)]
-        return self._pair_sum(pairs).neg()
+        """Q(t) = -sum x y over the plain, then the primed pairs."""
+        plain, primed = _pairs(self.case, self.n, self.m)
+        S = self.series
+        return self._neg_pair_sum((S[x], S[y]) for x, y in plain + primed)
 
     def r_series(self):
-        if self.case != "superspecial":
-            raise ValueError("superspecial case only")
-        pairs = []
-        for i in range(1, self.m + 1):
-            x = self.series[f"x{i}"]
-            y = self.series[f"y{i}"]
-            pairs.append((x, y.sigma_twist()))
-            pairs.append((x.sigma_twist(), y))
-        return self._pair_sum(pairs).neg()
+        """R(t) = -sum (x sigma(y) + sigma(x) y) over the primed pairs."""
+        _, primed = _pairs(self.case, self.n, self.m)
+        terms = []
+        for x, y in primed:
+            X, Y = self.series[x], self.series[y]
+            terms += [(X, Y.sigma_twist()), (X.sigma_twist(), Y)]
+        return self._neg_pair_sum(terms)
 
     def valuation_profile(self):
         """Derived ValuationProfile (a_1..a_{n+1}) for the generic case."""
@@ -312,8 +284,7 @@ def monomial_substitution(sring, case, n, m, exps, units=None):
     units (name -> ring element or int) default to distinct Teichmuller
     powers, which keeps derived leading coefficients from cancelling.
     """
-    cs_names = (_generic_names(n, m) if case == "generic"
-                else [f"x{i}" for i in range(1, m + 1)] + [f"y{i}" for i in range(1, m + 1)])
+    cs_names = curve_names(case, n, m)
     if set(exps) != set(cs_names):
         raise ValueError(f"need exponents exactly for {cs_names}")
     ring = sring.ring
@@ -327,11 +298,6 @@ def monomial_substitution(sring, case, n, m, exps, units=None):
             u = ring.from_int(1)
         series[name] = sring.monomial(exps[name], u)
     return CurveSubstitution(case, n, m, sring, series)
-
-
-def _generic_names(n, m):
-    xs, ys, xps, yps = coordinate_names(n, m)
-    return xs + ys + xps + yps
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +323,7 @@ def build_B0(sring, n, b_coeffs=None):
     setc(n + 1, n, 1, pshift=-1)  # p^{-1}
     for i in range(1, n):
         if b[i - 1] != ring.zero():
-            neg = tuple((-x) % ring.modulus for x in b[i - 1])
-            setc(n + 1, n + i, neg)
+            setc(n + 1, n + i, ring.neg(b[i - 1]))
     for i in range(1, n):
         setc(n + 1 + i, n + i, 1)
     return M
@@ -436,22 +401,21 @@ def build_Ki(coords, s0, s0inv):
     return out
 
 
-def f_infinity_partial(F, N, tmax_guard=True):
+def f_infinity_partial(F, N):
     """prod_{i=0}^{N-1} (I + F^(i)), exact within the truncation window.
 
-    Requires (when tmax_guard) that the dropped factors are invisible:
-    v_t(F^(N)) = p^N v_t(F) must exceed T_max, so F must have no constant
-    t-term.
+    Requires that the dropped factors are invisible: v_t(F^(N)) = p^N v_t(F)
+    must exceed T_max, so F must have no constant t-term.
     """
     sring = F.sr
     p = sring.ring.p
-    minv = F.min_t_valuation()
+    minv = F.t_valuation()
     if minv is None:
         return TSeriesMatrix.identity(sring, F.dim)
-    if tmax_guard and minv == 0:
+    if minv == 0:
         raise ValueError("F has a constant t-term, so prod (I + F^(i)) does not "
                          "converge t-adically; the curve series must vanish at t = 0")
-    if tmax_guard and minv * p ** N <= sring.tmax:
+    if minv * p ** N <= sring.tmax:
         raise ValueError(
             f"N = {N} too small: v_t(F^(N)) = {minv * p ** N} <= T_max = {sring.tmax}; "
             "increase N or lower T_max")
@@ -491,9 +455,8 @@ def ssp_s0prime(ring):
     lam = ring.gen()
     inv2 = ring.inv(ring.from_int(2))
     inv2lam = ring.inv(ring.mul(ring.from_int(2), lam))
-    neg = lambda a: tuple((-x) % ring.modulus for x in a)
-    S = ((inv2, inv2), (inv2lam, neg(inv2lam)))
-    Sinv = ((ring.one(), lam), (ring.one(), neg(lam)))
+    S = ((inv2, inv2), (inv2lam, ring.neg(inv2lam)))
+    Sinv = ((ring.one(), lam), (ring.one(), ring.neg(lam)))
     return S, Sinv
 
 
@@ -509,7 +472,6 @@ def superspecial_F(coords, ring=None):
         raise ValueError("superspecial case needs the quadratic ring")
     m = coords.m
     lam = ring.gen()
-    neg = lambda a: tuple((-x) % ring.modulus for x in a)
     laminv = ring.inv(lam)
     inv2 = ring.inv(ring.from_int(2))
     inv2lam = ring.mul(inv2, laminv)
@@ -542,8 +504,7 @@ def mn_matrices(ring):
     lam = ring.gen()
     laminv = ring.inv(lam)
     inv2 = ring.inv(ring.from_int(2))
-    neg = lambda a: tuple((-x) % ring.modulus for x in a)
-    M = ((inv2, neg(ring.mul(inv2, lam))), (ring.mul(inv2, laminv), neg(inv2)))
+    M = ((inv2, ring.neg(ring.mul(inv2, lam))), (ring.mul(inv2, laminv), ring.neg(inv2)))
     N = ((inv2, ring.mul(inv2, lam)), (ring.mul(inv2, laminv), inv2))
     return M, N
 
@@ -673,13 +634,14 @@ def moore_checks(n, p, trials=50, seed=0):
             for j in range(2 * n):
                 acc = ring.add(acc, ring.mul(ring.from_int(z[j]), rn1[j]))
             betas.append(acc)
-        M = [[ring.sigma(b, i) for b in betas] for i in range(n + 1)]
-        det = _ring_det(ring, M)
+        # the Moore matrix (sigma^i(beta_j)) over the field F_{p^d} is
+        # invertible iff its block matrix of multiplication matrices has
+        # full rank over F_p
+        blocks = [[ring.mul_matrix(ring.sigma(b, i)) for b in betas] for i in range(n + 1)]
+        block = [sum((B[r] for B in brow), []) for brow in blocks for r in range(d)]
+        invertible = len(fp_row_reduce(block, p)[1]) == (n + 1) * d
         indep = len(fp_row_reduce(betas, p)[1]) == len(betas)
-        if (det != ring.zero()) != indep:
-            dets_ok = False
-        if indep and det == ring.zero():
-            dets_ok = False
+        dets_ok = dets_ok and invertible == indep
     return MooreReport(n, p, nonvan, dims, n, dets_ok)
 
 
@@ -690,25 +652,3 @@ def _int_to_elt(ring, a):
         a //= ring.p
     return tuple(coords)
 
-
-def _ring_det(ring, M):
-    nn = len(M)
-    A = [list(row) for row in M]
-    det = ring.one()
-    for c in range(nn):
-        piv = next((i for i in range(c, nn) if A[i][c] != ring.zero()), None)
-        if piv is None:
-            return ring.zero()
-        if not ring.is_unit(A[piv][c]):
-            # mod p field: nonzero means unit
-            return ring.zero()
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = tuple((-x) % ring.modulus for x in det)
-        det = ring.mul(det, A[c][c])
-        inv = ring.inv(A[c][c])
-        for i in range(c + 1, nn):
-            if A[i][c] != ring.zero():
-                f = ring.mul(A[i][c], inv)
-                A[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(A[i], A[c])]
-    return det

@@ -343,19 +343,16 @@ def stable_depth(ell, m):
     return valuation(m, ell, 0) + (3 if ell == 2 else 1)
 
 
-def local_density(ell, L, m, check=True):
+def local_density(ell, L, m):
     """Stabilized local density delta(ell, L, m), exact.
 
-    Uses the blockwise counter at depth stable_depth and, when `check`, also
-    verifies agreement one level deeper.
+    Uses the blockwise counter at depth stable_depth and verifies agreement
+    one level deeper; ArithmeticError if the two differ.
     """
     a = stable_depth(ell, m)
     d = local_density_blockwise(ell, L, m, a)
-    if check:
-        d2 = local_density_blockwise(ell, L, m, a + 1)
-        if d != d2:
-            raise ArithmeticError(
-                f"density at ell={ell} did not stabilize at depth {a}")
+    if d != local_density_blockwise(ell, L, m, a + 1):
+        raise ArithmeticError(f"density at ell={ell} did not stabilize at depth {a}")
     return d
 
 

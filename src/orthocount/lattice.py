@@ -342,8 +342,7 @@ def intersect_and_index(A, B):
     H, _ = hnf_columns(M)
     cols = [[H[i][j] for j in range(r)] for i in range(r)]
     inter = SublatticeBasis.from_cols(A.ambient, cols)
-    idx = Fraction(abs(det_bareiss([list(row) for row in cols])),
-                   abs(det_bareiss(MA)))
+    idx = Fraction(inter.index_in_ambient(), A.index_in_ambient())
     if idx.denominator != 1:
         raise InvariantError(f"index [A : A cap B] = {idx} is not an integer")
     return inter, int(idx)

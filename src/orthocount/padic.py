@@ -64,48 +64,32 @@ def _polypow_mod(a, e, f, mod):
     return result
 
 
-def _is_irreducible(f, p):
-    """Irreducibility over F_p via x^{p^k} folding."""
+def _mul_matrix(a, f, mod):
+    """The matrix of multiplication by a on Z[x]/(f, mod), f monic, in the
+    x-power basis: column j holds a * x^j."""
     d = len(f) - 1
-    x = [0, 1]
-    xp = x[:]
-    for k in range(1, d):
+    cols = [_polymul_mod(list(a), [0] * j + [1], f, mod) for j in range(d)]
+    return [[col[i] for col in cols] for i in range(d)]
+
+
+def _is_irreducible(f, p):
+    """Irreducibility of a monic f of degree d >= 2 over F_p.
+
+    x^(p^k) - x is the product of the monic irreducibles whose degree divides
+    k (Lidl & Niederreiter, Finite Fields, ch. 3), so f is irreducible iff
+    x^(p^d) = x mod f and, for every k < d, x^(p^k) - x is a unit mod f: its
+    multiplication matrix has full rank over F_p.
+    """
+    d = len(f) - 1
+    x = [0, 1] + [0] * (d - 2)
+    xp = x
+    for k in range(1, d + 1):
         xp = _polypow_mod(xp, p, f, p)
-        # gcd(x^{p^k} - x, f) must be 1
-        diff = [(a - b) % p for a, b in
-                zip(xp + [0] * 2, x + [0] * (len(xp) - 1))][:len(xp)]
-        if _polygcd_deg(diff, f, p) > 0:
+        diff = [(a - b) % p for a, b in zip(xp, x)]
+        if k == d:
+            return not any(diff)
+        if len(fp_row_reduce(_mul_matrix(diff, f, p), p)[1]) < d:
             return False
-    xp = _polypow_mod(xp, p, f, p)
-    diff = [(a - b) % p for a, b in zip(xp + [0] * 2, x + [0] * (len(xp) - 1))][:len(xp)]
-    return _poly_iszero(diff, p)
-
-
-def _poly_iszero(a, p):
-    return all(c % p == 0 for c in a)
-
-
-def _polygcd_deg(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-
-    def deg(x):
-        for i in range(len(x) - 1, -1, -1):
-            if x[i] % p:
-                return i
-        return -1
-
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[deg(b)], -1, p)
-        f = a[da] * inv % p
-        shift = da - db
-        a = [(c - f * (b[i - shift] if 0 <= i - shift <= db else 0)) % p
-             for i, c in enumerate(a)]
-    return deg(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +129,10 @@ class UnramifiedRing:
         M = self.modulus
         return tuple((x - y) % M for x, y in zip(a, b))
 
+    def neg(self, a):
+        M = self.modulus
+        return tuple((-x) % M for x in a)
+
     def mul(self, a, b):
         out = _polymul_mod(list(a), list(b), list(self.minpoly), self.modulus)
         return tuple(out)
@@ -180,22 +168,19 @@ class UnramifiedRing:
     def is_unit(self, a):
         return self.val(a) == 0
 
+    def mul_matrix(self, a):
+        """The matrix of multiplication by a in the x-power basis, mod p^R."""
+        return _mul_matrix(a, self.minpoly, self.modulus)
+
     def inv(self, a):
         """Inverse of a unit, by Newton iteration from the mod-p inverse."""
         if not self.is_unit(a):
             raise ZeroDivisionError("not a unit")
-        # invert mod p by linear algebra over F_p
-        p = self.p
-        d = self.deg
-        # matrix of multiplication by a, mod p
-        cols = []
-        for j in range(d):
-            e = tuple(int(i == j) for i in range(d))
-            cols.append(self.mul(a, e))
-        # row-reduce [A | e_0]; A is invertible, so the last column solves A x = e_0
-        rows, _ = fp_row_reduce(
-            [[cols[j][i] for j in range(d)] + [int(i == 0)] for i in range(d)], p)
-        x = tuple(row[d] for row in rows)
+        # row-reduce [A | e_0] over F_p, A the multiplication matrix of a; A is
+        # invertible mod p, so the last column solves A x = e_0
+        rows, _ = fp_row_reduce([row + [int(i == 0)]
+                                 for i, row in enumerate(self.mul_matrix(a))], self.p)
+        x = tuple(row[self.deg] for row in rows)
         # Newton: x <- x(2 - a x), doubling precision each step
         for _ in range(self.R.bit_length() + 1):
             ax = self.mul(a, x)

@@ -120,13 +120,3 @@ def _mono_mul(m1, m2):
     for v, e in m2:
         d[v] = d.get(v, 0) + e
     return tuple(sorted(d.items()))
-
-
-def mat_mul_poly(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return [[sum((A[i][l] * B[l][j] for l in range(k)), Poly())
-             for j in range(m)] for i in range(n)]
-
-
-def mat_transpose_poly(A):
-    return [list(col) for col in zip(*A)]

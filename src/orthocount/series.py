@@ -335,8 +335,6 @@ class TSeriesMatrix(_SeriesBlocks):
         self.pval[ij] = s.pval
         self.unit[ij] = s.unit
 
-    min_t_valuation = _SeriesBlocks.t_valuation
-
     def mul(self, other):
         return TSeriesMatrix(self.sr, *_block_mul(self.sr, self.pval, self.unit,
                                                   other.pval, other.unit))

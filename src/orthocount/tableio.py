@@ -11,8 +11,6 @@ def render_cell(x):
         if x.denominator == 1:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return repr(x)
     if isinstance(x, bool):
         return "true" if x else "false"
     if x is None:

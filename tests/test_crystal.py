@@ -23,8 +23,6 @@ from orthocount.crystal import (
     moore_checks,
     nonordinary_equation,
     q_polynomial,
-    ring_mat_mul,
-    ring_mat_sigma,
     superspecial_F,
     superspecial_ring,
     split_gram_sym,
@@ -32,8 +30,9 @@ from orthocount.crystal import (
     synthesize_s0prime,
     unipotent_sym,
 )
+from orthocount.intmat import mat_mul, transpose
 from orthocount.padic import PINF
-from orthocount.poly import Poly, mat_mul_poly, mat_transpose_poly
+from orthocount.poly import Poly
 from orthocount.series import SeriesRing, TSeriesMatrix
 from orthocount.valcomb import SuperspecialProfile, ssp_min_valuation
 
@@ -53,8 +52,8 @@ class TestSymbolic:
                 B = b0_sym(n, 5, b)
                 G = split_gram_sym(n)
                 # B^T G B = G (sigma fixes integer b_i)
-                BT = mat_transpose_poly(B)
-                P = mat_mul_poly(mat_mul_poly(BT, G), B)
+                BT = transpose(B)
+                P = mat_mul(mat_mul(BT, G), B)
                 assert P == G
 
     def test_b0_printed_positions(self):
@@ -66,7 +65,7 @@ class TestSymbolic:
         for n, m in ((1, 2), (2, 1), (3, 0), (2, 2)):
             u = unipotent_sym(n, m)
             G = split_gram_sym(n, m)
-            P = mat_mul_poly(mat_mul_poly(mat_transpose_poly(u), G), u)
+            P = mat_mul(mat_mul(transpose(u), G), u)
             assert P == G, (n, m)
 
     def test_unipotent_square_shape(self):
@@ -75,7 +74,7 @@ class TestSymbolic:
             u = unipotent_sym(n, m)
             E = [[u[i][j] - Poly.const(int(i == j)) for j in range(dim)]
                  for i in range(dim)]
-            E2 = mat_mul_poly(E, E)
+            E2 = mat_mul(E, E)
             for i in range(dim):
                 for j in range(dim):
                     if (i, j) != (n - 1, 2 * n - 1):
@@ -148,20 +147,16 @@ class TestS0Synthesis:
     def test_sigma_relation(self, n, p):
         ring = crystal_ring(p, 6, n)
         S, Sinv = synthesize_s0prime(ring, n, seed=1)
-        lhs = ring_mat_sigma(ring, S)
-        Bp = b0_prime_constant(n)
-        BpR = tuple(tuple(ring.from_int(Bp[i][j]) for j in range(2 * n))
-                    for i in range(2 * n))
-        rhs = ring_mat_mul(ring, S, BpR)
-        assert lhs == rhs
+        sr = SeriesRing(ring, 0)
+        S = embed_s0(sr, S, 0)
+        assert _same_matrix(S.sigma_twist(), S.mul(embed_s0(sr, b0_prime_constant(n), 0)))
 
     def test_inverse(self):
         ring = crystal_ring(5, 6, 2)
         S, Sinv = synthesize_s0prime(ring, 2, seed=1)
-        prod = ring_mat_mul(ring, S, Sinv)
-        for i in range(4):
-            for j in range(4):
-                assert prod[i][j] == (ring.one() if i == j else ring.zero())
+        sr = SeriesRing(ring, 0)
+        prod = embed_s0(sr, S, 0).mul(embed_s0(sr, Sinv, 0))
+        assert _same_matrix(prod, TSeriesMatrix.identity(sr, 4))
 
     def test_frobactionrows(self):
         # rows R_i of the inverse obey the printed recursion with b = 0
@@ -174,6 +169,10 @@ class TestS0Synthesis:
         for i in range(2 * n - 1):
             assert sig(rows[i]) == rows[i + 1]
         assert sig(rows[2 * n - 1]) == rows[0]
+
+
+def _same_matrix(A, B):
+    return np.array_equal(A.pval, B.pval) and np.array_equal(A.unit, B.unit)
 
 
 def _ssp_coords(p=5, h=2, hprime=13, a=1, tmax=400, R=8):
@@ -218,11 +217,11 @@ class TestSuperspecialF:
         # sigma(S'_0) = S'_0 [[0,1],[1,0]] for the printed superspecial basis
         ring = superspecial_ring(5, 8)
         S, Sinv = ssp_s0prime(ring)
-        lhs = ring_mat_sigma(ring, S)
-        B = ((ring.zero(), ring.one()), (ring.one(), ring.zero()))
-        assert lhs == ring_mat_mul(ring, S, B)
-        prod = ring_mat_mul(ring, S, Sinv)
-        assert prod == ((ring.one(), ring.zero()), (ring.zero(), ring.one()))
+        sr = SeriesRing(ring, 0)
+        S = embed_s0(sr, S, 0)
+        assert _same_matrix(S.sigma_twist(), S.mul(embed_s0(sr, ((0, 1), (1, 0)), 0)))
+        prod = S.mul(embed_s0(sr, Sinv, 0))
+        assert _same_matrix(prod, TSeriesMatrix.identity(sr, 2))
 
     def test_evalproduct_closed_form(self):
         # P_{alpha,beta} = p^-(a+b) prod Q^(i) prod R^(a+2j-1) * M^(1) or N^(1)
@@ -289,6 +288,24 @@ class TestCrossEngine:
                 assert np.all(a.pval == b.pval), (i, j)
                 assert np.all(a.unit == b.unit), (i, j)
 
+    def test_generic_n1_has_the_superspecial_Q_and_R(self):
+        # the superspecial case is the generic one at n = 1 with its primed
+        # pairs renamed; the second and third pairs cancel Q's leading terms
+        ring = superspecial_ring(5, 8)
+        sr = SeriesRing(ring, 200)
+        tau = ring.teichmuller_unit(1)
+        units = {"x1": ring.gen(), "y1": 1, "x2": 1, "y2": 1,
+                 "x3": tau, "y3": ring.neg(ring.inv(tau))}
+        exps = {"x1": 1, "y1": 9, "x2": 2, "y2": 1, "x3": 2, "y3": 1}
+        ssp = monomial_substitution(sr, "superspecial", 1, 3, exps, units=units)
+        gen = CurveSubstitution("generic", 1, 3, sr, {
+            name.replace("x", "xp").replace("y", "yp"): s for name, s in ssp.series.items()})
+        pairs = [(ssp.q_series(), gen.q_series()), (ssp.r_series(), gen.r_series()),
+                 (ssp.q_series(), gen.y_series(1)), (ssp.r_series(), gen.y_series(2))]
+        for a, b in pairs:
+            assert np.array_equal(a.pval, b.pval) and np.array_equal(a.unit, b.unit)
+        assert ssp.q_series().t_valuation() == 10
+
 
 class TestFInfinity:
     def test_zero_F_gives_identity(self):
@@ -306,7 +323,7 @@ class TestFInfinity:
         sr = SeriesRing(superspecial_ring(5, 6), 40)
         coords = monomial_substitution(sr, "superspecial", 1, 1, {"x1": 0, "y1": 1})
         F = superspecial_F(coords)
-        assert F.min_t_valuation() == 0
+        assert F.t_valuation() == 0
         for N in (1, 3, 10):
             with pytest.raises(ValueError, match="constant t-term"):
                 f_infinity_partial(F, N)
@@ -411,9 +428,8 @@ class TestDecayTrace:
         sr = SeriesRing(ring, 400)
         tau = ring.teichmuller_unit(1)
         tau_inv = ring.inv(tau)
-        neg = lambda c: tuple((-x) % ring.modulus for x in c)
         units = {"x1": ring.gen(), "y1": 1,
-                 "x2": 1, "y2": 1, "x3": tau, "y3": neg(tau_inv)}
+                 "x2": 1, "y2": 1, "x3": tau, "y3": ring.neg(tau_inv)}
         exps = {"x1": a, "y1": h - a, "x2": 2, "y2": 1, "x3": 2, "y3": 1}
         coords = monomial_substitution(sr, "superspecial", 1, 3, exps, units=units)
         assert coords.q_series().t_valuation() == h
@@ -447,9 +463,8 @@ class TestDecayTrace:
         sr = SeriesRing(ring, 400)
         tau = ring.teichmuller_unit(1)
         tau_inv = ring.inv(tau)
-        neg = lambda c: tuple((-x) % ring.modulus for x in c)
         units = {"x1": ring.gen(), "y1": 1,
-                 "x2": 1, "y2": 1, "x3": tau, "y3": neg(tau_inv)}
+                 "x2": 1, "y2": 1, "x3": tau, "y3": ring.neg(tau_inv)}
         exps = {"x1": a, "y1": h - a, "x2": 1, "y2": 1, "x3": 1, "y3": 1}
         coords = monomial_substitution(sr, "superspecial", 1, 3, exps, units=units)
         assert coords.q_series().t_valuation() == h
@@ -480,7 +495,7 @@ class TestDecayTrace:
     def test_integral_within_window(self):
         coords = _ssp_coords(tmax=60)
         F = superspecial_F(coords)
-        finf = f_infinity_partial(F, 3, tmax_guard=False)
+        finf = f_infinity_partial(F, 3)
         _, sinv = ssp_s0prime(coords.sring.ring)
         basis = integral_basis_matrix(coords.sring, sinv, 1, 2 * coords.m)
         # r very large: p^r w stays integral in a small window
@@ -556,7 +571,7 @@ class TestKi:
             for idx in I[1:]:
                 P = P.mul(self.ks[idx - 1].sigma_twist(shift))
                 shift += idx
-            got = P.min_t_valuation()
+            got = P.t_valuation()
             assert got == nu(I, prof), (I, got, nu(I, prof))
 
 
@@ -588,6 +603,15 @@ class TestGenericFInfinity:
         nu4, _ = min_set(4, prof)
         assert nu4 <= 800
         assert min_tval_at_pval(finf, 4, rows=range(4), cols=range(4)) == nu4
+
+    def test_profile_reads_y_then_q_then_r(self):
+        # R sums the primed pair only: the plain pair's x1 sigma(y1) would
+        # sit at t^6, far below the primed pair's t^18
+        exps = {"x1": 1, "y1": 1, "xp1": 3, "yp1": 3}
+        coords, _ = _generic_coords(5, 2, 1, exps, tmax=60)
+        assert coords.q_series().t_valuation() == 2
+        assert coords.r_series().t_valuation() == 18
+        assert coords.valuation_profile().a == (1, 2, 18)
 
     def test_uprime_is_conjugated_u(self):
         # u' = D u D^{-1} with D = diag(p^{-1} I_n, I): check entrywise

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from orthocount.arith import InvariantError
 from orthocount.intmat import det_bareiss
-from orthocount.padic import _invert_mod_prime_power, make_ring
+from orthocount.padic import _invert_mod_prime_power, _is_irreducible, make_ring
 
 
 class TestInvertModPrimePower:
@@ -56,3 +57,54 @@ def test_teichmuller_from_make_ring(p, R, deg):
     assert ring.teichmuller_unit(q - 1) == ring.one()
     with pytest.raises(ValueError):
         make_ring(p, R, 1).teichmuller_unit(1)
+
+
+@pytest.mark.parametrize("p, R, deg", [(3, 4, 1), (5, 3, 2), (7, 2, 3), (3, 3, 5)])
+def test_mul_matrix_and_neg(p, R, deg):
+    ring = make_ring(p, R, deg)
+    rng = random.Random(p * 10 + deg)
+    for _ in range(10):
+        a, b = (tuple(rng.randrange(ring.modulus) for _ in range(deg)) for _ in range(2))
+        A = ring.mul_matrix(a)
+        assert tuple(sum(A[i][j] * b[j] for j in range(deg)) % ring.modulus
+                     for i in range(deg)) == ring.mul(a, b)
+        assert ring.add(a, ring.neg(a)) == ring.zero()
+        assert all(0 <= c < ring.modulus for c in ring.neg(a))
+
+
+def _has_factor_by_trial_division(f, p):
+    """True iff a monic g of degree 1..deg(f)/2 divides f over F_p."""
+    d = len(f) - 1
+    for k in range(1, d // 2 + 1):
+        for low in itertools.product(range(p), repeat=k):
+            g = list(low) + [1]
+            r = [c % p for c in f]
+            for top in range(d, k - 1, -1):  # r <- r mod g, g monic
+                c = r[top]
+                if c:
+                    for j in range(k + 1):
+                        r[top - k + j] = (r[top - k + j] - c * g[j]) % p
+            if not any(r[:k]):
+                return True
+    return False
+
+
+def test_is_irreducible_matches_trial_division():
+    # every monic f of degree 2..4 over F_p with p^d <= 2500; the number of
+    # irreducibles is Gauss's (1/d) sum_{e | d} mu(d/e) p^e
+    gauss = {2: lambda p: (p * p - p) // 2, 3: lambda p: (p ** 3 - p) // 3,
+             4: lambda p: (p ** 4 - p * p) // 4}
+    total = 0
+    for p in (2, 3, 5, 7):
+        for d in (2, 3, 4):
+            if p ** d > 2500:
+                continue
+            irreducible = 0
+            for low in itertools.product(range(p), repeat=d):
+                f = list(low) + [1]
+                got = _is_irreducible(f, p)
+                assert got == (not _has_factor_by_trial_division(f, p)), (p, f)
+                irreducible += got
+                total += 1
+            assert irreducible == gauss[d](p), (p, d)
+    assert total == 3713
