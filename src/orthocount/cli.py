@@ -247,7 +247,7 @@ def load_curve_profile(obj):
 def _cmd_crystal(args):
     from .crystal import (f_infinity_partial, first_nonintegral_order,
                           frobenius_F, integral_basis_matrix, min_tval_at_pval,
-                          ssp_s0prime, superspecial_F, synthesize_s0prime)
+                          ssp_s0prime, synthesize_s0prime)
     from .valcomb import (SuperspecialProfile, min_set, schedule_hprime,
                           ssp_min_valuation)
     prof = _load_json(args.profile)
@@ -257,10 +257,10 @@ def _cmd_crystal(args):
     sr = coords.sring
     p = sr.ring.p
     if coords.case == "superspecial":
-        F = superspecial_F(coords)
+        s0, s0inv = ssp_s0prime(sr.ring)
     else:
         s0, s0inv = synthesize_s0prime(sr.ring, coords.n, seed=prof.get("seed", 1))
-        F = frobenius_F(coords, s0, s0inv)
+    F = frobenius_F(coords, s0, s0inv)
     # the fewest factors N with v_t(F^(N)) = p^N v_t(F) > T_max; an F with a
     # constant t-term (v_t(F) = 0) is refused by f_infinity_partial
     minv, N = F.t_valuation(), 1
@@ -270,8 +270,7 @@ def _cmd_crystal(args):
     rows = []
     ok = True
     if coords.case == "superspecial":
-        _, sinv = ssp_s0prime(sr.ring)
-        basis = integral_basis_matrix(sr, sinv, 1, 2 * coords.m)
+        basis = integral_basis_matrix(sr, s0inv, 1, 2 * coords.m)
         h = coords.q_series().t_valuation()
         hp = coords.r_series().t_valuation()
         a = min(s.t_valuation() for s in coords.series.values())
@@ -372,7 +371,6 @@ def _cmd_valcomb(args):
                    manifest={"cmd": "valcomb.ssp-min", "p": args.p, "h": args.h,
                              "hprime": args.hprime, "a": args.a})
         return 0
-    raise ValueError(f"unknown valcomb mode {args.mode}")
 
 
 def _cmd_budget(args):
@@ -436,7 +434,6 @@ def _cmd_budget(args):
                    manifest={"cmd": "budget.intersect", "in": args.infile,
                              "mmax": args.mmax, "ncap": args.ncap})
         return 0
-    raise ValueError(f"unknown budget mode {args.mode}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Frobenius structures over the truncated two-variable arithmetic: the
 constant Frobenius matrix of the cyclic basis, the unipotent coordinates of
-the deformation space, the superspecial Frobenius, partial horizontal
+the deformation space, the Frobenius correction F, partial horizontal
 products, and first-non-integrality detection for horizontal sections.
 
 Two parallel realizations exist on purpose: a symbolic one over Q (Poly
@@ -14,11 +14,15 @@ The curve coordinates come in pairs: plain pairs (x_i, y_i) for i < n and
 primed pairs (xp_j, yp_j) for j <= m.  The superspecial case is the generic
 case with n = 1, its primed pairs named (x_j, y_j).  Both cases derive
 Q = -sum x y over all pairs and R = -sum (x sigma(y) + sigma(x) y) over the
-primed pairs from one pair list.  The summation order is fixed (plain pairs,
-then primed pairs, x sigma(y) before sigma(x) y): series addition keeps
-relative precision R, so a sum whose leading digits cancel is renormalized
-with its lost digits set to zero, and once terms cancel a different order
-can give different bytes.
+primed pairs from one pair list, and lay out the unipotent u from it once.
+Both compute F = S'(u' - I)S'^{-1} by one pipeline; only S'_0 differs: a
+synthesized one in the generic case, the printed
+[[1/2, 1/2], [1/(2 lam), -1/(2 lam)]] at t_P = 2.
+
+The summation order of Q and R is fixed (plain pairs, then primed pairs,
+x sigma(y) before sigma(x) y): series addition keeps relative precision R,
+so a sum whose leading digits cancel is renormalized with its lost digits set
+to zero, and once terms cancel a different order can give different bytes.
 """
 
 import random
@@ -68,22 +72,30 @@ def split_gram_sym(n, m=0):
     return G
 
 
-def coordinate_names(n, m):
-    xs = [f"x{i}" for i in range(1, n)]
-    ys = [f"y{i}" for i in range(1, n)]
-    xps = [f"xp{j}" for j in range(1, m + 1)]
-    yps = [f"yp{j}" for j in range(1, m + 1)]
-    return xs, ys, xps, yps
-
-
 def _pairs(case, n, m):
     """(plain, primed) coordinate-name pairs: (x_i, y_i) for i < n and
     (xp_j, yp_j) for j <= m.  The superspecial case is n = 1 with its primed
     pairs named (x_j, y_j)."""
     if case == "superspecial":
         return [], [(f"x{j}", f"y{j}") for j in range(1, m + 1)]
-    xs, ys, xps, yps = coordinate_names(n, m)
-    return list(zip(xs, ys)), list(zip(xps, yps))
+    return ([(f"x{i}", f"y{i}") for i in range(1, n)],
+            [(f"xp{j}", f"yp{j}") for j in range(1, m + 1)])
+
+
+def _unipotent_layout(case, n, m):
+    """The entries (i, j, name, sign, over_p) of u - I, 0-based: `name` is a
+    coordinate or "Q", and the primed form u' = D u D^{-1}, D =
+    diag(p^{-1} I_n, I), divides the over_p entries by p."""
+    plain, primed = _pairs(case, n, m)
+    last = 2 * n - 1  # column "2n"
+    entries = [(n - 1, last, "Q", 1)]
+    for i, (x, y) in enumerate(plain):
+        entries += [(i, last, y, -1), (n - 1, i, x, 1),
+                    (n - 1, n + i, y, 1), (n + i, last, x, -1)]
+    for j, (x, y) in enumerate(primed):
+        entries += [(n - 1, 2 * n + j, x, 1), (n - 1, 2 * n + m + j, y, 1),
+                    (2 * n + j, last, y, -1), (2 * n + m + j, last, x, -1)]
+    return [(i, j, name, sign, i < n <= j) for i, j, name, sign in entries]
 
 
 def curve_names(case, n, m):
@@ -94,30 +106,13 @@ def curve_names(case, n, m):
 
 def unipotent_sym(n, m, primed=False, p=None):
     """The tautological (primed: conjugated) unipotent u as a Poly matrix."""
-    xs, ys, xps, yps = coordinate_names(n, m)
-    dim = 2 * n + 2 * m
-    inv_p = Fraction(1, p) if primed else Fraction(1)
     if primed and p is None:
         raise ValueError("primed form needs p")
-    E = [[Poly() for _ in range(dim)] for _ in range(dim)]
-    Q = q_polynomial(n, m)
-    last = 2 * n - 1  # column "2n", 0-based
-    for i in range(n - 1):
-        E[i][last] = -Poly.var(ys[i]) * inv_p
-    # row n
-    for i in range(n - 1):
-        E[n - 1][i] = Poly.var(xs[i])
-        E[n - 1][n + i] = Poly.var(ys[i]) * inv_p
-    E[n - 1][last] = Q * inv_p
-    for j in range(m):
-        E[n - 1][2 * n + j] = Poly.var(xps[j]) * inv_p
-        E[n - 1][2 * n + m + j] = Poly.var(yps[j]) * inv_p
-    for i in range(n - 1):
-        E[n + i][last] = -Poly.var(xs[i])
-    for j in range(m):
-        E[2 * n + j][last] = -Poly.var(yps[j])
-        E[2 * n + m + j][last] = -Poly.var(xps[j])
-    u = [[Poly.const(int(i == j)) + E[i][j] for j in range(dim)] for i in range(dim)]
+    dim = 2 * n + 2 * m
+    u = [[Poly.const(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for i, j, name, sign, over_p in _unipotent_layout("generic", n, m):
+        e = q_polynomial(n, m) if name == "Q" else Poly.var(name)
+        u[i][j] = u[i][j] + (e if sign > 0 else -e) * (Fraction(1, p) if primed and over_p else 1)
     return u
 
 
@@ -231,6 +226,8 @@ class CurveSubstitution:
     def __post_init__(self):
         if self.case not in ("generic", "superspecial"):
             raise ValueError("case must be generic or superspecial")
+        if self.case == "superspecial" and self.n != 1:
+            raise ValueError("the superspecial case has n = 1")
         names = curve_names(self.case, self.n, self.m)
         if set(self.series) != set(names):
             raise ValueError(f"need series exactly for {names}")
@@ -303,63 +300,15 @@ def monomial_substitution(sring, case, n, m, exps, units=None):
 # ---------------------------------------------------------------------------
 # series-level matrices
 
-def build_B0(sring, n, b_coeffs=None):
-    """B_0 over the series ring (constant in t); b: ring elements or ints."""
-    ring = sring.ring
-    b = [ring.from_int(x) if isinstance(x, int) else x
-         for x in (b_coeffs or [0] * (n - 1))]
-    dim = 2 * n
-    M = TSeriesMatrix.zero(sring, dim)
-
-    def setc(i, j, coeff, pshift=0):
-        M[i - 1, j - 1] = sring.monomial(0, coeff, pshift=pshift)
-
-    for i in range(1, n):
-        setc(i + 1, i, 1)
-    setc(1, 2 * n, 1, pshift=1)  # p
-    for i in range(2, n + 1):
-        if b[i - 2] != ring.zero():
-            setc(i, 2 * n, b[i - 2], pshift=1)
-    setc(n + 1, n, 1, pshift=-1)  # p^{-1}
-    for i in range(1, n):
-        if b[i - 1] != ring.zero():
-            setc(n + 1, n + i, ring.neg(b[i - 1]))
-    for i in range(1, n):
-        setc(n + 1 + i, n + i, 1)
-    return M
-
-
-def build_unipotents(coords):
-    """(u, u') as series matrices for a generic-case substitution."""
-    if coords.case != "generic":
-        raise ValueError("generic case only")
+def unipotent_series(coords, primed=False):
+    """The unipotent u (primed: u') of a substitution as a series matrix."""
     n, m, sring = coords.n, coords.m, coords.sring
-    dim = 2 * n + 2 * m
-    xs, ys, xps, yps = coordinate_names(n, m)
-    S = coords.series
-    Q = coords.y_series(n)
-
-    def build(primed):
-        shift = -1 if primed else 0
-        M = TSeriesMatrix.identity(sring, dim)
-        last = 2 * n - 1
-        for i in range(n - 1):
-            M[i, last] = S[ys[i]].neg().pshift(shift)
-        for i in range(n - 1):
-            M[n - 1, i] = S[xs[i]]
-            M[n - 1, n + i] = S[ys[i]].pshift(shift)
-        M[n - 1, last] = Q.pshift(shift)
-        for j in range(m):
-            M[n - 1, 2 * n + j] = S[xps[j]].pshift(shift)
-            M[n - 1, 2 * n + m + j] = S[yps[j]].pshift(shift)
-        for i in range(n - 1):
-            M[n + i, last] = S[xs[i]].neg()
-        for j in range(m):
-            M[2 * n + j, last] = S[yps[j]].neg()
-            M[2 * n + m + j, last] = S[xps[j]].neg()
-        return M
-
-    return build(False), build(True)
+    S = dict(coords.series, Q=coords.q_series())
+    M = TSeriesMatrix.identity(sring, 2 * n + 2 * m)
+    for i, j, name, sign, over_p in _unipotent_layout(coords.case, n, m):
+        e = S[name] if sign > 0 else S[name].neg()
+        M[i, j] = e.pshift(-1) if primed and over_p else e
+    return M
 
 
 def embed_s0(sring, s0, extra):
@@ -372,12 +321,13 @@ def embed_s0(sring, s0, extra):
 
 
 def frobenius_F(coords, s0, s0inv):
-    """F = S' (u' - I) S'^{-1}, the Frobenius correction in the flat basis."""
-    n, m, sring = coords.n, coords.m, coords.sring
-    _, uprime = build_unipotents(coords)
-    I = TSeriesMatrix.identity(sring, 2 * n + 2 * m)
-    Sp = embed_s0(sring, s0, 2 * m)
-    Spi = embed_s0(sring, s0inv, 2 * m)
+    """F = S' (u' - I) S'^{-1}, the Frobenius correction in the flat basis,
+    S' = blockdiag(S'_0, I_{2m}); the same pipeline serves both cases."""
+    sring, extra = coords.sring, 2 * coords.m
+    uprime = unipotent_series(coords, primed=True)
+    I = TSeriesMatrix.identity(sring, uprime.dim)
+    Sp = embed_s0(sring, s0, extra)
+    Spi = embed_s0(sring, s0inv, extra)
     return Sp.mul(uprime.sub(I)).mul(Spi)
 
 
@@ -460,43 +410,19 @@ def ssp_s0prime(ring):
     return S, Sinv
 
 
-def superspecial_F(coords, ring=None):
-    """The printed (2+2m)-dimensional Frobenius correction F at t_P = 2.
+def superspecial_F(coords):
+    """The (2+2m)-dimensional Frobenius correction F at t_P = 2: the generic
+    S'(u' - I)S'^{-1} at n = 1 with the printed S'_0 of ssp_s0prime.
 
-    Blocks: F_t (top-left 2x2), F_r (top-right 2x2m), F_l (bottom-left)."""
+    Blocks: F_t (top-left 2x2) from Q/2p and lam, F_r (top-right 2x2m) from
+    x_i/2p and y_i/2p (divided by lam on row 2), F_l (bottom-left) with rows
+    (-y_i, lam y_i) and (-x_i, lam x_i)."""
     if coords.case != "superspecial":
         raise ValueError("superspecial substitution required")
-    sring = coords.sring
-    ring = ring or sring.ring
+    ring = coords.sring.ring
     if ring.deg != 2:
         raise ValueError("superspecial case needs the quadratic ring")
-    m = coords.m
-    lam = ring.gen()
-    laminv = ring.inv(lam)
-    inv2 = ring.inv(ring.from_int(2))
-    inv2lam = ring.mul(inv2, laminv)
-    Q = coords.q_series()
-    dim = 2 + 2 * m
-    F = TSeriesMatrix.zero(sring, dim)
-    # top-left 2x2: Q/2p, -lam Q/2p ; Q/(2p lam), -Q/2p
-    F[0, 0] = Q.scale(inv2).pshift(-1)
-    F[0, 1] = Q.scale(ring.mul(lam, inv2)).neg().pshift(-1)
-    F[1, 0] = Q.scale(inv2lam).pshift(-1)
-    F[1, 1] = Q.scale(inv2).neg().pshift(-1)
-    # top-right: x_i/2p ... y_i/2p over row 1; /lam on row 2
-    for i in range(1, m + 1):
-        x = coords.series[f"x{i}"]
-        y = coords.series[f"y{i}"]
-        F[0, 1 + i] = x.scale(inv2).pshift(-1)
-        F[0, 1 + m + i] = y.scale(inv2).pshift(-1)
-        F[1, 1 + i] = x.scale(inv2lam).pshift(-1)
-        F[1, 1 + m + i] = y.scale(inv2lam).pshift(-1)
-        # bottom-left: rows e'_i: -y_i, lam y_i ; rows f'_i: -x_i, lam x_i
-        F[1 + i, 0] = y.neg()
-        F[1 + i, 1] = y.scale(lam)
-        F[1 + m + i, 0] = x.neg()
-        F[1 + m + i, 1] = x.scale(lam)
-    return F
+    return frobenius_F(coords, *ssp_s0prime(ring))
 
 
 def mn_matrices(ring):

@@ -24,8 +24,6 @@ PINF = 1 << 62  # sentinel p-valuation for the zero coefficient
 
 def _irreducible_poly(p, d, seed=0):
     """Monic irreducible polynomial of degree d over F_p (integer coeffs)."""
-    if d == 1:
-        return [0, 1]  # x
     import random
     rng = random.Random(seed * 1000003 + 17 * p + d)
     while True:
@@ -73,7 +71,7 @@ def _mul_matrix(a, f, mod):
 
 
 def _is_irreducible(f, p):
-    """Irreducibility of a monic f of degree d >= 2 over F_p.
+    """Irreducibility of a monic f of degree d over F_p.
 
     x^(p^k) - x is the product of the monic irreducibles whose degree divides
     k (Lidl & Niederreiter, Finite Fields, ch. 3), so f is irreducible iff
@@ -81,7 +79,7 @@ def _is_irreducible(f, p):
     multiplication matrix has full rank over F_p.
     """
     d = len(f) - 1
-    x = [0, 1] + [0] * (d - 2)
+    x = _polypow_mod([0, 1], 1, f, p)  # x reduced mod f
     xp = x
     for k in range(1, d + 1):
         xp = _polypow_mod(xp, p, f, p)

@@ -421,3 +421,39 @@ class TestDensityGoldenBytes:
         assert manifest.startswith(b"# cmd=density")
         assert rows.startswith(b"m,delta_naive,delta_recursive,agree\n")
         assert hashlib.sha256(rows).hexdigest() == digest
+
+
+class TestCrystalGoldenBytes:
+    """SHA-256 of the `crystal` CSV rows (header on; the manifest line carries
+    the profile path) for the superspecial and generic profiles of TestCli."""
+
+    SSP = {"p": 5, "case": "superspecial", "n": 1, "m": 2,
+           "series": {"x1": [[1, 1, 0]], "y1": [[1, 1, 0]],
+                      "x2": [[3, 1, 0]], "y2": [[2, 1, 0]]},
+           "T_max": 120, "R_max": 8}
+    GENERIC = {"p": 5, "case": "generic", "n": 2, "m": 1,
+               "series": {"x1": [[2, 1, 0]], "y1": [[1, 1, 0]],
+                          "xp1": [[2, 2, 0]], "yp1": [[1, 3, 0]]},
+               "T_max": 160, "R_max": 8, "seed": 5}
+    CASES = {
+        "ssp_e1": (SSP, ["--rmax", "1", "--w", "e1"],
+                   "5066f3915f1f428ef805916b00cf5a402bd55de1fffaa7c6a7ede394dc9c0c4f"),
+        "ssp_f1": (SSP, ["--rmax", "1", "--w", "f1"],
+                   "5066f3915f1f428ef805916b00cf5a402bd55de1fffaa7c6a7ede394dc9c0c4f"),
+        "ssp_eprime1": (SSP, ["--rmax", "1", "--w", "eprime1"],
+                        "0a41c5298e6b311286a03b564cbfdf2eaf5f14188730a2d2fe5631d07a7eca8e"),
+        "generic": (GENERIC, ["--rmax", "3"],
+                    "e78023616d15654a908405561bfe873c04c12af8fede98edb89f67d23b1698ff"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_crystal_rows(self, tmp_path, name):
+        prof, argv, digest = self.CASES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(prof))
+        out = tmp_path / f"{name}.csv"
+        assert main(["crystal", "--profile", str(path), "--out", str(out)] + argv) == 0
+        manifest, rows = out.read_bytes().split(b"\n", 1)
+        assert b"cmd=crystal " in manifest
+        assert rows.startswith(b"r,nu,decay_bound,schedule_bound,pass\n")
+        assert hashlib.sha256(rows).hexdigest() == digest

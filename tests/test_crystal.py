@@ -8,9 +8,7 @@ from orthocount.crystal import (
     CurveSubstitution,
     b0_prime_constant,
     b0_sym,
-    build_B0,
     build_Ki,
-    build_unipotents,
     crystal_ring,
     embed_s0,
     f_infinity_partial,
@@ -28,6 +26,7 @@ from orthocount.crystal import (
     split_gram_sym,
     ssp_s0prime,
     synthesize_s0prime,
+    unipotent_series,
     unipotent_sym,
 )
 from orthocount.intmat import mat_mul, transpose
@@ -60,6 +59,12 @@ class TestSymbolic:
         B = b0_sym(2, 5, [0])
         nonzero = {(i, j) for i in range(4) for j in range(4) if B[i][j]}
         assert nonzero == {(1, 0), (0, 3), (2, 1), (3, 2)}
+        assert B[2][1] == Fraction(1, 5)  # the p^{-1} entry
+        # (2, 2n) = p b_1 and (n+1, n+1) = -b_1
+        B = b0_sym(2, 5, [3])
+        nonzero = {(i, j) for i in range(4) for j in range(4) if B[i][j]}
+        assert nonzero == {(1, 0), (0, 3), (2, 1), (3, 2), (1, 3), (2, 2)}
+        assert B[1][3] == 15 and B[2][2] == -3
 
     def test_unipotent_orthogonal(self):
         for n, m in ((1, 2), (2, 1), (3, 0), (2, 2)):
@@ -109,37 +114,6 @@ class TestNonordinaryEquation:
             for m in (0, 1, 2, 3):
                 eq = nonordinary_equation(n, m, p=5)
                 assert eq == Poly.var("y1"), (n, m)
-
-
-class TestSeriesB0:
-    def test_printed_positions_n2(self):
-        ring = crystal_ring(5, 6, 2)
-        sr = SeriesRing(ring, 10)
-        B = build_B0(sr, 2, [0])
-        nonzero = {(i, j) for i in range(4) for j in range(4)
-                   if not B.entries[i][j].is_zero()}
-        assert nonzero == {(1, 0), (0, 3), (2, 1), (3, 2)}
-        assert B.entries[2][1].coeff(0)[0] == -1  # the p^{-1} entry
-
-    def test_nonzero_b_positions(self):
-        ring = crystal_ring(5, 6, 2)
-        sr = SeriesRing(ring, 10)
-        B = build_B0(sr, 2, [3])
-        nonzero = {(i, j) for i in range(4) for j in range(4)
-                   if not B.entries[i][j].is_zero()}
-        assert nonzero == {(1, 0), (0, 3), (2, 1), (3, 2), (1, 3), (2, 2)}
-        # (2, 2n) = p b_1 and (n+1, n+1) = -b_1
-        assert B.entries[1][3].coeff(0) == (1, (3, 0, 0, 0))
-        pv, un = B.entries[2][2].coeff(0)
-        assert pv == 0 and un[0] == ring.modulus - 3
-
-    def test_n1_degenerate(self):
-        ring = crystal_ring(5, 6, 1)
-        sr = SeriesRing(ring, 4)
-        B = build_B0(sr, 1)
-        assert B.entries[0][1].coeff(0)[0] == 1   # p
-        assert B.entries[1][0].coeff(0)[0] == -1  # p^{-1}
-        assert B.entries[0][0].is_zero() and B.entries[1][1].is_zero()
 
 
 class TestS0Synthesis:
@@ -203,6 +177,12 @@ class TestSuperspecialF:
         F = superspecial_F(coords)
         assert F.is_zero()
 
+    def test_superspecial_case_has_n_1(self):
+        sr = SeriesRing(superspecial_ring(5, 6), 20)
+        series = {k: sr.monomial(1, 1) for k in ("x1", "y1")}
+        with pytest.raises(ValueError, match="n = 1"):
+            CurveSubstitution("superspecial", 2, 1, sr, series)
+
     def test_block_structure(self):
         coords = _ssp_coords(tmax=100)
         F = superspecial_F(coords)
@@ -263,11 +243,61 @@ class TestSuperspecialF:
                     assert ok, (alpha, beta, i, j)
 
 
+def _printed_superspecial_F(coords):
+    """The printed t_P = 2 blocks of F, entry by entry: F_t from Q/2p and
+    lam, F_r from x_i/2p and y_i/2p (divided by lam on row 2), F_l with rows
+    (-y_i, lam y_i) over e'_i and (-x_i, lam x_i) over f'_i."""
+    sr, m = coords.sring, coords.m
+    ring = sr.ring
+    lam = ring.gen()
+    inv2 = ring.inv(ring.from_int(2))
+    inv2lam = ring.mul(inv2, ring.inv(lam))
+    Q = coords.q_series()
+    F = TSeriesMatrix.zero(sr, 2 + 2 * m)
+    F[0, 0] = Q.scale(inv2).pshift(-1)
+    F[0, 1] = Q.scale(ring.mul(lam, inv2)).neg().pshift(-1)
+    F[1, 0] = Q.scale(inv2lam).pshift(-1)
+    F[1, 1] = Q.scale(inv2).neg().pshift(-1)
+    for i in range(1, m + 1):
+        x, y = coords.series[f"x{i}"], coords.series[f"y{i}"]
+        F[0, 1 + i] = x.scale(inv2).pshift(-1)
+        F[0, 1 + m + i] = y.scale(inv2).pshift(-1)
+        F[1, 1 + i] = x.scale(inv2lam).pshift(-1)
+        F[1, 1 + m + i] = y.scale(inv2lam).pshift(-1)
+        F[1 + i, 0] = y.neg()
+        F[1 + i, 1] = y.scale(lam)
+        F[1 + m + i, 0] = x.neg()
+        F[1 + m + i, 1] = x.scale(lam)
+    return F
+
+
 class TestCrossEngine:
+    @pytest.mark.parametrize("p", [5, 7])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_superspecial_F_matches_printed_blocks(self, p, m):
+        ring = superspecial_ring(p, 6)
+        sr = SeriesRing(ring, 40)
+        rng = random.Random(100 * p + m)
+        q = p * p
+        coeffs = [ring.gen(), ring.neg(ring.one()), ring.from_int(3 * p)]
+
+        def draw(p_divisible):
+            s = sr.zero_series()
+            for _ in range(3):
+                c = rng.choice(coeffs + [ring.teichmuller_unit(rng.randrange(1, q - 1))])
+                s = s.add(sr.monomial(rng.randint(1, 9), c, pshift=int(p_divisible)))
+            return s
+
+        # the last substitution has only p-divisible coefficients
+        for p_divisible in (False, False, True):
+            series = {f"{v}{j}": draw(p_divisible) for v in "xy" for j in range(1, m + 1)}
+            coords = CurveSubstitution("superspecial", 1, m, sr, series)
+            assert _same_matrix(superspecial_F(coords), _printed_superspecial_F(coords))
+
     def test_superspecial_F_equals_conjugated_unipotent(self):
-        # the printed t_P = 2 Frobenius correction must coincide with
-        # S'(u'-I)S'^{-1} built by the generic pipeline at n = 1 with the
-        # explicit change of basis
+        # the t_P = 2 Frobenius correction must coincide with S'(u'-I)S'^{-1}
+        # built from a generic-case substitution at n = 1 (primed pairs named
+        # (xp_j, yp_j)) with the explicit change of basis
         ring = superspecial_ring(5, 8)
         sr = SeriesRing(ring, 120)
         m = 2
@@ -617,7 +647,7 @@ class TestGenericFInfinity:
         # u' = D u D^{-1} with D = diag(p^{-1} I_n, I): check entrywise
         exps = {"x1": 2, "y1": 1, "xp1": 2, "yp1": 1}
         coords, ring = _generic_coords(5, 2, 1, exps, tmax=60)
-        u, uprime = build_unipotents(coords)
+        u, uprime = unipotent_series(coords), unipotent_series(coords, primed=True)
         n, dim = coords.n, 2 * coords.n + 2 * coords.m
         for i in range(dim):
             for j in range(dim):

@@ -90,13 +90,13 @@ def _has_factor_by_trial_division(f, p):
 
 
 def test_is_irreducible_matches_trial_division():
-    # every monic f of degree 2..4 over F_p with p^d <= 2500; the number of
+    # every monic f of degree 1..4 over F_p with p^d <= 2500; the number of
     # irreducibles is Gauss's (1/d) sum_{e | d} mu(d/e) p^e
-    gauss = {2: lambda p: (p * p - p) // 2, 3: lambda p: (p ** 3 - p) // 3,
-             4: lambda p: (p ** 4 - p * p) // 4}
+    gauss = {1: lambda p: p, 2: lambda p: (p * p - p) // 2,
+             3: lambda p: (p ** 3 - p) // 3, 4: lambda p: (p ** 4 - p * p) // 4}
     total = 0
     for p in (2, 3, 5, 7):
-        for d in (2, 3, 4):
+        for d in (1, 2, 3, 4):
             if p ** d > 2500:
                 continue
             irreducible = 0
@@ -107,4 +107,4 @@ def test_is_irreducible_matches_trial_division():
                 irreducible += got
                 total += 1
             assert irreducible == gauss[d](p), (p, d)
-    assert total == 3713
+    assert total == 3730
