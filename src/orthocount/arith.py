@@ -281,7 +281,7 @@ def lvalue_closed_form(s, D):
     # imprimitive correction: chi_D = chi_{D0} on integers prime to D, but the
     # modulus includes the primes of g (and of D0 if doubled); remove their
     # Euler factors
-    extra = {p for p, _ in factorize(abs(D))} - {p for p, _ in factorize(abs(D0) if D0 != 1 else 1)}
+    extra = {p for p, _ in factorize(abs(D))} - {p for p, _ in factorize(abs(D0))}
     for p in sorted(extra):
-        q *= (1 - Fraction(chi_d(D0, p) if D0 != 1 else 1, p ** s))
+        q *= (1 - Fraction(chi_d(D0, p), p ** s))
     return q, s, d

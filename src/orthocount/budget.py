@@ -224,6 +224,10 @@ def contradiction_shape(p, b, case, global_sum, X, c3):
 # ---------------------------------------------------------------------------
 # the exponential-growth formal curve
 
+# levels starting at N <= EXPLICIT_LEVEL_CAP are materialized as lattices
+EXPLICIT_LEVEL_CAP = 30
+
+
 @dataclass
 class FormalCurve:
     p: int
@@ -235,7 +239,7 @@ class FormalCurve:
     sequence: NestedLatticeSequence | None  # explicit levels when small
 
 
-def formal_curve_sequence(p, c, q_e, q_f, j_max, explicit_level_cap=30):
+def formal_curve_sequence(p, c, q_e, q_f, j_max):
     """The recursively-defined curve with n_{j+1} = p^{2 n_j}.
 
     Levels L_N = span{e_i + (mu mod p^k) f_i, p^k f_i} for p^{k-1} < N <= p^k.
@@ -270,7 +274,7 @@ def formal_curve_sequence(p, c, q_e, q_f, j_max, explicit_level_cap=30):
     ambient = QuadLattice.from_rows(gram, positive_definite=True)
     levels = [(1, identity_basis(ambient))]
     k = 1
-    while p ** (k - 1) + 1 <= explicit_level_cap:
+    while p ** (k - 1) + 1 <= EXPLICIT_LEVEL_CAP:
         mu_k = _mu_mod(p, n_seq, k)
         cols = [[0] * (2 * c) for _ in range(2 * c)]
         for i in range(c):

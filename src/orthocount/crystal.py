@@ -390,13 +390,11 @@ def min_tval_at_pval(M, r, rows=None, cols=None):
 # ---------------------------------------------------------------------------
 # superspecial engine
 
-def superspecial_ring(p, R, theta=None):
-    """W(F_{p^2})/p^R as Z_p[lam]/(lam^2 - theta), theta a nonresidue."""
+def superspecial_ring(p, R):
+    """W(F_{p^2})/p^R as Z_p[lam]/(lam^2 - theta), theta the least quadratic
+    nonresidue mod p."""
     from .arith import kronecker
-    if theta is None:
-        theta = next(t for t in range(2, p) if kronecker(t, p) == -1)
-    if kronecker(theta, p) != -1:
-        raise ValueError("theta (= lam^2) must be a quadratic nonresidue mod p")
+    theta = next(t for t in range(2, p) if kronecker(t, p) == -1)
     return make_ring(p, R, 2, minpoly_modp=((-theta) % p ** R, 0, 1))
 
 

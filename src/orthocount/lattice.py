@@ -66,11 +66,6 @@ class QuadLattice:
     def q_value(self, v):
         return _q_value(self.gram, v)
 
-    def bilinear(self, v, w):
-        g = self.gram
-        r = self.rank
-        return sum(g[i][j] * v[i] * w[j] for i in range(r) for j in range(r))
-
 
 @dataclass(frozen=True)
 class SublatticeBasis:

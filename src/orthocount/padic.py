@@ -3,9 +3,10 @@
 W(F_{p^d})/p^R is realized as Z[x]/(f0(x), p^R) for a monic integer lift f0
 of an irreducible degree-d polynomial over F_p.  Elements are coordinate
 vectors in the x-power basis with entries mod p^R.  The canonical Frobenius
-sigma is computed from the Teichmuller representative tau of x (the p-adic
-limit of x^{q^k}), for which sigma(tau) = tau^p holds exactly; sigma is then
-a Z/p^R-linear map in the x-basis.
+sigma is the ring automorphism with sigma(x) = x^p mod p, so sigma(x) is the
+root of f0 that Hensel's lemma lifts from x^p, and sigma is the Z/p^R-linear
+map sending x^j to sigma(x)^j.  The Teichmuller representative tau of x (the
+p-adic limit of x^{q^k}) is kept for the Teichmuller units tau^k.
 
 R is capped so that unit products and d-term dot products stay inside int64;
 series kernels elsewhere rely on that.
@@ -16,16 +17,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import InvariantError
+from .arith import InvariantError, valuation
 from .intmat import fp_row_reduce
 
 PINF = 1 << 62  # sentinel p-valuation for the zero coefficient
 
 
-def _irreducible_poly(p, d, seed=0):
+def _irreducible_poly(p, d):
     """Monic irreducible polynomial of degree d over F_p (integer coeffs)."""
     import random
-    rng = random.Random(seed * 1000003 + 17 * p + d)
+    rng = random.Random(17 * p + d)
     while True:
         coeffs = [rng.randrange(p) for _ in range(d)] + [1]
         if _is_irreducible(coeffs, p):
@@ -151,17 +152,8 @@ class UnramifiedRing:
 
     def val(self, a):
         """min p-valuation across coordinates; PINF for zero."""
-        best = PINF
-        for c in a:
-            c %= self.modulus
-            if c == 0:
-                continue
-            v = 0
-            while c % self.p == 0:
-                c //= self.p
-                v += 1
-            best = min(best, v)
-        return best
+        M = self.modulus
+        return min(valuation(c % M, self.p, PINF) for c in a)
 
     def is_unit(self, a):
         return self.val(a) == 0
@@ -202,12 +194,12 @@ class UnramifiedRing:
 
 
 @lru_cache(maxsize=None)
-def make_ring(p, R, deg, minpoly_modp=None, seed=0):
+def make_ring(p, R, deg, minpoly_modp=None):
     """Construct W(F_{p^deg})/p^R with its canonical Frobenius.
 
     minpoly_modp optionally fixes the defining polynomial (tuple of deg+1
-    ints); by default a seeded irreducible polynomial is used.  For deg 2
-    one may pass (theta, 0, 1)-style X^2 - theta with theta a nonresidue.
+    ints); by default a fixed pseudo-random irreducible polynomial is used.
+    For deg 2 one may pass (theta, 0, 1)-style X^2 - theta with theta a nonresidue.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
@@ -218,7 +210,7 @@ def make_ring(p, R, deg, minpoly_modp=None, seed=0):
     if deg == 1:
         ring = UnramifiedRing(p, R, 1, (0, 1), ((1,),), ())
         return ring
-    f0 = list(minpoly_modp) if minpoly_modp is not None else _irreducible_poly(p, deg, seed)
+    f0 = list(minpoly_modp) if minpoly_modp is not None else _irreducible_poly(p, deg)
     if len(f0) != deg + 1 or f0[deg] % p != 1:
         raise ValueError("minpoly must be monic of degree deg")
     if not _is_irreducible(f0, p):
@@ -231,7 +223,7 @@ def make_ring(p, R, deg, minpoly_modp=None, seed=0):
     for _ in range(deg - 2):
         cur = _polymul_mod(cur, [0, 1], list(f), mod)
         red.append(tuple(cur))
-    # tau and sigma
+    # tau, for the Teichmuller units
     ring0 = UnramifiedRing(p, R, deg, f, tuple(tuple(int(i == j) for j in range(deg))
                                                for i in range(deg)), tuple(red))
     q = p ** deg
@@ -241,29 +233,24 @@ def make_ring(p, R, deg, minpoly_modp=None, seed=0):
     if ring0.pow(y, q - 1) != ring0.one():
         raise InvariantError("Teichmuller iteration failed")
     tau = y
-    # basis-change T: columns are tau^k in x-basis; sigma_x = T P T^{-1}
-    taup = ring0.pow(tau, p)
-    Tcols = []
-    Pcols = []
-    cur = ring0.one()
-    curp = ring0.one()
-    for k in range(deg):
-        Tcols.append(cur)
-        Pcols.append(curp)
-        cur = ring0.mul(cur, tau)
-        curp = ring0.mul(curp, taup)
-    # sigma(x^j): write x^j = sum c_k tau^k, then sigma(x^j) = sum c_k tau^{pk}
-    # solve T c = e_j mod p^R (T invertible: tau = x mod p)
-    Tmat = [[Tcols[k][i] for k in range(deg)] for i in range(deg)]
-    Tinv = _invert_mod_prime_power(Tmat, p, R)
-    sig_cols = []
-    for j in range(deg):
-        c = [Tinv[k][j] for k in range(deg)]
-        img = ring0.zero()
-        for k in range(deg):
-            img = ring0.add(img, tuple(c[k] * Pcols[k][i] % mod for i in range(deg)))
-        sig_cols.append(img)
-    sigma_mat = tuple(tuple(sig_cols[j][i] for j in range(deg)) for i in range(deg))
+    # sigma(x) is the root of f that Hensel's lemma lifts from x^p: f is
+    # irreducible, hence separable, mod p, so f'(s) is a unit and each Newton
+    # step doubles the precision
+    def at(coeffs, s):
+        acc = ring0.zero()
+        for c in reversed(coeffs):
+            acc = ring0.add(ring0.mul(acc, s), ring0.from_int(c))
+        return acc
+    df = [j * f[j] for j in range(1, deg + 1)]
+    s = ring0.pow(ring0.gen(), p)
+    for _ in range(R.bit_length() + 1):
+        s = ring0.sub(s, ring0.mul(at(f, s), ring0.inv(at(df, s))))
+    if any(at(f, s)):
+        raise InvariantError("sigma(x) must be a root of the minimal polynomial")
+    cols = [ring0.one()]
+    for _ in range(deg - 1):
+        cols.append(ring0.mul(cols[-1], s))
+    sigma_mat = tuple(tuple(col[i] for col in cols) for i in range(deg))
     ring = UnramifiedRing(p, R, deg, f, sigma_mat, tuple(red), tau)
     # sanity: sigma is a ring map lifting Frobenius, sigma^deg = id
     g = ring.gen()
@@ -278,27 +265,3 @@ def make_ring(p, R, deg, minpoly_modp=None, seed=0):
         raise InvariantError("sigma^deg must be the identity")
     return ring
 
-
-def _invert_mod_prime_power(A, p, R):
-    """Inverse of an integer matrix mod p^R; InvariantError if it is singular mod p."""
-    n = len(A)
-    mod = p ** R
-    # the mod-p inverse: row-reduce [A | I] once
-    rows, pivots = fp_row_reduce([list(row) + [int(i == j) for j in range(n)]
-                                  for i, row in enumerate(A)], p)
-    if pivots != list(range(n)):
-        raise InvariantError("matrix is singular mod p")
-    B = [row[n:] for row in rows]
-    # Newton lifting: B <- B(2I - AB) mod p^R
-    for _ in range(R.bit_length() + 1):
-        AB = [[sum(A[i][k] * B[k][j] for k in range(n)) % mod for j in range(n)]
-              for i in range(n)]
-        C = [[(2 * int(i == j) - AB[i][j]) % mod for j in range(n)] for i in range(n)]
-        B = [[sum(B[i][k] * C[k][j] for k in range(n)) % mod for j in range(n)]
-             for i in range(n)]
-    # verify
-    AB = [[sum(A[i][k] * B[k][j] for k in range(n)) % mod for j in range(n)]
-          for i in range(n)]
-    if any(AB[i][j] != int(i == j) for i in range(n) for j in range(n)):
-        raise InvariantError("Newton lifting did not invert the matrix")
-    return B

@@ -237,7 +237,7 @@ class TestFormalCurve:
             assert curve.m_values[j] <= 4 * 5 ** (2 * n_j)
 
     def test_explicit_levels_consistent(self):
-        curve = formal_curve_sequence(5, 1, 1, 1, j_max=1, explicit_level_cap=30)
+        curve = formal_curve_sequence(5, 1, 1, 1, j_max=1)
         seq = curve.sequence
         # v = e + 6f of norm 37 is in every materialized level up to n = 26
         v = [1, 6]
@@ -288,6 +288,6 @@ class TestFirstMin:
         assert rep.implied_constant > 0
 
     def test_formal_curve_positive(self):
-        curve = formal_curve_sequence(5, 1, 1, 1, j_max=1, explicit_level_cap=30)
+        curve = formal_curve_sequence(5, 1, 1, 1, j_max=1)
         rep = firstmin_check(curve.sequence, b=2)
         assert rep.implied_constant > 0

@@ -3,35 +3,73 @@ import random
 
 import pytest
 
-from orthocount.arith import InvariantError
-from orthocount.intmat import det_bareiss
-from orthocount.padic import _invert_mod_prime_power, _is_irreducible, make_ring
+from orthocount.crystal import superspecial_ring
+from orthocount.intmat import fp_row_reduce
+from orthocount.padic import _is_irreducible, make_ring
+
+from conftest import assert_fires_under_python_O
 
 
-class TestInvertModPrimePower:
-    def test_inverse_seeded(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            p = rng.choice([3, 5, 7])
-            n = rng.randint(1, 4)
-            R = rng.randint(1, 4)
-            mod = p ** R
-            A = [[rng.randrange(-30, 30) for _ in range(n)] for _ in range(n)]
-            if det_bareiss(A) % p == 0:
-                with pytest.raises(InvariantError, match="singular mod p"):
-                    _invert_mod_prime_power(A, p, R)
-                continue
-            B = _invert_mod_prime_power(A, p, R)
-            AB = [[sum(A[i][k] * B[k][j] for k in range(n)) % mod for j in range(n)]
-                  for i in range(n)]
-            assert AB == [[int(i == j) for j in range(n)] for i in range(n)]
+def _ref_invert_mod_prime_power(A, p, R):
+    """Inverse of an integer matrix mod p^R, A invertible mod p: the mod-p
+    inverse by row reduction, lifted by Newton's B <- B(2I - AB)."""
+    n = len(A)
+    mod = p ** R
+    rows, pivots = fp_row_reduce([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(A)], p)
+    assert pivots == list(range(n))
+    B = [row[n:] for row in rows]
+    for _ in range(R.bit_length() + 1):
+        AB = [[sum(A[i][k] * B[k][j] for k in range(n)) % mod for j in range(n)]
+              for i in range(n)]
+        C = [[(2 * int(i == j) - AB[i][j]) % mod for j in range(n)] for i in range(n)]
+        B = [[sum(B[i][k] * C[k][j] for k in range(n)) % mod for j in range(n)]
+             for i in range(n)]
+    assert all(sum(A[i][k] * B[k][j] for k in range(n)) % mod == int(i == j)
+               for i in range(n) for j in range(n))
+    return B
 
-    def test_singular_mod_p_raises(self):
-        with pytest.raises(InvariantError, match="singular mod p"):
-            _invert_mod_prime_power([[1, 1], [1, 1]], 5, 2)
-        # invertible over Q, singular mod 3
-        with pytest.raises(InvariantError, match="singular mod p"):
-            _invert_mod_prime_power([[1, 2], [2, 1]], 3, 3)
+
+def _ref_sigma_mat(ring):
+    """sigma in the x-basis through the Teichmuller basis change: sigma(tau) =
+    tau^p exactly, so writing x^j = sum_k c_k tau^k gives sigma(x^j) =
+    sum_k c_k tau^(pk).  T, with columns tau^k, is invertible since tau = x
+    mod p."""
+    deg, mod = ring.deg, ring.modulus
+    Tcols = [ring.teichmuller_unit(k) for k in range(deg)]
+    Pcols = [ring.teichmuller_unit(ring.p * k) for k in range(deg)]
+    Tinv = _ref_invert_mod_prime_power([[Tcols[k][i] for k in range(deg)]
+                                        for i in range(deg)], ring.p, ring.R)
+    return tuple(tuple(sum(Tinv[k][j] * Pcols[k][i] for k in range(deg)) % mod
+                       for j in range(deg)) for i in range(deg))
+
+
+@pytest.mark.parametrize("p, R, deg", [(2, 1, 2), (2, 6, 3), (2, 9, 5), (3, 1, 3),
+                                       (3, 4, 4), (3, 7, 2), (5, 3, 4), (7, 2, 3),
+                                       (11, 5, 2), (13, 3, 3)])
+def test_sigma_mat_matches_teichmuller_basis_change(p, R, deg):
+    ring = make_ring(p, R, deg)
+    assert ring.sigma_mat == _ref_sigma_mat(ring)
+
+
+@pytest.mark.parametrize("p, R", [(5, 3), (5, 8), (7, 6), (11, 3)])
+def test_superspecial_sigma_mat_matches_teichmuller_basis_change(p, R):
+    ring = superspecial_ring(p, R)
+    assert ring.sigma_mat == _ref_sigma_mat(ring)
+
+
+def test_sigma_root_check_fires_under_python_O():
+    # with inv patched to zero, Newton never leaves x^p; f(x^p) = 0 mod p but
+    # not mod p^3, so make_ring's root check must raise under python -O
+    assert_fires_under_python_O(
+        "from orthocount.padic import UnramifiedRing, make_ring\n"
+        "assert False, 'asserts are live'\n"
+        "UnramifiedRing.inv = lambda self, a: self.zero()\n",
+        "try:\n"
+        "    make_ring(7, 3, 3)\n"
+        "except InvariantError as e:\n"
+        "    if 'root of the minimal polynomial' in str(e):\n"
+        "        raise\n")
 
 
 @pytest.mark.parametrize("p, R, deg", [(3, 4, 1), (5, 3, 2), (7, 2, 3), (3, 3, 5)])
@@ -46,7 +84,7 @@ def test_unit_inverse(p, R, deg):
 
 @pytest.mark.parametrize("p,R,deg", [(5, 3, 2), (3, 4, 3), (2, 6, 2)])
 def test_teichmuller_from_make_ring(p, R, deg):
-    # make_ring keeps the tau it builds sigma from: tau^(q-1) = 1,
+    # make_ring keeps the Teichmuller tau of x: tau^(q-1) = 1,
     # sigma(tau) = tau^p, tau = x mod p, and teichmuller_unit reads it
     ring = make_ring(p, R, deg)
     q = p ** deg
