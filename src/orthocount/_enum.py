@@ -8,16 +8,29 @@ The pruning data is the completion of squares
 Q(v) = sum_i c_i (v_i + sum_{j>i} L_ij v_j)^2, whose c_i and L_ij are ratios
 of the minors of one fraction-free Bareiss elimination, rescaled to a single
 integer plan so the hot loop is integer-only -- no floating point in any bound.
-That plan does not depend on the bound, so it is built once per Gram matrix
-and cached; each bound then only needs the int64 certificate, whose
+That plan does not depend on the bound, so it is built once per Gram matrix and
+cached; each bound then only needs the int64 certificate, whose
 coordinate boxes |v_j| <= sqrt(2*bound*(G^-1)_jj) read the diagonal of the
 inverse off integer minors (Cramer's rule).
 One walk, `_walk`, serves every caller: it goes one level at a time over
 whole arrays of partial vectors and yields the leaves with their exact Q.
 It walks exactly the Gram matrix it is given.
 Its arrays are int64 when the certificate holds and Python ints
-(dtype=object) when it does not; the code is the same.  `theta_counts`
-bincounts the leaves' Q, `short_vectors` keeps the vectors in order of Q.
+(dtype=object) when it does not; the code is the same.
+
+`reduced_blocks` splits a Gram matrix into its orthogonal blocks and
+reduces each once; theta tables and successive minima both go block by
+block, so both ask for the walk of the same reduced block.
+`leaves` keeps the leaves of small walks.  A walk is small when its
+ellipsoid holds at most about LEAF_ROWS points; such a walk goes at least to
+the longest basis vector, so that its leaves hold the successive minima as
+well as the theta table, whichever is asked for first.  Per Gram matrix the
+deepest small walk so far is kept, sorted by Q, as read-only arrays; a
+smaller bound is a slice of it.  All kept leaves together stay within
+LEAF_BYTES, the oldest going first, and every update holds a lock.
+`theta_counts` bincounts the leaves' Q (a larger walk streams its leaves
+instead, and is not kept), and `short_vectors` returns the kept vectors in
+order of Q.
 A walk whose ellipsoid holds more than about WORK_GUARD points, or a theta
 table longer than WORK_GUARD, is refused before it starts.
 
@@ -25,6 +38,7 @@ Vectors are visited up to sign: the outermost nonzero coordinate is forced
 positive and counts are doubled afterwards.
 """
 
+import threading
 from functools import lru_cache
 from math import exp, gcd, isqrt, lcm, lgamma, log, pi, prod
 
@@ -35,6 +49,8 @@ from .intmat import det_bareiss, gram_pivots, lll_gram
 INT64_SAFE = 1 << 62
 CHUNK = 1 << 16  # frontier rows walked at once by _walk
 WORK_GUARD = 10 ** 8  # estimated lattice points; more is refused
+LEAF_ROWS = 1 << 14  # estimated lattice points of a walk whose leaves are kept
+LEAF_BYTES = 16 << 20  # all kept leaves together
 
 
 @lru_cache(maxsize=512)  # bounded: a long run meets many distinct Gram matrices
@@ -106,13 +122,19 @@ def _isqrt(a):
 _isqrt_object = np.frompyfunc(isqrt, 1, 1)
 
 
+def _log_points(r, bound, det):
+    """log of V_r * (2*bound)^(r/2) / sqrt(det), the estimated number of
+    lattice points in the ellipsoid {Q(v) <= bound}.  The float estimate
+    decides refusal and keeping only, never a result."""
+    if bound <= 0:
+        return 0.0
+    return r / 2 * log(2 * pi * bound) - lgamma(r / 2 + 1) - log(det) / 2
+
+
 def _check_work(r, bound, det):
     """Refuse a walk whose ellipsoid {Q(v) <= bound} holds more than about
-    WORK_GUARD lattice points, estimated as V_r * (2*bound)^(r/2) / sqrt(det).
-    The float estimate decides refusal only, never a result."""
-    if bound <= 0:
-        return
-    log_est = r / 2 * log(2 * pi * bound) - lgamma(r / 2 + 1) - log(det) / 2
+    WORK_GUARD lattice points."""
+    log_est = _log_points(r, bound, det)
     if log_est > log(WORK_GUARD):
         raise ValueError(
             f"enumeration to bound {bound} would visit about {exp(min(log_est, 700)):.3g} "
@@ -211,25 +233,125 @@ def block_components(gram):
     return comps
 
 
+@lru_cache(maxsize=512)  # a theta table and the minima of one lattice share it
+def reduced_blocks(gram):
+    """The reduced Gram matrix of each orthogonal block of a Gram matrix
+    given as a tuple of tuples."""
+    return tuple(reduced_gram(tuple(tuple(gram[i][j] for j in comp) for i in comp))
+                 for comp in block_components(gram))
+
+
+def _nbytes(entry):
+    """Bytes held by a kept (depth, q, v), an object array's Python ints
+    counted at 32 bytes each."""
+    _, q, v = entry
+    return q.nbytes + v.nbytes + (32 * v.size if v.dtype == object else 0)
+
+
+class _LeafStore:
+    """The deepest small walk so far per Gram matrix, as (depth, q, v), at
+    most `budget` bytes in all; past it the oldest entries go first.  Every
+    update holds the lock, so concurrent callers never see the dict change
+    size under them."""
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.nbytes = 0
+        self.entries = {}  # gram -> (depth, q, v), oldest first
+        self.lock = threading.Lock()
+
+    def get(self, key):
+        with self.lock:
+            return self.entries.get(key)
+
+    def put(self, key, entry):
+        with self.lock:
+            old = self.entries.pop(key, None)
+            if old is not None:
+                self.nbytes -= _nbytes(old)
+                if old[0] >= entry[0]:  # a concurrent caller walked deeper
+                    entry = old
+            self.entries[key] = entry
+            self.nbytes += _nbytes(entry)
+            while self.nbytes > self.budget:
+                self.nbytes -= _nbytes(self.entries.pop(next(iter(self.entries))))
+
+
+_STORE = _LeafStore(LEAF_BYTES)
+
+
+def _small(gram, bound):
+    """Whether the walk of gram (a tuple of tuples) to bound is one whose
+    leaves are kept: its ellipsoid holds at most about LEAF_ROWS points, so
+    it can never reach WORK_GUARD."""
+    return _log_points(len(gram), bound, _ldl_plan(gram)[5]) <= log(LEAF_ROWS)
+
+
+def leaves(gram, bound):
+    """(q, v) for every v with Q(v) <= bound, one per +-pair: q the int64
+    Q-values and v the vectors as rows, read-only, sorted by q with a stable
+    sort over walk order, so the zero vector comes first.
+
+    `_walk` yields its leaves in lexicographic order of (v[r-1], ..., v[0])
+    whatever the bound, so the leaves of a deeper walk with Q <= bound, in
+    that order, are the leaves of the walk to bound, and a kept walk answers
+    every smaller bound by a slice.  A small walk goes to max(bound, top),
+    top = max_i G_ii / 2 the longest basis vector.
+    """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    key = tuple(map(tuple, gram))
+    entry = _STORE.get(key)
+    if entry is None or entry[0] < bound:
+        depth = max(bound, max(row[i] for i, row in enumerate(key)) // 2)
+        if not _small(key, depth):
+            depth = bound
+        qs, paths = zip(*_walk(key, depth))
+        q = np.concatenate(qs)
+        order = np.argsort(q, kind="stable")
+        q = q[order]
+        v = np.concatenate([_coordinates(path) for path in paths])[order]
+        q.flags.writeable = v.flags.writeable = False
+        entry = (depth, q, v)
+        if _small(key, depth):
+            _STORE.put(key, entry)
+    _, q, v = entry
+    n = np.searchsorted(q, bound, side="right")
+    return q[:n], v[:n]
+
+
+def _block_counts(block, bound):
+    """int64 [#{v : Q(v)=q} for q = 0..bound] of a reduced block."""
+    if _small(block, bound):
+        counts = np.bincount(leaves(block, bound)[0], minlength=bound + 1)
+    else:
+        counts = np.zeros(bound + 1, dtype=np.int64)
+        for q, _ in _walk(block, bound):
+            c = np.bincount(q)
+            counts[:len(c)] += c
+    counts[1:] *= 2  # the walk visits each v != 0 up to sign, and 0 once
+    return counts
+
+
 def theta_counts(gram, bound):
     """[#{v : Q(v)=q} for q = 0..bound], split over orthogonal blocks, each
-    walked in its reduced basis, whose tables are merged by exact products
-    of series over Python ints."""
+    walked in its reduced basis.  A single block's table stays int64 up to
+    the returned list; two or more are merged by exact products of series
+    over Python ints."""
     if bound < 0:
         return []
     if bound + 1 > WORK_GUARD:
         raise ValueError(f"a theta table to bound {bound} has {bound + 1} entries, "
                          f"more than the {WORK_GUARD:.3g} guard")
-    total = np.zeros(bound + 1, dtype=object)
-    total[0] = 1
-    for comp in block_components(gram):
-        counts = np.zeros(bound + 1, dtype=np.int64)
-        block = reduced_gram(tuple(tuple(gram[i][j] for j in comp) for i in comp))
-        for q, _ in _walk(block, bound):
-            counts += np.bincount(q, minlength=bound + 1)
-        counts[1:] *= 2  # the walk visits each v != 0 up to sign, and 0 once
+    total = None
+    for block in reduced_blocks(tuple(map(tuple, gram))):
+        counts = _block_counts(block, bound)
+        if total is None:
+            total = counts
+            continue
         # one shifted row per nonzero term of the sparser series
-        a, b = sorted((total, counts.astype(object)), key=np.count_nonzero)
+        a, b = sorted((np.asarray(total, dtype=object), counts.astype(object)),
+                      key=np.count_nonzero)
         total = np.zeros(bound + 1, dtype=object)
         for k in np.flatnonzero(a):
             total[k:] += a[k] * b[:bound + 1 - k]
@@ -237,9 +359,6 @@ def theta_counts(gram, bound):
 
 
 def short_vectors(gram, bound):
-    """All v with 0 < Q(v) <= bound, one per +-pair, in order of Q."""
-    qs, paths = zip(*_walk(gram, bound))
-    q = np.concatenate(qs)
-    v = np.concatenate([_coordinates(path) for path in paths])
-    # the zero vector is the only one with Q = 0, so it sorts first
-    return v[np.argsort(q, kind="stable")[1:]].tolist()
+    """All v with 0 < Q(v) <= bound, one per +-pair, in order of Q (and of
+    the walk within one Q)."""
+    return leaves(gram, bound)[1][1:].tolist()

@@ -136,10 +136,11 @@ def _cmd_lattice(args):
     rows = [("det", Fraction(det)), ("disc_group_order", Fraction(disc)),
             ("elementary_divisors", ";".join(map(str, elementary_divisors(L))))]
     if L.positive_definite:
+        # the table first: its walk is kept and serves the minima as well
+        table = theta_table(L, args.mmax)
         mu_sq, a_sq = successive_minima(L)
         rows.append(("mu_sq", ";".join(map(str, mu_sq))))
         rows.append(("a_sq", ";".join(map(str, a_sq))))
-        table = theta_table(L, args.mmax)
         for m, c in enumerate(table):
             rows.append((f"r({m})", Fraction(c)))
     emit_table(rows, ["key", "value"], args.out,
@@ -218,16 +219,34 @@ def _e8():
     ], positive_definite=True)
 
 
+PROFILE_KEYS = ("p", "case", "m", "T_max", "series")  # n and R_max are optional
+
+
 def load_curve_profile(obj):
-    """Curve-profile JSON -> CurveSubstitution."""
+    """Curve-profile JSON -> CurveSubstitution.  A profile that is not an
+    object with the required keys, p prime >= 5 and n, m, T_max, R_max >= 1
+    is refused with a ValueError."""
+    from .arith import is_prime
     from .crystal import CurveSubstitution, crystal_ring, superspecial_ring
     from .series import SeriesRing
+    if not isinstance(obj, dict):
+        raise ValueError("a curve profile must be a JSON object")
+    missing = [key for key in PROFILE_KEYS if key not in obj]
+    if missing:
+        raise ValueError(f"the curve profile lacks {', '.join(missing)}")
     p = obj["p"]
     case = obj["case"]
     n = obj.get("n", 1)
     m = obj["m"]
     tmax = obj["T_max"]
     rmax = obj.get("R_max", 8)
+    if type(p) is not int or p < 5 or not is_prime(p):
+        raise ValueError(f"the profile's p must be a prime >= 5, not {p!r}")
+    for key, x in (("n", n), ("m", m), ("T_max", tmax), ("R_max", rmax)):
+        if type(x) is not int or x < 1:
+            raise ValueError(f"the profile's {key} must be an integer >= 1, not {x!r}")
+    if not isinstance(obj["series"], dict):
+        raise ValueError("the profile's series must be a JSON object")
     ring = superspecial_ring(p, rmax) if case == "superspecial" \
         else crystal_ring(p, rmax, n)
     sr = SeriesRing(ring, tmax)
@@ -251,7 +270,7 @@ def _cmd_crystal(args):
     from .valcomb import (SuperspecialProfile, min_set, schedule_hprime,
                           ssp_min_valuation)
     prof = _load_json(args.profile)
-    if args.tmax is not None:
+    if args.tmax is not None and isinstance(prof, dict):
         prof["T_max"] = args.tmax
     coords = load_curve_profile(prof)
     sr = coords.sring

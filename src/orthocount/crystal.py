@@ -392,8 +392,10 @@ def min_tval_at_pval(M, r, rows=None, cols=None):
 
 def superspecial_ring(p, R):
     """W(F_{p^2})/p^R as Z_p[lam]/(lam^2 - theta), theta the least quadratic
-    nonresidue mod p."""
-    from .arith import kronecker
+    nonresidue mod p, for an odd prime p."""
+    from .arith import is_prime, kronecker
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"the superspecial ring needs an odd prime p, not {p}")
     theta = next(t for t in range(2, p) if kronecker(t, p) == -1)
     return make_ring(p, R, 2, minpoly_modp=((-theta) % p ** R, 0, 1))
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._enum import reduced_gram, short_vectors, theta_counts
+from ._enum import reduced_blocks, short_vectors, theta_counts
 from .arith import InvariantError, is_prime, kronecker, valuation
 from .intmat import (
     det_bareiss,
@@ -143,17 +143,34 @@ def successive_minima(L):
 
     mu_sq[i-1] = mu_i^2 is the smallest y such that i linearly independent
     vectors of Q-value <= y exist; a_sq[i-1] = (mu_1 ... mu_i)^2.  Both do
-    not depend on the basis, so one walk in the LLL-reduced basis b_i finds
-    them, to top = max_i Q(b_i): the b_i are r independent vectors of
-    Q <= top, so mu_r^2 <= top, and the greedy pick of independent vectors
-    in order of Q is then exact.  LLL bounds top <= 2^(r-1) mu_r^2 (Lenstra,
-    Lenstra & Lovasz 1982), so the walk stays small however skewed the
-    basis of L is.
+    not depend on the basis, so they are found block by block, each
+    orthogonal block in its LLL-reduced basis b_i, by one walk to
+    top = max_i Q(b_i): the b_i are independent vectors of Q <= top, so the
+    block's last minimum is at most top, and the greedy pick of independent
+    vectors in order of Q is then exact.  LLL bounds top <= 2^(k-1) mu_k^2
+    for a block of rank k (Lenstra, Lenstra & Lovasz 1982), so the walk
+    stays small however skewed the basis of L is.  That walk is the one
+    `theta_table` keeps for the same reduced block, when it is small.
+
+    The minima of L = L_1 + L_2 (orthogonal) are the sorted union of the
+    minima of L_1 and L_2.  The union's i smallest come with independent
+    vectors of L of Q at most the i-th smallest, so mu_i(L) is at most it.
+    Conversely, let i independent vectors of L have Q <= lam.  Their
+    projections onto L_1 and L_2 are vectors of the blocks, with Q no larger
+    (Q(v) = Q(v_1) + Q(v_2), both terms >= 0), and they span subspaces of
+    dimensions a + b >= i.  So lam >= mu_a(L_1) and lam >= mu_b(L_2): at
+    least a + b >= i minima of the union are <= lam.
     """
     if not L.positive_definite:
         raise ValueError("successive minima need a positive definite lattice")
-    r = L.rank
-    R = reduced_gram(L.gram)
+    mu_sq = sorted(mu for R in reduced_blocks(L.gram) for mu in _block_minima(R))
+    return mu_sq, list(itertools.accumulate(mu_sq, lambda x, y: x * y))
+
+
+def _block_minima(R):
+    """The squared successive minima of a reduced Gram matrix R, by the
+    greedy pick over one walk to its longest basis vector."""
+    r = len(R)
     echelon, mu_sq = [], []
     for v in short_vectors(R, max(R[i][i] for i in range(r)) // 2):
         if _extend_echelon(echelon, v):
@@ -163,7 +180,7 @@ def successive_minima(L):
     if len(mu_sq) < r:
         raise InvariantError(f"{len(mu_sq)} independent vectors up to the longest "
                              f"reduced basis vector, expected {r}")
-    return mu_sq, list(itertools.accumulate(mu_sq, lambda x, y: x * y))
+    return mu_sq
 
 
 def _extend_echelon(echelon, v):
@@ -349,4 +366,9 @@ def lattice_to_json(L):
 
 
 def lattice_from_json(obj):
+    """The lattice of a JSON object with "gram", an optional "rank" that must
+    agree with it, and an optional "positive_definite"."""
+    n = len(obj["gram"])
+    if obj.get("rank", n) != n:
+        raise ValueError(f"rank {obj['rank']} disagrees with a {n}x{n} gram")
     return QuadLattice.from_rows(obj["gram"], bool(obj.get("positive_definite", False)))

@@ -259,6 +259,9 @@ def schedule_hprime(h, p, r_max, a=None):
 
 
 def schedules(h, p, r_max, a=None):
+    """(schedule_h, schedule_hprime) for a prime p."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, not {p}")
     return schedule_h(h, p, r_max), schedule_hprime(h, p, r_max, a)
 
 

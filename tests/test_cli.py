@@ -457,3 +457,107 @@ class TestCrystalGoldenBytes:
         assert b"cmd=crystal " in manifest
         assert rows.startswith(b"r,nu,decay_bound,schedule_bound,pass\n")
         assert hashlib.sha256(rows).hexdigest() == digest
+
+
+def _skewed_e8():
+    from conftest import E8_GRAM, random_unimodular
+
+    from orthocount.intmat import mat_mul, transpose
+    U = random_unimodular(__import__("random").Random(5), 8, steps=30)
+    return mat_mul(mat_mul(transpose(U), E8_GRAM), U)
+
+
+class TestLatticeGoldenBytes:
+    """SHA-256 of the `lattice` CSV rows (header on; the manifest line
+    carries the input path) at m <= 12, as the separate theta and minima
+    walks printed them: the table is now computed first and its kept walk
+    serves the minima."""
+
+    CASES = {
+        "E8": (_e_gram(8),
+               "cde9a336e82fb9c30253e08dcd6b5d1f07727d8b0d2355ff6efbc020e7439c14"),
+        "D8": (_d_gram(8),
+               "4bd9f94eb2e21902dc450c440a5a4bce78c2d1eef9a1a5b2ce3331f9b7292691"),
+        # three orthogonal blocks; the last minimum (20) is past the table
+        "A2_A2_40": ([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 1, 0],
+                      [0, 0, 1, 2, 0], [0, 0, 0, 0, 40]],
+                     "920f3e00563f646120d5647b2d742259545532f391cfa490e7f3dd74f24ed31b"),
+        # E8 in a basis of vectors up to Q ~ 10^4: the same invariants
+        "skewed_E8": (_skewed_e8(),
+                      "cde9a336e82fb9c30253e08dcd6b5d1f07727d8b0d2355ff6efbc020e7439c14"),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_lattice_rows(self, tmp_path, name):
+        gram, digest = self.CASES[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"rank": len(gram), "gram": gram,
+                                    "positive_definite": True}))
+        out = tmp_path / f"{name}.csv"
+        assert main(["lattice", "--in", str(path), "--mmax", "12", "--out", str(out)]) == 0
+        manifest, rows = out.read_bytes().split(b"\n", 1)
+        assert b"cmd=lattice " in manifest
+        assert rows.startswith(b"key,value\ndet,")
+        assert hashlib.sha256(rows).hexdigest() == digest
+
+
+class TestInputBoundary:
+    """Bad input exits 1 with a one-line message, never a traceback or the
+    exit code 2 of a broken invariant."""
+
+    SSP = TestCrystalGoldenBytes.SSP
+
+    @staticmethod
+    def refused(argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+        return err
+
+    @pytest.mark.parametrize("profile, message", [
+        (dict(SSP, p=2), "the profile's p must be a prime >= 5, not 2"),
+        (dict(SSP, p=4), "the profile's p must be a prime >= 5, not 4"),
+        (dict(SSP, p=3), "the profile's p must be a prime >= 5, not 3"),
+        ([SSP], "a curve profile must be a JSON object"),
+        (dict(SSP, T_max=0), "the profile's T_max must be an integer >= 1, not 0"),
+        (dict(SSP, m=0), "the profile's m must be an integer >= 1, not 0"),
+        (dict(SSP, n=0), "the profile's n must be an integer >= 1, not 0"),
+        (dict(SSP, R_max=-1), "the profile's R_max must be an integer >= 1, not -1"),
+        ({k: v for k, v in SSP.items() if k != "m"}, "the curve profile lacks m"),
+        ({"case": "generic"}, "the curve profile lacks p, m, T_max, series"),
+        (dict(SSP, series=[]), "the profile's series must be a JSON object"),
+    ], ids=["p2", "p4", "p3", "list", "tmax0", "m0", "n0", "rmax_neg", "no_m",
+            "four_missing", "series_list"])
+    def test_curve_profile(self, tmp_path, capsys, profile, message):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(profile))
+        # --tmax overrides T_max before the check, and must not trip first
+        for extra in ([], [] if "T_max" in message else ["--tmax", "40"]):
+            err = self.refused(["crystal", "--profile", str(path), "--rmax", "1",
+                                "--out", str(tmp_path / "c.csv")] + extra, capsys)
+            assert err == f"error: {message}\n"
+
+    def test_tmax_override_zero(self, tmp_path, capsys):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(self.SSP))
+        err = self.refused(["crystal", "--profile", str(path), "--tmax", "0",
+                            "--out", str(tmp_path / "c.csv")], capsys)
+        assert err == "error: the profile's T_max must be an integer >= 1, not 0\n"
+
+    def test_superspecial_ring_needs_an_odd_prime(self):
+        from orthocount.crystal import superspecial_ring
+        for p in (1, 2, 4, 9):
+            with pytest.raises(ValueError, match=f"needs an odd prime p, not {p}$"):
+                superspecial_ring(p, 4)
+
+    @pytest.mark.parametrize("p", ["1", "6", "0"])
+    def test_schedules_refuse_non_prime_p(self, p, capsys):
+        err = self.refused(["valcomb", "schedules", "--h", "1", "--p", p], capsys)
+        assert err == f"error: p must be prime, not {p}\n"
+
+    def test_lattice_rank_must_match_gram(self, tmp_path, capsys):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"rank": 3, "gram": [[2, 0], [0, 2]]}))
+        err = self.refused(["lattice", "--in", str(path), "--out", str(tmp_path / "x.csv")],
+                           capsys)
+        assert err == "error: rank 3 disagrees with a 2x2 gram\n"

@@ -1,7 +1,9 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
+
+import numpy as np
 
 import pytest
 
@@ -433,6 +435,216 @@ class TestOrthogonalBlocks:
             assert theta_table(L, bound) == expect
 
 
+def direct_leaves(gram, bound):
+    """(q, v) of one walk to bound as lists, stably sorted by q."""
+    from orthocount._enum import _coordinates, _walk
+    qs, vecs = [], []
+    for q, path in _walk(gram, bound):
+        qs += q.tolist()
+        vecs += _coordinates(path).tolist()
+    order = sorted(range(len(qs)), key=qs.__getitem__)
+    return [qs[i] for i in order], [vecs[i] for i in order]
+
+
+def box_minima(G):
+    """Squared successive minima by a full box scan to the longest basis
+    vector and integer ranks (test oracle)."""
+    bound = max(G[i][i] for i in range(len(G))) // 2
+    L = QuadLattice.from_rows(G, positive_definite=True)
+    vecs = sorted((v for v in itertools.product(*(range(-m, m + 1)
+                                                   for m in reference_vmax(G, bound)))
+                   if 0 < L.q_value(v) <= bound), key=L.q_value)
+    indep, mu_sq = [], []
+    for v in vecs:
+        if not kernel_basis([list(col) for col in zip(*(indep + [list(v)]))]):
+            indep.append(list(v))
+            mu_sq.append(L.q_value(v))
+    return mu_sq
+
+
+def orthogonal_sum(blocks, perm):
+    """The block-diagonal gram of `blocks`, its basis permuted by perm."""
+    rank = sum(map(len, blocks))
+    G = [[0] * rank for _ in range(rank)]
+    k = 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            G[k + i][k:k + len(B)] = row
+        k += len(B)
+    return [[G[i][j] for j in perm] for i in perm]
+
+
+class TestLeafStore:
+    @pytest.fixture(autouse=True)
+    def fresh_store(self, monkeypatch):
+        from orthocount import _enum
+        monkeypatch.setattr(_enum, "_STORE", _enum._LeafStore(_enum.LEAF_BYTES))
+        return _enum
+
+    @staticmethod
+    def check_slices(G, deep):
+        """Keep the walk of G to deep, then every smaller bound must be its
+        slice, equal to a direct walk, order included."""
+        from orthocount import _enum
+        _enum.leaves(G, deep)
+        depth, q, v = _enum._STORE.entries[tuple(map(tuple, G))]
+        assert depth >= deep
+        for b in sorted({0, 1, deep // 2, deep - 1, deep}):
+            got_q, got_v = _enum.leaves(G, b)
+            assert (got_q.tolist(), got_v.tolist()) == direct_leaves(G, b)
+        return v.dtype
+
+    def test_slices_equal_direct_walks(self, rng):
+        from orthocount._enum import _small
+        kept = 0
+        for G, bound in kernel_cases(rng):
+            if _small(tuple(map(tuple, G)), max(bound, 1)):
+                self.check_slices(G, max(bound, 1))
+                kept += 1
+        assert kept >= 20
+
+    def test_slices_equal_direct_walks_e8(self):
+        # E8 to 3 holds about 5,300 points, so its walk is kept; to 6 it
+        # holds about 84,000 and is not
+        from orthocount import _enum
+        assert self.check_slices(E8_GRAM, 3) == np.int64
+        _enum.leaves(E8_GRAM, 6)
+        assert _enum._STORE.entries[tuple(map(tuple, E8_GRAM))][0] == 3
+
+    def test_slices_equal_direct_walks_unsafe(self):
+        # the longest basis vector (Q = 10^9) is far too deep to keep, so the
+        # kept walk goes to the bound asked for, over Python ints
+        from orthocount._enum import cholesky_plan
+        assert cholesky_plan(UNSAFE_GRAM, 12)[4] is False
+        assert self.check_slices(UNSAFE_GRAM, 12) == object
+
+    def test_deeper_bound_walks_again(self, fresh_store):
+        _enum = fresh_store
+        _enum.leaves([[2, 1], [1, 2]], 3)
+        assert _enum._STORE.entries[((2, 1), (1, 2))][0] == 3
+        q, v = _enum.leaves([[2, 1], [1, 2]], 9)
+        assert _enum._STORE.entries[((2, 1), (1, 2))][0] == 9
+        assert (q.tolist(), v.tolist()) == direct_leaves([[2, 1], [1, 2]], 9)
+
+    def test_leaves_are_read_only(self, fresh_store):
+        _enum = fresh_store
+        q, v = _enum.leaves(E8_GRAM, 2)
+        for a in (q, v, *_enum._STORE.entries[tuple(map(tuple, E8_GRAM))][1:]):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            q[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            v[0, 0] = 1
+        with pytest.raises(ValueError, match="bound must be >= 0"):
+            _enum.leaves(E8_GRAM, -1)
+
+    def test_byte_budget_evicts_oldest(self, monkeypatch, fresh_store):
+        _enum = fresh_store
+        grams = [((2 * k,),) for k in range(1, 7)]  # Q = k x^2
+        for g in grams:
+            _enum.leaves(g, 40)
+        sizes = {g: _enum._nbytes(e) for g, e in _enum._STORE.entries.items()}
+        assert _enum._STORE.nbytes == sum(sizes.values())
+        # a budget that holds the last three: the first three go, oldest first
+        store = _enum._LeafStore(sum(sizes[g] for g in grams[3:]))
+        monkeypatch.setattr(_enum, "_STORE", store)
+        walks = []
+        real = _enum._walk
+        monkeypatch.setattr(_enum, "_walk", lambda g, b: walks.append(g) or real(g, b))
+        for g in grams:
+            _enum.leaves(g, 40)
+        assert list(store.entries) == grams[3:]
+        assert store.nbytes == store.budget
+        _enum.leaves(grams[5], 10)  # kept: no walk
+        _enum.leaves(grams[0], 10)  # evicted: walked again, and evicts grams[3]
+        assert walks == grams + [grams[0]]
+        assert list(store.entries) == grams[4:] + [grams[0]]
+        assert store.nbytes <= store.budget
+        # an entry larger than the whole budget is not kept
+        monkeypatch.setattr(_enum, "_STORE", _enum._LeafStore(64))
+        _enum.leaves(grams[0], 40)
+        assert _enum._STORE.entries == {} and _enum._STORE.nbytes == 0
+
+    def test_concurrent_callers(self, monkeypatch, fresh_store):
+        # more threads than cores share one store whose budget holds only a
+        # few entries, so puts and evictions interleave: every answer must
+        # still be the direct walk's, and the byte count must match the
+        # entries left (a lost update of either breaks it)
+        import sys
+        import threading
+        _enum = fresh_store
+        grams = [((2 * k, 1), (1, 2 * k + 2)) for k in range(1, 9)]
+        expect = {(g, b): direct_leaves(g, b) for g in grams for b in (3, 12)}
+        for g in grams:
+            _enum.leaves(g, 12)
+        kept = dict(_enum._STORE.entries)
+        store = _enum._LeafStore(600)  # all eight hold 1,200 bytes
+        monkeypatch.setattr(_enum, "_STORE", store)
+        errors = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            for g, b in rng.sample(sorted(expect), len(expect)) * 2:
+                q, v = _enum.leaves(g, b)
+                if (q.tolist(), v.tolist()) != expect[g, b]:
+                    errors.append((g, b))
+            for _ in range(10000):
+                g = rng.choice(grams)
+                store.put(g, kept[g])
+                store.get(rng.choice(grams))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert store.nbytes == sum(map(_enum._nbytes, store.entries.values())) <= store.budget
+        assert 0 < len(store.entries) < len(grams)
+
+    def test_minima_of_orthogonal_sums(self, rng):
+        # the sorted union of the block minima, as the docstring proves, and
+        # the box scan of the whole lattice
+        for ranks in ((1, 1), (1, 2), (2, 2), (1, 1, 2), (3, 1), (1, 2, 1)):
+            while True:
+                blocks = [random_posdef_gram(rng, k, spread=2) for k in ranks]
+                perm = list(range(sum(ranks)))
+                rng.shuffle(perm)
+                G = orthogonal_sum(blocks, perm)
+                top = max(G[i][i] for i in range(len(G))) // 2
+                if prod(2 * m + 1 for m in reference_vmax(G, top)) <= 20000:
+                    break
+            L = QuadLattice.from_rows(G, positive_definite=True)
+            mu_sq, a_sq = successive_minima(L)
+            union = sorted(mu for B in blocks for mu in successive_minima(
+                QuadLattice.from_rows(B, positive_definite=True))[0])
+            assert mu_sq == union == box_minima(G)
+            assert a_sq == list(itertools.accumulate(mu_sq, lambda x, y: x * y))
+
+    def test_theta_table_bytes(self):
+        # one block keeps its int64 counts until the returned list: about 16
+        # bytes an entry at the peak, where the object-array merge of every
+        # table took 40
+        import tracemalloc
+        from orthocount._enum import theta_counts
+        bound = 10 ** 6
+        theta_counts([[2]], 10)
+        tracemalloc.start()
+        try:
+            table = theta_counts([[2]], bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(table) == 2 * isqrt(bound) + 1
+        assert peak < 20 * (bound + 1)
+
+
 class TestPlan:
     @staticmethod
     def check_plan(G, bound, rng):
@@ -500,23 +712,32 @@ class TestPlan:
                 L = QuadLattice.from_rows(G, positive_definite=True)
                 assert vecs == sorted(expect, key=L.q_value)
 
-    # every walk looks the plan of its reduced gram up once, and
-    # successive_minima walks once, so both cases hit exactly once
-    @pytest.mark.parametrize("gram, builds", [
-        ([[20, 3], [3, 30]], 1),  # one block: the minima walk hits theta's plan
-        # blocks A2, A2 and [40]: two distinct blocks, plus the whole gram
-        # that successive_minima enumerates on; the second A2 walk hits
+    # theta_table keeps the walk of each small reduced block, to at least
+    # its longest basis vector, and successive_minima reads its minima off
+    # those leaves: one walk per distinct reduced block, although every
+    # last minimum is beyond the table's bound 8
+    @pytest.mark.parametrize("gram, walks", [
+        ([[20, 3], [3, 30]], 1),  # indecomposable: theta and minima share one walk
+        # blocks A2, A2 and [40]: both A2 reduce to the same gram, whose
+        # leaves the second one reads; [40] is walked once, to 20
         ([[2, 1, 0, 0, 0], [1, 2, 0, 0, 0], [0, 0, 2, 1, 0], [0, 0, 1, 2, 0],
-          [0, 0, 0, 0, 40]], 3),
-    ])
-    def test_one_ldl_per_gram(self, gram, builds):
-        from orthocount._enum import _ldl_plan
+          [0, 0, 0, 0, 40]], 2),
+    ], ids=["indecomposable", "a2_a2_40"])
+    def test_one_walk_per_block(self, monkeypatch, gram, walks):
+        from orthocount import _enum
+        bounds = []
+        real = _enum._walk
+
+        def spy(g, bound, **kw):
+            bounds.append(bound)
+            return real(g, bound, **kw)
+
+        monkeypatch.setattr(_enum, "_walk", spy)
+        monkeypatch.setattr(_enum, "_STORE", _enum._LeafStore(_enum.LEAF_BYTES))
         L = QuadLattice.from_rows(gram, positive_definite=True)
-        _ldl_plan.cache_clear()
         theta_table(L, 8)
         mu_sq, _ = successive_minima(L)
-        info = _ldl_plan.cache_info()
-        assert (info.misses, info.hits) == (builds, 1)
+        assert len(bounds) == walks
         assert max(mu_sq) > 8
 
 
@@ -617,28 +838,32 @@ class TestSuccessiveMinima:
     def test_too_few_independent_vectors_raise(self, monkeypatch):
         # the reduced basis guarantees r independent vectors in the one walk;
         # a walk that lost some is a broken invariant, not a shorter answer
+        # (on A2: X2Y2 splits into two rank-1 blocks, one vector each)
         import orthocount.lattice as lattice
         from orthocount._enum import short_vectors
         monkeypatch.setattr(lattice, "short_vectors", lambda g, b: short_vectors(g, b)[:1])
+        A2 = QuadLattice.from_rows([[2, 1], [1, 2]], positive_definite=True)
         with pytest.raises(InvariantError, match="1 independent vectors"):
-            successive_minima(X2Y2)
+            successive_minima(A2)
 
     @pytest.mark.parametrize("steps", [30, 60])
     def test_skewed_e8(self, e8, steps):
         # E8 in a basis of vectors up to Q ~ 10^4 (30 steps) or 10^6 (60):
         # the reduced basis brings theta and minima back to E8's own cost
         import time
-        from orthocount._enum import reduced_gram
+        from orthocount._enum import reduced_blocks, reduced_gram
         U = random_unimodular(random.Random(5), 8, steps=steps)
         L = QuadLattice.from_rows(mat_mul(mat_mul(transpose(U), E8_GRAM), U),
                                   positive_definite=True)
         assert max(L.gram[i][i] for i in range(8)) > 10 ** 4
         expect = theta_table(e8, 10)
         reduced_gram.cache_clear()
+        reduced_blocks.cache_clear()
         t = time.perf_counter()
         assert theta_table(L, 10) == expect
         assert time.perf_counter() - t < 1
         reduced_gram.cache_clear()
+        reduced_blocks.cache_clear()
         t = time.perf_counter()
         assert successive_minima(L) == ([1] * 8, [1] * 8)
         assert time.perf_counter() - t < 1
