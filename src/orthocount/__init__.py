@@ -13,6 +13,7 @@ from .budget import (  # noqa: F401
     local_intersection,
     ssmain_bound,
 )
+from .crystal import moore_checks, nonordinary_equation  # noqa: F401
 from .density import (  # noqa: F401
     local_density,
     local_density_naive,

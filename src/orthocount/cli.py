@@ -9,7 +9,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .tableio import emit_table, parse_rational
+from .tableio import emit_table, json_object, parse_rational
 
 
 class VerificationFailure(Exception):
@@ -28,6 +28,13 @@ def main(argv=None):
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+
+
+# the least value of each bounded integer option, by subcommand
+LEAST = {"lattice": {"mmax": 0}, "density": {"p": 3}, "valcomb min-set": {"rmax": 1},
+         "valcomb verify-minval": {"rmax": 1, "nmax": 1}, "valcomb schedules": {"h": 1},
+         "valcomb ssp-min": {"rmax": 0}, "budget ssmain-table": {"b": 3},
+         "budget formal-curve": {"jmax": 0}}
 
 
 def _dispatch(argv):
@@ -113,6 +120,10 @@ def _dispatch(argv):
     b4.add_argument("--out", default="-")
 
     args = ap.parse_args(argv)
+    command = " ".join(filter(None, (args.cmd, getattr(args, "mode", None))))
+    for flag, least in LEAST.get(command, {}).items():
+        if getattr(args, flag) < least:
+            raise ValueError(f"--{flag} must be >= {least}")
     return {
         "lattice": _cmd_lattice,
         "density": _cmd_density,
@@ -129,12 +140,12 @@ def _load_json(path):
 
 
 def _cmd_lattice(args):
-    from .lattice import (det_and_disc_group, elementary_divisors,
-                          lattice_from_json, successive_minima, theta_table)
+    from .intmat import smith_normal_form
+    from .lattice import det_and_disc_group, lattice_from_json, successive_minima, theta_table
     L = lattice_from_json(_load_json(args.infile))
     det, disc = det_and_disc_group(L)
     rows = [("det", Fraction(det)), ("disc_group_order", Fraction(disc)),
-            ("elementary_divisors", ";".join(map(str, elementary_divisors(L))))]
+            ("elementary_divisors", ";".join(map(str, smith_normal_form(L.gram_rows()))))]
     if L.positive_definite:
         # the table first: its walk is kept and serves the minima as well
         table = theta_table(L, args.mmax)
@@ -152,8 +163,6 @@ def _cmd_density(args):
     from .density import local_density_naive, local_density_recursive
     from .lattice import lattice_from_json
     L = lattice_from_json(_load_json(args.infile))
-    if args.p < 3:
-        raise ValueError("p must be an odd prime")
     rows = []
     ok = True
     for m in range(1, args.mmax + 1):
@@ -229,11 +238,7 @@ def load_curve_profile(obj):
     from .arith import is_prime
     from .crystal import CurveSubstitution, crystal_ring, superspecial_ring
     from .series import SeriesRing
-    if not isinstance(obj, dict):
-        raise ValueError("a curve profile must be a JSON object")
-    missing = [key for key in PROFILE_KEYS if key not in obj]
-    if missing:
-        raise ValueError(f"the curve profile lacks {', '.join(missing)}")
+    json_object(obj, "curve profile", PROFILE_KEYS)
     p = obj["p"]
     case = obj["case"]
     n = obj.get("n", 1)
@@ -250,16 +255,15 @@ def load_curve_profile(obj):
     ring = superspecial_ring(p, rmax) if case == "superspecial" \
         else crystal_ring(p, rmax, n)
     sr = SeriesRing(ring, tmax)
-    series = {}
-    for name, terms in obj["series"].items():
-        s = sr.zero_series()
-        for t_exp, unit, pval in terms:
-            if isinstance(unit, list):  # extension-ring coordinates
-                coeff = tuple(int(x) for x in unit) + (0,) * (ring.deg - len(unit))
-            else:
-                coeff = int(unit)
-            s = s.add(sr.monomial(int(t_exp), coeff, pshift=int(pval)))
-        series[name] = s
+
+    def coeff(unit):
+        if isinstance(unit, list):  # extension-ring coordinates
+            return tuple(int(x) for x in unit) + (0,) * (ring.deg - len(unit))
+        return int(unit)
+
+    series = {name: sr.from_terms((int(t_exp), coeff(unit), int(pval))
+                                  for t_exp, unit, pval in terms)
+              for name, terms in obj["series"].items()}
     return CurveSubstitution(case, n, m, sr, series)
 
 
@@ -335,10 +339,6 @@ def _cmd_valcomb(args):
 
     from .valcomb import (SuperspecialProfile, ValuationProfile, min_set,
                           schedules, ssp_min_valuation, verify_minval)
-    if args.mode in ("min-set", "verify-minval"):
-        for flag in ("rmax", "nmax"):
-            if getattr(args, flag, 1) < 1:
-                raise ValueError(f"--{flag} must be >= 1")
     if args.mode == "min-set":
         a = tuple(int(x) for x in args.a.split(","))
         prof = ValuationProfile(n=args.n, p=args.p, a=a)
@@ -422,10 +422,13 @@ def _cmd_budget(args):
                              "jmax": args.jmax})
         return 0
     if args.mode == "ledger":
-        obj = _load_json(args.infile)
+        obj = json_object(_load_json(args.infile), "ledger", ("p", "omegaC", "points"),
+                          lists=("points",))
+        points = [json_object(pt, "ledger point", ("label", "h", "type"))
+                  for pt in obj["points"]]
         budget = CurveBudget(
             obj["p"], parse_rational(obj["omegaC"]),
-            tuple((pt["label"], pt["h"], pt["type"]) for pt in obj["points"]))
+            tuple((pt["label"], pt["h"], pt["type"]) for pt in points))
         ql = parse_rational(args.ql)
         total, target, ok = budget.ledger_identity(ql)
         emit_table([("mass", Fraction(budget.mass())),
@@ -441,11 +444,13 @@ def _cmd_budget(args):
     if args.mode == "intersect":
         from .budget import NestedLatticeSequence
         from .lattice import SublatticeBasis, lattice_from_json
-        obj = _load_json(args.infile)
+        obj = json_object(_load_json(args.infile), "nested lattice sequence",
+                          ("ambient", "levels"), lists=("levels",))
         ambient = lattice_from_json(obj["ambient"])
         levels = tuple(
             (lvl["n_start"], SublatticeBasis.from_cols(ambient, lvl["cols"]))
-            for lvl in obj["levels"])
+            for lvl in (json_object(lvl, "sequence level", ("n_start", "cols"))
+                        for lvl in obj["levels"]))
         seq = NestedLatticeSequence(ambient, levels)
         rows = [(m, local_intersection(seq, m, args.ncap))
                 for m in range(1, args.mmax + 1)]

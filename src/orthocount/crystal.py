@@ -28,6 +28,7 @@ to zero, and once terms cancel a different order can give different bytes.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -42,34 +43,16 @@ from .valcomb import ValuationProfile
 # ---------------------------------------------------------------------------
 # symbolic layer
 
-def b0_sym(n, p, b_coeffs=None):
-    """The 2n x 2n constant Frobenius matrix (entries in Q[b_i] as Poly)."""
-    b = list(b_coeffs) if b_coeffs is not None else [0] * (n - 1)
-    if len(b) != max(n - 1, 0):
-        raise ValueError("need n-1 coefficients")
+def b0_sym(n, p):
+    """The 2n x 2n constant Frobenius matrix at b = 0 (the shipped default)
+    with Poly entries: ones below the diagonal of both n x n halves, p at
+    (1, 2n) and 1/p at (n+1, n)."""
     B = [[Poly() for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(1, n):  # (i+1, i) = 1
-        B[i][i - 1] = Poly.const(1)
+    for i in range(1, n):  # (i+1, i) = (n+1+i, n+i) = 1
+        B[i][i - 1], B[n + i][n + i - 1] = Poly.const(1), Poly.const(1)
     B[0][2 * n - 1] = Poly.const(p)
-    for i in range(2, n + 1):  # (i, 2n) = p b_{i-1}
-        B[i - 1][2 * n - 1] = Poly.const(p) * Poly.const(b[i - 2])
     B[n][n - 1] = Poly.const(Fraction(1, p))
-    for i in range(1, n):  # (n+1, n+i) = -b_i
-        B[n][n + i - 1] = Poly.const(-b[i - 1])
-    for i in range(1, n):  # (n+1+i, n+i) = 1
-        B[n + i][n + i - 1] = Poly.const(1)
     return B
-
-
-def split_gram_sym(n, m=0):
-    """Gram [[0,I],[I,0]] on the 2n block, extended hyperbolically on 2m."""
-    dim = 2 * n + 2 * m
-    G = [[Poly() for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        G[i][n + i] = G[n + i][i] = Poly.const(1)
-    for j in range(m):
-        G[2 * n + j][2 * n + m + j] = G[2 * n + m + j][2 * n + j] = Poly.const(1)
-    return G
 
 
 def _pairs(case, n, m):
@@ -104,15 +87,13 @@ def curve_names(case, n, m):
     return [name for pair in plain + primed for name in pair]
 
 
-def unipotent_sym(n, m, primed=False, p=None):
-    """The tautological (primed: conjugated) unipotent u as a Poly matrix."""
-    if primed and p is None:
-        raise ValueError("primed form needs p")
+def unipotent_sym(n, m):
+    """The tautological unipotent u as a Poly matrix."""
     dim = 2 * n + 2 * m
     u = [[Poly.const(int(i == j)) for j in range(dim)] for i in range(dim)]
-    for i, j, name, sign, over_p in _unipotent_layout("generic", n, m):
+    for i, j, name, sign, _ in _unipotent_layout("generic", n, m):
         e = q_polynomial(n, m) if name == "Q" else Poly.var(name)
-        u[i][j] = u[i][j] + (e if sign > 0 else -e) * (Fraction(1, p) if primed and over_p else 1)
+        u[i][j] = u[i][j] + (e if sign > 0 else -e)
     return u
 
 
@@ -199,15 +180,6 @@ def ring_mat_inv(ring, A):
                 f = M[i][c]
                 M[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(M[i], M[c])]
     return tuple(tuple(M[i][nn + j] for j in range(nn)) for i in range(nn))
-
-
-def b0_prime_constant(n):
-    """B'_0 for b = 0 as an integer matrix (a cyclic permutation)."""
-    B = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(1, 2 * n):
-        B[i][i - 1] = 1
-    B[0][2 * n - 1] = 1
-    return B
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +303,6 @@ def frobenius_F(coords, s0, s0inv):
     return Sp.mul(uprime.sub(I)).mul(Spi)
 
 
-def build_Ki(coords, s0, s0inv):
-    """K_1..K_{n+1} from the printed single/two-entry A_i matrices."""
-    if coords.case != "generic":
-        raise ValueError("generic case only")
-    n, sring = coords.n, coords.sring
-    dim = 2 * n
-    left, right = embed_s0(sring, s0, 0), embed_s0(sring, s0inv, 0)
-    out = []
-    for i in range(1, n + 2):
-        A = TSeriesMatrix.zero(sring, dim)
-        Yi = coords.y_series(i)
-        if i < n:
-            A[n - 1, n + i - 1] = Yi.pshift(-1)
-            A[i - 1, 2 * n - 1] = Yi.neg().pshift(-1)
-        else:
-            A[n - 1, 2 * n - 1] = Yi.pshift(-1)
-        out.append(left.mul(A).mul(right.sigma_twist() if i == n + 1 else right))
-    return out
-
-
 def f_infinity_partial(F, N):
     """prod_{i=0}^{N-1} (I + F^(i)), exact within the truncation window.
 
@@ -425,16 +377,6 @@ def superspecial_F(coords):
     return frobenius_F(coords, *ssp_s0prime(ring))
 
 
-def mn_matrices(ring):
-    """The constant 2x2 matrices M = [[1,-lam],[1/lam,-1]]/2, N = [[1,lam],[1/lam,1]]/2."""
-    lam = ring.gen()
-    laminv = ring.inv(lam)
-    inv2 = ring.inv(ring.from_int(2))
-    M = ((inv2, ring.neg(ring.mul(inv2, lam))), (ring.mul(inv2, laminv), ring.neg(inv2)))
-    N = ((inv2, ring.mul(inv2, lam)), (ring.mul(inv2, laminv), inv2))
-    return M, N
-
-
 # ---------------------------------------------------------------------------
 # horizontal sections and decay
 
@@ -494,35 +436,24 @@ class MooreReport:
                 and all(d <= self.kernel_bound for d in self.kernel_dims))
 
 
-def _all_fp_vectors(p, k):
-    """(p^k, k) array of all vectors over F_p."""
-    total = p ** k
-    flat = np.arange(total, dtype=np.int64)
-    V = np.empty((total, k), dtype=np.int64)
-    for i in range(k):
-        V[:, i] = flat % p
-        flat = flat // p
-    return V
-
-
 def moore_checks(n, p, trials=50, seed=0):
-    """Exhaustive verification of the row-pairing and kernel-dimension
-    claims for the synthesized change of basis over F_{p^{2n}}."""
+    """Verification of the row-pairing and kernel-dimension claims for the
+    synthesized change of basis over F_{p^{2n}}, by ranks over F_p: a row of
+    2n elements of F_{p^d} is a 2n x d matrix A over F_p (their coordinates),
+    and the v in F_p^{2n} it sends to 0 form a kernel of dimension 2n - rank A."""
     ring = make_ring(p, 1, 2 * n)
     _, sinv = synthesize_s0prime(ring, n, seed=seed)
     d = ring.deg
     rn1 = [sinv[n][j] for j in range(2 * n)]  # row n+1, 0-based index n
 
-    def sig_row(row, k):
-        return [ring.sigma(x, k) for x in row]
+    def kernel_dim(row):
+        return 2 * n - len(fp_row_reduce(row, p)[1])
 
-    V = _all_fp_vectors(p, 2 * n)
+    def combine(coeffs, elts):  # sum_j c_j e_j in the ring
+        return reduce(ring.add, map(ring.mul, coeffs, elts), ring.zero())
 
-    # (i) R_{n+1} v != 0 for every nonzero v in F_p^{2n}: exhaustive
-    Mrow = np.array([list(c) for c in rn1], dtype=np.int64)  # (2n, d)
-    img = V @ Mrow % p
-    zero_rows = int(np.count_nonzero(~img.any(axis=1)))
-    nonvan = zero_rows == 1  # only the zero vector itself
+    # (i) R_{n+1} v != 0 for every nonzero v in F_p^{2n}
+    nonvan = kernel_dim(rn1) == 0
 
     rng = random.Random(seed + 1)
     q = p ** d
@@ -532,19 +463,9 @@ def moore_checks(n, p, trials=50, seed=0):
             alpha = [rng.randrange(q) for _ in range(n + 1)]
             if any(alpha):
                 break
-        alpha_elts = [_int_to_elt(ring, a) for a in alpha]
-        row = [ring.zero()] * (2 * n)
-        for i, a in enumerate(alpha_elts):
-            twisted = sig_row(rn1, i)
-            row = [ring.add(acc, ring.mul(a, x)) for acc, x in zip(row, twisted)]
-        A = np.array([list(c) for c in row], dtype=np.int64)  # (2n, d)
-        count = int(np.count_nonzero(~((V @ A % p).any(axis=1))))
-        dim = 0
-        while p ** dim < count:
-            dim += 1
-        if p ** dim != count:
-            raise InvariantError("kernel size must be a p-power")
-        dims.append(dim)
+        alpha = [_int_to_elt(ring, a) for a in alpha]  # sum_i alpha_i sigma^i(R_{n+1})
+        dims.append(kernel_dim([combine(alpha, [ring.sigma(x, i) for i in range(n + 1)])
+                                for x in rn1]))
 
     # (iii) Moore determinant for independent z_1..z_{n+1}
     dets_ok = True
@@ -554,12 +475,7 @@ def moore_checks(n, p, trials=50, seed=0):
             v = [rng.randrange(p) for _ in range(2 * n)]
             if any(v) and len(fp_row_reduce(zs + [v], p)[1]) == len(zs) + 1:
                 zs.append(v)
-        betas = []
-        for z in zs:
-            acc = ring.zero()
-            for j in range(2 * n):
-                acc = ring.add(acc, ring.mul(ring.from_int(z[j]), rn1[j]))
-            betas.append(acc)
+        betas = [combine(map(ring.from_int, z), rn1) for z in zs]
         # the Moore matrix (sigma^i(beta_j)) over the field F_{p^d} is
         # invertible iff its block matrix of multiplication matrices has
         # full rank over F_p

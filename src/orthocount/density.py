@@ -347,12 +347,12 @@ def local_density(ell, L, m):
     """Stabilized local density delta(ell, L, m), exact.
 
     Uses the blockwise counter at depth stable_depth and verifies agreement
-    one level deeper; ArithmeticError if the two differ.
+    one level deeper; InvariantError if the two differ.
     """
     a = stable_depth(ell, m)
     d = local_density_blockwise(ell, L, m, a)
     if d != local_density_blockwise(ell, L, m, a + 1):
-        raise ArithmeticError(f"density at ell={ell} did not stabilize at depth {a}")
+        raise InvariantError(f"density at ell={ell} did not stabilize at depth {a}")
     return d
 
 

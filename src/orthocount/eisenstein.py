@@ -84,18 +84,19 @@ def _rational_sqrt(q):
 
 @dataclass(frozen=True)
 class EisensteinContext:
-    """Ambient data feeding the coefficient formulas.
+    """Ambient data feeding the coefficient formulas:
+    EisensteinContext(b, p, detL).
 
     b >= 3 (weight is 1 + b/2), p an odd prime >= 5 where the lattice is
     self-dual, detL > 0 the determinant of the ambient gram (neither the
     signature (b, 2) lattice nor its positive definite companion has a
-    negative one), discOrder the order of its discriminant group.
+    negative one).  The order of the discriminant group is detL itself, and
+    badPrimes, the primes dividing 2 detL, is computed from it.
     """
     b: int
     p: int
     detL: int
-    discOrder: int
-    badPrimes: frozenset = field(default=None)
+    badPrimes: frozenset = field(init=False)
 
     def __post_init__(self):
         if self.b < 3:
@@ -104,20 +105,15 @@ class EisensteinContext:
             raise ValueError("p must be an odd prime >= 5")
         if self.detL <= 0:
             raise ValueError("detL must be positive")
-        bad = frozenset(p for p, _ in factorize(2 * self.detL))
-        if self.badPrimes is None:
-            object.__setattr__(self, "badPrimes", bad)
-        elif frozenset(self.badPrimes) != bad:
-            raise ValueError("badPrimes must be the primes dividing 2 detL")
+        object.__setattr__(self, "badPrimes",
+                           frozenset(p for p, _ in factorize(2 * self.detL)))
         if self.p in self.badPrimes:
             raise ValueError("p must not divide 2 detL (self-duality at p)")
-        if self.discOrder != self.detL:
-            raise ValueError("discOrder must equal detL")
 
     @staticmethod
     def from_lattice(L, b, p):
-        det, order = det_and_disc_group(L)
-        return EisensteinContext(b=b, p=p, detL=det, discOrder=order)
+        det, _ = det_and_disc_group(L)
+        return EisensteinContext(b=b, p=p, detL=det)
 
 
 def split_m0_f(m, two_det):
@@ -207,7 +203,7 @@ def eis_coeff_global(ctx, local_densities, m):
     if missing:
         raise ValueError(f"missing local densities at {sorted(missing)}")
     dens = {ell: Fraction(local_densities[ell]) for ell in ctx.badPrimes}
-    return _coeff_common(ctx.b, m, ctx.detL, ctx.discOrder, dens, sign=-1)
+    return _coeff_common(ctx.b, m, ctx.detL, ctx.detL, dens, sign=-1)
 
 
 @lru_cache(maxsize=64)  # bounded: one entry per lattice, reused for every m

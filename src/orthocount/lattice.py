@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ._enum import reduced_blocks, short_vectors, theta_counts
+from ._enum import leaves, reduced_blocks, theta_counts
 from .arith import InvariantError, is_prime, kronecker, valuation
 from .intmat import (
     det_bareiss,
@@ -22,12 +22,7 @@ from .intmat import (
     solve_integer,
     transpose,
 )
-
-
-def _q_value(gram, v):
-    """Q(v) = v^T gram v / 2."""
-    r = len(gram)
-    return sum(gram[i][j] * v[i] * v[j] for i in range(r) for j in range(r)) // 2
+from .tableio import json_object
 
 
 @dataclass(frozen=True)
@@ -62,9 +57,6 @@ class QuadLattice:
 
     def gram_rows(self):
         return [list(row) for row in self.gram]
-
-    def q_value(self, v):
-        return _q_value(self.gram, v)
 
 
 @dataclass(frozen=True)
@@ -118,10 +110,6 @@ def det_and_disc_group(L):
     return d, order
 
 
-def elementary_divisors(L):
-    return smith_normal_form(L.gram_rows())
-
-
 def theta_table(L, bound):
     """Representation counts [r(0), ..., r(bound)] by exhaustive enumeration."""
     if not L.positive_definite:
@@ -171,10 +159,11 @@ def _block_minima(R):
     """The squared successive minima of a reduced Gram matrix R, by the
     greedy pick over one walk to its longest basis vector."""
     r = len(R)
+    qs, vs = leaves(R, max(R[i][i] for i in range(r)) // 2)
     echelon, mu_sq = [], []
-    for v in short_vectors(R, max(R[i][i] for i in range(r)) // 2):
+    for q, v in zip(qs[1:].tolist(), vs[1:].tolist()):  # leaf 0 is the zero vector
         if _extend_echelon(echelon, v):
-            mu_sq.append(_q_value(R, v))
+            mu_sq.append(q)
             if len(mu_sq) == r:
                 break
     if len(mu_sq) < r:
@@ -360,15 +349,13 @@ def intersect_and_index(A, B):
     return inter, int(idx)
 
 
-def lattice_to_json(L):
-    return {"rank": L.rank, "gram": [list(row) for row in L.gram],
-            "positive_definite": L.positive_definite}
-
-
 def lattice_from_json(obj):
     """The lattice of a JSON object with "gram", an optional "rank" that must
     agree with it, and an optional "positive_definite"."""
-    n = len(obj["gram"])
+    gram = json_object(obj, "lattice", ("gram",), lists=("gram",))["gram"]
+    if not all(isinstance(row, list) for row in gram):
+        raise ValueError("the lattice's gram must be a list of rows")
+    n = len(gram)
     if obj.get("rank", n) != n:
         raise ValueError(f"rank {obj['rank']} disagrees with a {n}x{n} gram")
-    return QuadLattice.from_rows(obj["gram"], bool(obj.get("positive_definite", False)))
+    return QuadLattice.from_rows(gram, bool(obj.get("positive_definite", False)))

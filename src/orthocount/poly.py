@@ -25,8 +25,8 @@ class Poly:
         return Poly({(): c} if c else {})
 
     @staticmethod
-    def var(name, exp=1):
-        return Poly({((name, exp),): Fraction(1)})
+    def var(name):
+        return Poly({((name, 1),): Fraction(1)})
 
     def __bool__(self):
         return bool(self.terms)
@@ -82,13 +82,6 @@ class Poly:
     __rmul__ = __mul__
     __radd__ = __add__
 
-    def sigma_twist(self, p):
-        """Variable exponents multiply by p (the coefficient field is fixed
-        pointwise here: coefficients are rational)."""
-        out = Poly()
-        out.terms = {tuple((v, e * p) for v, e in m): c for m, c in self.terms.items()}
-        return out
-
     def reduce_mod(self, p):
         """Drop terms whose coefficient has positive p-valuation; error on
         denominators divisible by p (not p-integral)."""
@@ -99,9 +92,6 @@ class Poly:
             if c.numerator % p != 0:
                 out.terms[m] = c
         return out
-
-    def variables(self):
-        return sorted({v for m in self.terms for v, _ in m})
 
     def __repr__(self):
         if not self.terms:

@@ -47,15 +47,10 @@ class SeriesRing:
         return TSeries(self, *_zeros(self, ()))
 
     def from_terms(self, terms):
-        """terms: iterable of (t_exp, coeff) with coeff a ring element tuple
-        or plain int; later terms add."""
+        """The sum of the monomials (t_exp, coeff, pshift), added in order."""
         s = self.zero_series()
-        for texp, coeff in terms:
-            if texp > self.tmax:
-                continue
-            if isinstance(coeff, int):
-                coeff = self.ring.from_int(coeff)
-            s = s.add(self.monomial(texp, coeff))
+        for texp, coeff, pshift in terms:
+            s = s.add(self.monomial(texp, coeff, pshift))
         return s
 
     def monomial(self, texp, coeff, pshift=0):
@@ -86,9 +81,6 @@ class _SeriesBlocks:
 
     def copy(self):
         return type(self)(self.sr, self.pval.copy(), self.unit.copy())
-
-    def is_zero(self):
-        return bool(np.all(self.pval >= PINF))
 
     def t_valuation(self):
         """The smallest t with a nonzero coefficient in any series, or None."""
@@ -143,22 +135,9 @@ class _SeriesBlocks:
 class TSeries(_SeriesBlocks):
     __slots__ = ()
 
-    def coeff(self, texp):
-        return int(self.pval[texp]), tuple(int(x) for x in self.unit[texp])
-
     def terms(self):
         for t in np.nonzero(self.pval < PINF)[0]:
             yield int(t), int(self.pval[t]), tuple(int(x) for x in self.unit[t])
-
-    def scale(self, coeff):
-        """Multiply by a ring element."""
-        if isinstance(coeff, int):
-            coeff = self.sr.ring.from_int(coeff)
-        v = self.sr.ring.val(coeff)
-        if v >= PINF:
-            return self.sr.zero_series()
-        mono = self.sr.monomial(0, coeff)
-        return self.mul(mono)
 
     def mul(self, other):
         pv, un = _block_mul(self.sr, self.pval[None, None], self.unit[None, None],
@@ -348,8 +327,3 @@ class TSeriesMatrix(_SeriesBlocks):
         v = TSeriesMatrix.of(self.sr, [[s] for s in vec])
         pv, un = _block_mul(self.sr, self.pval, self.unit, v.pval, v.unit)
         return [TSeries(self.sr, a, b) for a, b in zip(pv[:, 0], un[:, 0])]
-
-    def block(self, rows, cols):
-        """The sub-matrix on the given rows and columns (a copy)."""
-        ix = np.ix_(rows, cols)
-        return TSeriesMatrix(self.sr, self.pval[ix], self.unit[ix])

@@ -41,6 +41,21 @@ def emit_table(rows, schema, path, manifest=None):
             raise OSError(f"cannot write table to {path}: {e}") from e
 
 
+def json_object(obj, name, keys, lists=()):
+    """obj, once it is a JSON object holding every key in keys, the values of
+    those in lists being JSON lists; otherwise a one-line ValueError that
+    names the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a {name} must be a JSON object")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise ValueError(f"the {name} lacks {', '.join(missing)}")
+    for key in lists:
+        if not isinstance(obj[key], list):
+            raise ValueError(f"the {name}'s {key} must be a JSON list")
+    return obj
+
+
 def parse_rational(s):
     if isinstance(s, (int, Fraction)):
         return Fraction(s)

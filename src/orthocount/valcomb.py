@@ -197,18 +197,18 @@ def verify_minval(prof, r_max):
 # ---------------------------------------------------------------------------
 # superspecial candidate sets
 
-def ssp_term_valuation(kind, alpha, beta, prof, xs_val=None):
+def ssp_term_valuation(kind, alpha, beta, prof):
     """t-adic valuation of the candidate product with alpha top-block factors
-    and beta bridge pairs; kind 2 appends one more column factor (default
-    valuation a, override via xs_val for columns s > 1)."""
+    and beta bridge pairs; kind 2 appends one more column factor, of
+    valuation a."""
     v = prof.a + prof.h * sum(prof.p ** i for i in range(1, alpha + 1)) \
         + prof.hprime * sum(prof.p ** (alpha + 2 * j - 1) for j in range(1, beta + 1))
     if kind == 2:
-        v += (prof.a if xs_val is None else xs_val) * prof.p ** (alpha + 2 * beta + 1)
+        v += prof.a * prof.p ** (alpha + 2 * beta + 1)
     return v
 
 
-def ssp_min_valuation(kind, r, prof, xs_val=None):
+def ssp_min_valuation(kind, r, prof):
     """(min valuation, argmin set of (alpha, beta)) over the candidate set.
 
     kind 1: alpha + beta = r + 1; kind 2 (one extra column factor):
@@ -221,7 +221,7 @@ def ssp_min_valuation(kind, r, prof, xs_val=None):
     argmin = []
     for alpha in range(total + 1):
         beta = total - alpha
-        v = ssp_term_valuation(kind, alpha, beta, prof, xs_val)
+        v = ssp_term_valuation(kind, alpha, beta, prof)
         if best is None or v < best:
             best, argmin = v, [(alpha, beta)]
         elif v == best:

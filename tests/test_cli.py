@@ -561,3 +561,74 @@ class TestInputBoundary:
         err = self.refused(["lattice", "--in", str(path), "--out", str(tmp_path / "x.csv")],
                            capsys)
         assert err == "error: rank 3 disagrees with a 2x2 gram\n"
+
+    @pytest.mark.parametrize("obj, message", [
+        ([[2, 0], [0, 2]], "a lattice must be a JSON object"),
+        ({}, "the lattice lacks gram"),
+        ({"gram": 4}, "the lattice's gram must be a JSON list"),
+        ({"gram": [2]}, "the lattice's gram must be a list of rows"),
+    ], ids=["list", "empty", "gram_int", "gram_flat"])
+    @pytest.mark.parametrize("argv", [["lattice"], ["density", "--p", "5"],
+                                      ["eis", "--b", "6"]], ids=lambda a: a[0])
+    def test_lattice_json(self, tmp_path, capsys, obj, message, argv):
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps(obj))
+        err = self.refused(argv + ["--in", str(path), "--out", str(tmp_path / "x.csv")],
+                           capsys)
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("obj, message", [
+        ([], "a ledger must be a JSON object"),
+        ({"p": 5, "omegaC": "1"}, "the ledger lacks points"),
+        ({"p": 5, "omegaC": "1", "points": 3}, "the ledger's points must be a JSON list"),
+        ({"p": 5, "omegaC": "1", "points": [["P", 1, "superspecial"]]},
+         "a ledger point must be a JSON object"),
+        ({"p": 5, "omegaC": "1", "points": [{"label": "P"}]}, "the ledger point lacks h, type"),
+    ], ids=["list", "no_points", "points_int", "point_list", "point_keys"])
+    def test_ledger_json(self, tmp_path, capsys, obj, message):
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(obj))
+        err = self.refused(["budget", "ledger", "--in", str(path), "--ql", "1",
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert err == f"error: {message}\n"
+
+    LAT = {"gram": [[2, 0], [0, 2]], "positive_definite": True}
+
+    @pytest.mark.parametrize("obj, message", [
+        ([LAT], "a nested lattice sequence must be a JSON object"),
+        ({"levels": []}, "the nested lattice sequence lacks ambient"),
+        ({"ambient": [], "levels": []}, "a lattice must be a JSON object"),
+        ({"ambient": LAT, "levels": {}},
+         "the nested lattice sequence's levels must be a JSON list"),
+        ({"ambient": LAT, "levels": [[1, [[1, 0], [0, 1]]]]},
+         "a sequence level must be a JSON object"),
+        ({"ambient": LAT, "levels": [{"cols": [[1, 0], [0, 1]]}]},
+         "the sequence level lacks n_start"),
+    ], ids=["list", "no_ambient", "ambient_list", "levels_dict", "level_list", "level_keys"])
+    def test_sequence_json(self, tmp_path, capsys, obj, message):
+        path = tmp_path / "seq.json"
+        path.write_text(json.dumps(obj))
+        err = self.refused(["budget", "intersect", "--in", str(path),
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, flag, least", [
+        (["valcomb", "schedules", "--h", "{x}"], "h", 1),
+        (["budget", "ssmain-table", "--pmax", "7", "--b", "{x}"], "b", 3),
+        (["valcomb", "ssp-min", "--h", "2", "--hprime", "13", "--a", "1", "--rmax", "{x}"],
+         "rmax", 0),
+        (["budget", "formal-curve", "--jmax", "{x}"], "jmax", 0),
+        (["lattice", "--in", "{lat}", "--mmax", "{x}"], "mmax", 0),
+        (["density", "--in", "{lat}", "--mmax", "4", "--p", "{x}"], "p", 3),
+        (["valcomb", "min-set", "--n", "1", "--a", "1,2", "--rmax", "{x}"], "rmax", 1),
+        (["valcomb", "verify-minval", "--trials", "1", "--nmax", "{x}"], "nmax", 1),
+    ], ids=["schedules_h", "ssmain_b", "ssp_min_rmax", "formal_curve_jmax", "lattice_mmax",
+            "density_p", "min_set_rmax", "verify_minval_nmax"])
+    def test_option_floor(self, tmp_path, capsys, lattice_file, argv, flag, least):
+        def run(x):
+            return [a.format(x=x, lat=lattice_file) for a in argv] + \
+                ["--out", str(tmp_path / "x.csv")]
+        for x in (least - 1, -3):
+            err = self.refused(run(x), capsys)
+            assert err == f"error: --{flag} must be >= {least}\n"
+        assert main(run(least)) == 0

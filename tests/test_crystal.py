@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,9 +7,8 @@ import pytest
 
 from orthocount.crystal import (
     CurveSubstitution,
-    b0_prime_constant,
+    _int_to_elt,
     b0_sym,
-    build_Ki,
     crystal_ring,
     embed_s0,
     f_infinity_partial,
@@ -16,14 +16,12 @@ from orthocount.crystal import (
     frobenius_F,
     integral_basis_matrix,
     min_tval_at_pval,
-    mn_matrices,
     monomial_substitution,
     moore_checks,
     nonordinary_equation,
     q_polynomial,
     superspecial_F,
     superspecial_ring,
-    split_gram_sym,
     ssp_s0prime,
     synthesize_s0prime,
     unipotent_series,
@@ -32,8 +30,81 @@ from orthocount.crystal import (
 from orthocount.intmat import mat_mul, transpose
 from orthocount.padic import PINF
 from orthocount.poly import Poly
+from orthocount.padic import make_ring
 from orthocount.series import SeriesRing, TSeriesMatrix
 from orthocount.valcomb import SuperspecialProfile, ssp_min_valuation
+
+
+# ---------------------------------------------------------------------------
+# printed constructions the structural identities below compare against
+
+def split_gram_sym(n, m=0):
+    """Gram [[0,I],[I,0]] on the 2n block, extended hyperbolically on 2m."""
+    dim = 2 * n + 2 * m
+    G = [[Poly() for _ in range(dim)] for _ in range(dim)]
+    for i in range(n):
+        G[i][n + i] = G[n + i][i] = Poly.const(1)
+    for j in range(m):
+        G[2 * n + j][2 * n + m + j] = G[2 * n + m + j][2 * n + j] = Poly.const(1)
+    return G
+
+
+def b0_general(n, p, b):
+    """B_0 for coefficients b_1..b_{n-1}: b0_sym (b = 0) with (i, 2n) = p b_{i-1}
+    and (n+1, n+i) = -b_i."""
+    if len(b) != max(n - 1, 0):
+        raise ValueError("need n-1 coefficients")
+    B = b0_sym(n, p)
+    for i in range(2, n + 1):
+        B[i - 1][2 * n - 1] = Poly.const(p * b[i - 2])
+    for i in range(1, n):
+        B[n][n + i - 1] = Poly.const(-b[i - 1])
+    return B
+
+
+def b0_prime_constant(n):
+    """B'_0 for b = 0 as an integer matrix (a cyclic permutation)."""
+    B = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(1, 2 * n):
+        B[i][i - 1] = 1
+    B[0][2 * n - 1] = 1
+    return B
+
+
+def build_Ki(coords, s0, s0inv):
+    """K_1..K_{n+1} from the printed single/two-entry A_i matrices."""
+    if coords.case != "generic":
+        raise ValueError("generic case only")
+    n, sring = coords.n, coords.sring
+    dim = 2 * n
+    left, right = embed_s0(sring, s0, 0), embed_s0(sring, s0inv, 0)
+    out = []
+    for i in range(1, n + 2):
+        A = TSeriesMatrix.zero(sring, dim)
+        Yi = coords.y_series(i)
+        if i < n:
+            A[n - 1, n + i - 1] = Yi.pshift(-1)
+            A[i - 1, 2 * n - 1] = Yi.neg().pshift(-1)
+        else:
+            A[n - 1, 2 * n - 1] = Yi.pshift(-1)
+        out.append(left.mul(A).mul(right.sigma_twist() if i == n + 1 else right))
+    return out
+
+
+def mn_matrices(ring):
+    """The constant 2x2 matrices M = [[1,-lam],[1/lam,-1]]/2, N = [[1,lam],[1/lam,1]]/2."""
+    lam = ring.gen()
+    laminv = ring.inv(lam)
+    inv2 = ring.inv(ring.from_int(2))
+    M = ((inv2, ring.neg(ring.mul(inv2, lam))), (ring.mul(inv2, laminv), ring.neg(inv2)))
+    N = ((inv2, ring.mul(inv2, lam)), (ring.mul(inv2, laminv), inv2))
+    return M, N
+
+
+def _block(M, rows, cols):
+    """The sub-matrix of M on the given rows and columns."""
+    ix = np.ix_(rows, cols)
+    return TSeriesMatrix(M.sr, M.pval[ix], M.unit[ix])
 
 
 class TestSymbolic:
@@ -48,7 +119,7 @@ class TestSymbolic:
         for n in (1, 2, 3):
             for _ in range(3):
                 b = [rng.randint(-3, 3) for _ in range(n - 1)]
-                B = b0_sym(n, 5, b)
+                B = b0_general(n, 5, b)
                 G = split_gram_sym(n)
                 # B^T G B = G (sigma fixes integer b_i)
                 BT = transpose(B)
@@ -56,12 +127,13 @@ class TestSymbolic:
                 assert P == G
 
     def test_b0_printed_positions(self):
-        B = b0_sym(2, 5, [0])
+        B = b0_sym(2, 5)
+        assert B == b0_general(2, 5, [0])
         nonzero = {(i, j) for i in range(4) for j in range(4) if B[i][j]}
         assert nonzero == {(1, 0), (0, 3), (2, 1), (3, 2)}
         assert B[2][1] == Fraction(1, 5)  # the p^{-1} entry
         # (2, 2n) = p b_1 and (n+1, n+1) = -b_1
-        B = b0_sym(2, 5, [3])
+        B = b0_general(2, 5, [3])
         nonzero = {(i, j) for i in range(4) for j in range(4) if B[i][j]}
         assert nonzero == {(1, 0), (0, 3), (2, 1), (3, 2), (1, 3), (2, 2)}
         assert B[1][3] == 15 and B[2][2] == -3
@@ -175,7 +247,7 @@ class TestSuperspecialF:
         series = {k: sr.zero_series() for k in ("x1", "y1")}
         coords = CurveSubstitution("superspecial", 1, 1, sr, series)
         F = superspecial_F(coords)
-        assert F.is_zero()
+        assert F.t_valuation() is None
 
     def test_superspecial_case_has_n_1(self):
         sr = SeriesRing(superspecial_ring(5, 6), 20)
@@ -191,7 +263,7 @@ class TestSuperspecialF:
         for i in range(2 + 2 * m):
             for j in range(2 + 2 * m):
                 if i >= 2 and j >= 2:
-                    assert F.entries[i][j].is_zero()
+                    assert F.entries[i][j].t_valuation() is None
 
     def test_change_of_basis_relation(self):
         # sigma(S'_0) = S'_0 [[0,1],[1,0]] for the printed superspecial basis
@@ -210,9 +282,9 @@ class TestSuperspecialF:
         ring = sr.ring
         F = superspecial_F(coords)
         m = coords.m
-        Ft = F.block(range(2), range(2))
-        Fr = F.block(range(2), range(2, 2 + 2 * m))
-        Fl = F.block(range(2, 2 + 2 * m), range(2))
+        Ft = _block(F, range(2), range(2))
+        Fr = _block(F, range(2), range(2, 2 + 2 * m))
+        Fl = _block(F, range(2, 2 + 2 * m), range(2))
         Q = coords.q_series()
         Rser = coords.r_series()
         M, N = mn_matrices(ring)
@@ -235,7 +307,7 @@ class TestSuperspecialF:
             const = tuple(tuple(ring.sigma(x) for x in row) for row in const)
             for i in range(2):
                 for j in range(2):
-                    expect = scal.scale(const[i][j])
+                    expect = scal.mul(sr.monomial(0, const[i][j]))
                     got = prod.entries[i][j]
                     diff = got.sub(expect)
                     base = np.minimum(got.pval, expect.pval)
@@ -254,20 +326,20 @@ def _printed_superspecial_F(coords):
     inv2lam = ring.mul(inv2, ring.inv(lam))
     Q = coords.q_series()
     F = TSeriesMatrix.zero(sr, 2 + 2 * m)
-    F[0, 0] = Q.scale(inv2).pshift(-1)
-    F[0, 1] = Q.scale(ring.mul(lam, inv2)).neg().pshift(-1)
-    F[1, 0] = Q.scale(inv2lam).pshift(-1)
-    F[1, 1] = Q.scale(inv2).neg().pshift(-1)
+    F[0, 0] = Q.mul(sr.monomial(0, inv2)).pshift(-1)
+    F[0, 1] = Q.mul(sr.monomial(0, ring.mul(lam, inv2))).neg().pshift(-1)
+    F[1, 0] = Q.mul(sr.monomial(0, inv2lam)).pshift(-1)
+    F[1, 1] = Q.mul(sr.monomial(0, inv2)).neg().pshift(-1)
     for i in range(1, m + 1):
         x, y = coords.series[f"x{i}"], coords.series[f"y{i}"]
-        F[0, 1 + i] = x.scale(inv2).pshift(-1)
-        F[0, 1 + m + i] = y.scale(inv2).pshift(-1)
-        F[1, 1 + i] = x.scale(inv2lam).pshift(-1)
-        F[1, 1 + m + i] = y.scale(inv2lam).pshift(-1)
+        F[0, 1 + i] = x.mul(sr.monomial(0, inv2)).pshift(-1)
+        F[0, 1 + m + i] = y.mul(sr.monomial(0, inv2)).pshift(-1)
+        F[1, 1 + i] = x.mul(sr.monomial(0, inv2lam)).pshift(-1)
+        F[1, 1 + m + i] = y.mul(sr.monomial(0, inv2lam)).pshift(-1)
         F[1 + i, 0] = y.neg()
-        F[1 + i, 1] = y.scale(lam)
+        F[1 + i, 1] = y.mul(sr.monomial(0, lam))
         F[1 + m + i, 0] = x.neg()
-        F[1 + m + i, 1] = x.scale(lam)
+        F[1 + m + i, 1] = x.mul(sr.monomial(0, lam))
     return F
 
 
@@ -554,7 +626,7 @@ class TestKi:
             for j in range(1, n + 2):
                 for l in range(1, i):
                     P = self.ks[i - 1].mul(self.ks[j - 1].sigma_twist(l))
-                    assert P.is_zero(), (i, j, l)
+                    assert P.t_valuation() is None, (i, j, l)
 
     def test_rank_one_image(self):
         # K_i K_j^(i) = S'_0 M with only the n-th row of M nonzero
@@ -568,7 +640,7 @@ class TestKi:
                     if row == n - 1:
                         continue
                     for col in range(2 * n):
-                        assert M.entries[row][col].is_zero(), (i, j, row, col)
+                        assert M.entries[row][col].t_valuation() is None, (i, j, row, col)
 
     def test_row_formula(self):
         # the n-th row of M equals Y_i Y_j^(i) p^-2 sigma^{i+j-1}(R_{n+1})
@@ -584,7 +656,7 @@ class TestKi:
                 scal = Yi.mul(Yj.sigma_twist(i)).pshift(-2)
                 rn1 = [ring.sigma(x, i + j - 1) for x in self.s0inv[n]]
                 for col in range(2 * n):
-                    expect = scal.scale(rn1[col])
+                    expect = scal.mul(sr.monomial(0, rn1[col]))
                     got = M.entries[n - 1][col]
                     diff = got.sub(expect)
                     base = np.minimum(got.pval, expect.pval)
@@ -652,14 +724,51 @@ class TestGenericFInfinity:
         for i in range(dim):
             for j in range(dim):
                 shift = (-1 if i < n else 0) + (1 if j < n else 0)
-                expect = u.entries[i][j].pshift(shift) if not u.entries[i][j].is_zero() \
-                    else u.entries[i][j]
+                expect = u.entries[i][j].pshift(shift) \
+                    if u.entries[i][j].t_valuation() is not None else u.entries[i][j]
                 got = uprime.entries[i][j]
                 assert np.all(got.pval == expect.pval), (i, j)
                 assert np.all(got.unit == expect.unit), (i, j)
 
 
+def ref_moore_exhaustive(n, p, trials, seed):
+    """(row_nonvanishing, kernel_dims) of moore_checks, with every kernel
+    counted over all p^(2n) vectors of F_p^{2n} instead of found by rank.
+    The rows are drawn as moore_checks draws them."""
+    ring = make_ring(p, 1, 2 * n)
+    _, sinv = synthesize_s0prime(ring, n, seed=seed)
+    rn1 = list(sinv[n])
+    V = np.array(list(itertools.product(range(p), repeat=2 * n)), dtype=np.int64)
+
+    def kernel_size(row):
+        return int(np.count_nonzero(~(V @ np.array(row, dtype=np.int64) % p).any(axis=1)))
+
+    rng = random.Random(seed + 1)
+    dims = []
+    for _ in range(trials):
+        while True:
+            alpha = [rng.randrange(p ** ring.deg) for _ in range(n + 1)]
+            if any(alpha):
+                break
+        row = [ring.zero()] * (2 * n)
+        for i, a in enumerate(alpha):
+            row = [ring.add(acc, ring.mul(_int_to_elt(ring, a), ring.sigma(x, i)))
+                   for acc, x in zip(row, rn1)]
+        count, dim = kernel_size(row), 0
+        while p ** dim < count:
+            dim += 1
+        assert p ** dim == count
+        dims.append(dim)
+    return kernel_size(rn1) == 1, dims
+
+
 class TestMoore:
+    @pytest.mark.parametrize("n,p,seed", [(n, p, 11) for n in (1, 2, 3) for p in (5, 7)]
+                             + [(1, 5, 4), (2, 5, 4), (2, 7, 4), (3, 5, 4)])
+    def test_ranks_match_exhaustive_count(self, n, p, seed):
+        rep = moore_checks(n, p, trials=50, seed=seed)
+        assert (rep.row_nonvanishing, rep.kernel_dims) == ref_moore_exhaustive(n, p, 50, seed)
+
     @pytest.mark.parametrize("n,p", [(1, 5), (2, 5), (2, 7), (3, 5)])
     def test_report_ok(self, n, p):
         rep = moore_checks(n, p, trials=25, seed=4)

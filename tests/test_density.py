@@ -26,7 +26,7 @@ from orthocount.density import (
     local_density_recursive,
     stable_depth,
 )
-from orthocount.arith import valuation
+from orthocount.arith import InvariantError, valuation
 from orthocount.intmat import mat_mul, smith_normal_form, transpose
 from orthocount.lattice import QuadLattice, jordan_blocks, p_diagonalize
 
@@ -705,6 +705,13 @@ class TestStabilization:
                 random_posdef_gram(rng, rank, spread=2), positive_definite=True)
             m = rng.randint(1, 40)
             local_density(p, L, m)  # raises if the depth heuristic failed
+
+    def test_unstable_density_is_an_invariant_error(self, monkeypatch):
+        # a count that changes with the depth breaks the stabilization invariant
+        monkeypatch.setattr(density, "local_density_blockwise",
+                            lambda ell, L, m, a: Fraction(a))
+        with pytest.raises(InvariantError, match="did not stabilize at depth 1"):
+            local_density(3, QuadLattice.from_rows([[2]], positive_definite=True), 1)
 
 
 class TestRecursive:

@@ -184,21 +184,17 @@ class TestContext:
 
     def test_rejects_p_bad(self, z8):
         with pytest.raises(ValueError):
-            EisensteinContext(b=6, p=5, detL=25, discOrder=25)
-
-    def test_rejects_disc_mismatch(self):
-        with pytest.raises(ValueError):
-            EisensteinContext(b=6, p=7, detL=4, discOrder=8)
+            EisensteinContext(b=6, p=5, detL=25)
 
     @pytest.mark.parametrize("p", [9, 15, 25, 49])
     def test_rejects_odd_composite_p(self, p):
         with pytest.raises(ValueError, match="p must be an odd prime >= 5"):
-            EisensteinContext(b=6, p=p, detL=4, discOrder=4)
+            EisensteinContext(b=6, p=p, detL=4)
 
     @pytest.mark.parametrize("det", [-4, -1, 0])
     def test_rejects_non_positive_det(self, det):
         with pytest.raises(ValueError, match="detL must be positive"):
-            EisensteinContext(b=6, p=7, detL=det, discOrder=abs(det))
+            EisensteinContext(b=6, p=7, detL=det)
         indefinite = QuadLattice.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 2]])
         with pytest.raises(ValueError, match="detL must be positive"):
             EisensteinContext.from_lattice(indefinite, b=3, p=7)
@@ -261,10 +257,10 @@ class TestThetaCoeff:
         eisenstein._det_and_disc.cache_clear()
         L = QuadLattice.from_rows(D8_GRAM, positive_definite=True)
         for m in range(1, 6):
-            eis_coeff_theta(EisensteinContext(b=6, p=7, detL=4, discOrder=4), L, m)
+            eis_coeff_theta(EisensteinContext(b=6, p=7, detL=4), L, m)
         assert calls == [L]
         with pytest.raises(ValueError, match="disagrees"):
-            eis_coeff_theta(EisensteinContext(b=6, p=7, detL=1, discOrder=1), L, 1)
+            eis_coeff_theta(EisensteinContext(b=6, p=7, detL=1), L, 1)
         assert calls == [L]
 
     def test_lvalue_computed_once_per_context(self, monkeypatch):
@@ -311,7 +307,7 @@ class TestThetaCoeff:
 
     def test_rejects_indefinite(self):
         L = QuadLattice.from_rows([[0, 1], [1, 0]])
-        ctx = EisensteinContext(b=3, p=5, detL=4, discOrder=4)
+        ctx = EisensteinContext(b=3, p=5, detL=4)
         with pytest.raises(ValueError, match="L' must be positive definite"):
             eis_coeff_theta(ctx, L, 1)
 
@@ -320,7 +316,7 @@ class TestThetaCoeff:
         # 2 I_r and diag(2, ..., 2, 2 5^k) agree away from 5 only for even k:
         # for odd k, det L' / det L = 5^k is a non-square at every prime
         # where 5 is a non-residue, and the formula would return a surd
-        ctx = EisensteinContext(b=r - 2, p=5, detL=2 ** r, discOrder=2 ** r)
+        ctx = EisensteinContext(b=r - 2, p=5, detL=2 ** r)
         for k in (1, 2, 3):
             L = QuadLattice.from_rows(
                 [[2 * (i == j) * (5 ** k if i == r - 1 else 1) for j in range(r)]
@@ -433,7 +429,7 @@ class TestDensmRatio:
         rows[6][6] = 2 * p
         rows[7][7] = 2 * 2 * p  # lam^2 = 2 nonresidue mod 5
         L = QuadLattice.from_rows(rows, positive_definite=True)
-        ctx = EisensteinContext(b=6, p=5, detL=1, discOrder=1)
+        ctx = EisensteinContext(b=6, p=5, detL=1)
         out = densm_ratio(ctx, L, 1)
         assert out.superspecial_branch and out.disc_p_val == 2
         assert out.holds
@@ -448,7 +444,7 @@ class TestDensmRatio:
         rows[3][3] = 2
         rows[4][4] = 2
         Lx = QuadLattice.from_rows(rows, positive_definite=True)
-        ctx = EisensteinContext(b=3, p=5, detL=2, discOrder=2)
+        ctx = EisensteinContext(b=3, p=5, detL=2)
         out = densm_ratio(ctx, Lx, 3)
         assert out.disc_p_val == 3
         assert out.holds
@@ -473,7 +469,7 @@ class TestDensmRatio:
         rows[6][6] = 2 * p
         rows[7][7] = 2 * 2 * p
         L = QuadLattice.from_rows(rows, positive_definite=True)
-        ctx = EisensteinContext(b=6, p=5, detL=1, discOrder=1)
+        ctx = EisensteinContext(b=6, p=5, detL=1)
         monkeypatch.setattr(eisenstein, "local_density", lambda p, L, m: Fraction(3))
         with pytest.raises(InvariantError, match="superspecial: True"):
             densm_ratio(ctx, L, 1)
@@ -506,7 +502,7 @@ class TestRepresentableSurrogate:
             rows[i][i] = 18
         L = QuadLattice.from_rows(rows, positive_definite=True)
         det = 2 * 2 * 18 * 18 * 18
-        ctx = EisensteinContext(b=3, p=7, detL=det, discOrder=det)
+        ctx = EisensteinContext(b=3, p=7, detL=det)
         assert not representable_surrogate(ctx, L, 3)
         assert representable_surrogate(ctx, L, 1)
         assert not representable_surrogate(ctx, L, 7)  # p | m excluded
@@ -604,7 +600,7 @@ class TestAssemblyAgainstReference:
         ctx = EisensteinContext.from_lattice(L, b=b, p=7)
         for m in range(1, 121):
             q = eis_coeff_theta(ctx, L, m)
-            ref = ref_coeff_common(b, m, ctx.detL, ctx.discOrder,
+            ref = ref_coeff_common(b, m, ctx.detL, ctx.detL,
                                    _theta_densities(ctx, L, m), +1)
             assert type(q) is Coefficient, (name, m)
             assert q == ref.exact_fraction(), (name, m)

@@ -20,8 +20,6 @@ from orthocount.lattice import (
     intersect_and_index,
     is_maximal_at,
     jordan_blocks,
-    lattice_from_json,
-    lattice_to_json,
     p_diagonalize,
     rep_count,
     successive_minima,
@@ -36,6 +34,12 @@ X2Y2 = QuadLattice.from_rows([[2, 0], [0, 2]], positive_definite=True)
 HYP = QuadLattice.from_rows([[0, 1], [1, 0]])
 
 
+def q_value(L, v):
+    """Q(v) = v^T G v / 2."""
+    G, r = L.gram, L.rank
+    return sum(G[i][j] * v[i] * v[j] for i in range(r) for j in range(r)) // 2
+
+
 def gram_of_rows(B):
     """Gram matrix 2*B*B^T of the sum of squares in the basis given by B's rows."""
     return [[2 * sum(x * y for x, y in zip(u, w)) for w in B] for u in B]
@@ -44,7 +48,7 @@ def gram_of_rows(B):
 def brute_counts(L, bound, box):
     counts = [0] * (bound + 1)
     for v in itertools.product(range(-box, box + 1), repeat=L.rank):
-        q = L.q_value(v)
+        q = q_value(L, v)
         if 0 <= q <= bound:
             counts[q] += 1
     return counts
@@ -430,8 +434,8 @@ class TestOrthogonalBlocks:
             expect = [0] * (bound + 1)
             boxes = [range(-m, m + 1) for m in reference_vmax(G, bound)]
             for v in itertools.product(*boxes):
-                if L.q_value(v) <= bound:
-                    expect[L.q_value(v)] += 1
+                if q_value(L, v) <= bound:
+                    expect[q_value(L, v)] += 1
             assert theta_table(L, bound) == expect
 
 
@@ -453,12 +457,12 @@ def box_minima(G):
     L = QuadLattice.from_rows(G, positive_definite=True)
     vecs = sorted((v for v in itertools.product(*(range(-m, m + 1)
                                                    for m in reference_vmax(G, bound)))
-                   if 0 < L.q_value(v) <= bound), key=L.q_value)
+                   if 0 < q_value(L, v) <= bound), key=lambda v: q_value(L, v))
     indep, mu_sq = [], []
     for v in vecs:
         if not kernel_basis([list(col) for col in zip(*(indep + [list(v)]))]):
             indep.append(list(v))
-            mu_sq.append(L.q_value(v))
+            mu_sq.append(q_value(L, v))
     return mu_sq
 
 
@@ -710,7 +714,7 @@ class TestPlan:
                 # the oracle's vectors, stably sorted by Q
                 counts, expect = ref_leaves(G, bound)
                 L = QuadLattice.from_rows(G, positive_definite=True)
-                assert vecs == sorted(expect, key=L.q_value)
+                assert vecs == sorted(expect, key=lambda v: q_value(L, v))
 
     # theta_table keeps the walk of each small reduced block, to at least
     # its longest basis vector, and successive_minima reads its minima off
@@ -822,15 +826,15 @@ class TestSuccessiveMinima:
         # at most 4 vectors (and walks from bound 1 would take more than one
         # call at c = 2)
         import orthocount.lattice as lattice
-        from orthocount._enum import short_vectors
+        from orthocount._enum import leaves
         seen = []
 
         def spy(gram, bound):
-            vecs = short_vectors(gram, bound)
-            seen.append(len(vecs))
-            return vecs
+            q, v = leaves(gram, bound)
+            seen.append(len(v) - 1)  # the vectors besides zero
+            return q, v
 
-        monkeypatch.setattr(lattice, "short_vectors", spy)
+        monkeypatch.setattr(lattice, "leaves", spy)
         L = QuadLattice.from_rows(gram, positive_definite=True)
         assert successive_minima(L) == expect
         assert len(seen) == 1 and seen[0] <= 4
@@ -840,8 +844,9 @@ class TestSuccessiveMinima:
         # a walk that lost some is a broken invariant, not a shorter answer
         # (on A2: X2Y2 splits into two rank-1 blocks, one vector each)
         import orthocount.lattice as lattice
-        from orthocount._enum import short_vectors
-        monkeypatch.setattr(lattice, "short_vectors", lambda g, b: short_vectors(g, b)[:1])
+        from orthocount._enum import leaves
+        # the zero vector and one more
+        monkeypatch.setattr(lattice, "leaves", lambda g, b: tuple(a[:2] for a in leaves(g, b)))
         A2 = QuadLattice.from_rows([[2, 1], [1, 2]], positive_definite=True)
         with pytest.raises(InvariantError, match="1 independent vectors"):
             successive_minima(A2)
@@ -882,12 +887,12 @@ def ref_successive_minima(L):
     from orthocount._enum import short_vectors
     bound = 1
     while True:
-        vecs = sorted(short_vectors(L.gram_rows(), bound), key=L.q_value)
+        vecs = sorted(short_vectors(L.gram_rows(), bound), key=lambda v: q_value(L, v))
         indep, mu_sq = [], []
         for v in vecs:
             if not kernel_basis([list(col) for col in zip(*(indep + [v]))]):
                 indep.append(v)
-                mu_sq.append(L.q_value(v))
+                mu_sq.append(q_value(L, v))
         if len(mu_sq) == L.rank:
             a_sq, acc = [], 1
             for m in mu_sq:
@@ -993,7 +998,7 @@ def ref_is_maximal_at(L, ell):
     for coeffs in itertools.product(range(ell), repeat=len(null)):
         if any(coeffs):
             y = [sum(c * v[i] for c, v in zip(coeffs, null)) for i in range(L.rank)]
-            if L.q_value(y) % (ell * ell) == 0:
+            if q_value(L, y) % (ell * ell) == 0:
                 return False
     return True
 
@@ -1064,12 +1069,12 @@ class TestMaximality:
     @staticmethod
     def _nonzero_torsion_q(L, ell):
         # the ell-torsion here is all of (1/ell) Z^2 / Z^2: Q(y) for y != 0 mod ell
-        return [L.q_value(list(y)) for y in itertools.product(range(ell), repeat=2) if any(y)]
+        return [q_value(L, list(y)) for y in itertools.product(range(ell), repeat=2) if any(y)]
 
     def test_two_dimensional_torsion_not_maximal(self):
         # Q(y) = 3 (y1^2 - y1 y2 + y2^2), and y = (1, 2) gives Q(y) = 9
         L = QuadLattice.from_rows([[6, -3], [-3, 6]])
-        assert L.q_value([1, 2]) == 9
+        assert q_value(L, [1, 2]) == 9
         assert 0 in [q % 9 for q in self._nonzero_torsion_q(L, 3)]
         assert not is_maximal_at(L, 3)
 
@@ -1146,7 +1151,3 @@ class TestIntersection:
             # A/(A cap B) embeds in ambient/B
             assert B.index_in_ambient() % idx == 0
             assert (A.index_in_ambient() * B.index_in_ambient()) % inter.index_in_ambient() == 0
-
-
-def test_json_roundtrip(e8):
-    assert lattice_from_json(lattice_to_json(e8)) == e8

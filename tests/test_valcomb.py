@@ -286,12 +286,6 @@ class TestSspMinValuation:
             _, argmin = ssp_min_valuation(2, r, prof)
             assert len(argmin) == 1
 
-    def test_xs_val_override(self):
-        prof = SuperspecialProfile(p=5, h=2, hprime=13, a=1)
-        v1, _ = ssp_min_valuation(2, 1, prof)
-        v2, _ = ssp_min_valuation(2, 1, prof, xs_val=3)
-        assert v2 > v1
-
 
 class TestSchedules:
     def test_h_values(self):
