@@ -1,14 +1,14 @@
 """Local intersection-number bookkeeping over nested lattice sequences:
 truncation caps, counting majorants, the per-point global weights, the
-geometric-series decay constants, and the exponential-growth formal curve.
+geometric-series decay constants, the exact budget inequality, and the
+exponential-growth formal curve.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-
-from .arith import InvariantError, is_prime
+from .arith import InvariantError, is_prime, valuation
 from .lattice import (
     QuadLattice,
     SublatticeBasis,
@@ -53,10 +53,6 @@ class NestedLatticeSequence:
             end = min(end, n_cap)
             out.append((end - start + 1, basis))
         return out
-
-
-def constant_sequence(L):
-    return NestedLatticeSequence(L, ((1, identity_basis(L)),))
 
 
 def local_intersection(seq, m, n_cap):
@@ -106,11 +102,7 @@ def counting_bound(seq, X, n_cap=None):
 
 def g_P(h_P, p, qL_abs):
     """Global weight h_P |q_L(m)| / (p-1) of a non-ordinary point."""
-    if h_P == 0:
-        return Fraction(0) if isinstance(qL_abs, (int, Fraction)) else 0.0
-    if isinstance(qL_abs, (int, Fraction)):
-        return Fraction(h_P) * qL_abs / (p - 1)
-    return h_P * qL_abs / (p - 1)
+    return Fraction(h_P) * Fraction(qL_abs) / (p - 1)
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,11 @@ class CurveBudget:
     points: tuple  # ((label, h_P, type), ...) type in {ordinary, nonss, ssp}
 
     def __post_init__(self):
+        if type(self.p) is not int or not is_prime(self.p):
+            raise ValueError(f"the ledger's p must be a prime, not {self.p!r}")
         for _, h, typ in self.points:
+            if type(h) is not int:
+                raise ValueError(f"the ledger point's h must be an integer, not {h!r}")
             if typ not in ("ordinary", "nonss-supersingular", "superspecial"):
                 raise ValueError(f"unknown point type {typ}")
             if typ == "ordinary" and h != 0:
@@ -172,53 +168,32 @@ def ssmain_bound(p, b, case):
     return val, ceiling
 
 
-def sserror_bound(T, b, X, c3):
-    """Leading error term c3 X^{(b+2)/2} / T^{2/b} of the deep-level tail,
-    with the subleading scale X^{(b+1)/2} reported alongside."""
-    if T < 1 or X < 1:
-        raise ValueError("T and X must be positive")
-    lead = float(c3) * X ** ((b + 2) / 2) / T ** (2 / b)
-    return lead, X ** ((b + 1) / 2)
-
-
-def solve_T_for_target(target, b, X, c3):
-    """Minimal T making the leading error term <= target."""
-    if target <= 0:
-        raise ValueError("target must be positive")
-    T = max(1, math.ceil((float(c3) * X ** ((b + 2) / 2) / target) ** (b / 2)))
-    while sserror_bound(T, b, X, c3)[0] > target:
-        T *= 2
-    while T > 1 and sserror_bound(T - 1, b, X, c3)[0] <= target:
-        T -= 1
-    return T
-
-
-@dataclass
+@dataclass(frozen=True)
 class ContradictionShape:
     alpha: Fraction          # geometric-series constant for the decay case
-    alpha_prime: Fraction    # any constant strictly between alpha and 1
-    T: int                   # truncation level absorbing the deep tail
-    main_term: float         # alpha' * G
-    global_term: float       # G = sum |q_L| * omega.C proxy
-    strict: bool             # alpha' * G + error < G, the contradiction
-
-    @property
-    def holds(self):
-        return self.strict
+    alpha_prime: Fraction    # (alpha + 1) / 2, strictly between alpha and 1
+    T: int                   # the least truncation level absorbing the deep tail
+    holds: bool              # alpha' * G + error < G, the contradiction
 
 
 def contradiction_shape(p, b, case, global_sum, X, c3):
     """Instantiate the budget inequality of the global/local comparison:
-    with alpha from the decay case and T chosen so the deep-tail error is
-    at most (alpha'-alpha) * G, the supersingular total is < G."""
+    with alpha from the decay case and T the least level whose deep-tail
+    error c3 X^{(b+2)/2} / T^{2/b} is at most target = (alpha'-alpha) G,
+    the supersingular total alpha' G + error is < G exactly when the error
+    is < target.  Raised to the power 2b, error <= target reads
+    c3^{2b} X^{b(b+2)} <= target^{2b} T^4, so every step is exact."""
+    G, X, c3 = Fraction(global_sum), Fraction(X), Fraction(c3)
+    if G <= 0 or X < 1 or c3 < 0 or b < 1:
+        raise ValueError("need G > 0, X >= 1, c3 >= 0 and b >= 1")
     alpha, _ = ssmain_bound(p, b, case)
     alpha_prime = (alpha + 1) / 2
-    target = float((alpha_prime - alpha) * Fraction(global_sum))
-    T = solve_T_for_target(target, b, X, c3)
-    err = sserror_bound(T, b, X, c3)[0]
-    main = float(alpha_prime) * float(global_sum)
-    return ContradictionShape(alpha, alpha_prime, T, main, float(global_sum),
-                              main + err < float(global_sum))
+    lead = c3 ** (2 * b) * X ** (b * (b + 2))
+    bound = ((alpha_prime - alpha) * G) ** (2 * b)
+    fourth = math.ceil(lead / bound)  # the least T has T^4 >= lead / bound
+    T = math.isqrt(math.isqrt(fourth))  # the integer fourth root
+    T = max(1, T if T ** 4 >= fourth else T + 1)
+    return ContradictionShape(alpha, alpha_prime, T, lead < bound * T ** 4)
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +270,15 @@ def _mu_mod(p, n_seq, k):
 
 def certify_membership(curve, j):
     """Check v = e_1 + (mu mod p^{n_{j+1}}) f_1 lies in every level up to
-    p^{n_{j+1}}, via the congruence mu_j = mu mod p^k for k <= n_{j+1}.
+    p^{n_{j+1}}.  Level exponent k needs mu_j = mu mod p^k, and
+    mu mod p^k = (mu mod p^{n_{j+1}}) mod p^k for k <= n_{j+1}, so the first
+    failing k is one past v_p(mu_j - mu mod p^{n_{j+1}}).
 
     Returns (m_j, exponent E with i_P(Z(m_j)) >= p^E)."""
-    p = curve.p
     nj1 = curve.n_seq[j + 1]
-    mu_j = curve.mu_partial[j]
-    for k in range(1, nj1 + 1):
-        # membership in span{e + (mu mod p^k) f, p^k f}: needs mu_j = mu mod p^k
-        if (mu_j - _mu_mod(p, curve.n_seq, k)) % p ** k != 0:
-            raise InvariantError(f"membership fails at level exponent {k}")
+    v = valuation(curve.mu_partial[j] - _mu_mod(curve.p, curve.n_seq, nj1), curve.p, nj1)
+    if v < nj1:
+        raise InvariantError(f"membership fails at level exponent {v + 1}")
     return curve.m_values[j], nj1
 
 

@@ -16,6 +16,13 @@ class VerificationFailure(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an input error: a ValueError, so exit 1, not 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def main(argv=None):
     try:
         return _dispatch(argv if argv is not None else sys.argv[1:])
@@ -38,7 +45,7 @@ LEAST = {"lattice": {"mmax": 0}, "density": {"p": 3}, "valcomb min-set": {"rmax"
 
 
 def _dispatch(argv):
-    ap = argparse.ArgumentParser(prog="orthocount")
+    ap = _Parser(prog="orthocount")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p_lat = sub.add_parser("lattice", help="invariants and theta tables")
@@ -123,7 +130,7 @@ def _dispatch(argv):
     command = " ".join(filter(None, (args.cmd, getattr(args, "mode", None))))
     for flag, least in LEAST.get(command, {}).items():
         if getattr(args, flag) < least:
-            raise ValueError(f"--{flag} must be >= {least}")
+            ap.error(f"--{flag} must be >= {least}")
     return {
         "lattice": _cmd_lattice,
         "density": _cmd_density,
@@ -256,12 +263,24 @@ def load_curve_profile(obj):
         else crystal_ring(p, rmax, n)
     sr = SeriesRing(ring, tmax)
 
+    def is_term(t):
+        """[t_exp, unit, pval] of ints, the unit maybe a list of at most deg ints."""
+        if not (isinstance(t, list) and len(t) == 3):
+            return False
+        coords = t[1] if isinstance(t[1], list) and len(t[1]) <= ring.deg else [t[1]]
+        return all(type(x) is int for x in [t[0], t[2], *coords])
+
     def coeff(unit):
         if isinstance(unit, list):  # extension-ring coordinates
-            return tuple(int(x) for x in unit) + (0,) * (ring.deg - len(unit))
-        return int(unit)
+            return tuple(unit) + (0,) * (ring.deg - len(unit))
+        return unit
 
-    series = {name: sr.from_terms((int(t_exp), coeff(unit), int(pval))
+    for name, terms in obj["series"].items():
+        if not (isinstance(terms, list) and all(map(is_term, terms))):
+            raise ValueError(f"the profile's series {name} must be a list of [t_exp, "
+                             f"unit, pval] int triples, a unit maybe a list of at most "
+                             f"{ring.deg} ints")
+    series = {name: sr.from_terms((t_exp, coeff(unit), pval)
                                   for t_exp, unit, pval in terms)
               for name, terms in obj["series"].items()}
     return CurveSubstitution(case, n, m, sr, series)
@@ -427,9 +446,9 @@ def _cmd_budget(args):
         points = [json_object(pt, "ledger point", ("label", "h", "type"))
                   for pt in obj["points"]]
         budget = CurveBudget(
-            obj["p"], parse_rational(obj["omegaC"]),
+            obj["p"], parse_rational(obj["omegaC"], "the ledger's omegaC"),
             tuple((pt["label"], pt["h"], pt["type"]) for pt in points))
-        ql = parse_rational(args.ql)
+        ql = parse_rational(args.ql, "--ql")
         total, target, ok = budget.ledger_identity(ql)
         emit_table([("mass", Fraction(budget.mass())),
                     ("target_mass", Fraction((budget.p - 1)) * budget.omegaC),

@@ -258,9 +258,9 @@ def cusp_part(Lprime, ctx, M):
     table = theta_table(Lprime, M)
     residuals = [Fraction(table[m]) - eis_coeff_theta(ctx, Lprime, m)
                  for m in range(1, M + 1)]
-    pts = [(math.log(m), math.log(abs(float(g))))
-           for m, g in enumerate(residuals, start=1)
-           if abs(float(g)) > 1e-6]
+    # the exact residuals decide; only the log-log fit is in floats
+    pts = [(math.log(m), math.log(abs(g.numerator)) - math.log(g.denominator))
+           for m, g in enumerate(residuals, start=1) if g != 0]
     bound = (ctx.b + 2) / 4 + 0.25
     if not pts:
         return CuspPart(residuals, None, True, bound)

@@ -2,8 +2,12 @@
 num/den, a manifest comment line carrying the seed and parameters so that
 identical manifests give byte-identical files."""
 
+import re
 import sys
 from fractions import Fraction
+
+# an integer numerator over an optional nonzero denominator
+RATIONAL = re.compile(r"[+-]?\d+(/0*[1-9]\d*)?")
 
 
 def render_cell(x):
@@ -56,10 +60,10 @@ def json_object(obj, name, keys, lists=()):
     return obj
 
 
-def parse_rational(s):
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+def parse_rational(value, name):
+    """An int, or a "num" or "num/den" string with den != 0, as a Fraction;
+    anything else is a one-line ValueError that names the value."""
+    if type(value) is int or isinstance(value, str) and RATIONAL.fullmatch(value):
+        return Fraction(value)
+    raise ValueError(f"{name} must be an integer or a num/den string with a "
+                     f"nonzero den, not {value!r}")

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,22 +8,23 @@ import pytest
 import orthocount.budget as budget
 from orthocount.arith import InvariantError, is_prime
 from orthocount.budget import (
+    ContradictionShape,
     CurveBudget,
     NestedLatticeSequence,
     certify_membership,
+    contradiction_shape,
     counting_bound,
     firstmin_check,
     formal_curve_sequence,
     g_P,
     local_intersection,
-    solve_T_for_target,
-    sserror_bound,
     ssmain_bound,
     truncation_cap,
 )
 from orthocount.lattice import QuadLattice, SublatticeBasis, identity_basis, rep_count
 
 from conftest import assert_fires_under_python_O
+from orthocount.cli import main
 
 X2Y2 = QuadLattice.from_rows([[2, 0], [0, 2]], positive_definite=True)
 
@@ -45,8 +48,7 @@ class TestLocalIntersection:
         assert local_intersection(seq, 3, 10) == 0
 
     def test_constant_sequence(self):
-        from orthocount.budget import constant_sequence
-        seq = constant_sequence(X2Y2)
+        seq = NestedLatticeSequence(X2Y2, ((1, identity_basis(X2Y2)),))
         assert local_intersection(seq, 1, 7) == 4 * 7
 
     def test_monotone_under_shrinkage(self):
@@ -187,22 +189,117 @@ class TestSsmain:
             ssmain_bound(3, 6, "nonss")
 
 
+def sserror_bound(T, b, X, c3):
+    """Float oracle: the leading error term c3 X^{(b+2)/2} / T^{2/b} of the
+    deep-level tail, with the subleading scale X^{(b+1)/2} alongside."""
+    if T < 1 or X < 1:
+        raise ValueError("T and X must be positive")
+    lead = float(c3) * X ** ((b + 2) / 2) / T ** (2 / b)
+    return lead, X ** ((b + 1) / 2)
+
+
+def solve_T_for_target(target, b, X, c3):
+    """Float oracle: the minimal T making the leading error term <= target,
+    by a float estimate and a search around it.  Near the boundary the
+    estimate can land one low and the search then steps back one integer
+    at a time; call it only where rounding cannot decide."""
+    if target <= 0:
+        raise ValueError("target must be positive")
+    T = max(1, math.ceil((float(c3) * X ** ((b + 2) / 2) / target) ** (b / 2)))
+    while sserror_bound(T, b, X, c3)[0] > target:
+        T *= 2
+    while T > 1 and sserror_bound(T - 1, b, X, c3)[0] <= target:
+        T -= 1
+    return T
+
+
+def shape_for_target(target, b, X, c3):
+    """contradiction_shape at the G whose target (alpha' - alpha) G is target
+    (non-superspecial case, p = 5)."""
+    alpha, _ = ssmain_bound(5, b, "nonss")
+    return contradiction_shape(5, b, "nonss", Fraction(target) / ((1 - alpha) / 2), X, c3)
+
+
+def assert_least(shape, target, b, X, c3):
+    """T^4 target^{2b} >= c3^{2b} X^{b(b+2)} > (T-1)^4 target^{2b}, and the
+    shape holds exactly when the first comparison is strict."""
+    lead = Fraction(c3) ** (2 * b) * Fraction(X) ** (b * (b + 2))
+    bound = Fraction(target) ** (2 * b)
+    T = shape.T
+    assert T ** 4 * bound >= lead, (target, b, X, c3)
+    assert T == 1 or lead > (T - 1) ** 4 * bound, (target, b, X, c3)
+    assert shape.holds == (lead < T ** 4 * bound)
+
+
+def float_oracle_T(T, target, b, X, c3):
+    """The float oracle's least T, or None where the float error at T or at
+    T - 1 lies within rounding (relative 1e-9) of the target."""
+    target = float(target)
+
+    def near(t):
+        return abs(sserror_bound(t, b, X, float(c3))[0] / target - 1) < 1e-9
+    if near(T) or T > 1 and near(T - 1):
+        return None
+    return solve_T_for_target(target, b, X, float(c3))
+
+
 class TestSsError:
     def test_limit(self):
         a, _ = sserror_bound(10 ** 6, 4, 100, 1)
         b, _ = sserror_bound(10 ** 9, 4, 100, 1)
         assert b < a
+        # a smaller target needs a deeper truncation
+        assert shape_for_target(Fraction(1, 10), 4, 100, 1).T \
+            > shape_for_target(10, 4, 100, 1).T
 
     def test_printed_arithmetic(self):
         lead, _ = sserror_bound(32, 4, 16, 1)
         assert lead == pytest.approx(4096 / 32 ** 0.5, rel=1e-12)
+        # 4096 / T^{1/2} <= 64 from T = 4096 on, with equality there
+        shape = shape_for_target(64, 4, 16, 1)
+        assert shape.T == 4096 == solve_T_for_target(64.0, 4, 16, 1)
+        assert not shape.holds
 
     def test_solve_roundtrip(self):
         for target in (10.0, 123.4, 5e6):
-            T = solve_T_for_target(target, 4, 100, 1)
-            assert sserror_bound(T, 4, 100, 1)[0] <= target
-            if T > 1:
-                assert sserror_bound(T - 1, 4, 100, 1)[0] > target
+            shape = shape_for_target(target, 4, 100, 1)
+            assert_least(shape, target, 4, 100, 1)
+            assert shape.T == solve_T_for_target(target, 4, 100, 1)
+
+    @pytest.mark.parametrize("target, b, X, c3, T", [
+        (Fraction(1, 2), 3, 1, 2, 8),
+        (10, 3, 100, 1, 10 ** 6),
+        (Fraction(1, 1000), 4, 100, 1, 10 ** 18),
+        (Fraction(1, 1000), 6, 1, 1, 10 ** 9),
+    ])
+    def test_float_boundaries(self, target, b, X, c3, T):
+        # the float search returned 9, 1000001 and 999999999999999680 for the
+        # first three, and does not finish on the fourth: each boundary is
+        # an exact equality
+        shape = shape_for_target(target, b, X, c3)
+        assert shape.T == T and not shape.holds
+        assert_least(shape, target, b, X, c3)
+
+    def test_least_on_a_grid(self):
+        compared = 0
+        for b in (1, 2, 3, 4, 6):
+            for X in (1, 2, Fraction(7, 2), 100):
+                for c3 in (Fraction(1, 3), 1, 2):
+                    for target in (Fraction(1, 1000), Fraction(1, 2), 10,
+                                   Fraction(1234, 10), 5 * 10 ** 6):
+                        shape = shape_for_target(target, b, X, c3)
+                        assert_least(shape, target, b, X, c3)
+                        oracle = float_oracle_T(shape.T, target, b, X, c3)
+                        if oracle is not None:
+                            assert shape.T == oracle, (target, b, X, c3)
+                            compared += 1
+        assert compared >= 200
+
+    def test_input_checks(self):
+        for G, X, c3, b in ((0, 100, 1, 6), (-1, 100, 1, 6), (1, Fraction(1, 2), 1, 6),
+                            (1, 100, -1, 6), (1, 100, 1, 0)):
+            with pytest.raises(ValueError):
+                contradiction_shape(5, b, "nonss", G, X, c3)
 
 
 class TestFormalCurve:
@@ -227,6 +324,49 @@ class TestFormalCurve:
         assert certify_membership(broken, 0) == (2, 1)
         with pytest.raises(InvariantError, match="level exponent 2"):
             certify_membership(broken, 1)
+
+    @staticmethod
+    def membership_by_loop(curve, j):
+        """Oracle: check every level exponent k <= n_{j+1} in turn."""
+        p, nj1, mu_j = curve.p, curve.n_seq[j + 1], curve.mu_partial[j]
+        for k in range(1, nj1 + 1):
+            if (mu_j - sum(p ** n for n in curve.n_seq if n < k)) % p ** k != 0:
+                raise InvariantError(f"membership fails at level exponent {k}")
+        return curve.m_values[j], nj1
+
+    @pytest.mark.parametrize("raise_by, k", [(2, 1), (5, 2), (5 ** 3, 4), (5 ** 24, 25)])
+    def test_membership_matches_the_loop(self, raise_by, k):
+        curve = formal_curve_sequence(5, 1, 1, 1, j_max=1)
+        broken = dataclasses.replace(curve, mu_partial=[curve.mu_partial[0],
+                                                        curve.mu_partial[1] + raise_by])
+        messages = []
+        for check in (certify_membership, self.membership_by_loop):
+            with pytest.raises(InvariantError) as err:
+                check(broken, 1)
+            messages.append(str(err.value))
+        assert messages == [f"membership fails at level exponent {k}"] * 2
+
+    def test_membership_sweep(self):
+        for p in (5, 7):
+            curve = formal_curve_sequence(p, 1, 1, 1, j_max=1)
+            for delta in range(-60, 61):
+                broken = dataclasses.replace(curve, mu_partial=[
+                    mu + delta for mu in curve.mu_partial])
+                for j in (0, 1):
+                    try:
+                        want = self.membership_by_loop(broken, j)
+                    except InvariantError as e:
+                        with pytest.raises(InvariantError, match=f"{e}$"):
+                            certify_membership(broken, j)
+                    else:
+                        assert certify_membership(broken, j) == want
+
+    def test_jmax2_is_quick(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["budget", "formal-curve", "--jmax", "2"]) == 0
+        assert time.perf_counter() - t0 < 1
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[-1].startswith(f"2,{5 ** 50},") and rows[-1].endswith(f",5^{5 ** 50}")
 
     def test_exponential_growth_shape(self):
         # log m_j ~ 2 n_j log p while the intersection exponent is n_{j+1} = p^{2 n_j}
@@ -262,18 +402,31 @@ class TestFormalCurve:
 
 class TestContradictionShape:
     def test_each_case_contradicts(self):
-        from orthocount.budget import contradiction_shape
         for case in ("nonss", "ssp1", "ssp2"):
             shape = contradiction_shape(5, 6, case, global_sum=Fraction(10 ** 9),
                                         X=100, c3=1)
             assert shape.alpha < shape.alpha_prime < 1
             assert shape.holds, case
 
-    def test_error_absorbed_by_T(self):
-        from orthocount.budget import contradiction_shape, sserror_bound
+    def test_fields_are_exact(self):
+        assert [f.name for f in dataclasses.fields(ContradictionShape)] == \
+            ["alpha", "alpha_prime", "T", "holds"]
         shape = contradiction_shape(5, 6, "ssp2", Fraction(10 ** 9), 100, 1)
-        err = sserror_bound(shape.T, 6, 100, 1)[0]
-        assert float(shape.alpha_prime - shape.alpha) * shape.global_term >= err
+        assert (shape.alpha, shape.alpha_prime) == (Fraction(17, 20), Fraction(37, 40))
+        assert type(shape.T) is int and type(shape.holds) is bool
+
+    def test_error_absorbed_by_T(self):
+        shape = contradiction_shape(5, 6, "ssp2", Fraction(10 ** 9), 100, 1)
+        target = (shape.alpha_prime - shape.alpha) * 10 ** 9
+        assert sserror_bound(shape.T, 6, 100, 1)[0] <= float(target)
+        assert sserror_bound(shape.T - 1, 6, 100, 1)[0] > float(target)
+
+    def test_large_T_is_quick(self):
+        t0 = time.perf_counter()
+        shape = contradiction_shape(5, 6, "ssp2", Fraction(1000), 100, 1)
+        assert time.perf_counter() - t0 < 1
+        # 10^8 / T^{1/3} <= 75 from T = (4/3 10^6)^3 = 2370370370370370370.37... on
+        assert shape.T == 2370370370370370371 and shape.holds
 
 
 class TestFirstMin:

@@ -43,8 +43,8 @@ class TestTableIO:
 
 class TestCli:
     def test_unknown_subcommand(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["frobnicate"])
+        assert main(["frobnicate"]) == 1
+        assert capsys.readouterr().err.startswith("error: argument cmd: invalid choice")
 
     def test_missing_file(self):
         assert main(["lattice", "--in", "/nonexistent.json"]) == 1
@@ -162,6 +162,21 @@ class TestCli:
         assert main(["budget", "ledger", "--in", str(path), "--ql", "100",
                      "--out", str(out)]) == 0
         assert "identity,true" in out.read_text()
+
+    def test_budget_ledger_rationals(self, tmp_path):
+        blob = {"p": 5, "omegaC": "3/2", "points": [
+            {"label": "P1", "h": 4, "type": "superspecial"},
+            {"label": "P2", "h": 2, "type": "nonss-supersingular"},
+            {"label": "Q", "h": 0, "type": "ordinary"},
+        ]}
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(blob))
+        out = tmp_path / "l.csv"
+        assert main(["budget", "ledger", "--in", str(path), "--ql", "7/3",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "key,value", "mass,6", "target_mass,6", "sum_gP,7/2",
+            "qL_times_omegaC,7/2", "identity,true"]
 
     def test_budget_intersect(self, tmp_path):
         blob = {
@@ -458,6 +473,17 @@ class TestCrystalGoldenBytes:
         assert rows.startswith(b"r,nu,decay_bound,schedule_bound,pass\n")
         assert hashlib.sha256(rows).hexdigest() == digest
 
+    def test_unit_as_coordinate_list(self, tmp_path):
+        # a unit written as extension-ring coordinates, [1], is the unit 1
+        prof = dict(self.SSP, series=dict(self.SSP["series"], x2=[[3, [1], 0]]))
+        path = tmp_path / "list_unit.json"
+        path.write_text(json.dumps(prof))
+        out = tmp_path / "list_unit.csv"
+        assert main(["crystal", "--profile", str(path), "--out", str(out),
+                     "--rmax", "1", "--w", "eprime1"]) == 0
+        rows = out.read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(rows).hexdigest() == self.CASES["ssp_eprime1"][2]
+
 
 def _skewed_e8():
     from conftest import E8_GRAM, random_unimodular
@@ -506,6 +532,8 @@ class TestInputBoundary:
     exit code 2 of a broken invariant."""
 
     SSP = TestCrystalGoldenBytes.SSP
+    SERIES_X1 = ("the profile's series x1 must be a list of [t_exp, unit, pval] int "
+                 "triples, a unit maybe a list of at most 2 ints")
 
     @staticmethod
     def refused(argv, capsys):
@@ -526,8 +554,15 @@ class TestInputBoundary:
         ({k: v for k, v in SSP.items() if k != "m"}, "the curve profile lacks m"),
         ({"case": "generic"}, "the curve profile lacks p, m, T_max, series"),
         (dict(SSP, series=[]), "the profile's series must be a JSON object"),
+        (dict(SSP, series=dict(SSP["series"], x1=5)), SERIES_X1),
+        (dict(SSP, series=dict(SSP["series"], x1=[[1, 1]])), SERIES_X1),
+        (dict(SSP, series=dict(SSP["series"], x1=[["1", 1, 0]])), SERIES_X1),
+        (dict(SSP, series=dict(SSP["series"], x1=[[1, 1.5, 0]])), SERIES_X1),
+        (dict(SSP, series=dict(SSP["series"], x1=[[1, [1, 0, 0], 0]])), SERIES_X1),
+        (dict(SSP, series=dict(SSP["series"], x1=[[1, [1, "0"], 0]])), SERIES_X1),
     ], ids=["p2", "p4", "p3", "list", "tmax0", "m0", "n0", "rmax_neg", "no_m",
-            "four_missing", "series_list"])
+            "four_missing", "series_list", "series_int", "term_pair", "texp_str",
+            "unit_float", "unit_too_long", "unit_str"])
     def test_curve_profile(self, tmp_path, capsys, profile, message):
         path = tmp_path / "curve.json"
         path.write_text(json.dumps(profile))
@@ -591,6 +626,53 @@ class TestInputBoundary:
         err = self.refused(["budget", "ledger", "--in", str(path), "--ql", "1",
                             "--out", str(tmp_path / "x.csv")], capsys)
         assert err == f"error: {message}\n"
+
+    LEDGER = {"p": 5, "omegaC": "1", "points": [
+        {"label": "P", "h": 4, "type": "superspecial"}]}
+
+    @pytest.mark.parametrize("obj, ql, message", [
+        (dict(LEDGER, omegaC="1/0"), "1", "the ledger's omegaC must be an integer or a "
+         "num/den string with a nonzero den, not '1/0'"),
+        (dict(LEDGER, omegaC=1.5), "1", "the ledger's omegaC must be an integer or a "
+         "num/den string with a nonzero den, not 1.5"),
+        (LEDGER, "1/0", "--ql must be an integer or a num/den string with a nonzero "
+         "den, not '1/0'"),
+        (LEDGER, "abc", "--ql must be an integer or a num/den string with a nonzero "
+         "den, not 'abc'"),
+        (dict(LEDGER, p=1), "1", "the ledger's p must be a prime, not 1"),
+        (dict(LEDGER, p=6), "1", "the ledger's p must be a prime, not 6"),
+        (dict(LEDGER, p="5"), "1", "the ledger's p must be a prime, not '5'"),
+        (dict(LEDGER, points=[{"label": "P", "h": "x", "type": "superspecial"}]), "1",
+         "the ledger point's h must be an integer, not 'x'"),
+    ], ids=["omegaC_zero_den", "omegaC_float", "ql_zero_den", "ql_word", "p1", "p6",
+            "p_str", "h_str"])
+    def test_ledger_values(self, tmp_path, capsys, obj, ql, message):
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(obj))
+        err = self.refused(["budget", "ledger", "--in", str(path), "--ql", ql,
+                            "--out", str(tmp_path / "x.csv")], capsys)
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lattice"], "the following arguments are required: --in"),
+        (["lattice", "--in", "x.json", "--mmax", "abc"],
+         "argument --mmax: invalid int value: 'abc'"),
+        (["frobnicate"], "argument cmd: invalid choice: 'frobnicate'"),
+        ([], "the following arguments are required: cmd"),
+        (["budget", "ledger", "--in", "x.json"], "the following arguments are required: --ql"),
+        (["crystal", "--profile", "x.json", "--w", "g1"], "argument --w: invalid choice: 'g1'"),
+    ], ids=["no_in", "mmax_word", "unknown", "empty", "no_ql", "bad_choice"])
+    def test_usage_errors(self, capsys, argv, message):
+        err = self.refused(argv, capsys)
+        assert err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["budget", "--help"],
+                                      ["budget", "ledger", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: orthocount")
 
     LAT = {"gram": [[2, 0], [0, 2]], "positive_definite": True}
 

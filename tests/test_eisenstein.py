@@ -404,6 +404,17 @@ class TestCuspPart:
         assert all(isinstance(g, Fraction) for g in out.residuals)
         assert out.exponent <= out.bound
 
+    def test_tiny_exact_residual_is_a_cusp(self, e8, monkeypatch):
+        # q(3) = r(3) - 10^-9: the exact residual 10^-9 is not zero
+        import orthocount.eisenstein as eisenstein
+        exact = eisenstein.eis_coeff_theta
+        monkeypatch.setattr(eisenstein, "eis_coeff_theta", lambda ctx, L, m: exact(
+            ctx, L, m) - (Fraction(1, 10 ** 9) if m == 3 else 0))
+        ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
+        out = cusp_part(e8, ctx, 4)
+        assert out.residuals == [0, 0, Fraction(1, 10 ** 9), 0]
+        assert not out.cusp_free and out.exponent is not None
+
     def test_rank_mismatch(self, e8):
         ctx = EisensteinContext.from_lattice(e8, b=6, p=7)
         with pytest.raises(ValueError):

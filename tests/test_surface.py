@@ -23,15 +23,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "orthocount"
 PERFBENCH = ROOT / "perfbench"
 
-# Float forms of the paper's budget inequality, unreached until an exact
-# comparison (a `budget contradiction` subcommand) decides which to keep.
+# Forms of the paper's budget inequality with no caller yet: the exact
+# contradiction shape, until a `budget contradiction` subcommand prints it,
+# and the float counting and first-minimum reports.
 BUDGET_PENDING = {
-    "budget.constant_sequence",
     "budget.truncation_cap",
     "budget.CountingBound",
     "budget.counting_bound",
-    "budget.sserror_bound",
-    "budget.solve_T_for_target",
     "budget.ContradictionShape",
     "budget.contradiction_shape",
     "budget.FirstMinReport",
