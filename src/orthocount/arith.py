@@ -167,17 +167,6 @@ def bernoulli(n):
     return -total / (n + 1)
 
 
-def zeta_even_over_pi(s):
-    """zeta(s)/pi^s as an exact Fraction, for even s >= 2."""
-    if s < 2 or s % 2:
-        raise ValueError("closed form only at even s >= 2")
-    B = bernoulli(s)
-    val = (-1) ** (s // 2 + 1) * B * Fraction(2) ** (s - 1) / math.factorial(s)
-    if val <= 0:
-        raise InvariantError(f"zeta({s})/pi^{s} = {val} is not positive")
-    return val
-
-
 def fundamental_discriminant(D):
     """(D0, g) with D = D0 * g^2, D0 the fundamental discriminant of chi_D.
 
@@ -258,30 +247,25 @@ def lvalue_closed_form(s, D):
     if s < 1:
         return None
     D0, g = fundamental_discriminant(D)
-    parity = 0 if D0 > 0 else 1
-    if s % 2 != parity:
+    if s % 2 != (D0 < 0):  # chi_D0(-1) = (-1)^s: even for D0 > 0, odd for D0 < 0
         return None
-    if D0 == 1:
-        q = zeta_even_over_pi(s)
-        d = 1
-    else:
-        f = abs(D0)
-        B = gen_bernoulli(s, D0)
-        # For chi primitive mod f with chi(-1) = (-1)^s, the functional
-        # equation turns L(1 - s, chi) = -B_{s,chi}/s (Washington, Thm. 4.2)
-        # into
-        #   |L(s, chi)| = (2 pi / f)^s * sqrt(f) * |B_{s,chi}| / (2 * s!),
-        # since a real character has Gauss sum sqrt(f) (even) or i sqrt(f)
-        # (odd).  The sign is fixed by L(s, chi) > 0 at real s >= 1 (the
-        # Euler product for s > 1, the class number formula at s = 1).
-        q = Fraction(2) ** s * abs(B) / (2 * math.factorial(s) * Fraction(f) ** s)
-        d = f
-        # L = q * pi^s * sqrt(f) / f = q * pi^s / sqrt(f) after folding
-        q = q * f
+    f = abs(D0)
+    B = gen_bernoulli(s, D0)
+    if B == 0:
+        raise InvariantError(f"B_({s}, chi_{D0}) = 0, but L({s}, chi_{D0}) > 0")
+    # For chi primitive mod f with chi(-1) = (-1)^s, the functional equation
+    # turns L(1 - s, chi) = -B_{s,chi}/s (Washington, Thm. 4.2) into
+    #   |L(s, chi)| = (2 pi / f)^s * sqrt(f) * |B_{s,chi}| / (2 * s!),
+    # since a real character has Gauss sum sqrt(f) (even) or i sqrt(f) (odd).
+    # D0 = 1 is the trivial character mod 1 and B_s(1) = B_s: zeta(s).  The
+    # sign is fixed by L(s, chi) > 0 at real s >= 1 (the Euler product for
+    # s > 1, the class number formula at s = 1), so B_{s,chi} != 0.
+    # Folding sqrt(f) = f / sqrt(f) gives L = q * pi^s / sqrt(f).
+    q = Fraction(2) ** s * abs(B) * f / (2 * math.factorial(s) * Fraction(f) ** s)
     # imprimitive correction: chi_D = chi_{D0} on integers prime to D, but the
     # modulus includes the primes of g (and of D0 if doubled); remove their
     # Euler factors
     extra = {p for p, _ in factorize(abs(D))} - {p for p, _ in factorize(abs(D0))}
     for p in sorted(extra):
         q *= (1 - Fraction(chi_d(D0, p), p ** s))
-    return q, s, d
+    return q, s, f

@@ -9,7 +9,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .tableio import emit_table, json_object, parse_rational
+from .tableio import emit_table, int_rows, json_object, parse_rational
 
 
 class VerificationFailure(Exception):
@@ -38,10 +38,11 @@ def main(argv=None):
 
 
 # the least value of each bounded integer option, by subcommand
-LEAST = {"lattice": {"mmax": 0}, "density": {"p": 3}, "valcomb min-set": {"rmax": 1},
-         "valcomb verify-minval": {"rmax": 1, "nmax": 1}, "valcomb schedules": {"h": 1},
+LEAST = {"lattice": {"mmax": 0}, "density": {"p": 3}, "crystal": {"rmax": 0},
+         "valcomb min-set": {"rmax": 1}, "valcomb schedules": {"h": 1},
+         "valcomb verify-minval": {"rmax": 1, "nmax": 1, "trials": 1},
          "valcomb ssp-min": {"rmax": 0}, "budget ssmain-table": {"b": 3},
-         "budget formal-curve": {"jmax": 0}}
+         "budget formal-curve": {"jmax": 0}, "budget intersect": {"ncap": 1}}
 
 
 def _dispatch(argv):
@@ -296,6 +297,8 @@ def _cmd_crystal(args):
     if args.tmax is not None and isinstance(prof, dict):
         prof["T_max"] = args.tmax
     coords = load_curve_profile(prof)
+    if coords.case != "superspecial" and args.rmax < 1:
+        raise ValueError("--rmax must be >= 1 for a generic profile, whose trace starts at r = 1")
     sr = coords.sring
     p = sr.ring.p
     if coords.case == "superspecial":
@@ -466,11 +469,15 @@ def _cmd_budget(args):
         obj = json_object(_load_json(args.infile), "nested lattice sequence",
                           ("ambient", "levels"), lists=("levels",))
         ambient = lattice_from_json(obj["ambient"])
-        levels = tuple(
-            (lvl["n_start"], SublatticeBasis.from_cols(ambient, lvl["cols"]))
-            for lvl in (json_object(lvl, "sequence level", ("n_start", "cols"))
-                        for lvl in obj["levels"]))
-        seq = NestedLatticeSequence(ambient, levels)
+
+        def level(lvl):
+            n = json_object(lvl, "sequence level", ("n_start", "cols"), lists=("cols",))["n_start"]
+            if type(n) is not int:
+                raise ValueError(f"the sequence level's n_start must be a JSON integer, not {n!r}")
+            cols = int_rows(lvl["cols"], "the sequence level's cols")
+            return n, SublatticeBasis.from_cols(ambient, cols)
+
+        seq = NestedLatticeSequence(ambient, tuple(map(level, obj["levels"])))
         rows = [(m, local_intersection(seq, m, args.ncap))
                 for m in range(1, args.mmax + 1)]
         emit_table(rows, ["m", "local_intersection"], args.out,

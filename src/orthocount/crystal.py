@@ -140,7 +140,7 @@ def crystal_ring(p, R, n):
     return make_ring(p, R, 2 * n)
 
 
-def synthesize_s0prime(ring, n, seed=0):
+def synthesize_s0prime(ring, n, seed):
     """A synthetic change-of-basis S'_0 in GL_{2n}(W/p^R) satisfying
     sigma(S'_0) = S'_0 B'_0 with all b_i = 0 (the shipped default).
 
@@ -272,14 +272,14 @@ def monomial_substitution(sring, case, n, m, exps, units=None):
 # ---------------------------------------------------------------------------
 # series-level matrices
 
-def unipotent_series(coords, primed=False):
-    """The unipotent u (primed: u') of a substitution as a series matrix."""
+def unipotent_series(coords):
+    """The primed unipotent u' = D u D^{-1}, D = diag(p^{-1} I_n, I), as a series matrix."""
     n, m, sring = coords.n, coords.m, coords.sring
     S = dict(coords.series, Q=coords.q_series())
     M = TSeriesMatrix.identity(sring, 2 * n + 2 * m)
     for i, j, name, sign, over_p in _unipotent_layout(coords.case, n, m):
         e = S[name] if sign > 0 else S[name].neg()
-        M[i, j] = e.pshift(-1) if primed and over_p else e
+        M[i, j] = e.pshift(-1) if over_p else e
     return M
 
 
@@ -296,7 +296,7 @@ def frobenius_F(coords, s0, s0inv):
     """F = S' (u' - I) S'^{-1}, the Frobenius correction in the flat basis,
     S' = blockdiag(S'_0, I_{2m}); the same pipeline serves both cases."""
     sring, extra = coords.sring, 2 * coords.m
-    uprime = unipotent_series(coords, primed=True)
+    uprime = unipotent_series(coords)
     I = TSeriesMatrix.identity(sring, uprime.dim)
     Sp = embed_s0(sring, s0, extra)
     Spi = embed_s0(sring, s0inv, extra)
@@ -330,11 +330,10 @@ def f_infinity_partial(F, N):
     return acc
 
 
-def min_tval_at_pval(M, r, rows=None, cols=None):
+def min_tval_at_pval(M, r, rows, cols):
     """Minimal t-exponent carrying a coefficient of p-valuation <= -r in the
-    chosen sub-block, or None."""
-    pv = M.pval[np.ix_(range(M.dim) if rows is None else rows,
-                       range(M.pval.shape[1]) if cols is None else cols)]
+    sub-block of the given rows and columns, or None."""
+    pv = M.pval[np.ix_(rows, cols)]
     hit = np.flatnonzero(((pv <= -r) & (pv > -PINF)).any(axis=(0, 1)))
     return int(hit[0]) if hit.size else None
 
@@ -397,25 +396,23 @@ class DecayProbe:
     status: str             # "detected" | "integral-within-window"
 
 
-def first_nonintegral_order(finf, w, r, basis_mat, components=None):
+def first_nonintegral_order(finf, w, r, basis_mat, components):
     """Track p^r * F_inf * w in the integral basis; report the first
     t-exponent whose coefficient fails integrality.
 
-    `components` restricts which basis coordinates are watched (the source
-    analysis tracks a single distinguished f'-coordinate; unrestricted
-    detection can fire earlier, which only strengthens the decay claim)."""
+    `components` are the basis coordinates watched (the paper tracks a
+    single distinguished f'-coordinate; watching more of them can fire
+    earlier, which only strengthens the decay claim)."""
     sring = finf.sr
     vec = [sring.monomial(0, w[i], pshift=r) for i in range(finf.dim)]
     z = basis_mat.mul_vector(finf.mul_vector(vec))
-    watch = list(range(len(z)) if components is None else components)
-    bad = np.array([z[i].pval < 0 for i in watch])
+    bad = np.array([z[i].pval < 0 for i in components])
     hit = np.flatnonzero(bad.any(axis=0))
     if not hit.size:
         return DecayProbe(None, None, None, "integral-within-window")
     best = int(hit[0])
-    comp = watch[int(np.argmax(bad[:, best]))]  # the first watched hit at t = best
-    p = sring.ring.p
-    return DecayProbe(best, comp, -(-best // p), "detected")
+    comp = components[int(np.argmax(bad[:, best]))]  # the first watched hit at t = best
+    return DecayProbe(best, comp, -(-best // sring.ring.p), "detected")
 
 
 # ---------------------------------------------------------------------------

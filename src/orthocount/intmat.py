@@ -6,6 +6,8 @@ Everything here works on lists of lists of Python ints, so there is no
 overflow anywhere; matrix sizes in this package are tiny (rank <= ~10).
 """
 
+from math import gcd
+
 
 def copy_mat(M):
     return [list(row) for row in M]
@@ -134,59 +136,26 @@ def kernel_basis(M):
 
 
 def smith_normal_form(M):
-    """Elementary divisors d_1 | d_2 | ... of M (nonnegative)."""
-    A = copy_mat(M)
-    rows, cols = len(A), len(A[0])
-    divisors = []
-    top = 0
-    while top < min(rows, cols):
-        # find smallest nonzero entry in the remaining block
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        A[top], A[bi] = A[bi], A[top]
-        for row in A:
-            row[top], row[bj] = row[bj], row[top]
-        # clear row and column; restart if a remainder shows up
-        dirty = False
-        for i in range(top + 1, rows):
-            if A[i][top] != 0:
-                q = A[i][top] // A[top][top]
-                for j in range(top, cols):
-                    A[i][j] -= q * A[top][j]
-                if A[i][top] != 0:
-                    dirty = True
-        for j in range(top + 1, cols):
-            if A[top][j] != 0:
-                q = A[top][j] // A[top][top]
-                for i in range(top, rows):
-                    A[i][j] -= q * A[i][top]
-                if A[top][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # divisibility sweep: pivot must divide the rest of the block
-        piv = abs(A[top][top])
-        offender = None
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if A[i][j] % piv != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(top, cols):
-                A[top][j] += A[offender][j]
-            continue
-        divisors.append(piv)
-        top += 1
-    return divisors
+    """Elementary divisors d_1 | d_2 | ... of M, the nonzero ones, increasing.
+
+    A <- transpose(H), H the column Hermite form of A, until A is diagonal
+    (Kannan & Bachem, SIAM J. Comput. 8, 1979); then diag(a, b) ~ diag(gcd,
+    lcm) over Z makes the diagonal a divisibility chain.  It terminates: from
+    the second pass on (A != 0), a_00 > 0 is the gcd of its row, so |a_00|
+    never grows, and it drops until a_00 divides its row and its column; that
+    pass clears both.  They stay clear: later passes combine only columns
+    right of the pivot, and the earlier-pivot reduction finds zeros.  The
+    same argument then repeats on the next diagonal entry.
+    """
+    A = M
+    while any(x for i, row in enumerate(A) for j, x in enumerate(row) if i != j):
+        A = transpose(hnf_columns(A)[0])
+    d = [abs(A[i][i]) for i in range(min(len(A), len(A[0]))) if A[i][i]]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def solve_integer(M, v):

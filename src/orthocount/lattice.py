@@ -22,7 +22,7 @@ from .intmat import (
     solve_integer,
     transpose,
 )
-from .tableio import json_object
+from .tableio import int_rows, json_object
 
 
 @dataclass(frozen=True)
@@ -350,11 +350,10 @@ def intersect_and_index(A, B):
 
 
 def lattice_from_json(obj):
-    """The lattice of a JSON object with "gram", an optional "rank" that must
-    agree with it, and an optional "positive_definite"."""
+    """The lattice of a JSON object with "gram", rows of JSON integers, an
+    optional "rank" that must agree with it and an optional "positive_definite"."""
     gram = json_object(obj, "lattice", ("gram",), lists=("gram",))["gram"]
-    if not all(isinstance(row, list) for row in gram):
-        raise ValueError("the lattice's gram must be a list of rows")
+    int_rows(gram, "the lattice's gram")
     n = len(gram)
     if obj.get("rank", n) != n:
         raise ValueError(f"rank {obj['rank']} disagrees with a {n}x{n} gram")

@@ -60,6 +60,17 @@ def json_object(obj, name, keys, lists=()):
     return obj
 
 
+def int_rows(value, name):
+    """value, a JSON list, once it is a list of rows of JSON integers;
+    otherwise a one-line ValueError that names it."""
+    if not all(isinstance(row, list) for row in value):
+        raise ValueError(f"{name} must be a list of rows")
+    for x in (x for row in value for x in row):
+        if type(x) is not int:
+            raise ValueError(f"{name} must hold JSON integers, not {x!r}")
+    return value
+
+
 def parse_rational(value, name):
     """An int, or a "num" or "num/den" string with den != 0, as a Fraction;
     anything else is a one-line ValueError that names the value."""

@@ -18,6 +18,7 @@ from .arith import is_prime
 
 MIN_SET_GUARD = 10 ** 7
 CHUNK = 2 ** 16  # cells of the nu(I||J) grid formed at once by min_set
+R_CAP = 64  # levels of the decay windows predicted_index tries
 
 
 @dataclass(frozen=True)
@@ -304,20 +305,20 @@ def _windows(case, h, p, a):
         raise ValueError(f"unknown case {case!r}")
 
 
-def predicted_index(n, case, h, p, a=None, r_cap=64):
+def predicted_index(n, case, h, p, a=None):
     """Lower-bound exponent e with |L_1/L_n| >= p^e from the decay theorems,
     or None where the theorems leave n uncovered (below the first window, or
     inside a genuine inter-window gap when a p^r is fractional).
 
     The windows of _windows are walked in order up to the first that decides
-    n; those of exponent above 2 r_cap - 2 (the levels past r_cap) are not
+    n; those of exponent above 2 R_CAP - 2 (the levels past R_CAP) are not
     tried."""
     if n < 1:
         raise ValueError("n must be >= 1")
     a = Fraction(h, 2) if a is None else Fraction(a)
     for lo, hi, e in _windows(case, h, p, a):
-        if e > 2 * r_cap - 2:
-            raise ValueError("increase r_cap")
+        if e > 2 * R_CAP - 2:
+            raise ValueError(f"n lies past the first {R_CAP} levels")
         if n < lo:
             return None
         if n <= hi:

@@ -21,8 +21,8 @@ from orthocount.arith import (
     sigma_s_chi,
     squarefree_part,
     valuation,
-    zeta_even_over_pi,
 )
+from conftest import assert_fires_under_python_O
 
 
 def jacobi_oracle(D, a):
@@ -134,9 +134,13 @@ class TestBernoulli:
         assert bernoulli(12) == Fraction(-691, 2730)
 
     def test_zeta_even(self):
-        assert zeta_even_over_pi(2) == Fraction(1, 6)
-        assert zeta_even_over_pi(4) == Fraction(1, 90)
-        assert zeta_even_over_pi(6) == Fraction(1, 945)
+        # zeta(2k) is the trivial-character L-value, L = q pi^s / sqrt(1)
+        assert lvalue_closed_form(2, 1) == (Fraction(1, 6), 2, 1)
+        assert lvalue_closed_form(4, 1) == (Fraction(1, 90), 4, 1)
+        assert lvalue_closed_form(6, 1) == (Fraction(1, 945), 6, 1)
+        assert lvalue_closed_form(1, 1) is None  # the pole
+        assert [zeta_even_over_pi(s) for s in (2, 4, 6)] == \
+            [Fraction(1, 6), Fraction(1, 90), Fraction(1, 945)]
 
 
 def ref_gen_bernoulli(n, D0):
@@ -304,6 +308,41 @@ def dirichlet_L(s, D=None, eps=1e-12):
     return total
 
 
+def zeta_even_over_pi(s):
+    """zeta(s)/pi^s as an exact Fraction, for even s >= 2, from B_s alone."""
+    if s < 2 or s % 2:
+        raise ValueError("closed form only at even s >= 2")
+    B = bernoulli(s)
+    val = (-1) ** (s // 2 + 1) * B * Fraction(2) ** (s - 1) / math.factorial(s)
+    if val <= 0:
+        raise InvariantError(f"zeta({s})/pi^{s} = {val} is not positive")
+    return val
+
+
+def ref_lvalue_closed_form(s, D):
+    """The two-route lvalue_closed_form it replaced: zeta_even_over_pi for a
+    principal D0 = 1, the generalized Bernoulli number otherwise."""
+    if s < 1:
+        return None
+    D0, g = fundamental_discriminant(D)
+    parity = 0 if D0 > 0 else 1
+    if s % 2 != parity:
+        return None
+    if D0 == 1:
+        q = zeta_even_over_pi(s)
+        d = 1
+    else:
+        f = abs(D0)
+        B = gen_bernoulli(s, D0)
+        q = Fraction(2) ** s * abs(B) / (2 * math.factorial(s) * Fraction(f) ** s)
+        d = f
+        q = q * f
+    extra = {p for p, _ in factorize(abs(D))} - {p for p, _ in factorize(abs(D0))}
+    for p in sorted(extra):
+        q *= (1 - Fraction(chi_d(D0, p), p ** s))
+    return q, s, d
+
+
 class TestLValues:
     def test_zeta4(self):
         v = dirichlet_L(4, None, 1e-12)
@@ -348,6 +387,15 @@ class TestLValues:
         assert q == Fraction(15, 16) * Fraction(1, 90)
         assert dirichlet_L(4, 4, 1e-12) == pytest.approx(float(q) * math.pi ** 4, abs=1e-11)
 
+    def test_matches_two_route_reference(self):
+        Ds = (1, 4, 9, 16, 25, 36, 64, 100, 144, 5, -4, -3, 8, 12, -20, 45, -16)
+        pairs = [(s, D) for s in range(1, 21) for D in Ds]
+        assert len(pairs) == 340
+        for s, D in pairs:
+            assert lvalue_closed_form(s, D) == ref_lvalue_closed_form(s, D), (s, D)
+        # parity: a closed form at even s for D > 0, at odd s for D < 0
+        assert sum(lvalue_closed_form(s, D) is not None for s, D in pairs) == 170
+
     def test_imprimitive_euler_factors(self):
         # chi_{-16} = chi_{-4} away from 2 (2 already divides -4: no factor),
         # chi_{45} = chi_5 with the 3-factor removed
@@ -360,10 +408,32 @@ class TestLValues:
 class TestTypedFailures:
     """Each broken invariant raises InvariantError."""
 
+    @staticmethod
+    def refuses_vanishing_bernoulli(monkeypatch, s, D):
+        monkeypatch.setattr(arith, "gen_bernoulli", lambda n, D0: Fraction(0))
+        arith.lvalue_closed_form.cache_clear()
+        try:
+            with pytest.raises(InvariantError, match="= 0, but L"):
+                lvalue_closed_form(s, D)
+        finally:
+            arith.lvalue_closed_form.cache_clear()
+
     def test_zeta_even_positive(self, monkeypatch):
-        monkeypatch.setattr(arith, "bernoulli", lambda n: Fraction(0))
-        with pytest.raises(InvariantError, match="is not positive"):
-            zeta_even_over_pi(4)
+        # zeta(4) = L(4, chi_1): a vanishing B_4 is caught
+        self.refuses_vanishing_bernoulli(monkeypatch, 4, 1)
+
+    @pytest.mark.parametrize("s,D", [(6, 16), (2, 5), (3, -4)])
+    def test_lvalue_positive(self, monkeypatch, s, D):
+        # every other character, imprimitive (16), even (5) and odd (-4)
+        self.refuses_vanishing_bernoulli(monkeypatch, s, D)
+
+    def test_lvalue_positive_under_python_O(self):
+        assert_fires_under_python_O(
+            "from fractions import Fraction\n"
+            "import orthocount.arith as arith\n"
+            "assert False, 'asserts are live'\n"
+            "arith.gen_bernoulli = lambda n, D0: Fraction(0)\n",
+            "arith.lvalue_closed_form(4, 1)\n")
 
     def test_fundamental_discriminant_sign(self, monkeypatch):
         # a negative "squarefree part" of |D| makes D0 < 0 < D

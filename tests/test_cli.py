@@ -602,7 +602,12 @@ class TestInputBoundary:
         ({}, "the lattice lacks gram"),
         ({"gram": 4}, "the lattice's gram must be a JSON list"),
         ({"gram": [2]}, "the lattice's gram must be a list of rows"),
-    ], ids=["list", "empty", "gram_int", "gram_flat"])
+        # int() read these as A2 (det 3) before
+        ({"gram": [[2.9, 1], [1, 2]]}, "the lattice's gram must hold JSON integers, not 2.9"),
+        ({"gram": [["2", 1], [1, 2]]}, "the lattice's gram must hold JSON integers, not '2'"),
+        ({"gram": [[2, True], [True, 2]]},
+         "the lattice's gram must hold JSON integers, not True"),
+    ], ids=["list", "empty", "gram_int", "gram_flat", "gram_float", "gram_str", "gram_bool"])
     @pytest.mark.parametrize("argv", [["lattice"], ["density", "--p", "5"],
                                       ["eis", "--b", "6"]], ids=lambda a: a[0])
     def test_lattice_json(self, tmp_path, capsys, obj, message, argv):
@@ -686,7 +691,20 @@ class TestInputBoundary:
          "a sequence level must be a JSON object"),
         ({"ambient": LAT, "levels": [{"cols": [[1, 0], [0, 1]]}]},
          "the sequence level lacks n_start"),
-    ], ids=["list", "no_ambient", "ambient_list", "levels_dict", "level_list", "level_keys"])
+        ({"ambient": LAT, "levels": [{"n_start": 1, "cols": 1}]},
+         "the sequence level's cols must be a JSON list"),
+        ({"ambient": LAT, "levels": [{"n_start": 1, "cols": [1, 0]}]},
+         "the sequence level's cols must be a list of rows"),
+        # int() read these as the identity and as n = 2 before
+        ({"ambient": LAT, "levels": [{"n_start": 1, "cols": [[1.5, 0], [0, 1]]}]},
+         "the sequence level's cols must hold JSON integers, not 1.5"),
+        ({"ambient": LAT, "levels": [{"n_start": 1, "cols": [[1, 0], [0, 1]]},
+                                     {"n_start": 2.5, "cols": [[5, 0], [0, 1]]}]},
+         "the sequence level's n_start must be a JSON integer, not 2.5"),
+        ({"ambient": LAT, "levels": [{"n_start": "1", "cols": [[1, 0], [0, 1]]}]},
+         "the sequence level's n_start must be a JSON integer, not '1'"),
+    ], ids=["list", "no_ambient", "ambient_list", "levels_dict", "level_list", "level_keys",
+            "cols_int", "cols_flat", "cols_float", "n_start_float", "n_start_str"])
     def test_sequence_json(self, tmp_path, capsys, obj, message):
         path = tmp_path / "seq.json"
         path.write_text(json.dumps(obj))
@@ -704,13 +722,33 @@ class TestInputBoundary:
         (["density", "--in", "{lat}", "--mmax", "4", "--p", "{x}"], "p", 3),
         (["valcomb", "min-set", "--n", "1", "--a", "1,2", "--rmax", "{x}"], "rmax", 1),
         (["valcomb", "verify-minval", "--trials", "1", "--nmax", "{x}"], "nmax", 1),
+        (["valcomb", "verify-minval", "--trials", "{x}"], "trials", 1),
+        (["budget", "intersect", "--in", "{seq}", "--mmax", "2", "--ncap", "{x}"], "ncap", 1),
+        (["crystal", "--profile", "{ssp}", "--rmax", "{x}"], "rmax", 0),
     ], ids=["schedules_h", "ssmain_b", "ssp_min_rmax", "formal_curve_jmax", "lattice_mmax",
-            "density_p", "min_set_rmax", "verify_minval_nmax"])
+            "density_p", "min_set_rmax", "verify_minval_nmax", "verify_minval_trials",
+            "intersect_ncap", "crystal_rmax"])
     def test_option_floor(self, tmp_path, capsys, lattice_file, argv, flag, least):
+        # each of these printed a table with no rows, or with every row 0, and exited 0
+        seq, ssp = tmp_path / "seq.json", tmp_path / "ssp.json"
+        seq.write_text(json.dumps({"ambient": self.LAT, "levels": [
+            {"n_start": 1, "cols": [[1, 0], [0, 1]]}]}))
+        ssp.write_text(json.dumps(self.SSP))
+
         def run(x):
-            return [a.format(x=x, lat=lattice_file) for a in argv] + \
+            return [a.format(x=x, lat=lattice_file, seq=seq, ssp=ssp) for a in argv] + \
                 ["--out", str(tmp_path / "x.csv")]
         for x in (least - 1, -3):
             err = self.refused(run(x), capsys)
             assert err == f"error: --{flag} must be >= {least}\n"
         assert main(run(least)) == 0
+
+    def test_generic_crystal_needs_rmax_1(self, tmp_path, capsys):
+        # the generic trace starts at r = 1, so --rmax 0 printed no rows
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps(TestCrystalGoldenBytes.GENERIC))
+        argv = ["crystal", "--profile", str(path), "--out", str(tmp_path / "x.csv")]
+        err = self.refused(argv + ["--rmax", "0"], capsys)
+        assert err == "error: --rmax must be >= 1 for a generic profile, whose trace starts " \
+            "at r = 1\n"
+        assert main(argv + ["--rmax", "1"]) == 0

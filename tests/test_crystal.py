@@ -8,6 +8,7 @@ import pytest
 from orthocount.crystal import (
     CurveSubstitution,
     _int_to_elt,
+    _unipotent_layout,
     b0_sym,
     crystal_ring,
     embed_s0,
@@ -455,10 +456,11 @@ class TestProbes:
         M[0, 1] = sr.monomial(5, 1, pshift=-2)
         M[2, 2] = sr.monomial(3, 1, pshift=-1)
         M[1, 0] = sr.monomial(1, 1)
-        assert min_tval_at_pval(M, 1) == 3
-        assert min_tval_at_pval(M, 2) == 5
-        assert min_tval_at_pval(M, 3) is None
-        assert min_tval_at_pval(M, 0) == 1
+        every = range(3)
+        assert min_tval_at_pval(M, 1, rows=every, cols=every) == 3
+        assert min_tval_at_pval(M, 2, rows=every, cols=every) == 5
+        assert min_tval_at_pval(M, 3, rows=every, cols=every) is None
+        assert min_tval_at_pval(M, 0, rows=every, cols=every) == 1
         assert min_tval_at_pval(M, 1, rows=[0, 1], cols=[0, 1]) == 5
         assert min_tval_at_pval(M, 1, rows=[1], cols=[0, 2]) is None
 
@@ -476,10 +478,11 @@ class TestProbes:
         sr = SeriesRing(superspecial_ring(5, 6), 20)
         I = TSeriesMatrix.identity(sr, 4)
         w = [0, 1, 0, 1]
-        probe = first_nonintegral_order(I, w, -1, I)
+        probe = first_nonintegral_order(I, w, -1, I, components=range(4))
         assert (probe.nu, probe.component, probe.status) == (0, 1, "detected")
         assert first_nonintegral_order(I, w, -1, I, components=[3, 1]).component == 3
-        assert first_nonintegral_order(I, w, 0, I).status == "integral-within-window"
+        assert first_nonintegral_order(I, w, 0, I, components=range(4)).status \
+            == "integral-within-window"
 
 
 class TestDecayTrace:
@@ -508,7 +511,8 @@ class TestDecayTrace:
                 assert probe.nu == expected1, (r, w_base, probe)
                 # unrestricted detection may fire earlier (w_1-coordinate
                 # fails a steps sooner), never later
-                free = first_nonintegral_order(finf, w, r, basis)
+                free = first_nonintegral_order(finf, w, r, basis,
+                                               components=range(finf.dim))
                 assert free.nu <= expected1
             # w = e'_1 watched at f'_1: nu = a + h(p + ... + p^r) + a p^{r+1}
             expected2, _ = ssp_min_valuation(2, r, prof)
@@ -602,7 +606,7 @@ class TestDecayTrace:
         basis = integral_basis_matrix(coords.sring, sinv, 1, 2 * coords.m)
         # r very large: p^r w stays integral in a small window
         w = [1, 0] + [0] * (2 * coords.m)
-        probe = first_nonintegral_order(finf, w, 30, basis)
+        probe = first_nonintegral_order(finf, w, 30, basis, components=range(finf.dim))
         assert probe.status == "integral-within-window"
 
 
@@ -719,7 +723,7 @@ class TestGenericFInfinity:
         # u' = D u D^{-1} with D = diag(p^{-1} I_n, I): check entrywise
         exps = {"x1": 2, "y1": 1, "xp1": 2, "yp1": 1}
         coords, ring = _generic_coords(5, 2, 1, exps, tmax=60)
-        u, uprime = unipotent_series(coords), unipotent_series(coords, primed=True)
+        u, uprime = unprimed_unipotent_series(coords), unipotent_series(coords)
         n, dim = coords.n, 2 * coords.n + 2 * coords.m
         for i in range(dim):
             for j in range(dim):
@@ -729,6 +733,17 @@ class TestGenericFInfinity:
                 got = uprime.entries[i][j]
                 assert np.all(got.pval == expect.pval), (i, j)
                 assert np.all(got.unit == expect.unit), (i, j)
+
+
+def unprimed_unipotent_series(coords):
+    """The unipotent u of a substitution as a series matrix, before the
+    conjugation by D = diag(p^{-1} I_n, I) that unipotent_series applies."""
+    n, m, sring = coords.n, coords.m, coords.sring
+    S = dict(coords.series, Q=coords.q_series())
+    M = TSeriesMatrix.identity(sring, 2 * n + 2 * m)
+    for i, j, name, sign, _ in _unipotent_layout(coords.case, n, m):
+        M[i, j] = S[name] if sign > 0 else S[name].neg()
+    return M
 
 
 def ref_moore_exhaustive(n, p, trials, seed):

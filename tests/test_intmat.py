@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orthocount.intmat import (det_bareiss, fp_row_reduce, gram_pivots, identity, lll_gram,
-                               mat_mul, transpose)
+                               mat_mul, smith_normal_form, transpose)
 
 from conftest import E8_GRAM, random_posdef_gram, random_unimodular
 
@@ -135,3 +135,109 @@ def test_fp_rank_and_kernel_against_brute_force(p):
 
 def test_fp_row_reduce_no_rows():
     assert fp_row_reduce([], 7) == ([], [])
+
+
+def ref_smith(M):
+    """Elementary divisors d_1 | d_2 | ... of M (nonnegative) by direct
+    elimination: the smallest-entry pivot clears its row and column, restarts
+    while a remainder shows up, and adds an offending row until the pivot
+    divides the rest of the block.  The old `smith_normal_form`, kept as the
+    oracle."""
+    A = [list(row) for row in M]
+    rows, cols = len(A), len(A[0])
+    divisors = []
+    top = 0
+    while top < min(rows, cols):
+        # find smallest nonzero entry in the remaining block
+        best = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                if A[i][j] != 0 and (best is None or abs(A[i][j]) < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        A[top], A[bi] = A[bi], A[top]
+        for row in A:
+            row[top], row[bj] = row[bj], row[top]
+        # clear row and column; restart if a remainder shows up
+        dirty = False
+        for i in range(top + 1, rows):
+            if A[i][top] != 0:
+                q = A[i][top] // A[top][top]
+                for j in range(top, cols):
+                    A[i][j] -= q * A[top][j]
+                if A[i][top] != 0:
+                    dirty = True
+        for j in range(top + 1, cols):
+            if A[top][j] != 0:
+                q = A[top][j] // A[top][top]
+                for i in range(top, rows):
+                    A[i][j] -= q * A[i][top]
+                if A[top][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        # divisibility sweep: pivot must divide the rest of the block
+        piv = abs(A[top][top])
+        offender = None
+        for i in range(top + 1, rows):
+            for j in range(top + 1, cols):
+                if A[i][j] % piv != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            for j in range(top, cols):
+                A[top][j] += A[offender][j]
+            continue
+        divisors.append(piv)
+        top += 1
+    return divisors
+
+
+def _block_diag(*blocks):
+    n = sum(map(len, blocks))
+    out, k = [[0] * n for _ in range(n)], 0
+    for B in blocks:
+        for i, row in enumerate(B):
+            out[k + i][k:k + len(row)] = row
+        k += len(B)
+    return out
+
+
+def test_smith_matches_elimination_reference():
+    rng = random.Random(1979)
+    cases = []
+    # nonsingular Gram matrices 2 B^T B of rank 1-8, small to large entries
+    for spread, count in ((2, 700), (5, 700), (50, 600)):
+        while count:
+            r = rng.randint(1, 8)
+            B = [[rng.randint(-spread, spread) for _ in range(r)] for _ in range(r)]
+            G = [[2 * x for x in row] for row in mat_mul(transpose(B), B)]
+            if det_bareiss(G):
+                cases.append(G)
+                count -= 1
+    # rectangular, 30% zeros, some singular
+    for _ in range(3000):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append([[0 if rng.random() < 0.3 else rng.randint(-9, 9) for _ in range(n)]
+                      for _ in range(m)])
+    e8_cube = _block_diag(E8_GRAM, E8_GRAM, E8_GRAM)
+    cases.append(e8_cube)
+    for steps in (30, 60, 120):
+        U = random_unimodular(random.Random(steps), 8, steps=steps)
+        cases.append(mat_mul(mat_mul(transpose(U), E8_GRAM), U))
+    for M in cases:
+        assert smith_normal_form(M) == ref_smith(M), M
+    assert smith_normal_form(e8_cube) == [1] * 24
+    assert smith_normal_form(cases[-1]) == [1] * 8
+
+
+def test_smith_small_cases():
+    assert smith_normal_form([[0, 0], [0, 0]]) == []
+    assert smith_normal_form([[0, 0], [0, 5]]) == [5]
+    assert smith_normal_form([[-4, 0], [0, 6]]) == [2, 12]
+    assert smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+    assert smith_normal_form([[2, 1, 0], [1, 2, 0], [0, 0, 40]]) == [1, 1, 120]

@@ -42,7 +42,7 @@ coords.r_series()
 F = crystal.superspecial_F(coords)
 finf = crystal.f_infinity_partial(F, 3)  # 5^3 > 60
 basis = crystal.integral_basis_matrix(sr, sinv, 1, 2 * coords.m)
-probe = crystal.first_nonintegral_order(finf, [1, 0, 0, 0, 0, 0], 0, basis)
+probe = crystal.first_nonintegral_order(finf, [1, 0, 0, 0, 0, 0], 0, basis, range(6))
 m = spans.layer_metrics(rec, time.perf_counter() - t0)
 rec.active = False
 assert probe.status == "detected", probe

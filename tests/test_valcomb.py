@@ -391,7 +391,7 @@ def _ref_predicted_index(n, case, h, p, a=None, r_cap=64):
         for r in range(r_cap - 1):
             if hr[r] + 1 <= n <= hr[r + 1]:
                 return 2 + 2 * r
-        raise ValueError("increase r_cap")
+        raise ValueError(f"n lies past the first {r_cap} levels")
     a = Fraction(h, 2) if a is None else Fraction(a)
     hp = _ref_schedule_hprime(h, p, r_cap, a)
     if case == "ssp-case1":
@@ -402,7 +402,7 @@ def _ref_predicted_index(n, case, h, p, a=None, r_cap=64):
                 return 1 + 2 * r
             if n <= hp[r + 1] + a * p ** (r + 1):
                 return 2 + 2 * r
-        raise ValueError("increase r_cap")
+        raise ValueError(f"n lies past the first {r_cap} levels")
     if n < hp[0] + a + 1:
         return None
     if n <= hp[1]:
@@ -410,7 +410,7 @@ def _ref_predicted_index(n, case, h, p, a=None, r_cap=64):
     for r in range(r_cap - 2):
         if hp[r + 1] + 1 <= n <= hp[r + 2]:
             return 3 + 2 * r
-    raise ValueError("increase r_cap")
+    raise ValueError(f"n lies past the first {r_cap} levels")
 
 
 def _outcome(fn, *args, **kw):
@@ -430,15 +430,16 @@ class TestClosedFormSchedules:
                     assert schedule_hprime(h, p, 12, a) == _ref_schedule_hprime(h, p, 12, a)
                 assert schedule_hprime(h, p, 12) == _ref_schedule_hprime(h, p, 12, Fraction(h, 2))
 
-    def test_predicted_index_matches_fraction_reference(self):
+    def test_predicted_index_matches_fraction_reference(self, monkeypatch):
         # every n up to past the third window, plus far-out n that exhaust a
-        # small r_cap; the error outcomes must agree too
+        # small R_CAP; the error outcomes must agree too
         for p in (3, 5, 7):
             for h in (1, 2, 4, 7):
                 for a in (None, Fraction(1, 2), 1, h):
                     for case in ("generic", "ssp-case1", "ssp-case2"):
                         for r_cap in (3, 8):
+                            monkeypatch.setattr(valcomb, "R_CAP", r_cap)
                             for n in list(range(1, 3 * h * p ** 2)) + [10 ** 4, 10 ** 9]:
-                                assert _outcome(predicted_index, n, case, h, p, a=a, r_cap=r_cap) \
+                                assert _outcome(predicted_index, n, case, h, p, a=a) \
                                     == _outcome(_ref_predicted_index, n, case, h, p, a=a,
                                                 r_cap=r_cap), (n, case, h, p, a, r_cap)
