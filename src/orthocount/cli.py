@@ -37,8 +37,9 @@ def main(argv=None):
         return 1
 
 
-# the least value of each bounded integer option, by subcommand
-LEAST = {"lattice": {"mmax": 0}, "density": {"p": 3}, "crystal": {"rmax": 0},
+# the least value of each bounded integer option, by subcommand; `crystal
+# --rmax` is bounded once the profile's case is known (_cmd_crystal)
+LEAST = {"lattice": {"mmax": 0}, "density": {"p": 3},
          "valcomb min-set": {"rmax": 1}, "valcomb schedules": {"h": 1},
          "valcomb verify-minval": {"rmax": 1, "nmax": 1, "trials": 1},
          "valcomb ssp-min": {"rmax": 0}, "budget ssmain-table": {"b": 3},
@@ -148,12 +149,12 @@ def _load_json(path):
 
 
 def _cmd_lattice(args):
-    from .intmat import smith_normal_form
-    from .lattice import det_and_disc_group, lattice_from_json, successive_minima, theta_table
+    from .lattice import (det_and_elementary_divisors, lattice_from_json,
+                          successive_minima, theta_table)
     L = lattice_from_json(_load_json(args.infile))
-    det, disc = det_and_disc_group(L)
-    rows = [("det", Fraction(det)), ("disc_group_order", Fraction(disc)),
-            ("elementary_divisors", ";".join(map(str, smith_normal_form(L.gram_rows()))))]
+    det, divisors = det_and_elementary_divisors(L)
+    rows = [("det", Fraction(det)), ("disc_group_order", Fraction(abs(det))),
+            ("elementary_divisors", ";".join(map(str, divisors)))]
     if L.positive_definite:
         # the table first: its walk is kept and serves the minima as well
         table = theta_table(L, args.mmax)
@@ -297,7 +298,10 @@ def _cmd_crystal(args):
     if args.tmax is not None and isinstance(prof, dict):
         prof["T_max"] = args.tmax
     coords = load_curve_profile(prof)
-    if coords.case != "superspecial" and args.rmax < 1:
+    if coords.case == "superspecial":
+        if args.rmax < 0:
+            raise ValueError("--rmax must be >= 0")
+    elif args.rmax < 1:
         raise ValueError("--rmax must be >= 1 for a generic profile, whose trace starts at r = 1")
     sr = coords.sring
     p = sr.ring.p

@@ -28,7 +28,7 @@ to zero, and once terms cancel a different order can give different bytes.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -185,10 +185,11 @@ def ring_mat_inv(ring, A):
 # ---------------------------------------------------------------------------
 # curve substitutions
 
-@dataclass
+@dataclass(frozen=True)
 class CurveSubstitution:
     """Teichmuller-lifted curve coordinate series, in plain and primed pairs
-    (see _pairs), with the derived Q = Y_n and R = Y_{n+1}."""
+    (see _pairs), with the derived Q = Y_n and R = Y_{n+1}, each built on
+    first use and kept (the substitution does not change)."""
     case: str
     n: int
     m: int
@@ -205,10 +206,13 @@ class CurveSubstitution:
             raise ValueError(f"need series exactly for {names}")
 
     def _neg_pair_sum(self, pairs):
+        """-sum a b over the pairs, its blocks read-only: Q and R are shared."""
         acc = self.sring.zero_series()
         for a, b in pairs:
             acc = acc.add(a.mul(b))
-        return acc.neg()
+        out = acc.neg()
+        out.pval.flags.writeable = out.unit.flags.writeable = False
+        return out
 
     def y_series(self, i):
         """Y_i for 1 <= i <= n+1: y_i below n, then Q and R."""
@@ -222,12 +226,20 @@ class CurveSubstitution:
 
     def q_series(self):
         """Q(t) = -sum x y over the plain, then the primed pairs."""
+        return self._q
+
+    def r_series(self):
+        """R(t) = -sum (x sigma(y) + sigma(x) y) over the primed pairs."""
+        return self._r
+
+    @cached_property
+    def _q(self):
         plain, primed = _pairs(self.case, self.n, self.m)
         S = self.series
         return self._neg_pair_sum((S[x], S[y]) for x, y in plain + primed)
 
-    def r_series(self):
-        """R(t) = -sum (x sigma(y) + sigma(x) y) over the primed pairs."""
+    @cached_property
+    def _r(self):
         _, primed = _pairs(self.case, self.n, self.m)
         terms = []
         for x, y in primed:
@@ -321,12 +333,11 @@ def f_infinity_partial(F, N):
         raise ValueError(
             f"N = {N} too small: v_t(F^(N)) = {minv * p ** N} <= T_max = {sring.tmax}; "
             "increase N or lower T_max")
-    I = TSeriesMatrix.identity(sring, F.dim)
-    acc = I.add(F)
+    acc = TSeriesMatrix.identity(sring, F.dim).add(F)
     Fi = F
     for _ in range(1, N):
         Fi = Fi.sigma_twist()
-        acc = acc.mul(I.add(Fi))
+        acc = acc.mul_one_plus(Fi)  # v_t(F^(i)) >= v_t(F) >= 1
     return acc
 
 

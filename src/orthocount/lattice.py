@@ -6,9 +6,10 @@ entry must be even (Q is Z-valued).  All arithmetic is exact.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from ._enum import leaves, reduced_blocks, theta_counts
 from .arith import InvariantError, is_prime, kronecker, valuation
@@ -25,6 +26,15 @@ from .intmat import (
 from .tableio import int_rows, json_object
 
 
+def _int_tuples(rows, what):
+    """rows as a tuple of tuples of int; ints and numpy integers pass, while
+    2.9, 1.5 or "2" is refused rather than rounded."""
+    try:
+        return tuple(tuple(map(operator.index, row)) for row in rows)
+    except TypeError as e:
+        raise ValueError(f"{what} must hold integers: {e}") from None
+
+
 @dataclass(frozen=True)
 class QuadLattice:
     rank: int
@@ -33,7 +43,7 @@ class QuadLattice:
 
     def __post_init__(self):
         # a tuple of tuples of int, so that lattices hash and compare by value
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = _int_tuples(self.gram, "gram")
         object.__setattr__(self, "gram", g)
         if self.rank < 1:
             raise ValueError("a lattice needs rank >= 1")
@@ -73,7 +83,7 @@ class SublatticeBasis:
 
     @staticmethod
     def from_cols(ambient, cols):
-        return SublatticeBasis(ambient, tuple(tuple(int(x) for x in r) for r in cols))
+        return SublatticeBasis(ambient, _int_tuples(cols, "cols"))
 
     def col(self, j):
         return [self.cols[i][j] for i in range(self.ambient.rank)]
@@ -99,15 +109,21 @@ def identity_basis(L):
                                          for i in range(L.rank)])
 
 
-def det_and_disc_group(L):
-    """(det gram, |L^v / L|) with the discriminant group read off the Smith form."""
+def det_and_elementary_divisors(L):
+    """(det gram, the elementary divisors of gram): the divisors are the
+    invariant factors of L^v / L, so their product must be |det|."""
     d = det_bareiss(L.gram_rows())
-    order = 1
-    for x in smith_normal_form(L.gram_rows()):
-        order *= x
+    divisors = smith_normal_form(L.gram_rows())
+    order = prod(divisors)
     if order != abs(d):
         raise InvariantError(f"|L^v/L| = {order} from the Smith form, but |det| = {abs(d)}")
-    return d, order
+    return d, divisors
+
+
+def det_and_disc_group(L):
+    """(det gram, |L^v / L|) with the discriminant group read off the Smith form."""
+    d, _ = det_and_elementary_divisors(L)
+    return d, abs(d)
 
 
 def theta_table(L, bound):

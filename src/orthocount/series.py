@@ -14,7 +14,17 @@ term pairs at a time, and folded into the target coefficients.  Adding terms
 one at a time with the relative-precision rule below gives, in any order,
 (v_min, sum_i u_i p^(v_i - v_min) mod p^R) with v_min the smallest valuation;
 the fold computes exactly that, so it is bit-identical to the sequential
-accumulation.
+accumulation.  The same holds when the fold starts from coefficients already
+held, so the kernel also computes C + A B in one pass, with C's coefficients
+as the starting blocks.
+
+Stored units are p-free: `monomial` strips p, `_renormalize` ends every sum
+and product, and negation, p-shifts and the twist (sigma is a ring
+automorphism) keep a unit a unit.  The residue ring W/p = F_{p^d} is a field
+(make_ring checks that f is irreducible mod p), so the product of two such
+units is again a nonzero p-free unit: only a term pair with a p-divisible
+operand unit, which only a hand-built block can hold, may vanish or need its
+factors of p moved into the valuation.
 
 Addition of coefficients with far-apart valuations drops the smaller term
 once the gap reaches R; this is the truncation semantics (relative precision
@@ -183,10 +193,10 @@ def _unit_products(ua, ub, ring):
     return (tmp[:, :d] + tmp[:, d:] @ red) % mod
 
 
-def _strip_p(u, v, p):
-    """Divide each row of u (no row zero) by the largest power of p dividing all
-    its entries, adding the exponent to v; both in place."""
-    rows = np.arange(len(u))
+def _strip_p(u, v, p, rows=None):
+    """Divide each given row of u (default all; none zero) by the largest power
+    of p dividing all its entries, adding the exponent to v; both in place."""
+    rows = np.arange(len(u)) if rows is None else rows
     while rows.size:
         rows = rows[~(u[rows] % p).any(axis=1)]
         u[rows] //= p
@@ -229,23 +239,31 @@ def _renormalize(pv, un, p):
     un[nz], pv[nz] = u, v
 
 
-def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK):
+def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK, acc=None):
     """Product of the series matrices (apv, aun) (n x k) and (bpv, bun)
     (k x m), given as pval and unit blocks, as a pval block of shape
-    (n, m, T+1) and a unit block of shape (n, m, T+1, d).
+    (n, m, T+1) and a unit block of shape (n, m, T+1, d).  With acc, a pair
+    of such blocks with p-free units, the product is folded into copies of
+    them: the result is acc + A B.
 
     Term pairs are enumerated from the nonzero terms of A, chunk pairs at
     a time, against the terms of B with the same inner index and a t-degree
     that keeps the sum within T_max."""
-    ring = sr.ring
+    ring, p = sr.ring, sr.ring.p
     (n, k), m = apv.shape[:2], bpv.shape[1]
     if bpv.shape[0] != k:
         raise ValueError(f"cannot multiply {n} x {k} by {bpv.shape[0]} x {m} series matrices")
     T1 = sr.tmax + 1
-    pv = np.full(n * m * T1, PINF, dtype=np.int64)
-    un = np.zeros((n * m * T1, ring.deg), dtype=np.int64)
+    if acc is None:
+        pv = np.full(n * m * T1, PINF, dtype=np.int64)
+        un = np.zeros((n * m * T1, ring.deg), dtype=np.int64)
+    else:
+        pv, un = acc[0].reshape(-1).copy(), acc[1].reshape(-1, ring.deg).copy()
     acell, at, av, au = _terms(apv, aun)
     bcell, bt, bv, bu = _terms(bpv, bun)
+    # operand units divisible by p: the only source of vanishing or p-divisible products
+    adiv, bdiv = ~(au % p).any(axis=1), ~(bu % p).any(axis=1)
+    rough_terms = adiv.any() or bdiv.any()
     bkey = bcell // m * T1 + bt  # (inner index, t): B's terms are joined in this order
     border = np.argsort(bkey, kind="stable")
     bkey = bkey[border]
@@ -264,13 +282,15 @@ def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK):
                     + np.arange(npairs)]
         start = stop
         tu = _unit_products(au[ia], bu[ib], ring)
-        keep = tu.any(axis=1)
-        ia, ib, tu = ia[keep], ib[keep], tu[keep]
         tv = av[ia] + bv[ib]
-        _strip_p(tu, tv, ring.p)
+        if rough_terms:
+            rough = adiv[ia] | bdiv[ib]
+            keep = ~rough | tu.any(axis=1)
+            ia, ib, tu, tv = ia[keep], ib[keep], tu[keep], tv[keep]
+            _strip_p(tu, tv, p, np.flatnonzero(rough[keep]))
         keys = (ai[ia] * m + bcell[ib] % m) * T1 + at[ia] + bt[ib]
         _fold(pv, un, keys, tv, tu, ring)
-    _renormalize(pv, un, ring.p)
+    _renormalize(pv, un, p)
     return pv.reshape(n, m, T1), un.reshape(n, m, T1, ring.deg)
 
 
@@ -317,6 +337,17 @@ class TSeriesMatrix(_SeriesBlocks):
     def mul(self, other):
         return TSeriesMatrix(self.sr, *_block_mul(self.sr, self.pval, self.unit,
                                                   other.pval, other.unit))
+
+    def mul_one_plus(self, other):
+        """self (I + other) for an other with no t^0 term, as self + self other
+        in one fold: I + other is then the two blocks side by side, and the
+        identity's term pairs give back the terms of self, so the bytes are
+        those of self.mul(I.add(other)) (p-free units, as stored here)."""
+        if (other.pval[..., 0] < PINF).any():
+            raise ValueError("other has a t^0 term, which I + other would sum onto the "
+                             "identity; use self.mul(I.add(other))")
+        return TSeriesMatrix(self.sr, *_block_mul(self.sr, self.pval, self.unit, other.pval,
+                                                  other.unit, acc=(self.pval, self.unit)))
 
     def sigma_twist(self, k=1):
         """sigma on coefficients and t -> t^p, applied k times to every entry."""

@@ -56,6 +56,22 @@ class TestCli:
         text = out.read_text()
         assert "r(1),4" in text and "det,4" in text
 
+    def test_lattice_smith_form_once(self, tmp_path, monkeypatch, capsys):
+        # the elementary divisors row and the discriminant group order share
+        # one Smith form
+        import orthocount.lattice as lattice
+        calls = []
+        real = lattice.smith_normal_form
+        monkeypatch.setattr(lattice, "smith_normal_form",
+                            lambda M: calls.append(1) or real(M))
+        path = tmp_path / "lat.json"
+        path.write_text(json.dumps({"gram": [[2, 1, 0], [1, 2, 0], [0, 0, 40]],
+                                    "positive_definite": True}))
+        assert main(["lattice", "--in", str(path), "--mmax", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "elementary_divisors,1;1;120" in lines and "disc_group_order,120" in lines
+        assert len(calls) == 1
+
     def test_density(self, lattice_file, tmp_path):
         out = tmp_path / "out.csv"
         assert main(["density", "--in", lattice_file, "--p", "5", "--mmax", "8",
@@ -742,6 +758,16 @@ class TestInputBoundary:
             err = self.refused(run(x), capsys)
             assert err == f"error: --{flag} must be >= {least}\n"
         assert main(run(least)) == 0
+
+    def test_generic_crystal_states_one_floor(self, tmp_path, capsys):
+        # --rmax -1 printed the superspecial floor ">= 0", --rmax 0 then ">= 1"
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps(TestCrystalGoldenBytes.GENERIC))
+        for x in ("-1", "-3", "0"):
+            err = self.refused(["crystal", "--profile", str(path), "--rmax", x,
+                                "--out", str(tmp_path / "x.csv")], capsys)
+            assert err == "error: --rmax must be >= 1 for a generic profile, whose trace " \
+                "starts at r = 1\n"
 
     def test_generic_crystal_needs_rmax_1(self, tmp_path, capsys):
         # the generic trace starts at r = 1, so --rmax 0 printed no rows

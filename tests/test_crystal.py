@@ -719,6 +719,39 @@ class TestGenericFInfinity:
         assert coords.r_series().t_valuation() == 18
         assert coords.valuation_profile().a == (1, 2, 18)
 
+    def test_fold_matches_factor_products(self):
+        # F_inf folds acc + acc F^(i); the factor-by-factor product
+        # acc (I + F^(i)) gives the same bytes
+        exps = {"x1": 3, "x2": 2, "y1": 1, "y2": 1}
+        coords, ring = _generic_coords(5, 3, 0, exps, tmax=160)
+        F = frobenius_F(coords, *synthesize_s0prime(ring, 3, seed=11))
+        I = TSeriesMatrix.identity(coords.sring, F.dim)
+        ref, Fi = I.add(F), F
+        for _ in range(1, 4):
+            Fi = Fi.sigma_twist()
+            ref = ref.mul(I.add(Fi))
+        got = f_infinity_partial(F, 4)  # 5^4 * 1 = 625 > 160
+        assert np.array_equal(got.pval, ref.pval) and np.array_equal(got.unit, ref.unit)
+
+    def test_q_and_r_built_once(self, monkeypatch):
+        # every reader of Q and R (the unipotent u', the profile, the
+        # CLI's h and h') shares one build of each
+        import orthocount.series as series
+        calls = []
+        real = series.TSeries.mul
+        monkeypatch.setattr(series.TSeries, "mul",
+                            lambda a, b: calls.append(1) or real(a, b))
+        exps = {"x1": 2, "y1": 1, "xp1": 2, "yp1": 1}
+        coords, ring = _generic_coords(5, 2, 1, exps, tmax=60)
+        s0, s0inv = synthesize_s0prime(ring, 2, seed=5)
+        for _ in range(3):
+            frobenius_F(coords, s0, s0inv)
+            coords.valuation_profile()
+            coords.q_series(), coords.r_series(), coords.y_series(3)
+        assert len(calls) == 4  # Q: x1 y1 and xp1 yp1; R: xp1 sigma(yp1) and sigma(xp1) yp1
+        with pytest.raises(ValueError, match="read-only"):
+            coords.q_series().pval[0] = 0
+
     def test_uprime_is_conjugated_u(self):
         # u' = D u D^{-1} with D = diag(p^{-1} I_n, I): check entrywise
         exps = {"x1": 2, "y1": 1, "xp1": 2, "yp1": 1}

@@ -77,6 +77,20 @@ class TestInvariants:
         assert hash(L) == hash(QuadLattice.from_rows([[2, 1], [1, 2]], True))
         assert local_density(3, L, 1) == local_density_naive(3, L, 1, 2)
 
+    @pytest.mark.parametrize("bad", [2.9, 1.5, 2.0, "2", np.float64(2.0)])
+    def test_rejects_non_integer_entries(self, bad):
+        # rounding through int() made [[2.9, 1], [1, 2]] into A2
+        with pytest.raises(ValueError, match="gram must hold integers"):
+            QuadLattice.from_rows([[bad, 1], [1, 2]])
+        with pytest.raises(ValueError, match="cols must hold integers"):
+            SublatticeBasis.from_cols(X2Y2, [[1, 0], [0, bad]])
+
+    def test_numpy_integers_pass(self):
+        L = QuadLattice.from_rows(np.array([[2, 1], [1, 2]], dtype=np.int64))
+        assert L.gram == ((2, 1), (1, 2)) and type(L.gram[0][0]) is int
+        B = SublatticeBasis.from_cols(L, np.array([[1, 0], [0, 3]], dtype=np.int32))
+        assert B.cols == ((1, 0), (0, 3)) and type(B.cols[1][1]) is int
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             QuadLattice.from_rows([[2, 1], [0, 2]])

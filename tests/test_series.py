@@ -435,6 +435,87 @@ class TestWholeArrayKernel:
         assert _series_equal(a.add(z), a) and _series_equal(z.add(a), a)
 
 
+def _blocks_equal(A, B):
+    return np.array_equal(A.pval, B.pval) and np.array_equal(A.unit, B.unit)
+
+
+def _no_constant_term(sr, rng, dim, **kw):
+    X = TSeriesMatrix.of(sr, random_rows(sr, rng, dim, dim, **kw))
+    X.pval[:, :, 0], X.unit[:, :, 0] = PINF, 0
+    return X
+
+
+class TestAccumulatingProduct:
+    """acc.mul_one_plus(X) = acc + acc X in one fold must give the bytes of
+    acc.mul(I.add(X)), the product with the identity's term pairs."""
+
+    def check(self, sr, acc, X):
+        I = TSeriesMatrix.identity(sr, X.dim)
+        got = acc.mul_one_plus(X)
+        assert _blocks_equal(got, acc.mul(I.add(X)))
+        return got
+
+    def test_random_matrices(self, sring):
+        rng = random.Random(201)
+        for dim in (1, 2, 3):
+            for _ in range(3):
+                acc = TSeriesMatrix.of(sring, random_rows(sring, rng, dim, dim, vals=(-4, 4)))
+                self.check(sring, acc, _no_constant_term(sring, rng, dim, vals=(-4, 4)))
+
+    def test_gaps_and_negative_shifts(self, sring):
+        # valuations spread far beyond R, many negative: the held terms of acc
+        # are dropped by, or drop, the products folded onto them
+        rng = random.Random(202)
+        R = sring.ring.R
+        for _ in range(5):
+            acc = TSeriesMatrix.of(sring, random_rows(sring, rng, 2, 2, vals=(-3 * R, 3 * R)))
+            X = _no_constant_term(sring, rng, 2, vals=(-3 * R, 3 * R))
+            self.check(sring, acc, X.pshift(-R))
+
+    def test_units_that_cancel(self, sring):
+        # g = c (1 + t + ... + t^T): g (1 - t) leaves c alone, and
+        # g (1 - (1 + p) t) cancels the leading digit of every higher term
+        ring = sring.ring
+        p = ring.p
+        c = ring.teichmuller_unit(3) if ring.deg > 1 else ring.from_int(2)
+        g = sring.from_terms((t, c, 0) for t in range(sring.tmax + 1))
+        for coeff, lowest in ((-1, None), (-(1 + p), 1)):
+            acc = TSeriesMatrix.of(sring, [[g, g.neg()], [sring.zero_series(), g]])
+            d = sring.monomial(1, coeff)
+            X = TSeriesMatrix.of(sring, [[d, sring.zero_series()], [sring.zero_series(), d]])
+            got = self.check(sring, acc, X)
+            above = got.pval[..., 1:]
+            live = above[above < PINF]
+            assert (live.size == 0) if lowest is None else bool(np.all(live >= lowest))
+
+    def test_small_chunks(self, sring):
+        rng = random.Random(203)
+        acc = TSeriesMatrix.of(sring, random_rows(sring, rng, 3, 3, vals=(-6, 6)))
+        X = _no_constant_term(sring, rng, 3, vals=(-6, 6))
+        ref = self.check(sring, acc, X)
+        for chunk in (1, 2, 7):
+            pv, un = _block_mul(sring, acc.pval, acc.unit, X.pval, X.unit, chunk=chunk,
+                                acc=(acc.pval, acc.unit))
+            assert _blocks_equal(TSeriesMatrix(sring, pv, un), ref)
+
+    def test_leaves_its_operands(self, sring):
+        rng = random.Random(204)
+        acc = TSeriesMatrix.of(sring, random_rows(sring, rng, 2, 2))
+        X = _no_constant_term(sring, rng, 2)
+        before = acc.copy(), X.copy()
+        self.check(sring, acc, X)
+        assert _blocks_equal(acc, before[0]) and _blocks_equal(X, before[1])
+
+    def test_constant_term_is_refused(self, sring):
+        # with a t^0 term, I + X sums onto the identity's own coefficients
+        rng = random.Random(205)
+        acc = TSeriesMatrix.of(sring, random_rows(sring, rng, 2, 2))
+        X = _no_constant_term(sring, rng, 2)
+        X[0, 1] = sring.monomial(0, 1)
+        with pytest.raises(ValueError, match="t\\^0 term"):
+            acc.mul_one_plus(X)
+
+
 # ---------------------------------------------------------------------------
 # the block layout: elementwise operations on matrices, twists, entry writes
 
