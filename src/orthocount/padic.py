@@ -13,7 +13,7 @@ series kernels elsewhere rely on that.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -186,11 +186,28 @@ class UnramifiedRing:
             raise ValueError("prime ring has no generator")
         return self.pow(self.tau, k)
 
-    def as_matrix_int64(self):
-        sig = np.array(self.sigma_mat, dtype=np.int64)
-        red = np.array(self.red_rows, dtype=np.int64) if self.deg > 1 else \
-            np.zeros((0, 1), dtype=np.int64)
-        return sig, red
+    # read-only int64 constants of the series kernels, built once per ring
+
+    @cached_property
+    def sigma_int64(self):
+        """sigma_mat as an int64 array."""
+        return _frozen(self.sigma_mat)
+
+    @cached_property
+    def red_int64(self):
+        """red_rows as an int64 array of shape (deg - 1, deg)."""
+        return _frozen(self.red_rows).reshape(self.deg - 1, self.deg)
+
+    @cached_property
+    def pow_int64(self):
+        """p^e mod p^R at index min(e, R): p^0, ..., p^(R-1) and then 0."""
+        return _frozen([self.p ** e for e in range(self.R)] + [0])
+
+
+def _frozen(rows):
+    a = np.array(rows, dtype=np.int64)
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=None)

@@ -10,13 +10,15 @@ elementwise operations are written once, on blocks of any leading shape.
 Every product and sum goes through one whole-array kernel (`_block_mul`,
 `_fold`): the nonzero terms of both operands are gathered, joined on the
 inner index of the (matrix) product, multiplied in bulk a bounded chunk of
-term pairs at a time, and folded into the target coefficients.  Adding terms
-one at a time with the relative-precision rule below gives, in any order,
-(v_min, sum_i u_i p^(v_i - v_min) mod p^R) with v_min the smallest valuation;
-the fold computes exactly that, so it is bit-identical to the sequential
-accumulation.  The same holds when the fold starts from coefficients already
-held, so the kernel also computes C + A B in one pass, with C's coefficients
-as the starting blocks.
+term pairs at a time, and folded into the target coefficients.  A product
+first builds the d x d multiplication matrix of each term of its right
+operand, so the unit product of a term pair is one vector-matrix product.
+Adding terms one at a time with the relative-precision rule below gives, in
+any order, (v_min, sum_i u_i p^(v_i - v_min) mod p^R) with v_min the
+smallest valuation; the fold computes exactly that, so it is bit-identical
+to the sequential accumulation.  The same holds when the fold starts from
+coefficients already held, so the kernel also computes C + A B in one pass,
+with C's coefficients as the starting blocks.
 
 Stored units are p-free: `monomial` strips p, `_renormalize` ends every sum
 and product, and negation, p-shifts and the twist (sigma is a ring
@@ -38,7 +40,7 @@ import numpy as np
 
 from .padic import PINF, UnramifiedRing
 
-CHUNK = 1 << 10  # term pairs multiplied and folded at once by _block_mul
+CHUNK = 1 << 9  # term pairs multiplied and folded at once by _block_mul
 
 
 def _zeros(sr, shape):
@@ -135,9 +137,8 @@ class _SeriesBlocks:
         pv, un = _zeros(self.sr, self.pval.shape[:-1])
         pv[..., ::step] = self.pval[..., :src]
         u = self.unit[..., :src, :]
-        sig, _ = ring.as_matrix_int64()
         for _ in range(k % ring.deg):  # sigma^deg is the identity
-            u = u @ sig.T % ring.modulus
+            u = u @ ring.sigma_int64.T % ring.modulus
         un[..., ::step, :] = u
         return type(self)(self.sr, pv, un)
 
@@ -178,7 +179,9 @@ def _terms(pv, un):
 
 
 def _unit_products(ua, ub, ring):
-    """Row-wise products of unit vectors in the x-power basis, mod p^R.
+    """Row-wise products of unit vectors in the x-power basis, mod p^R, by
+    schoolbook multiplication and reduction by the rows x^(d+k); the kernel
+    calls it once per product, on identity rows, in _mul_matrices.
 
     make_ring guarantees deg * (p^R)^2 < 2^62, so each of the d products
     summed into one coefficient, and each reduction dot product, fits int64."""
@@ -189,8 +192,15 @@ def _unit_products(ua, ub, ring):
     tmp %= mod
     if d == 1:
         return tmp
-    _, red = ring.as_matrix_int64()
-    return (tmp[:, :d] + tmp[:, d:] @ red) % mod
+    return (tmp[:, :d] + tmp[:, d:] @ ring.red_int64) % mod
+
+
+def _mul_matrices(u, ring):
+    """The d x d matrix of multiplication by each unit vector u[i]: row k is
+    x^k u[i], so a row vector w times it is the product w u[i]."""
+    rows, d = u.shape
+    eye = np.tile(np.eye(d, dtype=np.int64), (rows, 1))
+    return _unit_products(eye, np.repeat(u, d, axis=0), ring).reshape(rows, d, d)
 
 
 def _strip_p(u, v, p, rows=None):
@@ -212,14 +222,14 @@ def _fold(pv, un, keys, tv, tu, ring):
     than 2^31 terms stays below 2^62."""
     if not keys.size:
         return
-    p, R, mod = ring.p, ring.R, ring.modulus
+    R, mod = ring.R, ring.modulus
     order = np.argsort(keys, kind="stable")
     keys, tv, tu = keys[order], tv[order], tu[order]
     first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     cells = keys[first]
     held = pv[cells]
     vmin = np.minimum(np.minimum.reduceat(tv, first), held)
-    pw = np.array([p ** e for e in range(R)] + [0], dtype=np.int64)
+    pw = ring.pow_int64
     gap = np.minimum(tv - np.repeat(vmin, np.diff(np.concatenate((first, [keys.size])))), R)
     total = np.add.reduceat(tu * pw[gap, None] % mod, first, axis=0)
     total += un[cells] * pw[np.minimum(held - vmin, R), None] % mod
@@ -248,7 +258,8 @@ def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK, acc=None):
 
     Term pairs are enumerated from the nonzero terms of A, chunk pairs at
     a time, against the terms of B with the same inner index and a t-degree
-    that keeps the sum within T_max."""
+    that keeps the sum within T_max; the unit of A's term times the
+    multiplication matrix of B's term is the unit product."""
     ring, p = sr.ring, sr.ring.p
     (n, k), m = apv.shape[:2], bpv.shape[1]
     if bpv.shape[0] != k:
@@ -261,6 +272,7 @@ def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK, acc=None):
         pv, un = acc[0].reshape(-1).copy(), acc[1].reshape(-1, ring.deg).copy()
     acell, at, av, au = _terms(apv, aun)
     bcell, bt, bv, bu = _terms(bpv, bun)
+    bmul = _mul_matrices(bu, ring)
     # operand units divisible by p: the only source of vanishing or p-divisible products
     adiv, bdiv = ~(au % p).any(axis=1), ~(bu % p).any(axis=1)
     rough_terms = adiv.any() or bdiv.any()
@@ -281,7 +293,8 @@ def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK, acc=None):
         ib = border[np.repeat(lo[start:stop] - (ends[start:stop] - c - base), c)
                     + np.arange(npairs)]
         start = stop
-        tu = _unit_products(au[ia], bu[ib], ring)
+        # each of the d products summed is below p^(2R): deg p^(2R) < 2^62
+        tu = np.einsum("pk,pkj->pj", au[ia], bmul[ib]) % ring.modulus
         tv = av[ia] + bv[ib]
         if rough_terms:
             rough = adiv[ia] | bdiv[ib]

@@ -1,10 +1,11 @@
 """t-adic valuation combinatorics: weights and minimal valuations of index
 tuples, the superspecial candidate sets, and the decay/index schedules.
 
-Everything here is exact integer/Fraction arithmetic.  The minimum search is
-exhaustive by design (it is the oracle for the structural lemmas): every
-index tuple gets its exact valuation, computed in whole arrays from the
-tables of the two halves of the tuple.
+Everything here is exact integer/Fraction arithmetic.  `min_set` finds the
+minimal valuations by the recursion nu(i||J) = a_i + p^i nu(J), one level at
+a time.  `verify_minval` checks the structure of the minimizing sets, so its
+search stays exhaustive: every index tuple gets its valuation, computed in
+whole arrays from the tables of the two halves of the tuple.
 """
 
 import itertools
@@ -17,7 +18,8 @@ import numpy as np
 from .arith import is_prime
 
 MIN_SET_GUARD = 10 ** 7
-CHUNK = 2 ** 16  # cells of the nu(I||J) grid formed at once by min_set
+CHUNK = 2 ** 16  # cells of the nu(I||J) grid formed at once by _search
+CAP = 2 ** 31  # int64 search values saturate here
 R_CAP = 64  # levels of the decay windows predicted_index tries
 
 
@@ -77,49 +79,70 @@ def _check_guard(r, prof):
                          f"{MIN_SET_GUARD}")
 
 
+def _capped(xs, dtype):
+    """The ints xs as an array of dtype, saturated at CAP over int64."""
+    return np.array([min(x, CAP) for x in xs] if dtype == np.int64 else xs, dtype)
+
+
 def _grow(tables, k, prof):
     """Extend tables, the nu and weight of every j-tuple for j = 0, 1, ...
     in C order (the order of itertools.product), to j <= k, one leading
-    index at a time from nu(i, J) = a_i + p^i nu(J)."""
+    index at a time from nu(i, J) = a_i + p^i nu(J).  Over int64 every a_i,
+    p^i and value is saturated at CAP, so each product is at most 2^62 and
+    a value below CAP is exact."""
     dtype = tables[0][0].dtype
     idx = np.arange(1, prof.n + 2)
-    a = np.array(prof.a, dtype)
-    pw = np.array([prof.p ** i for i in idx.tolist()], dtype)
+    a = _capped(prof.a, dtype)
+    pw = _capped([prof.p ** i for i in idx.tolist()], dtype)
     while len(tables) <= k:
         vals, wts = tables[-1]
-        tables.append(((a[:, None] + pw[:, None] * vals[None, :]).ravel(),
-                       (idx[:, None] + wts[None, :]).ravel()))
+        grown = (a[:, None] + pw[:, None] * vals[None, :]).ravel()
+        if dtype == np.int64:
+            np.minimum(grown, CAP, out=grown)
+        tables.append((grown, (idx[:, None] + wts[None, :]).ravel()))
 
 
 def min_set(r, prof):
-    """(nu_r, sorted argmin tuples) by exhaustive search over (n+1)^r tuples.
+    """(nu_r, sorted argmin tuples) over the (n+1)^r index tuples of length r.
+
+    As p^i > 0, i||J is minimal iff J is minimal of length r - 1 and i
+    minimizes a_i + p^i nu_{r-1}: each level takes the least of n+1 values
+    and prefixes its argmins to the previous argmin set, in sorted order.
+    The guard on (n+1)^r stays, as ties can make the argmin set that large.
+    """
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    _check_guard(r, prof)
+    best, argmin = 0, [()]
+    for _ in range(r):
+        vals = [a + prof.p ** i * best for i, a in enumerate(prof.a, 1)]
+        best = min(vals)
+        argmin = [(i,) + J for i, v in enumerate(vals, 1) if v == best for J in argmin]
+    return best, argmin
+
+
+def _search(r, prof, tables):
+    """min_set by exhaustive search over the (n+1)^r tuples, the independent
+    route of verify_minval; the half tables come from tables (dtype -> list
+    of the j-tuple tables, grown as needed), so that one call of
+    verify_minval builds each half table once.
 
     Every tuple is split as I||J with |I| = r // 2 (so r = 1 is the bare
     table of J), and gets nu(I||J) = nu(I) + p^weight(I) nu(J) from the
     tables of both halves, CHUNK cells of the grid (at least one row of I)
     at a time.  C order of the grid is the sorted order of the tuples.  The
-    values are Python ints in object arrays unless the exact bound
-    max(a) (1 + p^(n+1) + ... + p^((n+1)(r-1))) on every value, power and
-    partial sum fits int64.
+    search runs over int64 when nu(1, ..., 1) < CAP: tables and powers
+    saturate at CAP, so a cell is at most CAP + CAP^2 < 2^63 and exact when
+    below CAP, and nu_r <= nu(1, ..., 1) makes the minimum and its ties
+    exact.  Otherwise the values are Python ints in object arrays.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    _check_guard(r, prof)
-    return _search(r, prof, {})
-
-
-def _search(r, prof, tables):
-    """min_set's search, with the half tables taken from tables (dtype ->
-    list of the j-tuple tables, grown as needed), so that one call of
-    verify_minval builds every half table once."""
     n1, p = prof.n + 1, prof.p
-    bound = max(prof.a) * sum(p ** (n1 * j) for j in range(r))
-    dtype = np.int64 if bound < 2 ** 63 else object
+    dtype = np.int64 if nu((1,) * r, prof) < CAP else object
     half = tables.setdefault(dtype, [(np.zeros(1, dtype), np.zeros(1, np.int64))])
     _grow(half, r - r // 2, prof)
     v_i, w_i = half[r // 2]
     v_j, _ = half[r - r // 2]
-    scale = np.array([p ** w for w in range(int(w_i.max()) + 1)], dtype)[w_i]
+    scale = _capped([p ** w for w in range(int(w_i.max()) + 1)], dtype)[w_i]
     step = max(1, CHUNK // len(v_j))
     best, flat = None, []
     for lo in range(0, len(v_i), step):

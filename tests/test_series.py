@@ -516,6 +516,51 @@ class TestAccumulatingProduct:
             acc.mul_one_plus(X)
 
 
+class TestInt64Edge:
+    """Rings at make_ring's guard edge, the largest R with deg p^(2R) < 2^62,
+    and every unit coordinate p^R - 1: each unit product sums d products
+    just below p^(2R), and the valuations differ, so the fold scales the
+    units it adds by powers of p."""
+
+    @pytest.fixture(scope="class", params=[(3, 4), (5, 6)], ids=lambda pd: "p%d_deg%d" % pd)
+    def edge(self, request):
+        p, deg = request.param
+        R = max(R for R in range(1, 40) if deg * p ** (2 * R) < 2 ** 62)
+        with pytest.raises(ValueError, match="too large"):
+            make_ring(p, R + 1, deg)
+        return SeriesRing(make_ring(p, R, deg), 6)
+
+    @staticmethod
+    def extreme(sr, rng, lowest_t=0):
+        s = sr.zero_series()
+        for t in range(lowest_t, sr.tmax + 1):
+            if rng.random() < 0.7:
+                s.pval[t] = rng.randint(-2, 2)
+                s.unit[t] = sr.ring.modulus - 1
+        return s
+
+    def extreme_rows(self, sr, rng, lowest_t=0):
+        return [[self.extreme(sr, rng, lowest_t) for _ in range(2)] for _ in range(2)]
+
+    def test_block_mul_matches_reference(self, edge):
+        rng = random.Random(301)
+        for _ in range(3):
+            A, B = self.extreme_rows(edge, rng), self.extreme_rows(edge, rng)
+            got = TSeriesMatrix.of(edge, A).mul(TSeriesMatrix.of(edge, B)).entries
+            assert _grids_equal(got, ref_block_mul(edge, A, B))
+
+    def test_mul_one_plus_matches_reference(self, edge):
+        rng = random.Random(302)
+        for _ in range(3):
+            acc = TSeriesMatrix.of(edge, self.extreme_rows(edge, rng))
+            X = TSeriesMatrix.of(edge, self.extreme_rows(edge, rng, lowest_t=1))
+            one_plus = X.copy()  # X has no t^0 term, so I + X is exact
+            one_plus.pval[[0, 1], [0, 1], 0] = 0
+            one_plus.unit[[0, 1], [0, 1], 0] = edge.ring.one()
+            got = acc.mul_one_plus(X).entries
+            assert _grids_equal(got, ref_block_mul(edge, acc.entries, one_plus.entries))
+
+
 # ---------------------------------------------------------------------------
 # the block layout: elementwise operations on matrices, twists, entry writes
 

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from orthocount import valcomb
@@ -144,7 +145,33 @@ class TestMinSetAgainstReference:
         monkeypatch.setattr(valcomb, "CHUNK", chunk)
         for prof in SWEEP:
             for r in range(1, 7):
-                assert min_set(r, prof) == _cached_ref_min_set(r, prof), (prof, r, chunk)
+                assert valcomb._search(r, prof, {}) == _cached_ref_min_set(r, prof), \
+                    (prof, r, chunk)
+
+    def test_recursion_matches_search(self):
+        # 2,400 (profile, r) cases, n <= 4, p <= 11, r <= 6: small a (ties),
+        # wide a, and a_1 placed so that nu(1, ..., 1) crosses CAP at some r
+        rng = random.Random(20261021)
+        cases = 0
+        t0 = time.perf_counter()
+        for p in (2, 3, 5, 7, 11):
+            for n in range(1, 5):
+                for j in range(20):
+                    if j < 8:
+                        a = [rng.randint(1, 3) for _ in range(n + 1)]
+                    elif j < 14:
+                        a = [rng.randint(1, 10 ** 4) for _ in range(n + 1)]
+                    else:
+                        edge = valcomb.CAP // sum(p ** k for k in range(rng.randint(1, 6)))
+                        a = [edge + rng.randint(-2, 2)] + [rng.randint(1, 2 * edge)
+                                                            for _ in range(n)]
+                    prof = ValuationProfile(n, p, tuple(a))
+                    tables = {}
+                    for r in range(1, 7):
+                        assert min_set(r, prof) == valcomb._search(r, prof, tables), (prof, r)
+                        cases += 1
+        assert cases == 2400
+        assert time.perf_counter() - t0 < 2
 
     @pytest.mark.parametrize("chunk", [1, 7, 18])
     def test_minimum_in_later_blocks(self, chunk, monkeypatch):
@@ -155,7 +182,7 @@ class TestMinSetAgainstReference:
         step = max(1, chunk // 9)
         blocks = [((I[0] - 1) * 3 + I[1] - 1) // step for I in argmin]
         assert blocks[0] > 0 and len(set(blocks)) == 2
-        assert min_set(4, LATE_TIES) == (v, argmin) == dp_min_set(4, LATE_TIES)
+        assert valcomb._search(4, LATE_TIES, {}) == (v, argmin) == dp_min_set(4, LATE_TIES)
 
     def test_shared_half_tables_match(self):
         # verify_minval's search reads one set of half tables for every r
@@ -167,8 +194,10 @@ class TestMinSetAgainstReference:
             assert max(map(len, tables.values())) == 4
 
     def test_verify_minval_builds_half_tables_once(self, monkeypatch):
-        # 2 * 7^5 * (1 + 7^5 + ... + 7^25) passes 2^63, so r = 6 is searched
-        # over Python ints and r <= 5 over int64: one set of tables each
+        # nu(1, ..., 1) = 2 (1 + 7 + ... + 7^5) < 2^31, so every r <= 6 is
+        # searched over int64 and the three half tables are built once; for
+        # a = (2^26, 1), nu(1, ..., 1) passes 2^31 at r = 4, so r <= 3 is
+        # searched over int64 and r >= 4 over Python ints: one set each
         built = []
         real = valcomb._grow
 
@@ -179,10 +208,36 @@ class TestMinSetAgainstReference:
 
         monkeypatch.setattr(valcomb, "_grow", counting)
         assert verify_minval(ValuationProfile(4, 7, (2, 1, 1, 1, 1)), 6).ok
-        assert len(built) == 6 and sum(built) == 3 + 3
+        assert len(built) == 6 and sum(built) == 3
         built.clear()
         assert verify_minval(ValuationProfile(1, 5, (3, 1)), 6).ok
         assert sum(built) == 3
+        built.clear()
+        assert verify_minval(ValuationProfile(1, 5, (2 ** 26, 1)), 6).ok
+        assert sum(built) == 2 + 3
+
+    @pytest.mark.parametrize("prof, r, dtype", [
+        # nu(1) = 2^31 - 1: the last int64 value, a tie, and a_3 saturated
+        (ValuationProfile(2, 3, (2 ** 31 - 1, 2 ** 31 - 1, 2 ** 31 + 5)), 1, np.int64),
+        # nu(1) = 2^31: the first object value
+        (ValuationProfile(2, 3, (2 ** 31, 2 ** 31, 1)), 1, object),
+        # nu(1, 1) = 4 (2^29 - 1) = 2^31 - 4, tied with nu(1, 2)
+        (ValuationProfile(1, 3, (2 ** 29 - 1, 2 ** 29 - 1)), 2, np.int64),
+        # nu(1, 1) = 4 * 2^29 = 2^31
+        (ValuationProfile(1, 3, (2 ** 29, 2 ** 29)), 2, object),
+        # nu(1, ..., 1) just below 2^31, tables, a_i and powers saturated
+        (ValuationProfile(4, 11, (178956970,) * 5), 2, np.int64),
+        (ValuationProfile(4, 11, (16146484, 10 ** 12, 1, 5, 10 ** 9)), 3, np.int64),
+        # nu(1, ..., 1) far past 2^31: the Python-int route
+        (ValuationProfile(4, 11, (178956970, 10 ** 12, 1, 5, 10 ** 9)), 3, object),
+        (ValuationProfile(2, 7, (10 ** 12, 1, 3)), 4, object),
+        (ValuationProfile(3, 5, (10 ** 30, 10 ** 30, 10 ** 29, 10 ** 31)), 5, object),
+    ])
+    def test_int64_cap_edge(self, prof, r, dtype):
+        tables = {}
+        got = valcomb._search(r, prof, tables)
+        assert list(tables) == [dtype]
+        assert got == min_set(r, prof) == dp_min_set(r, prof) == ref_min_set(r, prof)
 
     def test_guard_edge(self):
         prof = ValuationProfile(4, 7, (12, 11, 9, 5, 1))
