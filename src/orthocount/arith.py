@@ -17,8 +17,8 @@ class InvariantError(ArithmeticError):
     """A mathematical invariant that the code relies on does not hold.
 
     Raised by explicit checks instead of bare asserts, so that it also fires
-    under `python -O`; the CLI maps it, like every ArithmeticError, to exit
-    code 2."""
+    under `python -O`; the CLI maps it, as it maps a VerificationFailure, to
+    exit code 2, and every other ArithmeticError to exit code 1."""
 
 
 def is_prime(n):

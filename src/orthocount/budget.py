@@ -1,7 +1,7 @@
 """Local intersection-number bookkeeping over nested lattice sequences:
-truncation caps, counting majorants, the per-point global weights, the
-geometric-series decay constants, the exact budget inequality, and the
-exponential-growth formal curve.
+truncation caps, the per-point global weights, the geometric-series decay
+constants, the exact budget inequality, and the exponential-growth formal
+curve.
 """
 
 import math
@@ -9,14 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import InvariantError, is_prime, valuation
-from .lattice import (
-    QuadLattice,
-    SublatticeBasis,
-    identity_basis,
-    rep_count,
-    successive_minima,
-    theta_table,
-)
+from .lattice import QuadLattice, SublatticeBasis, identity_basis, rep_count
 
 
 @dataclass(frozen=True)
@@ -71,33 +64,6 @@ def truncation_cap(c1_proxy, b, X):
     square = Fraction(c1_proxy) ** 2 * Fraction(2 * X) ** b
     n = math.isqrt(math.ceil(square))
     return n if n * n >= square else n + 1
-
-
-@dataclass
-class CountingBound:
-    majorant: float
-    empirical: int
-    fitted_K: float  # empirical <= K * majorant
-
-
-def counting_bound(seq, X, n_cap=None):
-    """Eskin-style majorant sum_n sum_i (2X)^{i/2} / a_i(n) next to the true
-    count of vectors with 0 < Q <= 2X; reports the fitted ratio."""
-    if n_cap is None:
-        n_cap = seq.levels[-1][0]
-    maj = 0.0
-    emp = 0
-    for length, basis in seq.segments(n_cap):
-        L = basis.as_lattice()
-        _, a_sq = successive_minima(L)
-        r = L.rank
-        term = 1.0  # i = 0
-        for i in range(1, r + 1):
-            term += (2 * X) ** (i / 2) / math.sqrt(a_sq[i - 1])
-        maj += length * term
-        emp += length * (sum(theta_table(L, 2 * X)) - 1)
-    K = emp / maj if maj > 0 else 0.0
-    return CountingBound(maj, emp, K)
 
 
 def g_P(h_P, p, qL_abs):
@@ -280,26 +246,3 @@ def certify_membership(curve, j):
     if v < nj1:
         raise InvariantError(f"membership fails at level exponent {v + 1}")
     return curve.m_values[j], nj1
-
-
-@dataclass
-class FirstMinReport:
-    ratios: list           # (n_start, i, a_i(n) / n^{i/b}) per level and i
-    implied_constant: float | None
-    degenerate: bool       # constant sequence: infinite-nesting hypothesis fails
-
-
-def firstmin_check(seq, b=None):
-    """min_n a_i(n) / n^{i/b} over the provided levels (positive-definite)."""
-    if b is None:
-        b = seq.ambient.rank
-    if len(seq.levels) <= 1:
-        return FirstMinReport([], None, True)
-    ratios = []
-    for start, basis in seq.levels:
-        L = basis.as_lattice()
-        _, a_sq = successive_minima(L)
-        for i in range(1, L.rank + 1):
-            ratios.append((start, i, math.sqrt(a_sq[i - 1]) / start ** (i / b)))
-    const = min(r for _, _, r in ratios)
-    return FirstMinReport(ratios, const, False)

@@ -1,7 +1,9 @@
 """Command-line driver.
 
-Exit codes: 0 success, 1 input error, 2 mathematical-assertion failure
-(the latter is reserved so CI can grep for genuine verification breakage).
+Exit codes: 0 success, 1 input error, 2 mathematical-assertion failure:
+an InvariantError or a VerificationFailure, and nothing else (reserved so
+CI can grep for genuine verification breakage).  Any other ArithmeticError,
+such as a ZeroDivisionError from an input that no check refused, exits 1.
 """
 
 import argparse
@@ -9,6 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
+from .arith import InvariantError
 from .tableio import emit_table, int_rows, json_object, parse_rational
 
 
@@ -29,10 +32,10 @@ def main(argv=None):
     except VerificationFailure as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return 2
-    except ArithmeticError as e:
+    except InvariantError as e:
         print(f"arithmetic failure: {e}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, KeyError, ArithmeticError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,9 @@ Each coefficient is assembled in one pass over integers: a numerator and a
 denominator, the exponent of sqrt(pi) and one radicand.  The assembly raises
 InvariantError unless every L-value had a closed form, the pi exponent is 0
 and the radicand is a rational square; `EisensteinContext` refuses
-det L <= 0 and `eis_coeff_theta` an odd k up front.  The closed-form
+det L <= 0 and `eis_coeff_theta` an odd k up front.  For k > 0 the density
+of L' at p replaces the unimodular p-factor that the formula's divisor sum
+and L-value carry (even b); odd b with k > 0 is refused.  The closed-form
 L-values are cached per (s, D); each twisted divisor sum is an integer sum
 over the divisors of m.
 """
@@ -216,9 +218,9 @@ def eis_coeff_theta(ctx, Lprime, m):
 
     L' must be positive definite of rank b+2 and agree with the ambient
     lattice away from p, so det L' = det L p^k with k even (ValueError
-    otherwise);
-    its local densities at the bad primes of the ambient determinant are
-    computed at stabilized depth.  Positive sign.
+    otherwise, and for k > 0 at odd b);
+    its local densities at the bad primes of the ambient determinant, and
+    at p when k > 0, are computed at stabilized depth.  Positive sign.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -237,9 +239,22 @@ def eis_coeff_theta(ctx, Lprime, m):
     if k % 2:
         raise ValueError(f"L' disagrees with the ambient away from p={ctx.p}: "
                          f"det L' / det L = {ctx.p}^{k} is an odd power of p")
+    # the odd-b formula carries p in its Moebius sum, L((b+1)/2, chi_D) and
+    # zeta(b+1); dividing those out has no independent oracle yet
+    if k > 0 and ctx.b % 2:
+        raise ValueError(f"odd b = {ctx.b} with p = {ctx.p} dividing det L' is not "
+                         "supported: its p-adic factor has no independent check yet")
     dens = {ell: local_density(ell, Lprime, m) for ell in ctx.badPrimes}
     if k > 0:
-        dens[ctx.p] = local_density(ctx.p, Lprime, m)
+        # _coeff_common already carries the unimodular delta_p(m): with
+        # s = 1 + b/2, (1 - chi_D(p) p^-s) from 1/L(s, chi_D) times
+        # sum_{j <= v_p(m)} (chi_D(p) p^(1-s))^j from sigma_{-b/2}(m, chi_D).
+        # The density of L' at p replaces it, or p would enter twice.
+        p, s = ctx.p, 1 + ctx.b // 2
+        chi = chi_d(_character_d(ctx.b, None, ctx.detL), p)
+        unimodular = (1 - chi * Fraction(1, p ** s)) * sum(
+            (chi * Fraction(1, p ** (s - 1))) ** j for j in range(valuation(m, p, 0) + 1))
+        dens[p] = local_density(p, Lprime, m) / unimodular
     return _coeff_common(ctx.b, m, ctx.detL, disc_p, dens, sign=+1)
 
 

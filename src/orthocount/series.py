@@ -24,9 +24,11 @@ Stored units are p-free: `monomial` strips p, `_renormalize` ends every sum
 and product, and negation, p-shifts and the twist (sigma is a ring
 automorphism) keep a unit a unit.  The residue ring W/p = F_{p^d} is a field
 (make_ring checks that f is irreducible mod p), so the product of two such
-units is again a nonzero p-free unit: only a term pair with a p-divisible
-operand unit, which only a hand-built block can hold, may vanish or need its
-factors of p moved into the valuation.
+units is again a nonzero p-free unit, and no term pair of a product needs
+its factors of p moved into the valuation.  `_block_mul` checks this
+invariant on the units of both operands (and so of the accumulator of
+`mul_one_plus`, which is its left operand) and raises InvariantError on a
+p-divisible one, also under python -O.
 
 Addition of coefficients with far-apart valuations drops the smaller term
 once the gap reaches R; this is the truncation semantics (relative precision
@@ -38,6 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .arith import InvariantError
 from .padic import PINF, UnramifiedRing
 
 CHUNK = 1 << 9  # term pairs multiplied and folded at once by _block_mul
@@ -203,16 +206,6 @@ def _mul_matrices(u, ring):
     return _unit_products(eye, np.repeat(u, d, axis=0), ring).reshape(rows, d, d)
 
 
-def _strip_p(u, v, p, rows=None):
-    """Divide each given row of u (default all; none zero) by the largest power
-    of p dividing all its entries, adding the exponent to v; both in place."""
-    rows = np.arange(len(u)) if rows is None else rows
-    while rows.size:
-        rows = rows[~(u[rows] % p).any(axis=1)]
-        u[rows] //= p
-        v[rows] += 1
-
-
 def _fold(pv, un, keys, tv, tu, ring):
     """Add the terms p^tv[i] * tu[i] to the coefficients (pv, un)[keys[i]].
 
@@ -243,10 +236,11 @@ def _renormalize(pv, un, p):
     nz = np.flatnonzero(pv < PINF)
     live = un[nz].any(axis=1)
     pv[nz[~live]] = PINF
-    nz = nz[live]
-    u, v = un[nz], pv[nz]
-    _strip_p(u, v, p)
-    un[nz], pv[nz] = u, v
+    rows = nz[live]
+    while rows.size:
+        rows = rows[~(un[rows] % p).any(axis=1)]
+        un[rows] //= p
+        pv[rows] += 1
 
 
 def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK, acc=None):
@@ -259,7 +253,8 @@ def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK, acc=None):
     Term pairs are enumerated from the nonzero terms of A, chunk pairs at
     a time, against the terms of B with the same inner index and a t-degree
     that keeps the sum within T_max; the unit of A's term times the
-    multiplication matrix of B's term is the unit product."""
+    multiplication matrix of B's term is the unit product.  A unit of A or
+    B divisible by p raises InvariantError."""
     ring, p = sr.ring, sr.ring.p
     (n, k), m = apv.shape[:2], bpv.shape[1]
     if bpv.shape[0] != k:
@@ -272,10 +267,11 @@ def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK, acc=None):
         pv, un = acc[0].reshape(-1).copy(), acc[1].reshape(-1, ring.deg).copy()
     acell, at, av, au = _terms(apv, aun)
     bcell, bt, bv, bu = _terms(bpv, bun)
+    for name, u in (("A", au), ("B", bu)):
+        if not (u % p).any(axis=1).all():
+            raise InvariantError(f"a unit of {name} is divisible by p = {p}; stored "
+                                 "units are p-free")
     bmul = _mul_matrices(bu, ring)
-    # operand units divisible by p: the only source of vanishing or p-divisible products
-    adiv, bdiv = ~(au % p).any(axis=1), ~(bu % p).any(axis=1)
-    rough_terms = adiv.any() or bdiv.any()
     bkey = bcell // m * T1 + bt  # (inner index, t): B's terms are joined in this order
     border = np.argsort(bkey, kind="stable")
     bkey = bkey[border]
@@ -296,11 +292,6 @@ def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK, acc=None):
         # each of the d products summed is below p^(2R): deg p^(2R) < 2^62
         tu = np.einsum("pk,pkj->pj", au[ia], bmul[ib]) % ring.modulus
         tv = av[ia] + bv[ib]
-        if rough_terms:
-            rough = adiv[ia] | bdiv[ib]
-            keep = ~rough | tu.any(axis=1)
-            ia, ib, tu, tv = ia[keep], ib[keep], tu[keep], tv[keep]
-            _strip_p(tu, tv, p, np.flatnonzero(rough[keep]))
         keys = (ai[ia] * m + bcell[ib] % m) * T1 + at[ia] + bt[ib]
         _fold(pv, un, keys, tv, tu, ring)
     _renormalize(pv, un, p)

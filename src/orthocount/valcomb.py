@@ -106,19 +106,24 @@ def min_set(r, prof):
     """(nu_r, sorted argmin tuples) over the (n+1)^r index tuples of length r.
 
     As p^i > 0, i||J is minimal iff J is minimal of length r - 1 and i
-    minimizes a_i + p^i nu_{r-1}: each level takes the least of n+1 values
-    and prefixes its argmins to the previous argmin set, in sorted order.
-    The guard on (n+1)^r stays, as ties can make the argmin set that large.
+    minimizes a_i + p^i nu_{r-1}: each level takes the least of n+1 values,
+    and the argmin set is the product of the levels' sorted tie sets, the
+    last level's first.  Ties can make it as large as (n+1)^r tuples, so it
+    is refused, before it is built, when it would hold more than
+    MIN_SET_GUARD.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    _check_guard(r, prof)
-    best, argmin = 0, [()]
-    for _ in range(r):
+    best, ties, size = 0, [], 1
+    for level in range(1, r + 1):
         vals = [a + prof.p ** i * best for i, a in enumerate(prof.a, 1)]
         best = min(vals)
-        argmin = [(i,) + J for i, v in enumerate(vals, 1) if v == best for J in argmin]
-    return best, argmin
+        ties.append([i for i, v in enumerate(vals, 1) if v == best])
+        size *= len(ties[-1])
+        if size > MIN_SET_GUARD:
+            raise ValueError(f"argmin set too large: {size} tuples of length {level} "
+                             f"exceed MIN_SET_GUARD = {MIN_SET_GUARD}")
+    return best, list(itertools.product(*reversed(ties)))
 
 
 def _search(r, prof, tables):

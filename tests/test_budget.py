@@ -13,8 +13,6 @@ from orthocount.budget import (
     NestedLatticeSequence,
     certify_membership,
     contradiction_shape,
-    counting_bound,
-    firstmin_check,
     formal_curve_sequence,
     g_P,
     local_intersection,
@@ -94,27 +92,6 @@ class TestCaps:
         for m in range(0, 2 * X + 1):
             if m:
                 assert rep_count(last, m) == 0
-
-    def test_counting_bound(self):
-        seq = worked_sequence()
-        out = counting_bound(seq, 25, n_cap=10)
-        assert out.empirical <= 4 * out.majorant
-        assert out.fitted_K <= 4
-
-    def test_counting_bound_rank1(self):
-        L = QuadLattice.from_rows([[2]], positive_definite=True)
-        seq = NestedLatticeSequence(L, ((1, identity_basis(L)),))
-        X = 40
-        out = counting_bound(seq, X)
-        true_count = 2 * int((2 * X) ** 0.5)
-        assert out.empirical == true_count
-        assert out.majorant >= true_count / 3
-
-    def test_x_zero(self):
-        seq = worked_sequence()
-        out = counting_bound(seq, 0, n_cap=3)
-        assert out.empirical == 0
-        assert out.majorant >= 3  # the i=0 term counts levels
 
 
 class TestGP:
@@ -427,20 +404,3 @@ class TestContradictionShape:
         assert time.perf_counter() - t0 < 1
         # 10^8 / T^{1/3} <= 75 from T = (4/3 10^6)^3 = 2370370370370370370.37... on
         assert shape.T == 2370370370370370371 and shape.holds
-
-
-class TestFirstMin:
-    def test_degenerate_constant(self):
-        seq = NestedLatticeSequence(X2Y2, ((1, identity_basis(X2Y2)),))
-        rep = firstmin_check(seq)
-        assert rep.degenerate and rep.implied_constant is None
-
-    def test_worked_sequence_positive(self):
-        rep = firstmin_check(worked_sequence(), b=2)
-        assert not rep.degenerate
-        assert rep.implied_constant > 0
-
-    def test_formal_curve_positive(self):
-        curve = formal_curve_sequence(5, 1, 1, 1, j_max=1)
-        rep = firstmin_check(curve.sequence, b=2)
-        assert rep.implied_constant > 0

@@ -96,6 +96,12 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[3] == "2,15,12"
 
+    def test_valcomb_minset_past_the_index_space(self, capsys):
+        # 5^11 index tuples, one argmin: the guard bounds the output only
+        assert main(["valcomb", "min-set", "--n", "4", "--p", "7", "--a", "12,11,9,5,1",
+                     "--rmax", "11"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "11,847425745,11111111115"
+
     def test_valcomb_verify(self, tmp_path):
         out = tmp_path / "v.csv"
         assert main(["valcomb", "verify-minval", "--trials", "20", "--seed", "7",
@@ -323,6 +329,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("arithmetic failure: a pivot of valuation >= ")
         assert err.endswith(", beyond v_ell(det) = 0\n")
+
+    def test_other_arithmetic_errors_exit_1(self, monkeypatch, capsys):
+        # exit code 2 is only for InvariantError and VerificationFailure: a
+        # ZeroDivisionError from an input no check refused is an input error
+        import orthocount.valcomb as valcomb_mod
+
+        def divide(r, prof):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(valcomb_mod, "min_set", divide)
+        assert main(["valcomb", "min-set", "--n", "1", "--a", "10,1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: division by zero\n"
 
     def test_exit_code_2_on_verification_failure(self, lattice_file, tmp_path,
                                                  monkeypatch):

@@ -51,6 +51,15 @@ D8_GRAM = [
     [0, 0, 0, 0, 0, -1, 0, 2],
 ]
 
+E6_GRAM = [
+    [2, -1, 0, 0, 0, 0],
+    [-1, 2, -1, 0, 0, 0],
+    [0, -1, 2, -1, 0, -1],
+    [0, 0, -1, 2, -1, 0],
+    [0, 0, 0, -1, 2, 0],
+    [0, 0, -1, 0, 0, 2],
+]
+
 E7_GRAM = [
     [2, -1, 0, 0, 0, 0, 0],
     [-1, 2, -1, 0, 0, 0, 0],
@@ -326,8 +335,51 @@ class TestThetaCoeff:
                     with pytest.raises(ValueError, match="disagrees with the ambient "
                                        "away from p=5: .* odd power of p"):
                         eis_coeff_theta(ctx, L, m)
+                elif r % 2:
+                    # odd b: the p-adic factor of L' has no independent check yet
+                    with pytest.raises(ValueError, match="odd b = 5 with p = 5 dividing "
+                                       "det L' is not supported"):
+                        eis_coeff_theta(ctx, L, m)
                 else:
                     assert isinstance(eis_coeff_theta(ctx, L, m), Fraction)
+
+    @pytest.mark.parametrize("name, b, p, ms", [
+        ("E8", 6, 5, list(range(1, 21)) + [25, 50, 125]),
+        ("E8", 6, 7, range(1, 21)),
+        ("D8", 6, 5, range(1, 21)),
+        ("E6", 4, 5, range(1, 21)),
+    ], ids=["5E8", "7E8", "5D8", "5E6"])
+    def test_p_scaled_one_class_genus(self, name, b, p, ms):
+        # p L is alone in its genus when L is, so theta(p L) = E exactly; with
+        # p | det(p L) the density at p replaces the p-factor the formula
+        # carries for a unimodular lattice, which counted p twice: 5 E8 at
+        # m = 5 gave 240 * delta_5(E8, 5) = 240 * 78624/78125
+        gram = {"E8": E8_GRAM, "D8": D8_GRAM, "E6": E6_GRAM}[name]
+        L = QuadLattice.from_rows(gram, positive_definite=True)
+        ctx = EisensteinContext.from_lattice(L, b=b, p=p)
+        pL = QuadLattice.from_rows([[p * x for x in row] for row in gram],
+                                   positive_definite=True)
+        theta = theta_table(pL, max(ms))
+        assert [eis_coeff_theta(ctx, pL, m) for m in ms] == [theta[m] for m in ms]
+        assert theta[p] > 0
+
+    def test_density_ratio_is_the_coefficient_ratio(self):
+        # densm_ratio is the p-local quotient of q_{L'_n}(m) by |q_L(m)|: on
+        # the levels of the formal curve (rank 6, b = 4, indices 1, 5^3, 5^6,
+        # 5^9) it must equal the ratio of the two exact coefficients
+        from orthocount.budget import formal_curve_sequence
+        seq = formal_curve_sequence(5, 3, 1, 1, 1).sequence
+        ctx = EisensteinContext.from_lattice(seq.ambient, b=4, p=5)
+        ratios = []
+        for m in (1, 2, 3, 6):
+            dens = {ell: local_density(ell, seq.ambient, m) for ell in ctx.badPrimes}
+            q = abs(eis_coeff_global(ctx, dens, m))
+            for _, basis in seq.levels:
+                L = basis.as_lattice()
+                ratio = eis_coeff_theta(ctx, L, m) / q
+                assert densm_ratio(ctx, L, m).ratio_sq == ratio ** 2, m
+                ratios.append(ratio)
+        assert ratios[:4] == [1, Fraction(1, 155), Fraction(1, 19375), Fraction(1, 2421875)]
 
 
 class TestGlobalCoeff:

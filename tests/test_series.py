@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from orthocount.arith import InvariantError
 from orthocount.padic import PINF, make_ring
 from orthocount.series import SeriesRing, TSeriesMatrix, _block_mul
 
@@ -73,6 +74,18 @@ class TestRing:
             "assert False, 'asserts are live'\n"
             "UnramifiedRing.sigma = lambda self, a, k=1: a\n",
             "make_ring(7, 3, 3)\n")
+        # so must the kernel's refusal of a hand-set unit p * 1, in either
+        # operand of a product and in mul_one_plus's self
+        setup = ("from orthocount.padic import make_ring\n"
+                 "from orthocount.series import SeriesRing, TSeriesMatrix\n"
+                 "assert False, 'asserts are live'\n"
+                 "sr = SeriesRing(make_ring(5, 4, 2), 4)\n"
+                 "good, rough = sr.monomial(1, 1), sr.monomial(1, 1)\n"
+                 "rough.unit[1, 0] = 5\n")
+        for call in ("rough.mul(good)\n", "good.mul(rough)\n",
+                     "TSeriesMatrix.of(sr, [[rough]]).mul_one_plus("
+                     "TSeriesMatrix.of(sr, [[good]]))\n"):
+            assert_fires_under_python_O(setup, call)
 
 
 def _coeff(s, t):
@@ -289,9 +302,8 @@ def ref_block_mul(sr, A, B):
     return out
 
 
-def random_series(sr, rng, density=0.5, vals=(-3, 3), pfactor=0):
-    """Random series; each unit is multiplied by up to p^pfactor, so with
-    pfactor > 0 the stored units need not be normalized."""
+def random_series(sr, rng, density=0.5, vals=(-3, 3)):
+    """Random series with p-free units, as every stored unit is."""
     ring = sr.ring
     s = sr.zero_series()
     for t in range(sr.tmax + 1):
@@ -299,9 +311,8 @@ def random_series(sr, rng, density=0.5, vals=(-3, 3), pfactor=0):
             continue
         u = [rng.randrange(ring.modulus) for _ in range(ring.deg)]
         u[rng.randrange(ring.deg)] = rng.randrange(1, ring.p)  # not divisible by p
-        k = rng.randint(0, pfactor)
         s.pval[t] = rng.randint(*vals)
-        s.unit[t] = [x * ring.p ** k % ring.modulus for x in u]
+        s.unit[t] = u
     return s
 
 
@@ -333,8 +344,8 @@ class TestWholeArrayKernel:
     def test_mul_commutes_exactly(self, sring):
         rng = random.Random(102)
         for _ in range(15):
-            a = random_series(sring, rng, vals=(-9, 9), pfactor=2)
-            b = random_series(sring, rng, vals=(-9, 9), pfactor=2)
+            a = random_series(sring, rng, vals=(-9, 9))
+            b = random_series(sring, rng, vals=(-9, 9))
             assert _series_equal(a.mul(b), b.mul(a))
 
     def test_add_into_held_terms(self, sring):
@@ -382,12 +393,21 @@ class TestWholeArrayKernel:
             assert _series_equal(a.mul(b), ref_block_mul(sring, [[a]], [[b]])[0][0])
 
     def test_unnormalized_units_strip_p(self, sring):
-        # units carrying factors of p make the products divisible by p
+        # stored units are p-free, so no product strips p per term pair: a
+        # p-divisible unit in either operand, or in mul_one_plus's self, is
+        # a broken invariant
+        ring = sring.ring
         rng = random.Random(107)
-        for _ in range(10):
-            a = random_series(sring, rng, pfactor=2)
-            b = random_series(sring, rng, pfactor=2)
-            assert _series_equal(a.mul(b), ref_block_mul(sring, [[a]], [[b]])[0][0])
+        a = random_series(sring, rng, density=1.0)
+        rough = a.copy()
+        rough.unit[3] = rough.unit[3] * ring.p % ring.modulus
+        for x, y in ((rough, a), (a, rough)):
+            with pytest.raises(InvariantError, match="divisible by p"):
+                x.mul(y)
+        X = _no_constant_term(sring, rng, 2)
+        M = TSeriesMatrix.of(sring, [[rough, a], [a, a]])
+        with pytest.raises(InvariantError, match="a unit of A is divisible by p"):
+            M.mul_one_plus(X)
 
     def test_small_chunks(self, sring):
         rng = random.Random(108)

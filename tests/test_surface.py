@@ -23,17 +23,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "orthocount"
 PERFBENCH = ROOT / "perfbench"
 
-# Forms of the paper's budget inequality with no caller yet: the exact
-# contradiction shape, until a `budget contradiction` subcommand prints it,
-# and the float counting and first-minimum reports.
+# Forms of the paper's budget inequality with no caller yet: the truncation
+# cap and the exact contradiction shape, until a `budget compare` subcommand
+# prints them.
 BUDGET_PENDING = {
     "budget.truncation_cap",
-    "budget.CountingBound",
-    "budget.counting_bound",
     "budget.ContradictionShape",
     "budget.contradiction_shape",
-    "budget.FirstMinReport",
-    "budget.firstmin_check",
 }
 
 # Reached only through the benchmark (`perfbench/`), which cannot change

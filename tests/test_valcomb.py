@@ -76,10 +76,24 @@ class TestMinSet:
         _, argmin = min_set(2, prof)
         assert all(I[0] == 1 for I in argmin)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        # the guard bounds the argmin set, not (n+1)^r: the constant profile
+        # ties only at the last index, so 5^11 tuples leave 5 argmins
         prof = ValuationProfile(n=4, p=5, a=(1, 1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            min_set(11, prof)
+        v, argmin = min_set(11, prof)
+        assert v == sum(5 ** k for k in range(11))
+        assert argmin == [(1,) * 10 + (i,) for i in range(1, 6)]
+        # a = (3, 1, 1) at p = 2 ties twice at r = 1 and twice again at r = 2
+        # (3 + 2 = 1 + 4): 4 argmins from r = 2 on
+        tied = ValuationProfile(n=2, p=2, a=(3, 1, 1))
+        assert min_set(3, tied) == ref_min_set(3, tied)
+        assert min_set(2, tied) == (5, [(1, 2), (1, 3), (2, 2), (2, 3)])
+        monkeypatch.setattr(valcomb, "MIN_SET_GUARD", 3)
+        assert min_set(1, tied) == (1, [(2,), (3,)])
+        for r in (2, 3):
+            with pytest.raises(ValueError, match="argmin set too large: 4 tuples of "
+                               "length 2 exceed MIN_SET_GUARD = 3"):
+                min_set(r, tied)
 
 
 # ---------------------------------------------------------------------------
