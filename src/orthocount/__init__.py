@@ -41,6 +41,7 @@ from .valcomb import (  # noqa: F401
     SuperspecialProfile,
     ValuationProfile,
     min_set,
+    min_sets,
     nu,
     schedules,
     ssp_min_valuation,

@@ -295,7 +295,7 @@ def _cmd_crystal(args):
     from .crystal import (f_infinity_partial, first_nonintegral_order,
                           frobenius_F, integral_basis_matrix, min_tval_at_pval,
                           ssp_s0prime, synthesize_s0prime)
-    from .valcomb import (SuperspecialProfile, min_set, schedule_hprime,
+    from .valcomb import (SuperspecialProfile, min_sets, schedule_hprime,
                           ssp_min_valuation)
     prof = _load_json(args.profile)
     if args.tmax is not None and isinstance(prof, dict):
@@ -347,8 +347,7 @@ def _cmd_crystal(args):
                                        "rmax": args.rmax, "w": args.w})
     else:
         vprof = coords.valuation_profile()
-        for r in range(1, args.rmax + 1):
-            nu_r, _ = min_set(r, vprof)
+        for r, (nu_r, _) in enumerate(min_sets(args.rmax, vprof), 1):
             got = min_tval_at_pval(finf, r, rows=range(2 * coords.n),
                                    cols=range(2 * coords.n))
             this_ok = (nu_r > sr.tmax and got is None) or got == nu_r
@@ -366,15 +365,13 @@ def _cmd_crystal(args):
 def _cmd_valcomb(args):
     import random
 
-    from .valcomb import (SuperspecialProfile, ValuationProfile, min_set,
+    from .valcomb import (SuperspecialProfile, ValuationProfile, min_sets,
                           schedules, ssp_min_valuation, verify_minval)
     if args.mode == "min-set":
         a = tuple(int(x) for x in args.a.split(","))
         prof = ValuationProfile(n=args.n, p=args.p, a=a)
-        rows = []
-        for r in range(1, args.rmax + 1):
-            nu_r, argmin = min_set(r, prof)
-            rows.append((r, nu_r, ";".join("".join(map(str, I)) for I in argmin)))
+        rows = [(r, nu_r, ";".join("".join(map(str, I)) for I in argmin))
+                for r, (nu_r, argmin) in enumerate(min_sets(args.rmax, prof), 1)]
         emit_table(rows, ["r", "nu_r", "argmins"], args.out,
                    manifest={"cmd": "valcomb.min-set", "p": args.p, "n": args.n,
                              "a": args.a, "rmax": args.rmax})

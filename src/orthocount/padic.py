@@ -99,7 +99,6 @@ class UnramifiedRing:
     deg: int
     minpoly: tuple      # length deg+1, monic, coefficients mod p^R
     sigma_mat: tuple    # deg x deg, columns: sigma(x^j) in x-basis, mod p^R
-    red_rows: tuple     # rows k=0..deg-2: x^{deg+k} in x-basis, mod p^R
     tau: tuple = ()     # Teichmuller representative of x, mod p^R (deg > 1)
 
     @property
@@ -194,9 +193,12 @@ class UnramifiedRing:
         return _frozen(self.sigma_mat)
 
     @cached_property
-    def red_int64(self):
-        """red_rows as an int64 array of shape (deg - 1, deg)."""
-        return _frozen(self.red_rows).reshape(self.deg - 1, self.deg)
+    def mul_tensor_int64(self):
+        """The structure tensor, shape (deg, deg, deg): S[j] is the
+        multiplication matrix of x^j, so S[j, i, k] is coordinate i of
+        x^(j+k)."""
+        return _frozen([self.mul_matrix(tuple(int(i == j) for i in range(self.deg)))
+                        for j in range(self.deg)])
 
     @cached_property
     def pow_int64(self):
@@ -225,24 +227,16 @@ def make_ring(p, R, deg, minpoly_modp=None):
         raise ValueError("p^R too large for int64 kernels")
     mod = p ** R
     if deg == 1:
-        ring = UnramifiedRing(p, R, 1, (0, 1), ((1,),), ())
-        return ring
+        return UnramifiedRing(p, R, 1, (0, 1), ((1,),))
     f0 = list(minpoly_modp) if minpoly_modp is not None else _irreducible_poly(p, deg)
     if len(f0) != deg + 1 or f0[deg] % p != 1:
         raise ValueError("minpoly must be monic of degree deg")
     if not _is_irreducible(f0, p):
         raise ValueError("minpoly is not irreducible mod p")
     f = tuple(c % mod for c in f0)
-    # reduction rows for x^{deg+k}
-    red = []
-    cur = [(-f[j]) % mod for j in range(deg)]  # x^deg
-    red.append(tuple(cur))
-    for _ in range(deg - 2):
-        cur = _polymul_mod(cur, [0, 1], list(f), mod)
-        red.append(tuple(cur))
     # tau, for the Teichmuller units
     ring0 = UnramifiedRing(p, R, deg, f, tuple(tuple(int(i == j) for j in range(deg))
-                                               for i in range(deg)), tuple(red))
+                                               for i in range(deg)))
     q = p ** deg
     y = ring0.gen()
     for _ in range(R + 1):
@@ -268,7 +262,7 @@ def make_ring(p, R, deg, minpoly_modp=None):
     for _ in range(deg - 1):
         cols.append(ring0.mul(cols[-1], s))
     sigma_mat = tuple(tuple(col[i] for col in cols) for i in range(deg))
-    ring = UnramifiedRing(p, R, deg, f, sigma_mat, tuple(red), tau)
+    ring = UnramifiedRing(p, R, deg, f, sigma_mat, tau)
     # sanity: sigma is a ring map lifting Frobenius, sigma^deg = id
     g = ring.gen()
     if ring.sigma(ring.mul(g, g)) != ring.mul(ring.sigma(g), ring.sigma(g)):

@@ -8,20 +8,22 @@ are two dense int64 blocks, pval (..., T+1) and unit (..., T+1, d): a
 elementwise operations are written once, on blocks of any leading shape.
 
 Every product and sum goes through one whole-array kernel (`_block_mul`,
-`_fold`): the nonzero terms of both operands are gathered, joined on the
-inner index of the (matrix) product, multiplied in bulk a bounded chunk of
-term pairs at a time, and folded into the target coefficients.  A product
-first builds the d x d multiplication matrix of each term of its right
-operand, so the unit product of a term pair is one vector-matrix product.
+`_fold`).  A product joins its operands once: every pair of nonzero terms
+with the same inner index of the (matrix) product is enumerated at once as
+integer arrays, and the pairs are sorted by output coefficient once.  The
+fold takes each coefficient's least valuation v_min, scales A's unit by
+p^(v - v_min) and multiplies it by the d x d multiplication matrix of B's
+term, a bounded chunk of pairs at a time, and writes each coefficient once.
+The matrices come from the ring's structure tensor S, S[j] the matrix of
+x^j: M(u) = sum_j u_j S[j].  A sum is the same fold without matrices.
 Adding terms one at a time with the relative-precision rule below gives, in
-any order, (v_min, sum_i u_i p^(v_i - v_min) mod p^R) with v_min the
-smallest valuation; the fold computes exactly that, so it is bit-identical
-to the sequential accumulation.  The same holds when the fold starts from
-coefficients already held, so the kernel also computes C + A B in one pass,
-with C's coefficients as the starting blocks.
+any order, (v_min, sum_i u_i p^(v_i - v_min) mod p^R); the fold computes
+exactly that, so it is bit-identical to the sequential accumulation, also
+when it starts from coefficients already held: C + A B is one pass.
 
 Stored units are p-free: `monomial` strips p, `_renormalize` ends every sum
-and product, and negation, p-shifts and the twist (sigma is a ring
+and product on the coefficients the fold wrote (the others were p-free
+already), and negation, p-shifts and the twist (sigma is a ring
 automorphism) keep a unit a unit.  The residue ring W/p = F_{p^d} is a field
 (make_ring checks that f is irreducible mod p), so the product of two such
 units is again a nonzero p-free unit, and no term pair of a product needs
@@ -109,8 +111,7 @@ class _SeriesBlocks:
         pv, un = out.pval.reshape(-1), out.unit.reshape(-1, ring.deg)
         opv, oun = other.pval.reshape(-1), other.unit.reshape(-1, ring.deg)
         keys = np.flatnonzero(opv < PINF)
-        _fold(pv, un, keys, opv[keys], oun[keys], ring)
-        _renormalize(pv, un, ring.p)
+        _renormalize(pv, un, ring.p, _fold(pv, un, keys, opv[keys], (oun, keys), ring))
         return out
 
     def neg(self):
@@ -175,70 +176,65 @@ class TSeries(_SeriesBlocks):
 def _terms(pv, un):
     """Nonzero terms of a (rows, cols, T+1) block as arrays (cell, t, pval,
     unit), cells numbered row-major."""
-    T1 = pv.shape[-1]
-    pv, un = pv.reshape(-1, T1), un.reshape(-1, T1, un.shape[-1])
-    cell, t = np.nonzero(pv < PINF)
-    return cell, t, pv[cell, t], un[cell, t]
-
-
-def _unit_products(ua, ub, ring):
-    """Row-wise products of unit vectors in the x-power basis, mod p^R, by
-    schoolbook multiplication and reduction by the rows x^(d+k); the kernel
-    calls it once per product, on identity rows, in _mul_matrices.
-
-    make_ring guarantees deg * (p^R)^2 < 2^62, so each of the d products
-    summed into one coefficient, and each reduction dot product, fits int64."""
-    d, mod = ring.deg, ring.modulus
-    tmp = np.zeros((len(ua), 2 * d - 1), dtype=np.int64)
-    for i in range(d):
-        tmp[:, i:i + d] += ua[:, i, None] * ub
-    tmp %= mod
-    if d == 1:
-        return tmp
-    return (tmp[:, :d] + tmp[:, d:] @ ring.red_int64) % mod
+    T1, d = pv.shape[-1], un.shape[-1]
+    flat = np.flatnonzero(pv < PINF)
+    cell, t = np.divmod(flat, T1)
+    return cell, t, pv.reshape(-1)[flat], np.take(un.reshape(-1, d), flat, axis=0)
 
 
 def _mul_matrices(u, ring):
-    """The d x d matrix of multiplication by each unit vector u[i]: row k is
-    x^k u[i], so a row vector w times it is the product w u[i]."""
-    rows, d = u.shape
-    eye = np.tile(np.eye(d, dtype=np.int64), (rows, 1))
-    return _unit_products(eye, np.repeat(u, d, axis=0), ring).reshape(rows, d, d)
+    """The d x d matrix of multiplication by each unit vector u[b]: row k is
+    x^k u[b], so a row vector w times it is the product w u[b].  It is
+    sum_j u[b, j] S[j] (transposed), S the ring's structure tensor; make_ring
+    guarantees deg * (p^R)^2 < 2^62, so each sum of d products fits int64."""
+    return np.einsum("bj,jik->bki", u, ring.mul_tensor_int64) % ring.modulus
 
 
-def _fold(pv, un, keys, tv, tu, ring):
-    """Add the terms p^tv[i] * tu[i] to the coefficients (pv, un)[keys[i]].
+def _fold(pv, un, keys, tv, left, ring, right=None, chunk=CHUNK):
+    """Add term i, p^tv[i] times the unit units[idx[i]] of left = (units,
+    idx), and times the matrix mats[jdx[i]] of right = (mats, jdx) when
+    given, to the coefficient (pv, un)[keys[i]], keys sorted; return the hit
+    coefficients.
 
     Each hit coefficient becomes (v_min, sum of u * p^(v - v_min) mod p^R)
-    over its terms and what it already held; a term R or more above v_min
-    adds nothing.  Products are reduced before summing, so a sum of fewer
-    than 2^31 terms stays below 2^62."""
+    over its terms and what it already held, and is written once; a term R
+    or more above v_min adds nothing.  The units are gathered, scaled and
+    multiplied chunk terms at a time, in chunks cut where a coefficient
+    starts (a coefficient with more terms goes alone).  Products are reduced
+    before summing, so a sum of fewer than 2^31 terms stays below 2^62."""
     if not keys.size:
-        return
-    R, mod = ring.R, ring.modulus
-    order = np.argsort(keys, kind="stable")
-    keys, tv, tu = keys[order], tv[order], tu[order]
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    cells = keys[first]
-    held = pv[cells]
+        return keys
+    R, mod, pw = ring.R, ring.modulus, ring.pow_int64
+    starts = np.concatenate(([True], keys[1:] != keys[:-1]))
+    first = np.flatnonzero(starts)
+    cells, held = keys[first], pv[keys[first]]
     vmin = np.minimum(np.minimum.reduceat(tv, first), held)
-    pw = ring.pow_int64
-    gap = np.minimum(tv - np.repeat(vmin, np.diff(np.concatenate((first, [keys.size])))), R)
-    total = np.add.reduceat(tu * pw[gap, None] % mod, first, axis=0)
-    total += un[cells] * pw[np.minimum(held - vmin, R), None] % mod
+    scale = pw[np.minimum(tv - vmin[np.cumsum(starts) - 1], R), None]
+    total = np.take(un, cells, axis=0) * pw[np.minimum(held - vmin, R), None] % mod
+    ends, g = np.append(first[1:], keys.size), 0
+    while g < cells.size:
+        lo = first[g]
+        h = max(g + 1, int(np.searchsorted(ends, lo + chunk, side="right")))
+        hi = ends[h - 1]
+        tu = np.take(left[0], left[1][lo:hi], axis=0) * scale[lo:hi] % mod
+        if right is not None:
+            # each of the d products summed is below p^(2R): deg p^(2R) < 2^62
+            tu = np.einsum("pk,pkj->pj", tu, np.take(right[0], right[1][lo:hi], axis=0)) % mod
+        total[g:h] += np.add.reduceat(tu, first[g:h] - lo, axis=0)
+        g = h
     un[cells] = total % mod
     pv[cells] = vmin
+    return cells
 
 
-def _renormalize(pv, un, p):
-    """Strip powers of p from every nonzero coefficient into its valuation;
+def _renormalize(pv, un, p, cells):
+    """Strip powers of p from the coefficients cells into their valuations;
     a coefficient whose unit cancelled to zero becomes zero."""
-    nz = np.flatnonzero(pv < PINF)
-    live = un[nz].any(axis=1)
-    pv[nz[~live]] = PINF
-    rows = nz[live]
+    live = np.take(un, cells, axis=0).any(axis=1)
+    pv[cells[~live]] = PINF
+    rows = cells[live]
     while rows.size:
-        rows = rows[~(un[rows] % p).any(axis=1)]
+        rows = rows[~(np.take(un, rows, axis=0) % p).any(axis=1)]
         un[rows] //= p
         pv[rows] += 1
 
@@ -250,11 +246,12 @@ def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK, acc=None):
     of such blocks with p-free units, the product is folded into copies of
     them: the result is acc + A B.
 
-    Term pairs are enumerated from the nonzero terms of A, chunk pairs at
-    a time, against the terms of B with the same inner index and a t-degree
-    that keeps the sum within T_max; the unit of A's term times the
-    multiplication matrix of B's term is the unit product.  A unit of A or
-    B divisible by p raises InvariantError."""
+    Every term pair is enumerated at once: each nonzero term of A against
+    the terms of B with the same inner index and a t-degree that keeps the
+    sum within T_max.  The unit of A's term times the multiplication matrix
+    of B's term is the unit product; _fold sums the pairs of each output
+    coefficient, chunk pairs at a time.  A unit of A or B divisible by p
+    raises InvariantError."""
     ring, p = sr.ring, sr.ring.p
     (n, k), m = apv.shape[:2], bpv.shape[1]
     if bpv.shape[0] != k:
@@ -271,30 +268,25 @@ def _block_mul(sr, apv, aun, bpv, bun, chunk=CHUNK, acc=None):
         if not (u % p).any(axis=1).all():
             raise InvariantError(f"a unit of {name} is divisible by p = {p}; stored "
                                  "units are p-free")
-    bmul = _mul_matrices(bu, ring)
-    bkey = bcell // m * T1 + bt  # (inner index, t): B's terms are joined in this order
-    border = np.argsort(bkey, kind="stable")
-    bkey = bkey[border]
-    ai, al = acell // k, acell % k
-    lo = np.searchsorted(bkey, al * T1)
-    cnt = np.searchsorted(bkey, al * T1 + sr.tmax - at, side="right") - lo
-    ends = np.cumsum(cnt)
-    start = 0
-    while start < cnt.size:
-        base = ends[start] - cnt[start]
-        stop = max(start + 1, int(np.searchsorted(ends, base + chunk, side="right")))
-        c = cnt[start:stop]
-        npairs = int(ends[stop - 1] - base)
-        ia = np.repeat(np.arange(start, stop), c)
-        ib = border[np.repeat(lo[start:stop] - (ends[start:stop] - c - base), c)
-                    + np.arange(npairs)]
-        start = stop
-        # each of the d products summed is below p^(2R): deg p^(2R) < 2^62
-        tu = np.einsum("pk,pkj->pj", au[ia], bmul[ib]) % ring.modulus
-        tv = av[ia] + bv[ib]
-        keys = (ai[ia] * m + bcell[ib] % m) * T1 + at[ia] + bt[ib]
-        _fold(pv, un, keys, tv, tu, ring)
-    _renormalize(pv, un, p)
+    # B's terms in (inner index, t) order; A's term (i, l, t) meets the run
+    # of them with inner index l and t-degree at most T_max - t
+    bkey = bcell // m * T1 + bt
+    border = np.argsort(bkey)
+    bkey, bout, bv, bu = bkey[border], (bcell % m * T1 + bt)[border], bv[border], bu[border]
+    alo = acell % k * T1
+    lo = np.searchsorted(bkey, alo)
+    cnt = np.searchsorted(bkey, alo + sr.tmax - at, side="right") - lo
+    ia = np.repeat(np.arange(cnt.size), cnt)
+    ib = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(ia.size)
+    keys = np.repeat(acell // k * m * T1 + at, cnt) + bout[ib]
+    order = np.argsort(keys)  # the one sort: the pairs of a coefficient side by side
+    keys = keys[order]
+    ia = ia[order]
+    ib = ib[order]
+    del order  # one array fewer alive through the fold
+    cells = _fold(pv, un, keys, av[ia] + bv[ib], (au, ia), ring,
+                  right=(_mul_matrices(bu, ring), ib), chunk=chunk)
+    _renormalize(pv, un, p, cells)
     return pv.reshape(n, m, T1), un.reshape(n, m, T1, ring.deg)
 
 

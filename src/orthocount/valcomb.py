@@ -1,9 +1,10 @@
 """t-adic valuation combinatorics: weights and minimal valuations of index
 tuples, the superspecial candidate sets, and the decay/index schedules.
 
-Everything here is exact integer/Fraction arithmetic.  `min_set` finds the
+Everything here is exact integer/Fraction arithmetic.  `min_sets` finds the
 minimal valuations by the recursion nu(i||J) = a_i + p^i nu(J), one level at
-a time.  `verify_minval` checks the structure of the minimizing sets, so its
+a time, and yields every level on the way; `min_set` is its last level.
+`verify_minval` checks the structure of the minimizing sets, so its
 search stays exhaustive: every index tuple gets its valuation, computed in
 whole arrays from the tables of the two halves of the tuple.
 """
@@ -102,8 +103,9 @@ def _grow(tables, k, prof):
         tables.append((grown, (idx[:, None] + wts[None, :]).ravel()))
 
 
-def min_set(r, prof):
-    """(nu_r, sorted argmin tuples) over the (n+1)^r index tuples of length r.
+def min_sets(rmax, prof):
+    """Yield (nu_r, sorted argmin tuples) over the (n+1)^r index tuples of
+    length r, for r = 1, ..., rmax in turn.
 
     As p^i > 0, i||J is minimal iff J is minimal of length r - 1 and i
     minimizes a_i + p^i nu_{r-1}: each level takes the least of n+1 values,
@@ -112,10 +114,10 @@ def min_set(r, prof):
     is refused, before it is built, when it would hold more than
     MIN_SET_GUARD.
     """
-    if r < 1:
+    if rmax < 1:
         raise ValueError("r must be >= 1")
     best, ties, size = 0, [], 1
-    for level in range(1, r + 1):
+    for level in range(1, rmax + 1):
         vals = [a + prof.p ** i * best for i, a in enumerate(prof.a, 1)]
         best = min(vals)
         ties.append([i for i, v in enumerate(vals, 1) if v == best])
@@ -123,7 +125,14 @@ def min_set(r, prof):
         if size > MIN_SET_GUARD:
             raise ValueError(f"argmin set too large: {size} tuples of length {level} "
                              f"exceed MIN_SET_GUARD = {MIN_SET_GUARD}")
-    return best, list(itertools.product(*reversed(ties)))
+        yield best, list(itertools.product(*reversed(ties)))
+
+
+def min_set(r, prof):
+    """(nu_r, sorted argmin tuples) for the tuples of length r: the last
+    item of min_sets(r, prof)."""
+    *_, last = min_sets(r, prof)
+    return last
 
 
 def _search(r, prof, tables):

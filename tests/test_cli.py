@@ -102,6 +102,24 @@ class TestCli:
                      "--rmax", "11"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "11,847425745,11111111115"
 
+    def test_valcomb_minset_rows_in_one_pass(self, monkeypatch, capsys):
+        # the rows r = 1..rmax come from one pass of the recursion, not from
+        # one min_set call per r
+        import orthocount.valcomb as valcomb_mod
+        real, passes = valcomb_mod.min_sets, []
+
+        def counted(rmax, prof):
+            passes.append(rmax)
+            return real(rmax, prof)
+
+        monkeypatch.setattr(valcomb_mod, "min_sets", counted)
+        monkeypatch.setattr(valcomb_mod, "min_set", None)
+        assert main(["valcomb", "min-set", "--n", "4", "--p", "7", "--a", "12,11,9,5,1",
+                     "--rmax", "300"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert passes == [300] and len(rows) == 302  # a manifest line, the header, 300 rows
+        assert rows[-1].startswith("300,") and rows[-1].endswith("," + "1" * 299 + "5")
+
     def test_valcomb_verify(self, tmp_path):
         out = tmp_path / "v.csv"
         assert main(["valcomb", "verify-minval", "--trials", "20", "--seed", "7",
@@ -335,10 +353,10 @@ class TestCli:
         # ZeroDivisionError from an input no check refused is an input error
         import orthocount.valcomb as valcomb_mod
 
-        def divide(r, prof):
+        def divide(rmax, prof):
             raise ZeroDivisionError("division by zero")
 
-        monkeypatch.setattr(valcomb_mod, "min_set", divide)
+        monkeypatch.setattr(valcomb_mod, "min_sets", divide)
         assert main(["valcomb", "min-set", "--n", "1", "--a", "10,1"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "error: division by zero\n"

@@ -5,7 +5,7 @@ import pytest
 
 from orthocount.arith import InvariantError
 from orthocount.padic import PINF, make_ring
-from orthocount.series import SeriesRing, TSeriesMatrix, _block_mul
+from orthocount.series import CHUNK, SeriesRing, TSeriesMatrix, _block_mul, _mul_matrices
 
 from conftest import assert_fires_under_python_O
 
@@ -321,6 +321,51 @@ def random_rows(sr, rng, rows, cols, **kw):
              for _ in range(cols)] for _ in range(rows)]
 
 
+def _reduction_rows(ring):
+    """x^(d+k) for k = 0, ..., d-2 in the x-power basis, mod p^R, from the
+    monic minimal polynomial f: x^d = -(f_0 + f_1 x + ... + f_(d-1) x^(d-1))."""
+    d, mod, f = ring.deg, ring.modulus, ring.minpoly
+    rows = [[-c % mod for c in f[:d]]]
+    for _ in range(d - 2):
+        top = rows[-1][-1]  # x * row: shift up, and x^d becomes top * x^d
+        rows.append([-top * f[0] % mod] + [(c - top * fj) % mod
+                                           for c, fj in zip(rows[-1][:-1], f[1:d])])
+    return np.array(rows, dtype=np.int64).reshape(d - 1, d)
+
+
+def schoolbook_mul_matrices(u, ring):
+    """The multiplication matrices of the kernel (row k is x^k u[b]) by
+    schoolbook multiplication of x^k by u[b] and reduction by the rows
+    x^(d+k): the oracle of the structure tensor."""
+    d, mod = ring.deg, ring.modulus
+    ua = np.tile(np.eye(d, dtype=np.int64), (len(u), 1))
+    ub = np.repeat(np.asarray(u, dtype=np.int64), d, axis=0)
+    tmp = np.zeros((len(ua), 2 * d - 1), dtype=np.int64)
+    for i in range(d):
+        tmp[:, i:i + d] += ua[:, i, None] * ub
+    tmp %= mod
+    if d > 1:
+        tmp = (tmp[:, :d] + tmp[:, d:] @ _reduction_rows(ring)) % mod
+    return tmp.reshape(len(u), d, d)
+
+
+def check_mul_matrices(ring, rng):
+    """_mul_matrices equals the schoolbook oracle on the basis vectors, on
+    units with every coordinate p^R - 1 and on random units, and w M(u) is
+    the ring product w u."""
+    d, mod = ring.deg, ring.modulus
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    units += [(mod - 1,) * d]
+    units += [tuple(rng.randrange(mod) for _ in range(d)) for _ in range(20)]
+    got = _mul_matrices(np.array(units, dtype=np.int64), ring)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, schoolbook_mul_matrices(units, ring))
+    for u, mat in zip(units[-5:], got[-5:]):
+        w = tuple(rng.randrange(mod) for _ in range(d))
+        prod = [sum(wk * int(x) for wk, x in zip(w, col)) % mod for col in mat.T]
+        assert tuple(prod) == ring.mul(w, u)
+
+
 RINGS = [(5, 6, 1), (3, 8, 2), (5, 3, 4), (3, 4, 6)]
 
 
@@ -408,6 +453,26 @@ class TestWholeArrayKernel:
         M = TSeriesMatrix.of(sring, [[rough, a], [a, a]])
         with pytest.raises(InvariantError, match="a unit of A is divisible by p"):
             M.mul_one_plus(X)
+
+    def test_mul_matrices_match_schoolbook(self, sring):
+        check_mul_matrices(sring.ring, random.Random(112))
+
+    def test_chunks_split_a_coefficient(self, sring):
+        # 1 x k times k x 1 with k > CHUNK: the top coefficient receives more
+        # term pairs than a chunk holds, so it goes alone in a longer chunk
+        rng = random.Random(113)
+        sr = SeriesRing(sring.ring, 4)
+        k = CHUNK + 8
+        A = [[random_series(sr, rng, density=0.6, vals=(-6, 6)) for _ in range(k)]]
+        B = [[random_series(sr, rng, density=0.6, vals=(-6, 6))] for _ in range(k)]
+        MA, MB = TSeriesMatrix.of(sr, A), TSeriesMatrix.of(sr, B)
+        live_a, live_b = MA.pval[0] < PINF, MB.pval[:, 0] < PINF
+        top = sum(int((live_a[:, t] & live_b[:, sr.tmax - t]).sum()) for t in range(sr.tmax + 1))
+        assert top > CHUNK
+        ref = ref_block_mul(sr, A, B)
+        for chunk in (1, 2, 7, CHUNK):
+            pv, un = _block_mul(sr, MA.pval, MA.unit, MB.pval, MB.unit, chunk=chunk)
+            assert _grids_equal(TSeriesMatrix(sr, pv, un).entries, ref)
 
     def test_small_chunks(self, sring):
         rng = random.Random(108)
@@ -518,6 +583,20 @@ class TestAccumulatingProduct:
                                 acc=(acc.pval, acc.unit))
             assert _blocks_equal(TSeriesMatrix(sring, pv, un), ref)
 
+    def test_coefficients_without_pairs_are_kept(self, sring):
+        # X lives at t = T_max alone, so only acc's t^0 terms meet it: every
+        # other coefficient of acc receives no term pair and comes back as
+        # it was, byte for byte
+        rng = random.Random(206)
+        acc = TSeriesMatrix.of(sring, random_rows(sring, rng, 3, 3, vals=(-6, 6)))
+        acc.pval[:, :, 1], acc.unit[:, :, 1] = 7, random_series(sring, rng, 1.0).unit[1]
+        X = _no_constant_term(sring, rng, 3, vals=(-6, 6))
+        X.pval[:, :, :-1], X.unit[:, :, :-1] = PINF, 0
+        assert (X.pval < PINF).any()
+        got = self.check(sring, acc, X)
+        assert got.pval[:, :, :-1].tobytes() == acc.pval[:, :, :-1].tobytes()
+        assert got.unit[:, :, :-1].tobytes() == acc.unit[:, :, :-1].tobytes()
+
     def test_leaves_its_operands(self, sring):
         rng = random.Random(204)
         acc = TSeriesMatrix.of(sring, random_rows(sring, rng, 2, 2))
@@ -561,6 +640,9 @@ class TestInt64Edge:
 
     def extreme_rows(self, sr, rng, lowest_t=0):
         return [[self.extreme(sr, rng, lowest_t) for _ in range(2)] for _ in range(2)]
+
+    def test_mul_matrices_match_schoolbook(self, edge):
+        check_mul_matrices(edge.ring, random.Random(303))
 
     def test_block_mul_matches_reference(self, edge):
         rng = random.Random(301)

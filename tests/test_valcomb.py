@@ -15,6 +15,7 @@ from orthocount.valcomb import (
     ValuationProfile,
     build_schedule,
     min_set,
+    min_sets,
     nu,
     predicted_index,
     schedule_h,
@@ -94,6 +95,23 @@ class TestMinSet:
             with pytest.raises(ValueError, match="argmin set too large: 4 tuples of "
                                "length 2 exceed MIN_SET_GUARD = 3"):
                 min_set(r, tied)
+
+
+class TestMinSets:
+    def test_levels_match_dp(self):
+        # one pass gives every level: (nu_r, argmins) of dp_min_set for r <= 8
+        for prof in SWEEP:
+            assert list(min_sets(8, prof)) == [dp_min_set(r, prof) for r in range(1, 9)]
+
+    def test_guard_after_the_levels_below(self, monkeypatch):
+        tied = ValuationProfile(n=2, p=2, a=(3, 1, 1))
+        monkeypatch.setattr(valcomb, "MIN_SET_GUARD", 3)
+        levels = min_sets(3, tied)
+        assert next(levels) == (1, [(2,), (3,)])
+        with pytest.raises(ValueError, match="4 tuples of length 2"):
+            next(levels)
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            next(min_sets(0, tied))
 
 
 # ---------------------------------------------------------------------------
